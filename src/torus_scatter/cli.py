@@ -82,17 +82,16 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     dphi, dtheta = ere.tangents(model, grid)
     dphi = np.atleast_1d(np.asarray(dphi, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-    n_val, _ = geometry.construction_lapse(model, potential, grid)
+    n_val, dn_val = geometry.construction_lapse(model, potential, grid)
     n_val = np.atleast_1d(np.asarray(n_val, dtype=float))
+    dn_val = np.atleast_1d(np.asarray(dn_val, dtype=float))
     v_val = np.atleast_1d(np.asarray(potential.value(traj.phi, traj.theta), dtype=float))
     singular = np.atleast_1d(potential.singular_mask(traj.phi, traj.theta)) | (
         np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1)
     )
     kappa = np.full(grid.size, np.nan)
     ok = ~singular
-    if np.any(ok):
-        _, dn_ok = geometry.construction_lapse(model, potential, grid[ok])
-        kappa[ok] = np.atleast_1d(np.asarray(dn_ok, dtype=float)) / n_val[ok]
+    kappa[ok] = dn_val[ok] / n_val[ok]
     quads = traj.quadrants()
     lines = [TRAJ_HEADER]
     for k in range(grid.size):
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
         if args.command == "ep":
             return cmd_ep(RunConfig.load(args.config), args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, SuiteError, ValueError) as exc:
+    except (ConfigError, SuiteError, ValueError, ArithmeticError) as exc:
         _fail(str(exc))
         return 2
     except OSError as exc:

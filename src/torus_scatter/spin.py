@@ -25,6 +25,7 @@ __all__ = [
     "build_swap",
     "build_s_operator",
     "is_unitary",
+    "normalized_state",
     "out_density_matrix",
     "project_total_spin",
     "entanglement_power_closed",
@@ -72,22 +73,36 @@ SINGLET_PROJECTOR = 0.5 * (_ID4 - SWAP)
 TRIPLET_PROJECTOR = 0.5 * (_ID4 + SWAP)
 
 
-def build_s_operator(phi: float, theta: float) -> np.ndarray:
+def build_s_operator(phi, theta) -> np.ndarray:
     """Return the 4x4 scattering operator for singlet/triplet phases (phi, theta).
 
     The operator equals ``exp(i*phi) P_singlet + exp(i*theta) P_triplet``; both
     forms (projector sum and identity/SWAP combination) agree identically.
+    Array phases give the stack of operators, of shape ``phi.shape + (4, 4)``.
     """
-    e_phi = np.exp(1j * phi)
-    e_theta = np.exp(1j * theta)
+    e_phi = np.exp(1j * np.asarray(phi))[..., None, None]
+    e_theta = np.exp(1j * np.asarray(theta))[..., None, None]
     return 0.5 * (e_theta + e_phi) * _ID4 + 0.5 * (e_theta - e_phi) * SWAP
 
 
 def is_unitary(op: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check ``op^dagger op = 1`` to absolute tolerance ``tol``."""
+    """Check ``op^dagger op = 1`` to absolute tolerance ``tol``.
+
+    A stack of operators (shape ``(..., n, n)``) passes only if every operator
+    does; a NaN entry fails.
+    """
     op = np.asarray(op)
-    dev = op.conj().T @ op - np.eye(op.shape[0])
-    return bool(np.max(np.abs(dev)) <= tol)
+    dev = np.swapaxes(op.conj(), -1, -2) @ op - np.eye(op.shape[-1])
+    return bool(np.max(np.abs(dev), initial=0.0) <= tol)
+
+
+def normalized_state(in_state) -> np.ndarray:
+    """``in_state`` as a vector in C^4, raising ValueError unless it has unit norm."""
+    in_state = np.asarray(in_state, dtype=complex).reshape(4)
+    norm = np.linalg.norm(in_state)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"in_state must be normalized, got |psi| = {norm!r}")
+    return in_state
 
 
 def out_density_matrix(
@@ -102,10 +117,7 @@ def out_density_matrix(
 
     ``in_state`` must be a normalized vector in C^4.
     """
-    in_state = np.asarray(in_state, dtype=complex).reshape(4)
-    norm = np.linalg.norm(in_state)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"in_state must be normalized, got |psi| = {norm!r}")
+    in_state = normalized_state(in_state)
     if not is_unitary(s_op, tol=1e-10):
         raise ValueError("scattering operator is not unitary")
     s_use = s_op.conj() if conjugated else s_op
@@ -165,13 +177,6 @@ def linear_entropy_one_qubit(states: np.ndarray) -> np.ndarray:
     return 1.0 - purity
 
 
-# Measure convention factor for the Monte-Carlo average, calibrated once
-# against the closed form's analytic maximum 1/6 at theta - phi = pi/2: the
-# plain mean linear entropy over Haar x Haar product states already attains
-# 1/6 there, so the factor is exactly 1.
-MC_CALIBRATION = 1.0
-
-
 def entanglement_power_mc(
     phi: float,
     theta: float,
@@ -193,7 +198,7 @@ def entanglement_power_mc(
     states = haar_product_states(n_samples, rng)
     s_op = build_s_operator(phi, theta)
     out = states @ s_op.T  # row k becomes S @ states[k]
-    ent = MC_CALIBRATION * linear_entropy_one_qubit(out)
+    ent = linear_entropy_one_qubit(out)
     estimate = float(np.mean(ent))
     stderr = float(np.std(ent, ddof=1) / np.sqrt(n_samples))
     return estimate, stderr

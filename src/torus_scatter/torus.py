@@ -185,7 +185,19 @@ class Trajectory:
         return wrap_angle(self.phi), wrap_angle(self.theta)
 
     def quadrants(self) -> list[Quadrant]:
-        return [quadrant(pt) for pt in self.points]
+        """Quadrant of every sample: ``quadrant(pt)`` for each of ``points``."""
+        sp, st = (np.sin(x) for x in self.wrapped)
+        labels = np.select(
+            [
+                (np.abs(sp) < BOUNDARY_TOL) | (np.abs(st) < BOUNDARY_TOL),
+                (sp > 0) & (st > 0),
+                (sp < 0) & (st > 0),
+                (sp < 0) & (st < 0),
+            ],
+            [Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III],
+            default=Quadrant.IV,
+        )
+        return labels.tolist()
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """d(phi)/dp and d(theta)/dp with respect to the stored parameter."""

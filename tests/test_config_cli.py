@@ -284,3 +284,10 @@ def test_verify_tol_override_can_force_failure(tmp_path, capsys):
     # machine-precision results cannot beat an absurd 1e-20 tolerance
     assert cli.main(["verify", "--config", cfg, "--suite", "symmetry", "--tol", "1e-20"]) == 1
     capsys.readouterr()
+
+
+def test_arithmetic_error_exits_2_with_json(tmp_path, capsys):
+    cfg = _write_config(tmp_path, name="huge.json", a0=1e300, a1=-1e300, family=None)
+    assert cli.main(["traj", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip())["error"]

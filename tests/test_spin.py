@@ -146,5 +146,8 @@ def test_mc_is_deterministic_for_fixed_seed():
     assert a == b
 
 
-def test_mc_calibration_factor_is_unity():
-    assert spin.MC_CALIBRATION == 1.0
+def test_mc_attains_closed_form_maximum():
+    # The plain mean linear entropy over Haar x Haar product states reaches the
+    # closed form's maximum 1/6 at theta - phi = pi/2: no calibration factor.
+    est, err = spin.entanglement_power_mc(0.0, math.pi / 2, n_samples=20000, seed=5)
+    assert abs(est - 1.0 / 6.0) < 5 * err

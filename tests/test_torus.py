@@ -129,3 +129,14 @@ def test_trajectory_quadrants_follow_wrapped_points():
     phi_w, theta_w = traj.wrapped
     for q, pw, tw in zip(quads, phi_w, theta_w):
         assert q is torus.quadrant(torus.TorusPoint(pw, tw))
+
+
+def test_trajectory_quadrants_match_pointwise_labels_at_edges():
+    tol = torus.BOUNDARY_TOL
+    edges = [0.0, math.pi, -math.pi, 2.0 * math.pi, 2.0 * tol, -2.0 * tol, 0.5 * tol,
+             -0.5 * tol, math.pi - 2.0 * tol, math.pi - 0.5 * tol, 0.5, -0.5, 2.5, -2.5]
+    phi, theta = (np.array(x) for x in zip(*((f, t) for f in edges for t in edges)))
+    traj = torus.Trajectory(_model(), np.arange(1.0, phi.size + 1.0), phi, theta)
+    quads = traj.quadrants()
+    assert quads == [torus.quadrant(pt) for pt in traj.points]
+    assert set(quads) == set(torus.Quadrant)

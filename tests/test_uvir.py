@@ -180,6 +180,104 @@ def test_density_map_oracle_by_hand():
     np.testing.assert_allclose(rho_q, rho_bar_p, atol=1e-12)
 
 
+def _density_map_by_point(model, in_states, grid):
+    """Reference oracle: the per-point loop over ``spin.out_density_matrix``."""
+    sym = uvir.expected_map(model.family.table, model.family.row)
+    phi, theta = ere.phases(model, grid)
+    phi_inv, theta_inv = ere.phases(model, uvir.model_inverted_momentum(model, grid))
+    p_s, p_t = spin.SINGLET_PROJECTOR, spin.TRIPLET_PROJECTOR
+    max_dev = 0.0
+    cross = []
+    for k in range(grid.size):
+        s_here = spin.build_s_operator(phi[k], theta[k])
+        s_image = spin.build_s_operator(phi_inv[k], theta_inv[k])
+        for psi in in_states:
+            rho_image = spin.out_density_matrix(s_image, psi)
+            rho_plain = spin.out_density_matrix(s_here, psi)
+            rho_bar = spin.out_density_matrix(s_here, psi, conjugated=True)
+            if sym.rho_class is uvir.RhoClass.RHO:
+                dev = np.max(np.abs(rho_image - rho_plain))
+            elif sym.rho_class is uvir.RhoClass.RHO_BAR:
+                dev = np.max(np.abs(rho_image - rho_bar))
+            else:
+                if sym.rho_class is uvir.RhoClass.RHO_MINUS_RHOBAR_PLUS:
+                    singlet_src, triplet_src = rho_plain, rho_bar
+                else:
+                    singlet_src, triplet_src = rho_bar, rho_plain
+                dev = max(
+                    np.max(np.abs(p_s @ (rho_image - singlet_src) @ p_s)),
+                    np.max(np.abs(p_t @ (rho_image - triplet_src) @ p_t)),
+                )
+                cross_image = p_s @ rho_image @ p_t
+                cross_plain = p_s @ rho_plain @ p_t
+                idx = np.unravel_index(np.argmax(np.abs(cross_plain)), cross_plain.shape)
+                if abs(cross_plain[idx]) >= 1e-12:
+                    cross.append(float(np.angle(cross_image[idx] / cross_plain[idx])))
+            max_dev = max(max_dev, float(dev))
+    details = {"rho_class": sym.rho_class.value, "table": model.family.table}
+    if cross:
+        details["cross_block_phase_vs_plain_rho"] = {"min": min(cross), "max": max(cross)}
+    return uvir.CheckReport(
+        name="density_map",
+        max_deviation=max_dev,
+        tolerance=1e-10,
+        passed=max_dev < 1e-10,
+        row=model.family.row,
+        details=details,
+    )
+
+
+@pytest.mark.parametrize(
+    "table,row,a0,a1,lam,rho_class",
+    [
+        ("T2", 1, 1.0, 2.0, 0.7, "rho"),
+        ("T2", 4, 1.0, 2.0, 0.7, "rho_bar"),
+        ("T2", 2, 1.3, -4.0, 0.3, "rho_minus + rhobar_plus"),
+        ("T2", 3, -0.8, 6.0, 0.2, "rho_plus + rhobar_minus"),
+    ],
+)
+def test_batched_density_map_equals_point_loop(table, row, a0, a1, lam, rho_class):
+    m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
+    grid = np.geomspace(1e-2, 1e2, 157)
+    states = spin.haar_product_states(10, np.random.default_rng(11))
+    report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
+    assert report["details"]["rho_class"] == rho_class
+    assert report == _density_map_by_point(m, states, grid).to_json()
+    if "+" in rho_class:
+        assert "cross_block_phase_vs_plain_rho" in report["details"]
+    # A nearly pure triplet in-state: its cross block stays below 1e-12 and
+    # records no phase.
+    near_triplet = np.kron([1.0, 0.0], [math.cos(1e-14), math.sin(1e-14)]).astype(complex)
+    report = uvir.verify_density_map(m, in_states=[near_triplet], p_grid=grid).to_json()
+    assert report == _density_map_by_point(m, [near_triplet], grid).to_json()
+    assert "cross_block_phase_vs_plain_rho" not in report["details"]
+
+
+def test_density_map_rejects_unnormalized_in_state():
+    m = ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7)
+    states = spin.haar_product_states(3, np.random.default_rng(2))
+    for bad in (states[1] * 1.001, np.full(4, np.nan)):
+        states[1] = bad
+        with pytest.raises(ValueError, match="normalized"):
+            uvir.verify_density_map(m, in_states=states, p_grid=np.geomspace(0.1, 10, 11))
+
+
+def test_density_map_rejects_non_unitary_operator(monkeypatch):
+    m = ere.make_symmetric_model("T2", 4, 1.0, 2.0, lam=0.7)
+    grid = np.geomspace(0.1, 10, 11)
+    real_phases = ere.phases
+
+    def phases_with_nan(model, p):
+        phi, theta = real_phases(model, p)
+        phi = np.array(phi, dtype=float)
+        phi[np.isclose(p, grid[4])] = np.nan
+        return phi, theta
+
+    monkeypatch.setattr(ere, "phases", phases_with_nan)
+    with pytest.raises(ValueError, match="scattering operator is not unitary"):
+        uvir.verify_density_map(m, p_grid=grid)
+
+
 def test_verify_ep_invariance_rows():
     for table, row, a0, a1, lam in [
         ("T1", 4, 1.0, 5.0, 1.0),
