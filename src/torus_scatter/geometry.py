@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import ere
 from .torus import Trajectory
@@ -456,6 +455,8 @@ def integrate_affine(
     by running into a potential singularity) the curve is truncated and a
     diagnostic recorded.
     """
+    from scipy.integrate import solve_ivp
+
     phi0, theta0, dphi0, dtheta0 = (float(v) for v in init)
     if bool(np.asarray(potential.singular_mask(phi0, theta0))):
         raise ValueError("initial point sits on a potential singularity")
@@ -494,6 +495,7 @@ def affine_parameter_span(
     p_stop: float,
 ) -> float:
     """Affine-parameter length tau = integral of N dp between two momenta."""
+    from scipy.integrate import quad
 
     def n_of_p(p):
         n_val, _ = construction_lapse(model, potential, p)
@@ -528,23 +530,88 @@ def trajectory_inaffinity(traj: Trajectory, p_param, c1: float = 1.0):
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    """Distance from each point to a piecewise-linear curve (vectorized).
+    """Distance from each point to a piecewise-linear curve.
 
     ``points`` is (n, 2) and ``polyline`` (m, 2) with m >= 2.  Returns the
     (n,) array of Euclidean distances to the nearest segment.
+
+    Only segments that can be nearest are evaluated.  Let d_v be a point's
+    distance to its nearest vertex and L_max the longest segment.  The nearest
+    segment is at distance <= d_v, and each point of a segment lies within
+    half its length of one of its endpoints, so the nearest segment has an
+    endpoint within d_v + L_max/2 of the point.  A k-d tree on the vertices
+    finds the vertices in that ball, its radius inflated by 1e-12 of
+    d_v + L_max/2 plus the point's largest coordinate, far more than the
+    rounding of any computed distance.  The segments on either side of those
+    vertices are evaluated with the arithmetic of an all-pairs evaluation
+    (clipped projection, then the sum of squares), and the minimum over them
+    is the all-pairs minimum, so the result is the all-pairs one bit for bit.
+    A point whose ball holds 16 vertices or more, a non-finite point, and
+    every point of a polyline with a non-finite vertex (the tree rejects
+    those) take every segment.  Points go 128 at a time, so at most
+    128 max(m - 1, 30) pairs are held at once.
     """
+    from scipy.spatial import cKDTree
+
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
+    if polyline.ndim != 2 or polyline.shape[0] < 2 or polyline.shape[1] != 2:
+        raise ValueError(
+            f"polyline must be an (m, 2) array of m >= 2 vertices, got shape {polyline.shape}"
+        )
     seg_a = polyline[:-1]
     seg_v = polyline[1:] - seg_a
     seg_len2 = np.maximum(np.einsum("ij,ij->i", seg_v, seg_v), 1e-300)
+    tree = cKDTree(polyline) if np.isfinite(polyline).all() else None
     out = np.empty(points.shape[0])
-    chunk = 256
+    chunk = 128
     for start in range(0, points.shape[0], chunk):
         pts = points[start : start + chunk]
-        diff = pts[:, None, :] - seg_a[None, :, :]
-        t = np.clip(np.einsum("kij,ij->ki", diff, seg_v) / seg_len2, 0.0, 1.0)
-        proj = seg_a[None, :, :] + t[:, :, None] * seg_v[None, :, :]
-        d2 = np.sum((pts[:, None, :] - proj) ** 2, axis=2)
-        out[start : start + chunk] = np.sqrt(np.min(d2, axis=1))
+        out[start : start + chunk] = np.sqrt(_nearest_d2(tree, pts, seg_a, seg_v, seg_len2))
     return out
+
+
+def _nearest_d2(tree, pts, seg_a, seg_v, seg_len2) -> np.ndarray:
+    """Squared distance from each point to its nearest segment.
+
+    The per-pair arithmetic is that of the all-pairs evaluation, operation
+    for operation.  Its temporaries end with the call, so they never overlap
+    those of the next chunk.
+    """
+    p_idx, s_idx = _candidate_segments(tree, pts, seg_len2)
+    x, a, v = pts[p_idx], seg_a[s_idx], seg_v[s_idx]
+    t = np.clip(np.einsum("ij,ij->i", x - a, v) / seg_len2[s_idx], 0.0, 1.0)
+    d2 = np.sum((x - (a + t[:, None] * v)) ** 2, axis=1)
+    d2_min = np.full(pts.shape[0], np.inf)
+    np.minimum.at(d2_min, p_idx, d2)
+    return d2_min
+
+
+def _candidate_segments(tree, pts: np.ndarray, seg_len2: np.ndarray):
+    """(point, segment) index pairs holding each point's nearest segments.
+
+    The 16 nearest vertices hold a point's whole ball (see
+    ``point_to_polyline_distance``) unless the 16th is inside it; such a
+    point, a non-finite one, and all points when there is no tree take every
+    segment.  Pairs may repeat, which leaves the minimum unchanged.
+    """
+    n_seg = seg_len2.size
+    every = np.ones(pts.shape[0], dtype=bool)
+    ball_p = ball_s = np.empty(0, dtype=np.intp)
+    if tree is not None:
+        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        dist, vert = tree.query(pts[finite], k=min(16, tree.n))
+        reach = dist[:, 0] + 0.5 * math.sqrt(seg_len2.max())
+        radius = reach + 1e-12 * (reach + np.abs(pts[finite]).max(axis=1))
+        inside = dist <= radius[:, None]
+        whole = ~inside[:, -1]
+        every[finite[whole]] = False
+        row, col = np.nonzero(inside & whole[:, None])
+        near = vert[row, col]
+        ball_p = np.tile(finite[row], 2)
+        ball_s = np.clip(np.concatenate([near - 1, near]), 0, n_seg - 1)
+    dense = np.flatnonzero(every)
+    return (
+        np.concatenate([np.repeat(dense, n_seg), ball_p]),
+        np.concatenate([np.tile(np.arange(n_seg), dense.size), ball_s]),
+    )

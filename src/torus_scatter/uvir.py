@@ -212,6 +212,16 @@ def _require_family(model: ere.TwoChannelModel) -> SymmetryMap:
     return expected_map(model.family.table, model.family.row)
 
 
+def _momentum_grid(p_grid) -> np.ndarray:
+    """The grid as a float array; a missing or empty grid is rejected."""
+    if p_grid is None:
+        raise ValueError("p_grid is required")
+    p = np.asarray(p_grid, dtype=float)
+    if p.size == 0:
+        raise ValueError("empty momentum grid")
+    return p
+
+
 def _angle_deviation(actual, expected) -> np.ndarray:
     """Absolute deviation between two angles, reduced mod 2pi."""
     return np.abs(wrap_angle(np.asarray(actual) - np.asarray(expected)))
@@ -222,7 +232,7 @@ def verify_phase_map(
 ) -> CheckReport:
     """Check that phases at inverted momenta follow the family row's map."""
     sym = _require_family(model)
-    p = np.asarray(p_grid, dtype=float)
+    p = _momentum_grid(p_grid)
     phi, theta = ere.phases(model, p)
     p_inv = model_inverted_momentum(model, p)
     phi_inv, theta_inv = ere.phases(model, p_inv)
@@ -271,9 +281,7 @@ def verify_density_map(
         in_states = _default_in_states(10)
     in_states = np.atleast_2d(np.asarray(in_states, dtype=complex))
     states = [spin.normalized_state(psi) for psi in in_states]
-    if p_grid is None:
-        raise ValueError("p_grid is required")
-    p = np.asarray(p_grid, dtype=float)
+    p = _momentum_grid(p_grid)
     phi, theta = (np.atleast_1d(x) for x in ere.phases(model, p))
     p_inv = model_inverted_momentum(model, p)
     phi_inv, theta_inv = (np.atleast_1d(x) for x in ere.phases(model, p_inv))
@@ -361,7 +369,7 @@ def verify_ep_invariance(
     """Check that the entanglement power is invariant under the inversion."""
     sym = _require_family(model)
     del sym  # the family tag is required; EP invariance holds for every row
-    p = np.asarray(p_grid, dtype=float)
+    p = _momentum_grid(p_grid)
     phi, theta = ere.phases(model, p)
     p_inv = model_inverted_momentum(model, p)
     phi_inv, theta_inv = ere.phases(model, p_inv)

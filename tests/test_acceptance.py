@@ -14,7 +14,7 @@ import pytest
 
 from torus_scatter import causality, cli, ere, geometry, spin, torus, uvir
 
-from conftest import record_acceptance
+from conftest import polyline_distance_all_pairs, record_acceptance
 
 RNG_SEED = 20260819
 
@@ -234,14 +234,20 @@ def test_acceptance_6_affine_integration():
         )
     )
     runtime = _elapsed(t0)
+    oracle = max(
+        float(polyline_distance_all_pairs(curve.points, ref_points).max()),
+        float(polyline_distance_all_pairs(ref_points, curve.points).max()),
+    )
     ok = (
         not curve.truncated
+        and hausdorff == oracle
         and hausdorff < 1e-5
         and drift < 1e-8
         and runtime < 5.0
     )
     detail = (
-        f"integrated vs closed-form curve: Hausdorff {hausdorff:.2e} (<1e-5), "
+        f"integrated vs closed-form curve: Hausdorff {hausdorff:.2e} (<1e-5, "
+        f"all-pairs {oracle:.2e}), "
         f"first-integral drift {drift:.2e} (<1e-8), runtime {runtime:.1f}s (<5s)"
     )
     record_acceptance(6, ok, detail)

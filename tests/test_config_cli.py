@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,3 +294,13 @@ def test_arithmetic_error_exits_2_with_json(tmp_path, capsys):
     assert cli.main(["traj", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"]
+
+
+def test_cli_import_does_not_load_scipy():
+    """traj and verify never integrate, so importing the CLI leaves scipy out."""
+    code = (
+        "import sys, torus_scatter.cli; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

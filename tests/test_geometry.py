@@ -1,6 +1,7 @@
 """Potentials, lapse, trajectory equations, affine integration, relabeling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_scatter import ere, geometry, torus
+
+from conftest import polyline_distance_all_pairs
 
 LENGTHS = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
 
@@ -319,6 +322,91 @@ def test_point_to_polyline_distance_basic():
     pts = np.array([[0.5, 0.3], [2.0, 1.0], [-1.0, 0.0]])
     d = geometry.point_to_polyline_distance(pts, poly)
     np.testing.assert_allclose(d, [0.3, 1.0, 1.0], atol=1e-12)
+
+
+def _random_walk(rng, m, step=1.0):
+    return np.cumsum(rng.normal(scale=step, size=(m, 2)), axis=0)
+
+
+def _polyline_cases(rng):
+    """(points, polyline) pairs: random walks and the cases that stress pruning."""
+    for m in (2, 3, 17, 40, 300):
+        poly = _random_walk(rng, m)
+        lo, hi = poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0
+        yield rng.uniform(lo, hi, size=(301, 2)), poly
+    # One segment about 1e4 times longer than the rest: every ball holds
+    # every vertex.
+    poly = _random_walk(rng, 200, step=1e-2)
+    poly = np.vstack([poly, poly[-1] + [1e2, 0.0]])
+    yield rng.uniform(-1.0, 1.0, size=(300, 2)), poly
+    yield np.vstack([poly[-1] + [50.0, 3.0], poly[:20]]), poly
+    # Zero-length and repeated segments, points on and next to the vertices.
+    walk = _random_walk(rng, 30)
+    poly = np.vstack([walk[:10], walk[9], walk[9], walk[10:], walk[::-1]])
+    yield np.vstack([poly, poly + 1e-9, rng.uniform(-5, 5, size=(50, 2))]), poly
+    # Points equidistant from two segments: the bisector of a symmetric
+    # wedge, the mid-line between parallel segments, the centre of a square.
+    wedge = np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    yield np.column_stack([np.zeros(40), np.linspace(-1.0, 3.0, 40)]), wedge
+    rails = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 1.0]])
+    yield np.column_stack([np.linspace(-1.0, 5.0, 40), np.full(40, 0.5)]), rails
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    yield np.array([[0.5, 0.5], [0.25, 0.25], [0.5, 0.0]]), square
+    # Points far outside the curve.
+    poly = _random_walk(rng, 100, step=1e-3)
+    yield rng.normal(scale=1e6, size=(20, 2)), poly
+    # A smooth curve sampled on a geometric grid, as in affine reconstruction.
+    s = np.geomspace(1e-3, 3.0, 2000)
+    poly = np.column_stack([np.cos(s), np.sin(2 * s)])
+    yield poly[::3] + rng.normal(scale=1e-4, size=(667, 2)), poly
+
+
+def test_point_to_polyline_distance_matches_all_pairs_bitwise(rng):
+    for points, poly in _polyline_cases(rng):
+        got = geometry.point_to_polyline_distance(points, poly)
+        want = polyline_distance_all_pairs(points, poly)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_point_to_polyline_distance_edge_cases():
+    poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    assert geometry.point_to_polyline_distance(np.empty((0, 2)), poly).shape == (0,)
+    for short in (poly[:1], poly[:0]):
+        with pytest.raises(ValueError, match="m >= 2 vertices"):
+            geometry.point_to_polyline_distance(poly, short)
+    # Non-finite inputs get what the all-pairs evaluation gives: NaN for a
+    # NaN point, NaN everywhere for a polyline with a NaN or infinite vertex.
+    pts = np.array([[0.5, 0.3], [np.nan, 0.0], [2.0, np.inf], [-1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = geometry.point_to_polyline_distance(pts, poly)
+        np.testing.assert_array_equal(got, polyline_distance_all_pairs(pts, poly))
+        assert np.isnan(got[1]) and not np.isnan(got[[0, 3]]).any()
+        for bad in (np.nan, np.inf):
+            broken = poly.copy()
+            broken[1, 0] = bad
+            got = geometry.point_to_polyline_distance(pts, broken)
+            np.testing.assert_array_equal(got, polyline_distance_all_pairs(pts, broken))
+            assert np.isnan(got).all()
+
+
+def test_point_to_polyline_distance_memory_within_all_pairs():
+    """Even when every segment is a candidate (one very long segment), the
+    pruned evaluation holds no more memory than the all-pairs one does for a
+    chunk of 256 points."""
+    rng = np.random.default_rng(5)
+    poly = _random_walk(rng, 1000, step=1e-3)
+    poly = np.vstack([poly, poly[-1] + [1e2, 0.0]])
+    pts = rng.uniform(-0.1, 0.1, size=(300, 2))
+    peaks = []
+    for distance in (polyline_distance_all_pairs, geometry.point_to_polyline_distance):
+        distance(pts[:1], poly)  # imports stay out of the measurement
+        tracemalloc.start()
+        try:
+            distance(pts, poly)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 # ---------------------------------------------------------------------------

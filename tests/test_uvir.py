@@ -262,6 +262,17 @@ def test_density_map_rejects_unnormalized_in_state():
             uvir.verify_density_map(m, in_states=states, p_grid=np.geomspace(0.1, 10, 11))
 
 
+def test_verifiers_reject_empty_grid():
+    m = ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7)
+    for verify in (
+        uvir.verify_phase_map,
+        uvir.verify_ep_invariance,
+        lambda model, grid: uvir.verify_density_map(model, p_grid=grid),
+    ):
+        with pytest.raises(ValueError, match="^empty momentum grid$"):
+            verify(m, np.array([]))
+
+
 def test_density_map_rejects_non_unitary_operator(monkeypatch):
     m = ere.make_symmetric_model("T2", 4, 1.0, 2.0, lam=0.7)
     grid = np.geomspace(0.1, 10, 11)
