@@ -28,14 +28,8 @@ def main() -> None:
         lam = float(lam)
         closed = causality.poles_closed_form(args.a, lam)
         numeric = causality.poles_numeric(args.a, 2.0 * args.a * lam)
-        c_flat = sorted(
-            (p for p, m in closed.poles for _ in range(m)),
-            key=lambda z: (z.real, z.imag),
-        )
-        n_flat = sorted(
-            (p for p, m in numeric.poles for _ in range(m)),
-            key=lambda z: (z.real, z.imag),
-        )
+        c_flat = causality.flatten_poles(closed)
+        n_flat = causality.flatten_poles(numeric)
         dev = max(abs(c - n) for c, n in zip(c_flat, n_flat))
         cols = [f"{p.real:+.4f}{p.imag:+.4f}j" for p in c_flat]
         print(

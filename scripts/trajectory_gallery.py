@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from torus_scatter import causality, cli, config, ere, geometry, torus
+from torus_scatter import causality, cli, config, geometry, torus
 
 GALLERY = [
     ("zero_range_1_5", config.RunConfig(3, 1.0, 5.0, family={"table": "T1", "row": 4})),
@@ -64,14 +64,7 @@ def main() -> None:
         n_quadrants = len({q.position for q in traj.quadrants() if q.position != "boundary"})
 
         residual = "n/a"
-        if cfg.dimension == 2:
-            pot = geometry.potential_2d(cfg.a0, cfg.a1)
-        elif model.singlet.r == 0.0 and model.triplet.r == 0.0:
-            pot = geometry.potential_3d(cfg.a0, cfg.a1)
-        elif ere.quarter_lambda_branch(model) == "solvable":
-            pot = geometry.potential_lam14(cfg.a0, cfg.a1)
-        else:
-            pot = None
+        pot = geometry.closed_form_potential(model)
         if pot is not None:
             report = geometry.eom_residual(model, pot, p_grid=grid)
             residual = f"{report.max_norm:.2e}"

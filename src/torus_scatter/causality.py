@@ -37,6 +37,7 @@ __all__ = [
     "poles_closed_form",
     "poles_numeric",
     "verify_lower_half",
+    "flatten_poles",
 ]
 
 #: A root pair is "on the imaginary axis" when |Re| < this fraction of |p|.
@@ -103,16 +104,6 @@ class TangentAuditReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": [
-                {"p": float(p), "channel": ch, "margin": float(m)}
-                for p, ch, m in self.violations
-            ],
-            "pass": self.passed,
-        }
-
 
 def tangent_vector_audit(traj: Trajectory, tol: float = 1e-9) -> TangentAuditReport:
     """Check phi'(p) >= sin(phi)/p and theta'(p) >= sin(theta)/p samplewise.
@@ -153,9 +144,6 @@ class ExitAuditReport:
     @property
     def passed(self) -> bool:
         return not self.forbidden
-
-    def to_json(self) -> dict:
-        return {"crossings": self.crossings, "pass": self.passed}
 
 
 def quadrant_exit_audit(traj: Trajectory) -> ExitAuditReport:
@@ -298,3 +286,11 @@ def poles_numeric(a: float, r: float) -> PoleSet:
 def verify_lower_half(poleset: PoleSet) -> bool:
     """True iff every pole lies strictly in the lower half momentum plane."""
     return all(pole.imag < 0.0 for pole, _mult in poleset.poles)
+
+
+def flatten_poles(poleset: PoleSet) -> list:
+    """The poles, each repeated by its multiplicity, sorted by (real, imag)."""
+    return sorted(
+        (pole for pole, mult in poleset.poles for _ in range(mult)),
+        key=lambda z: (z.real, z.imag),
+    )

@@ -3,9 +3,15 @@
 Subcommands
 -----------
 ``traj``    write the torus trajectory of a configured model as CSV
-            (columns ``p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant``)
+            (columns ``p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant``);
+            ``kappa`` and ``V`` are empty on every row of a model with no
+            closed-form potential (one exists only for 3D zero range, the
+            lambda = 1/4 branch with r = +2 a lambda, and 2D with distinct
+            lengths) and at singular points
 ``verify``  run a verification suite (symmetry, eom, wigner, poles, ep, all)
-            and emit a JSON report; exit 0 iff every check passes
+            and emit a JSON report; exit 0 iff every check passes.  ``all``
+            runs the suites that apply to the model and lists the others
+            under ``skipped`` with the reason
 ``poles``   report the S-matrix pole set of one channel as JSON
 ``ep``      tabulate the closed-form entanglement power along the grid
 
@@ -27,8 +33,6 @@ from . import causality, ere, geometry, spin, torus, uvir
 from .config import ConfigError, RunConfig
 
 __all__ = ["main", "build_parser", "SuiteError"]
-
-SUITES = ("symmetry", "eom", "wigner", "poles", "ep", "all")
 
 
 class SuiteError(ValueError):
@@ -58,48 +62,45 @@ def _emit(text: str, out_path: str | None) -> None:
 TRAJ_HEADER = "p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant"
 
 
-def _model_potential(cfg: RunConfig, model: ere.TwoChannelModel) -> geometry.GeometricPotential:
-    if model.dimension == 2:
-        return geometry.potential_2d(model.singlet.a2, model.triplet.a2, c1=cfg.c1)
-    branch = ere.quarter_lambda_branch(model)
-    if branch == "solvable":
-        return geometry.potential_lam14(cfg.a0, cfg.a1, c1=cfg.c1)
-    return geometry.potential_3d(cfg.a0, cfg.a1, c1=cfg.c1)
-
-
 def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     """Write one CSV row per grid point.
 
     ``kappa`` is the inaffinity N'(p)/N(p) of the closed-form construction
-    lapse and ``V`` the closed-form potential at the trajectory point; both
-    fields are left empty at singular points (vanishing lapse, or the
-    potential argument within 1e-6 of a pole of tan^2).
+    lapse and ``V`` the closed-form potential at the trajectory point.  Both
+    fields are empty on every row of a model with no closed-form potential
+    (``geometry.closed_form_potential``: only 3D zero range, the lambda = 1/4
+    branch with r = +2 a lambda, and 2D with distinct lengths have one), and
+    at singular points (vanishing lapse, or the potential argument within
+    1e-6 of a pole of tan^2).
     """
     model = cfg.build_model()
     grid = cfg.build_grid()
     traj = torus.sample_trajectory(model, grid)
-    potential = _model_potential(cfg, model)
     dphi, dtheta = ere.tangents(model, grid)
     dphi = np.atleast_1d(np.asarray(dphi, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-    n_val, dn_val = geometry.construction_lapse(model, potential, grid)
-    n_val = np.atleast_1d(np.asarray(n_val, dtype=float))
-    dn_val = np.atleast_1d(np.asarray(dn_val, dtype=float))
-    v_val = np.atleast_1d(np.asarray(potential.value(traj.phi, traj.theta), dtype=float))
-    singular = np.atleast_1d(potential.singular_mask(traj.phi, traj.theta)) | (
-        np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1)
-    )
-    kappa = np.full(grid.size, np.nan)
-    ok = ~singular
-    kappa[ok] = dn_val[ok] / n_val[ok]
+    # kappa and v_val are set whenever a row is regular.
+    regular = np.zeros(grid.size, dtype=bool)
+    potential = geometry.closed_form_potential(model, cfg.c1)
+    if potential is not None:
+        n_val, dn_val = (
+            np.atleast_1d(np.asarray(x, dtype=float))
+            for x in geometry.construction_lapse(model, potential, grid)
+        )
+        v_val = np.atleast_1d(np.asarray(potential.value(traj.phi, traj.theta), dtype=float))
+        regular = ~(
+            np.atleast_1d(potential.singular_mask(traj.phi, traj.theta))
+            | (np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1))
+        )
+        kappa = np.full(grid.size, np.nan)
+        kappa[regular] = dn_val[regular] / n_val[regular]
     quads = traj.quadrants()
     lines = [TRAJ_HEADER]
     for k in range(grid.size):
-        if singular[k]:
-            kappa_str = v_str = ""
+        if regular[k]:
+            kappa_str, v_str = _fmt(kappa[k]), _fmt(v_val[k])
         else:
-            kappa_str = _fmt(kappa[k])
-            v_str = _fmt(v_val[k])
+            kappa_str = v_str = ""
         lines.append(
             ",".join(
                 (
@@ -120,186 +121,184 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# Each suite is a pair: a predicate giving the reason it does not apply to a
+# model (None when it does) and a runner returning ``uvir.Check`` records.
 # ---------------------------------------------------------------------------
-
-
-def _check_dict(name: str, max_deviation: float, tolerance: float, passed: bool, **extra) -> dict:
-    out = {
-        "name": name,
-        "max_deviation": float(max_deviation),
-        "tolerance": float(tolerance),
-        "pass": bool(passed),
-    }
-    out.update(extra)
-    return out
 
 
 def _tol(cfg: RunConfig, name: str, override: float | None) -> float:
     return float(override) if override is not None else cfg.tolerance(name)
 
 
+def _as_check(report, tol: float | None = None) -> uvir.Check:
+    """The check record of a geometry or causality report."""
+    if isinstance(report, geometry.EomResidualReport):
+        return uvir.Check(
+            "eom_residual", report.max_norm, tol, report.max_norm < tol,
+            {"n_points": int(report.p.size)},
+        )
+    if isinstance(report, geometry.OverdeterminationReport):
+        return uvir.Check(
+            "overdetermination_2d", report.max_relative_deviation, report.tolerance,
+            report.passed, {"n_points": int(report.p.size)},
+        )
+    if isinstance(report, causality.TangentAuditReport):
+        worst = min((m for _p, _c, m in report.violations), default=0.0)
+        return uvir.Check(
+            "tangent_audit", abs(min(worst, 0.0)), tol, report.passed,
+            {"violations": len(report.violations)},
+        )
+    if isinstance(report, causality.ExitAuditReport):
+        return uvir.Check(
+            "quadrant_exit_audit", float(len(report.forbidden)), 1.0, report.passed,
+            {"crossings": len(report.crossings)},
+        )
+    raise TypeError(f"no check record for {type(report).__name__}")
+
+
 def _density_states(cfg: RunConfig, n: int = 10) -> np.ndarray:
     return spin.haar_product_states(n, rng=np.random.default_rng(cfg.seed))
 
 
-def _suite_symmetry(cfg, model, grid, tol_override) -> list:
+def _symmetry_skip(model: ere.TwoChannelModel) -> str | None:
     if model.family is None:
-        raise SuiteError("symmetry suite needs a family tag (table/row) in the config")
-    checks = [
-        uvir.verify_phase_map(model, grid, tol=_tol(cfg, "phase_map", tol_override)).to_json(),
+        return "symmetry suite needs a family tag (table/row) in the config"
+    return None
+
+
+def _suite_symmetry(cfg, model, grid, tol_override) -> list:
+    return [
+        uvir.verify_phase_map(model, grid, tol=_tol(cfg, "phase_map", tol_override)),
         uvir.verify_density_map(
             model,
             in_states=_density_states(cfg),
             p_grid=grid,
             tol=_tol(cfg, "density_map", tol_override),
-        ).to_json(),
+        ),
     ]
-    return checks
+
+
+def _eom_skip(model: ere.TwoChannelModel) -> str | None:
+    if model.family is None:
+        return "eom suite needs a family tag identifying a solvable-potential model"
+    if geometry.closed_form_potential(model) is not None:
+        return None
+    if model.dimension == 2:
+        return "equal 2D scattering lengths: trajectory is a geodesic, no potential"
+    return (
+        "eom suite needs a solvable-potential family: zero effective ranges "
+        "or the lambda = 1/4 branch with r = +2 a lambda in both channels"
+    )
 
 
 def _suite_eom(cfg, model, grid, tol_override) -> list:
-    if model.family is None:
-        raise SuiteError("eom suite needs a family tag identifying a solvable-potential model")
     tol = _tol(cfg, "eom_residual", tol_override)
+    potential = geometry.closed_form_potential(model, cfg.c1)
+    checks = [_as_check(geometry.eom_residual(model, potential, p_grid=grid), tol)]
     if model.dimension == 2:
-        potential = geometry.potential_2d(model.singlet.a2, model.triplet.a2, c1=cfg.c1)
-        report = geometry.eom_residual(model, potential, p_grid=grid)
-        over = geometry.overdetermination_2d(
-            model, grid, tol=_tol(cfg, "overdetermination", tol_override)
-        )
-        return [
-            _check_dict("eom_residual", report.max_norm, tol, report.max_norm < tol,
-                        n_points=int(report.p.size)),
-            {"name": "overdetermination_2d", **over.to_json()},
-        ]
-    if model.singlet.r == 0.0 and model.triplet.r == 0.0:
-        potential = geometry.potential_3d(cfg.a0, cfg.a1, c1=cfg.c1)
-    elif ere.quarter_lambda_branch(model) == "solvable":
-        potential = geometry.potential_lam14(cfg.a0, cfg.a1, c1=cfg.c1)
-    else:
-        raise SuiteError(
-            "eom suite needs a solvable-potential family: zero effective ranges "
-            "or the lambda = 1/4 branch with r = +2 a lambda in both channels"
-        )
-    report = geometry.eom_residual(model, potential, p_grid=grid)
-    return [
-        _check_dict("eom_residual", report.max_norm, tol, report.max_norm < tol,
-                    n_points=int(report.p.size)),
-    ]
+        over_tol = _tol(cfg, "overdetermination", tol_override)
+        checks.append(_as_check(geometry.overdetermination_2d(model, grid, tol=over_tol)))
+    return checks
+
+
+def _wigner_skip(model: ere.TwoChannelModel) -> str | None:
+    if model.dimension != 3:
+        return "wigner suite applies to 3D models (2D has the area bound instead)"
+    return None
 
 
 def _suite_wigner(cfg, model, grid, tol_override) -> list:
-    if model.dimension != 3:
-        raise SuiteError("wigner suite applies to 3D models (2D has the area bound instead)")
     traj = torus.sample_trajectory(model, grid)
     tol = _tol(cfg, "tangent_audit", tol_override)
-    tangent = causality.tangent_vector_audit(traj, tol=tol)
-    worst = min((m for _p, _c, m in tangent.violations), default=0.0)
-    exits = causality.quadrant_exit_audit(traj)
     return [
-        _check_dict(
-            "tangent_audit", abs(min(worst, 0.0)), tol, tangent.passed,
-            violations=len(tangent.violations),
-        ),
-        _check_dict(
-            "quadrant_exit_audit", float(len(exits.forbidden)), 1.0, exits.passed,
-            crossings=len(exits.crossings),
-        ),
+        _as_check(causality.tangent_vector_audit(traj, tol=tol), tol),
+        _as_check(causality.quadrant_exit_audit(traj)),
     ]
 
 
-def _causal_lambda(model: ere.TwoChannelModel) -> float:
-    """lambda of a causal self-correlated family (r = 2 a lambda, a < 0, both channels)."""
+def _poles_skip(model: ere.TwoChannelModel) -> str | None:
+    """The poles suite needs a causal self-correlated family: r = 2 a lambda, a < 0."""
     if model.dimension != 3 or model.family is None:
-        raise SuiteError("poles suite needs a 3D model with a family tag")
+        return "poles suite needs a 3D model with a family tag"
     lam = model.family.lam
-    for ch in (model.singlet, model.triplet):
+    for ch in model.channels:
         if ch.unitarity or ch.a >= 0 or abs(ch.r - 2.0 * ch.a * lam) > 1e-12 * abs(ch.r):
-            raise SuiteError(
+            return (
                 "poles suite needs the causal family with r = 2 a lambda and "
                 "a < 0 in both channels (e.g. T3 row 6)"
             )
-    return lam
+    return None
 
 
 def _suite_poles(cfg, model, grid, tol_override) -> list:
-    lam = _causal_lambda(model)
+    lam = model.family.lam
     tol = _tol(cfg, "pole_match", tol_override)
     checks = []
     worst_im = -np.inf
     for label, ch in (("singlet", model.singlet), ("triplet", model.triplet)):
         closed = causality.poles_closed_form(ch.a, lam)
         numeric = causality.poles_numeric(ch.a, ch.r)
-        closed_list = sorted(
-            (p for p, m in closed.poles for _ in range(m)), key=lambda z: (z.real, z.imag)
+        dev = max(
+            abs(c - n)
+            for c, n in zip(causality.flatten_poles(closed), causality.flatten_poles(numeric))
         )
-        numeric_list = sorted(
-            (p for p, m in numeric.poles for _ in range(m)), key=lambda z: (z.real, z.imag)
-        )
-        dev = max(abs(c - n) for c, n in zip(closed_list, numeric_list))
         checks.append(
-            _check_dict(
-                f"pole_match_{label}", dev, tol, dev < tol, case=closed.classification
-            )
+            uvir.Check(f"pole_match_{label}", dev, tol, dev < tol, {"case": closed.classification})
         )
         worst_im = max(worst_im, max(p.imag for p, _m in closed.poles))
-    checks.append(
-        _check_dict("pole_lower_half", worst_im, 0.0, worst_im < 0.0)
-    )
+    checks.append(uvir.Check("pole_lower_half", worst_im, 0.0, worst_im < 0.0))
     return checks
 
 
-def _suite_ep(cfg, model, grid, tol_override) -> list:
+def _ep_skip(model: ere.TwoChannelModel) -> str | None:
     if model.family is None:
-        raise SuiteError("ep suite needs a family tag (table/row) in the config")
+        return "ep suite needs a family tag (table/row) in the config"
     mapping = uvir.expected_map(model.family.table, model.family.row)
     if mapping.rho_class not in (uvir.RhoClass.RHO, uvir.RhoClass.RHO_BAR):
-        raise SuiteError(
+        return (
             "ep suite applies to families mapping onto rho or rho-bar as a whole; "
             f"this row mixes sectors ({mapping.rho_class.value})"
         )
+    return None
+
+
+def _suite_ep(cfg, model, grid, tol_override) -> list:
     return [
-        uvir.verify_ep_invariance(
-            model, grid, tol=_tol(cfg, "ep_invariance", tol_override)
-        ).to_json()
+        uvir.verify_ep_invariance(model, grid, tol=_tol(cfg, "ep_invariance", tol_override))
     ]
 
 
-_SUITE_RUNNERS = {
-    "symmetry": _suite_symmetry,
-    "eom": _suite_eom,
-    "wigner": _suite_wigner,
-    "poles": _suite_poles,
-    "ep": _suite_ep,
+#: name -> (reason the suite does not apply, or None; runner), in report order.
+_SUITES = {
+    "symmetry": (_symmetry_skip, _suite_symmetry),
+    "eom": (_eom_skip, _suite_eom),
+    "wigner": (_wigner_skip, _suite_wigner),
+    "poles": (_poles_skip, _suite_poles),
+    "ep": (_ep_skip, _suite_ep),
 }
+SUITES = (*_SUITES, "all")
 
 
 def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None, tol_override: float | None) -> int:
     model = cfg.build_model()
     grid = cfg.build_grid()
+    checks: list = []
+    skipped: list = []
+    for name in _SUITES if suite == "all" else (suite,):
+        skip_reason, run = _SUITES[name]
+        reason = skip_reason(model)
+        if reason is None:
+            checks.extend(c.to_json() for c in run(cfg, model, grid, tol_override))
+        elif suite == "all":
+            skipped.append({"suite": name, "reason": reason})
+        else:
+            raise SuiteError(reason)
+    if not checks:
+        raise SuiteError("no verification suite applies to this config")
+    report = {"suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
     if suite == "all":
-        checks: list = []
-        skipped: list = []
-        for name in ("symmetry", "eom", "wigner", "poles", "ep"):
-            try:
-                checks.extend(_SUITE_RUNNERS[name](cfg, model, grid, tol_override))
-            except SuiteError as exc:
-                skipped.append({"suite": name, "reason": str(exc)})
-        if not checks:
-            raise SuiteError("no verification suite applies to this config")
-        report = {
-            "suite": "all",
-            "checks": checks,
-            "skipped": skipped,
-            "pass": all(c["pass"] for c in checks),
-        }
-    else:
-        checks = _SUITE_RUNNERS[suite](cfg, model, grid, tol_override)
-        report = {
-            "suite": suite,
-            "checks": checks,
-            "pass": all(c["pass"] for c in checks),
-        }
+        report["skipped"] = skipped
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
     return 0 if report["pass"] else 1
 

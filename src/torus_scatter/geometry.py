@@ -19,6 +19,8 @@ implemented:
   lapse is not assumed but recovered pointwise from the overdetermined
   trajectory equations (it comes out proportional to phi' - theta').
 
+``closed_form_potential`` decides which of the three a model has, if any.
+
 Momenta where the potential argument hits a tan singularity
 (|cos| < 1e-6) or the lapse vanishes (|N| < 1e-10) are excluded from
 residual evaluation and reported.
@@ -43,6 +45,7 @@ __all__ = [
     "potential_3d",
     "potential_lam14",
     "potential_2d",
+    "closed_form_potential",
     "lapse_3d",
     "construction_lapse",
     "inaffinity",
@@ -162,6 +165,26 @@ def potential_2d(a2_0: float, a2_1: float, c1: float = 1.0) -> GeometricPotentia
     )
 
 
+def closed_form_potential(
+    model: ere.TwoChannelModel, c1: float = 1.0
+) -> GeometricPotential | None:
+    """The exact potential whose trajectory is the model's curve, or None.
+
+    Three classes have one: 3D zero range (both effective ranges zero, finite
+    lengths), the lambda = 1/4 branch with r = +2 a lambda in both channels,
+    and 2D with distinct lengths.  Every other model has None, among them 2D
+    models with equal lengths, whose curve is a geodesic.
+    """
+    a0, a1 = model.singlet.length, model.triplet.length
+    if model.dimension == 2:
+        return None if a0 == a1 else potential_2d(a0, a1, c1=c1)
+    if model.singlet.r == 0.0 and model.triplet.r == 0.0:
+        return potential_3d(a0, a1, c1=c1) if math.isfinite(a0) and math.isfinite(a1) else None
+    if ere.quarter_lambda_branch(model) == "solvable":
+        return potential_lam14(a0, a1, c1=c1)
+    return None
+
+
 def _model_epsilon(model: ere.TwoChannelModel) -> int:
     if model.dimension == 2:
         return +1
@@ -255,15 +278,6 @@ class EomResidualReport:
     max_norm: float
     excluded: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "max_norm": self.max_norm,
-            "n_points": int(self.p.size),
-            "excluded": [
-                {"p": float(pp), "reason": reason} for pp, reason in self.excluded
-            ],
-        }
-
 
 def eom_residual(
     model: ere.TwoChannelModel,
@@ -341,14 +355,6 @@ class OverdeterminationReport:
     tolerance: float
     passed: bool
     excluded: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "max_deviation": self.max_relative_deviation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "n_points": int(self.p.size),
-        }
 
 
 def overdetermination_2d(

@@ -30,7 +30,7 @@ from .torus import wrap_angle
 __all__ = [
     "RhoClass",
     "SymmetryMap",
-    "CheckReport",
+    "Check",
     "expected_map",
     "inverted_momentum",
     "inversion_fixed_point",
@@ -145,11 +145,8 @@ def model_inversion_strength(model: ere.TwoChannelModel) -> float:
 
 def model_inverted_momentum(model: ere.TwoChannelModel, p):
     """Image of p under the model's own family inversion."""
-    eta = model_inversion_strength(model)
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0):
-        raise ValueError("threshold maps to infinity: momentum inversion requires p > 0")
-    return (1.0 / (eta * p))[()]
+    model_inversion_strength(model)  # rejects untagged and unitarity models
+    return inverted_momentum(p, model.family.lam, model.singlet.length, model.triplet.length)
 
 
 def make_paired_grid(
@@ -176,34 +173,23 @@ def make_paired_grid(
 
 
 @dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification pass."""
+class Check:
+    """Outcome of one verification check; ``extra`` joins its JSON as is."""
 
     name: str
     max_deviation: float
     tolerance: float
     passed: bool
-    row: int | None = None
-    details: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "name": self.name,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
+            "max_deviation": float(self.max_deviation),
+            "tolerance": float(self.tolerance),
+            "pass": bool(self.passed),
+            **self.extra,
         }
-        if self.row is not None:
-            out["row"] = self.row
-        if self.details:
-            out["details"] = {
-                k: v for k, v in self.details.items() if _json_safe(v)
-            }
-        return out
-
-
-def _json_safe(v) -> bool:
-    return isinstance(v, (int, float, str, bool, type(None), list, dict))
 
 
 def _require_family(model: ere.TwoChannelModel) -> SymmetryMap:
@@ -229,7 +215,7 @@ def _angle_deviation(actual, expected) -> np.ndarray:
 
 def verify_phase_map(
     model: ere.TwoChannelModel, p_grid, tol: float = 1e-10
-) -> CheckReport:
+) -> Check:
     """Check that phases at inverted momenta follow the family row's map."""
     sym = _require_family(model)
     p = _momentum_grid(p_grid)
@@ -241,13 +227,9 @@ def verify_phase_map(
         float(np.max(_angle_deviation(phi_inv, want_phi))),
         float(np.max(_angle_deviation(theta_inv, want_theta))),
     )
-    return CheckReport(
-        name="phase_map",
-        max_deviation=dev,
-        tolerance=tol,
-        passed=dev < tol,
-        row=model.family.row,
-        details={"table": model.family.table},
+    return Check(
+        "phase_map", dev, tol, dev < tol,
+        {"row": model.family.row, "details": {"table": model.family.table}},
     )
 
 
@@ -261,7 +243,7 @@ def verify_density_map(
     in_states: np.ndarray | None = None,
     p_grid=None,
     tol: float = 1e-10,
-) -> CheckReport:
+) -> Check:
     """Check the density-matrix transformation class of the family row.
 
     For classes RHO / RHO_BAR the full 4x4 matrices are compared.  For the
@@ -326,13 +308,9 @@ def verify_density_map(
                 "min": min(finite),
                 "max": max(finite),
             }
-    return CheckReport(
-        name="density_map",
-        max_deviation=max_dev,
-        tolerance=tol,
-        passed=max_dev < tol,
-        row=model.family.row,
-        details=details,
+    return Check(
+        "density_map", max_dev, tol, max_dev < tol,
+        {"row": model.family.row, "details": details},
     )
 
 
@@ -365,7 +343,7 @@ def _cross_block_phase(rho_image, rho_plain, p_s, p_t) -> np.ndarray:
 
 def verify_ep_invariance(
     model: ere.TwoChannelModel, p_grid, tol: float = 1e-12
-) -> CheckReport:
+) -> Check:
     """Check that the entanglement power is invariant under the inversion."""
     sym = _require_family(model)
     del sym  # the family tag is required; EP invariance holds for every row
@@ -376,11 +354,7 @@ def verify_ep_invariance(
     ep_here = spin.entanglement_power_closed(phi, theta)
     ep_image = spin.entanglement_power_closed(phi_inv, theta_inv)
     dev = float(np.max(np.abs(np.asarray(ep_here) - np.asarray(ep_image))))
-    return CheckReport(
-        name="ep_invariance",
-        max_deviation=dev,
-        tolerance=tol,
-        passed=dev < tol,
-        row=model.family.row,
-        details={"table": model.family.table},
+    return Check(
+        "ep_invariance", dev, tol, dev < tol,
+        {"row": model.family.row, "details": {"table": model.family.table}},
     )

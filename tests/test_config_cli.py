@@ -148,6 +148,42 @@ def test_traj_phase_values_match_closed_form(tmp_path):
     assert float(row[4]) == pytest.approx(-2.0 * 5.0 / (1.0 + 25.0), rel=1e-15)
 
 
+def _traj_rows(path) -> list:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_traj_leaves_v_and_kappa_empty_without_closed_form(tmp_path):
+    # T2 row 6 at lambda = 0.1 has no closed-form potential.
+    cfg = _write_config(tmp_path, family={"table": "T2", "row": 6, "lambda": 0.1})
+    out = tmp_path / "t2r6.csv"
+    assert cli.main(["traj", "--config", cfg, "--out", str(out)]) == 0
+    rows = _traj_rows(out)
+    assert len(rows) == 41
+    assert all(r[5] == "" and r[6] == "" for r in rows)
+    assert all(r[1] and r[2] for r in rows)
+    # The zero-range row on the same grid fills them.
+    out = tmp_path / "t1r4.csv"
+    assert cli.main(["traj", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    assert all(r[5] and r[6] for r in _traj_rows(out))
+
+
+def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
+    path = tmp_path / "geodesic.json"
+    path.write_text(json.dumps({"dimension": 2, "a0": 1, "a1": 1}))
+    assert cli.main(["verify", "--config", str(path), "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [s["suite"] for s in report["skipped"]] == ["eom", "wigner", "poles"]
+    assert _suites_run(report) == {"symmetry", "ep"}
+    # Named on its own, the suite that does not apply is a usage error.
+    assert cli.main(["verify", "--config", str(path), "--suite", "eom"]) == 2
+    assert "geodesic" in json.loads(capsys.readouterr().err)["error"]
+    out = tmp_path / "geodesic.csv"
+    assert cli.main(["traj", "--config", str(path), "--out", str(out)]) == 0
+    rows = _traj_rows(out)
+    assert len(rows) == 101
+    assert all(r[5] == "" and r[6] == "" and r[1] == r[2] for r in rows)
+
+
 def test_verify_report_structure_and_determinism(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

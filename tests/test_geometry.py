@@ -1,5 +1,6 @@
 """Potentials, lapse, trajectory equations, affine integration, relabeling."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -140,7 +141,7 @@ def test_eom_residual_zero_range(a0, a1):
     pot = geometry.potential_3d(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(m, pot, p_grid=grid)
-    assert report.max_norm < 1e-8, report.to_json()
+    assert report.max_norm < 1e-8, report.excluded
 
 
 def test_eom_residual_c1_invariant():
@@ -184,7 +185,7 @@ def test_eom_residual_quarter_lambda_solvable(table, row, a0, a1):
     pot = geometry.potential_lam14(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(m, pot, p_grid=grid)
-    assert report.max_norm < 1e-8, report.to_json()
+    assert report.max_norm < 1e-8, report.excluded
 
 
 def test_quarter_lambda_complementary_branch_has_no_single_potential():
@@ -203,12 +204,59 @@ def test_quarter_lambda_complementary_branch_has_no_single_potential():
     assert report.max_norm > 1e-2
 
 
+def _family_models():
+    """Every valid 3D T1/T2/T3 row at lambda 0.1 and 0.25, for each sign pattern."""
+    pairs = ((1.0, 5.0), (-1.0, 5.0), (1.0, -5.0), (-1.0, -5.0), (-15.0, -1.0))
+    for table, rows in (("T1", ere.T1_ROWS), ("T2", ere.T2_ROWS), ("T3", ere.T3_ROWS)):
+        for row, lam, (a0, a1) in itertools.product(rows, (0.1, 0.25), pairs):
+            try:
+                yield ere.make_symmetric_model(table, row, a0, a1, lam=lam)
+            except ValueError:
+                continue  # the row's sign constraints exclude this pair
+
+
+def test_closed_form_potential_follows_the_class_rule():
+    """3D zero range, the lambda = 1/4 branch with r = +2 a lambda, and 2D with
+    distinct lengths have a closed-form potential; no other model has one."""
+    grid = np.geomspace(1e-2, 1e2, 300)
+    c1 = 1.7
+    classes = {"zero-range": 0, "lam14": 0, None: 0}
+    for m in _family_models():
+        a0, a1, lam = m.singlet.a, m.triplet.a, m.family.lam
+        if m.singlet.r == 0.0 and m.triplet.r == 0.0:
+            kind, want = "zero-range", geometry.potential_3d(a0, a1, c1=c1)
+        elif lam == 0.25 and all(
+            math.isclose(ch.r, 2.0 * ch.a * lam, rel_tol=1e-12) for ch in m.channels
+        ):
+            kind, want = "lam14", geometry.potential_lam14(a0, a1, c1=c1)
+        else:
+            kind, want = None, None
+        classes[kind] += 1
+        pot = geometry.closed_form_potential(m, c1=c1)
+        assert pot == want, m
+        if pot is None:
+            # Neither 3D closed form solves this model's trajectory equations.
+            for wrong in (geometry.potential_3d(a0, a1), geometry.potential_lam14(a0, a1)):
+                assert geometry.eom_residual(m, wrong, p_grid=grid).max_norm > 1.0, m
+        else:
+            assert geometry.eom_residual(m, pot, p_grid=grid).max_norm < 1e-8, m
+    assert classes == {"zero-range": 10, "lam14": 7, None: 69}
+    planar = ere.make_2d_model(1.0, 3.0)
+    assert geometry.closed_form_potential(planar, c1=c1) == geometry.potential_2d(1.0, 3.0, c1=c1)
+    assert geometry.closed_form_potential(ere.make_2d_model(2.0, 2.0)) is None
+    assert geometry.closed_form_potential(_zero_range(1.0, -5.0)) == geometry.potential_3d(1.0, -5.0)
+    at_unitarity = ere.TwoChannelModel(
+        3, ere.Channel3D(1.0, unitarity=True), ere.Channel3D(5.0)
+    )
+    assert geometry.closed_form_potential(at_unitarity) is None
+
+
 def test_eom_residual_2d():
     m = ere.make_2d_model(1.0, 3.0)
     pot = geometry.potential_2d(1.0, 3.0)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(m, pot, p_grid=grid)
-    assert report.max_norm < 1e-8, report.to_json()
+    assert report.max_norm < 1e-8, report.excluded
 
 
 def test_eom_residual_excludes_2d_turning_point():
@@ -252,7 +300,7 @@ def test_overdetermination_2d_consistency():
     m = ere.make_2d_model(1.0, math.e)
     grid = np.geomspace(1e-3, 1e3, 800)
     report = geometry.overdetermination_2d(m, grid)
-    assert report.passed and report.max_relative_deviation < 1e-6, report.to_json()
+    assert report.passed and report.max_relative_deviation < 1e-6, report.excluded
     # the shared ratio W / (phi' - theta')^2 equals c1^2 * amplitude
     pot = geometry.potential_2d(1.0, math.e)
     dphi, dtheta = ere.tangents(m, report.p)

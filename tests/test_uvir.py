@@ -217,13 +217,12 @@ def _density_map_by_point(model, in_states, grid):
     details = {"rho_class": sym.rho_class.value, "table": model.family.table}
     if cross:
         details["cross_block_phase_vs_plain_rho"] = {"min": min(cross), "max": max(cross)}
-    return uvir.CheckReport(
+    return uvir.Check(
         name="density_map",
         max_deviation=max_dev,
         tolerance=1e-10,
         passed=max_dev < 1e-10,
-        row=model.family.row,
-        details=details,
+        extra={"row": model.family.row, "details": details},
     )
 
 
