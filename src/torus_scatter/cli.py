@@ -19,6 +19,10 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage/config error.
 Configuration errors are reported as one JSON object on standard error.
 All floating-point output uses 17 significant digits, so files are
 bit-identical across runs for a fixed config and seed.
+
+``traj`` and ``ep`` compute every column before the output is opened, then
+write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
+``%``-template, so the text of a large grid never sits in memory at once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -39,20 +44,47 @@ class SuiteError(ValueError):
     """A verification suite that does not apply to the configured model."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _fail(message: str) -> None:
     sys.stderr.write(json.dumps({"error": message}) + "\n")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, one string or an iterable of strings, to ``out_path`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+#: Rows formatted per CSV block: enough that the per-block cost is
+#: negligible, few enough that the text held at once stays near 0.4 MB of
+#: traj rows whatever the grid size.
+CSV_BLOCK_ROWS = 2048
+
+#: One CSV field: 17 significant digits, so a float64 round-trips exactly.
+_FLOAT = "%.17g"
+
+
+def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
+    """The CSV text of ``header`` and one row per entry of ``columns``, in blocks.
+
+    Row ``k`` is ``templates[pick[k]] % (columns[0][k], columns[1][k], ...)``
+    (``templates[0]`` when ``pick`` is None); each template ends in a newline.
+    A column is an array or a list.  Every block of ``CSV_BLOCK_ROWS`` rows
+    turns its array slices into Python objects with one ``tolist`` call each
+    and is yielded as one string.
+    """
+    yield header + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        rows = zip(*(c[block].tolist() if isinstance(c, np.ndarray) else c[block] for c in columns))
+        if pick is None:
+            template = templates[0]
+            yield "".join([template % row for row in rows])
+        else:
+            yield "".join([templates[i] % row for i, row in zip(pick[block].tolist(), rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +92,12 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 TRAJ_HEADER = "p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant"
+#: A traj row, and a row whose ``kappa`` and ``V`` are left empty: ``%.0s``
+#: takes its value and prints nothing.
+_TRAJ_ROWS = (
+    ",".join([_FLOAT] * 5 + ["%.0s", "%.0s", "%s\n"]),
+    ",".join([_FLOAT] * 7 + ["%s\n"]),
+)
 
 
 def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
@@ -79,8 +117,9 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     dphi, dtheta = ere.tangents(model, grid)
     dphi = np.atleast_1d(np.asarray(dphi, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-    # kappa and v_val are set whenever a row is regular.
+    # kappa and v_val are printed where a row is regular.
     regular = np.zeros(grid.size, dtype=bool)
+    kappa = v_val = np.full(grid.size, np.nan)
     potential = geometry.closed_form_potential(model, cfg.c1)
     if potential is not None:
         n_val, dn_val = (
@@ -94,28 +133,9 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
         )
         kappa = np.full(grid.size, np.nan)
         kappa[regular] = dn_val[regular] / n_val[regular]
-    quads = traj.quadrants()
-    lines = [TRAJ_HEADER]
-    for k in range(grid.size):
-        if regular[k]:
-            kappa_str, v_str = _fmt(kappa[k]), _fmt(v_val[k])
-        else:
-            kappa_str = v_str = ""
-        lines.append(
-            ",".join(
-                (
-                    _fmt(grid[k]),
-                    _fmt(traj.phi[k]),
-                    _fmt(traj.theta[k]),
-                    _fmt(dphi[k]),
-                    _fmt(dtheta[k]),
-                    kappa_str,
-                    v_str,
-                    quads[k].position,
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", out_path)
+    positions = [q.position for q in traj.quadrants()]
+    columns = (grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, positions)
+    _emit(_csv_blocks(TRAJ_HEADER, _TRAJ_ROWS, columns, pick=regular), out_path)
     return 0
 
 
@@ -317,18 +337,17 @@ def cmd_poles(a: float, lam: float | None, r: float | None, out_path: str | None
     return 0
 
 
+EP_HEADER = "p,phi,theta,ep"
+_EP_ROW = ",".join([_FLOAT] * 4) + "\n"
+
+
 def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
     """Tabulate p, the two phases, and the closed-form entanglement power."""
     model = cfg.build_model()
     grid = cfg.build_grid()
     phi, theta = ere.phases(model, grid)
     power = spin.entanglement_power_closed(phi, theta)
-    lines = ["p,phi,theta,ep"]
-    for k in range(grid.size):
-        lines.append(
-            ",".join((_fmt(grid[k]), _fmt(phi[k]), _fmt(theta[k]), _fmt(power[k])))
-        )
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit(_csv_blocks(EP_HEADER, (_EP_ROW,), (grid, phi, theta, power)), out_path)
     return 0
 
 

@@ -5,22 +5,59 @@ needs — dimension, channel scattering lengths, an optional symmetry-family
 tag (table, row, lambda) that fixes both effective ranges, the momentum
 grid, the lapse normalization c1, per-check tolerances, and an RNG seed —
 so runs are reproducible byte for byte.
+
+Construction validates every value and raises :class:`ConfigError` naming
+the key: integers (``dimension``, ``seed``, ``family.row``, ``p_grid.count``)
+may be integral floats but not booleans or strings; ``a0``, ``a1``, ``c1``,
+``family.lambda`` and the grid bounds must be finite numbers, and
+tolerances positive numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ere
 
-__all__ = ["PGrid", "RunConfig", "ConfigError"]
+__all__ = ["PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT"]
+
+#: Largest accepted ``p_grid.count``: it bounds the tens of float64 arrays of
+#: that length that ``traj`` and ``verify`` allocate.
+MAX_GRID_COUNT = 10**7
 
 
 class ConfigError(ValueError):
     """A run configuration that cannot be built into a model/grid."""
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float; booleans, strings and other non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number; got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range; got {value!r}") from None
+
+
+def _finite(key: str, value) -> float:
+    number = _number(key, value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite; got {number!r}")
+    return number
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; an integral float is accepted, a boolean is not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer; got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -33,10 +70,14 @@ class PGrid:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
+        for key, convert in (("min", _finite), ("max", _finite), ("count", _integer)):
+            object.__setattr__(self, key, convert(f"p_grid.{key}", getattr(self, key)))
         if not (0.0 < self.min < self.max):
             raise ConfigError(f"grid needs 0 < min < max; got [{self.min}, {self.max}]")
-        if self.count < 2:
-            raise ConfigError(f"grid needs at least 2 points; got {self.count}")
+        if not (2 <= self.count <= MAX_GRID_COUNT):
+            raise ConfigError(
+                f"grid needs 2 to {MAX_GRID_COUNT} points; got {self.count}"
+            )
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"spacing must be 'log' or 'linear'; got {self.spacing!r}")
 
@@ -74,6 +115,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key, convert in (
+            ("dimension", _integer), ("a0", _finite), ("a1", _finite), ("c1", _finite),
+            ("seed", _integer),
+        ):
+            object.__setattr__(self, key, convert(key, getattr(self, key)))
         if self.dimension not in (2, 3):
             raise ConfigError(f"dimension must be 2 or 3; got {self.dimension}")
         if self.c1 == 0.0:
@@ -85,12 +131,14 @@ class RunConfig:
             unknown = set(self.family) - {"table", "row", "lambda"}
             if unknown:
                 raise ConfigError(f"family tag has unknown keys: {sorted(unknown)}")
+            _integer("family.row", self.family["row"])
+            _finite("family.lambda", self.family.get("lambda", 1.0))
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance name {name!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
+            if not _number(f"tolerance {name!r}", value) > 0:
                 raise ConfigError(f"tolerance {name!r} must be positive; got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer; got {self.seed!r}")
 
     def tolerance(self, name: str) -> float:
@@ -158,10 +206,10 @@ class RunConfig:
                 raise ConfigError(f"unknown p_grid keys: {sorted(unknown)}")
             try:
                 grid = PGrid(
-                    min=float(grid_data["min"]),
-                    max=float(grid_data["max"]),
-                    count=int(grid_data.get("count", 101)),
-                    spacing=str(grid_data.get("spacing", "log")),
+                    min=grid_data["min"],
+                    max=grid_data["max"],
+                    count=grid_data.get("count", 101),
+                    spacing=grid_data.get("spacing", "log"),
                 )
             except KeyError as exc:
                 raise ConfigError(f"p_grid missing key {exc.args[0]!r}") from exc
@@ -169,12 +217,12 @@ class RunConfig:
             raise ConfigError("p_grid must be a JSON object")
         try:
             return cls(
-                dimension=int(data["dimension"]),
-                a0=float(data["a0"]),
-                a1=float(data["a1"]),
+                dimension=data["dimension"],
+                a0=data["a0"],
+                a1=data["a1"],
                 family=data.get("family"),
                 p_grid=grid,
-                c1=float(data.get("c1", 1.0)),
+                c1=data.get("c1", 1.0),
                 tolerances=dict(data.get("tolerances", {})),
                 seed=data.get("seed", 0),
             )

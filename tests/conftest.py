@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-summary terminal hook."""
+"""Shared fixtures, reference oracles and the acceptance-summary terminal hook."""
 
 from __future__ import annotations
 
@@ -43,6 +43,70 @@ def polyline_distance_all_pairs(points, polyline):
         d2 = np.sum((pts[:, None, :] - proj) ** 2, axis=2)
         out[start : start + chunk] = np.sqrt(np.min(d2, axis=1))
     return out
+
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def traj_rows_oracle(grid, phi, theta, dphi, dtheta, kappa, v_val, regular, positions) -> str:
+    """Reference for the rows of ``cli.cmd_traj``: one ``_fmt`` call per field,
+    ``kappa`` and ``V`` empty where ``regular`` is false."""
+    lines = []
+    for k in range(len(grid)):
+        if regular[k]:
+            kappa_str, v_str = _fmt(kappa[k]), _fmt(v_val[k])
+        else:
+            kappa_str = v_str = ""
+        fields = (grid[k], phi[k], theta[k], dphi[k], dtheta[k])
+        lines.append(",".join([*map(_fmt, fields), kappa_str, v_str, positions[k]]) + "\n")
+    return "".join(lines)
+
+
+def traj_csv_oracle(cfg) -> str:
+    """Reference for the text ``cli.cmd_traj`` writes for ``cfg``: the arrays
+    computed as the command computes them, then the per-field loop."""
+    from torus_scatter import cli, ere, geometry, torus
+
+    model = cfg.build_model()
+    grid = cfg.build_grid()
+    traj = torus.sample_trajectory(model, grid)
+    dphi, dtheta = (np.atleast_1d(np.asarray(x, dtype=float)) for x in ere.tangents(model, grid))
+    regular = np.zeros(grid.size, dtype=bool)
+    kappa = v_val = None
+    potential = geometry.closed_form_potential(model, cfg.c1)
+    if potential is not None:
+        n_val, dn_val = geometry.construction_lapse(model, potential, grid)
+        v_val = potential.value(traj.phi, traj.theta)
+        regular = ~(
+            potential.singular_mask(traj.phi, traj.theta)
+            | (np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1))
+        )
+        kappa = np.full(grid.size, np.nan)
+        kappa[regular] = dn_val[regular] / n_val[regular]
+    positions = [q.position for q in traj.quadrants()]
+    return cli.TRAJ_HEADER + "\n" + traj_rows_oracle(
+        grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, regular, positions
+    )
+
+
+def ep_rows_oracle(grid, phi, theta, power) -> str:
+    """Reference for the rows of ``cli.cmd_ep``: one ``_fmt`` call per field."""
+    return "".join(
+        ",".join(map(_fmt, (grid[k], phi[k], theta[k], power[k]))) + "\n"
+        for k in range(len(grid))
+    )
+
+
+def ep_csv_oracle(cfg) -> str:
+    """Reference for the text ``cli.cmd_ep`` writes for ``cfg``."""
+    from torus_scatter import ere, spin
+
+    grid = cfg.build_grid()
+    phi, theta = ere.phases(cfg.build_model(), grid)
+    return "p,phi,theta,ep\n" + ep_rows_oracle(
+        grid, phi, theta, spin.entanglement_power_closed(phi, theta)
+    )
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from torus_scatter import cli
-from torus_scatter.config import ConfigError, PGrid, RunConfig
+from torus_scatter.config import MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +27,18 @@ def test_pgrid_validation_and_build():
         dict(min=2.0, max=1.0),
         dict(min=1.0, max=2.0, count=1),
         dict(min=1.0, max=2.0, spacing="cubic"),
+        dict(min=0.01, max=math.inf),
+        dict(min=math.nan, max=2.0),
+        dict(min=1.0, max=2.0, count=2.9),
+        dict(min=1.0, max=2.0, count="7"),
+        dict(min=1.0, max=2.0, count=True),
+        dict(min=True, max=2.0),
+        dict(min=1.0, max=2.0, count=MAX_GRID_COUNT + 1),
     ):
         with pytest.raises(ConfigError):
             PGrid(**bad)
+    # An integral float is an integer count.
+    assert PGrid(1.0, 2.0, count=3.0).count == 3
 
 
 def test_runconfig_roundtrip_identity():
@@ -59,6 +68,20 @@ def test_runconfig_validation():
         RunConfig(dimension=3, a0=1.0, a1=1.0, tolerances={"phase_map": -1e-9})
     with pytest.raises(ConfigError):
         RunConfig(dimension=3, a0=1.0, a1=1.0, seed=-1)
+    for bad in (
+        dict(dimension=3.7),
+        dict(dimension=True),
+        dict(a0=True),
+        dict(a1="5"),
+        dict(a0=math.nan),
+        dict(c1=math.inf),
+        dict(seed=True),
+        dict(family={"table": "T1", "row": 4.5}),
+        dict(family={"table": "T1", "row": 4, "lambda": math.nan}),
+        dict(tolerances={"phase_map": True}),
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig(**{"dimension": 3, "a0": 1.0, "a1": 5.0, **bad})
     with pytest.raises(ConfigError):
         RunConfig.from_json({"dimension": 3, "a0": 1.0})
     with pytest.raises(ConfigError):
@@ -269,6 +292,29 @@ def test_exit_code_matrix(tmp_path, capsys):
     cfg_badtol = _write_config(tmp_path, name="badtol.json", tolerances={"zzz": 1e-9})
     assert cli.main(["verify", "--config", cfg_badtol, "--suite", "symmetry"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"p_grid": {"min": 0.01, "max": math.inf, "count": 3}}, "p_grid.max"),
+        ({"p_grid": {"min": math.nan, "max": 1.0, "count": 3}}, "p_grid.min"),
+        ({"p_grid": {"min": 0.01, "max": 1.0, "count": 2.9}}, "p_grid.count"),
+        ({"p_grid": {"min": 0.01, "max": 1.0, "count": "7"}}, "p_grid.count"),
+        ({"a0": True}, "a0"),
+        ({"a1": math.nan}, "a1"),
+        ({"seed": True}, "seed"),
+        ({"dimension": 3.7}, "dimension"),
+        ({"family": {"table": "T1", "row": 4.5}}, "family.row"),
+    ],
+)
+def test_invalid_config_values_exit_2_naming_the_key(tmp_path, capsys, overrides, key):
+    cfg = _write_config(tmp_path, **overrides)
+    for command in ("traj", "ep", "verify"):
+        assert cli.main([command, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert key in json.loads(out.err)["error"]
 
 
 def test_poles_cli_json(tmp_path, capsys):
