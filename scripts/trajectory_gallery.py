@@ -61,7 +61,7 @@ def main() -> None:
         grid = cfg.build_grid()
         traj = torus.sample_trajectory(model, grid)
         exits = causality.quadrant_exit_audit(traj)
-        n_quadrants = len({q.position for q in traj.quadrants() if q.position != "boundary"})
+        n_quadrants = len(set(traj.positions().tolist()) - {"boundary"})
 
         residual = "n/a"
         pot = geometry.closed_form_potential(model)

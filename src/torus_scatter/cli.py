@@ -133,8 +133,7 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
         )
         kappa = np.full(grid.size, np.nan)
         kappa[regular] = dn_val[regular] / n_val[regular]
-    positions = [q.position for q in traj.quadrants()]
-    columns = (grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, positions)
+    columns = (grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, traj.positions())
     _emit(_csv_blocks(TRAJ_HEADER, _TRAJ_ROWS, columns, pick=regular), out_path)
     return 0
 

@@ -21,6 +21,11 @@ implemented:
 
 ``closed_form_potential`` decides which of the three a model has, if any.
 
+All three lapses are k c1 (phi' - eps theta'), k = sqrt(2) at lambda = 1/4
+and 1 otherwise (sin(phi)/p = phi' in 3D zero range), so the affine span is
+exact from the continuous-branch phases at its ends (``affine_parameter_span``).
+``integrate_affine`` integrates the N = 1 motion with scipy's DOP853.
+
 Momenta where the potential argument hits a tan singularity
 (|cos| < 1e-6) or the lapse vanishes (|N| < 1e-10) are excluded from
 residual evaluation and reported.
@@ -117,7 +122,10 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
         raise ValueError("potential requires finite scattering lengths")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    amp = abs(a0 * a1) / ((abs(a0) + abs(a1)) ** 2 * c1 * c1)
+    try:
+        amp = abs(a0 * a1) / ((abs(a0) + abs(a1)) ** 2 * c1 * c1)
+    except OverflowError:
+        raise ValueError(f"potential overflows for a0 = {a0!r}, a1 = {a1!r}, c1 = {c1!r}") from None
     return GeometricPotential(
         amplitude=amp, epsilon=epsilon_for(a0, a1), scale=0.5, chi=0.0, c1=c1
     )
@@ -185,32 +193,31 @@ def closed_form_potential(
     return None
 
 
-def _model_epsilon(model: ere.TwoChannelModel) -> int:
-    if model.dimension == 2:
-        return +1
-    return epsilon_for(model.singlet.a, model.triplet.a)
-
-
 def lapse_3d(model: ere.TwoChannelModel, p, c1: float = 1.0):
     """Lapse N(p) = (c1/p)(sin phi - eps sin theta) along a 3D trajectory."""
+    return _sine_lapse(model, p, c1)[0]
+
+
+def _sine_lapse(model: ere.TwoChannelModel, p, c1: float):
+    """(N, dN/dp) of the 3D sine-form lapse (c1/p)(sin phi - eps sin theta)."""
     if model.dimension != 3:
         raise ValueError("lapse_3d requires a 3D model")
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValueError("lapse requires p > 0")
     phi, theta = ere.phase_shifts_3d(model, p)
-    eps = _model_epsilon(model)
-    return (c1 / p * (np.sin(phi) - eps * np.sin(theta)))[()]
-
-
-def _lapse_3d_derivative(model: ere.TwoChannelModel, p, c1: float):
-    p = np.asarray(p, dtype=float)
-    phi, theta = ere.phase_shifts_3d(model, p)
     dphi, dtheta = ere.tangents(model, p)
-    eps = _model_epsilon(model)
+    eps = epsilon_for(model.singlet.a, model.triplet.a)
     s = np.sin(phi) - eps * np.sin(theta)
     ds = np.cos(phi) * dphi - eps * np.cos(theta) * dtheta
-    return (c1 * (ds / p - s / (p * p)))[()]
+    return (c1 / p * s)[()], (c1 * (ds / p - s / (p * p)))[()]
+
+
+def _tangent_lapse(model: ere.TwoChannelModel, p, kc1: float, eps: int):
+    """(N, dN/dp) of the lapse N = kc1 (phi' - eps theta')."""
+    dphi, dtheta = ere.tangents(model, p)
+    d2phi, d2theta = ere.second_derivatives(model, p)
+    return (kc1 * (dphi - eps * dtheta))[()], (kc1 * (d2phi - eps * d2theta))[()]
 
 
 def construction_lapse(
@@ -230,19 +237,10 @@ def construction_lapse(
     if potential.chi == math.pi / 2:
         if model.dimension != 2:
             raise ValueError("the chi = pi/2 potential belongs to 2D models")
-        dphi, dtheta = ere.tangents(model, p)
-        d2phi, d2theta = ere.second_derivatives(model, p)
-        return (c1 * (dphi - dtheta))[()], (c1 * (d2phi - d2theta))[()]
+        return _tangent_lapse(model, p, c1, +1)
     if potential.scale == 0.25:
-        eps = potential.epsilon
-        dphi, dtheta = ere.tangents(model, p)
-        d2phi, d2theta = ere.second_derivatives(model, p)
-        root2 = math.sqrt(2.0)
-        return (
-            (root2 * c1 * (dphi - eps * dtheta))[()],
-            (root2 * c1 * (d2phi - eps * d2theta))[()],
-        )
-    return lapse_3d(model, p, c1), _lapse_3d_derivative(model, p, c1)
+        return _tangent_lapse(model, p, math.sqrt(2.0) * c1, potential.epsilon)
+    return _sine_lapse(model, p, c1)
 
 
 def inaffinity(model: ere.TwoChannelModel, p, c1: float = 1.0):
@@ -253,14 +251,8 @@ def inaffinity(model: ere.TwoChannelModel, p, c1: float = 1.0):
     Momenta where the lapse vanishes are flagged by a ValueError.
     """
     p = np.asarray(p, dtype=float)
-    if model.dimension == 3:
-        n_val = np.asarray(lapse_3d(model, p, c1))
-        dn_val = np.asarray(_lapse_3d_derivative(model, p, c1))
-    else:
-        dphi, dtheta = ere.tangents(model, p)
-        d2phi, d2theta = ere.second_derivatives(model, p)
-        n_val = np.asarray(c1 * (np.asarray(dphi) - np.asarray(dtheta)))
-        dn_val = np.asarray(c1 * (np.asarray(d2phi) - np.asarray(d2theta)))
+    lapse = _sine_lapse(model, p, c1) if model.dimension == 3 else _tangent_lapse(model, p, c1, +1)
+    n_val, dn_val = (np.asarray(x) for x in lapse)
     bad = np.abs(n_val) < LAPSE_SINGULAR_TOL * abs(c1)
     if np.any(bad):
         p_bad = np.atleast_1d(p)[np.atleast_1d(bad)]
@@ -457,9 +449,10 @@ def integrate_affine(
 
     The inverse-metric factor is folded into the potential term exactly as in
     ``eom_residual`` with N = 1, so an integrated curve initialized on a
-    closed-form trajectory stays on it.  If the integrator fails (typically
-    by running into a potential singularity) the curve is truncated and a
-    diagnostic recorded.
+    closed-form trajectory stays on it.  DOP853, an eighth-order Runge-Kutta
+    pair, needs about half the right-hand-side calls of RK45 here.  If the
+    integrator fails (typically by running into a potential singularity) the
+    curve is truncated and a diagnostic recorded.
     """
     from scipy.integrate import solve_ivp
 
@@ -471,16 +464,14 @@ def integrate_affine(
         g_phi, g_theta = potential.gradient(y[0], y[1])
         return [y[2], y[3], -g_phi, -g_theta]
 
-    t_eval = np.linspace(0.0, tau_span, n_samples)
     sol = solve_ivp(
         rhs,
         (0.0, tau_span),
         [phi0, theta0, dphi0, dtheta0],
-        t_eval=t_eval,
+        t_eval=np.linspace(0.0, tau_span, n_samples),
         rtol=rtol,
         atol=atol,
-        method="RK45",
-        dense_output=False,
+        method="DOP853",
     )
     truncated = not sol.success or sol.t.size < n_samples
     return AffineCurve(
@@ -500,15 +491,18 @@ def affine_parameter_span(
     p_start: float,
     p_stop: float,
 ) -> float:
-    """Affine-parameter length tau = integral of N dp between two momenta."""
-    from scipy.integrate import quad
+    """Affine-parameter length tau = integral of N dp between two momenta.
 
-    def n_of_p(p):
-        n_val, _ = construction_lapse(model, potential, p)
-        return float(n_val)
-
-    value, _err = quad(n_of_p, p_start, p_stop, limit=200)
-    return value
+    With N = k c1 (phi' - eps theta') (module docstring) and the phases on
+    their continuous branch, tau = k c1 [(phi(p1) - phi(p0)) - eps (theta(p1)
+    - theta(p0))] exactly.  That holds only for the model's own closed-form
+    potential; any other potential raises a ValueError.
+    """
+    if potential != closed_form_potential(model, potential.c1):
+        raise ValueError("potential is not the model's closed-form potential")
+    phi, theta = ere.phases(model, np.array([p_start, p_stop], dtype=float))
+    kc1 = (math.sqrt(2.0) if potential.scale == 0.25 else 1.0) * potential.c1
+    return float(kc1 * ((phi[1] - phi[0]) - potential.epsilon * (theta[1] - theta[0])))
 
 
 def galilean_rescale(traj: Trajectory, omega: float) -> Trajectory:
@@ -554,8 +548,9 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     is the all-pairs minimum, so the result is the all-pairs one bit for bit.
     A point whose ball holds 16 vertices or more, a non-finite point, and
     every point of a polyline with a non-finite vertex (the tree rejects
-    those) take every segment.  Points go 128 at a time, so at most
-    128 max(m - 1, 30) pairs are held at once.
+    those) take every segment.  Points go to the tree 4096 at a time, in one
+    query each; those that take every segment go 128 at a time, so at most
+    max(128 (m - 1), 4096 * 30) pairs are held at once.
     """
     from scipy.spatial import cKDTree
 
@@ -569,55 +564,55 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     seg_v = polyline[1:] - seg_a
     seg_len2 = np.maximum(np.einsum("ij,ij->i", seg_v, seg_v), 1e-300)
     tree = cKDTree(polyline) if np.isfinite(polyline).all() else None
-    out = np.empty(points.shape[0])
-    chunk = 128
-    for start in range(0, points.shape[0], chunk):
-        pts = points[start : start + chunk]
-        out[start : start + chunk] = np.sqrt(_nearest_d2(tree, pts, seg_a, seg_v, seg_len2))
-    return out
+    d2 = np.full(points.shape[0], np.inf)
+    every = np.ones(points.shape[0], dtype=bool)
+    if tree is not None:
+        for start in range(0, points.shape[0], 4096):
+            block = slice(start, start + 4096)
+            every[block] = _lower_in_ball(d2[block], tree, points[block], seg_a, seg_v, seg_len2)
+    dense, n_seg = np.flatnonzero(every), seg_len2.size
+    for start in range(0, dense.size, 128):
+        idx = dense[start : start + 128]
+        _lower_on_pairs(
+            d2, points, np.repeat(idx, n_seg), np.tile(np.arange(n_seg), idx.size),
+            seg_a, seg_v, seg_len2,
+        )
+    return np.sqrt(d2)
 
 
-def _nearest_d2(tree, pts, seg_a, seg_v, seg_len2) -> np.ndarray:
-    """Squared distance from each point to its nearest segment.
+def _lower_in_ball(d2_min, tree, pts, seg_a, seg_v, seg_len2) -> np.ndarray:
+    """Lower ``d2_min`` over the segments beside the vertices in each ball.
+
+    The 16 nearest vertices hold a point's whole ball (see
+    ``point_to_polyline_distance``) unless the 16th is inside it.  Returns
+    the mask of the points this leaves for every segment: those, and the
+    non-finite ones.  Pairs may repeat, which leaves the minimum unchanged.
+    """
+    every = np.ones(pts.shape[0], dtype=bool)
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    dist, vert = tree.query(pts[finite], k=min(16, tree.n))
+    reach = dist[:, 0] + 0.5 * math.sqrt(seg_len2.max())
+    radius = reach + 1e-12 * (reach + np.abs(pts[finite]).max(axis=1))
+    inside = dist <= radius[:, None]
+    whole = ~inside[:, -1]
+    every[finite[whole]] = False
+    row, col = np.nonzero(inside & whole[:, None])
+    near = vert[row, col]
+    _lower_on_pairs(
+        d2_min, pts, np.tile(finite[row], 2),
+        np.clip(np.concatenate([near - 1, near]), 0, seg_len2.size - 1),
+        seg_a, seg_v, seg_len2,
+    )
+    return every
+
+
+def _lower_on_pairs(d2_min, pts, p_idx, s_idx, seg_a, seg_v, seg_len2) -> None:
+    """Lower ``d2_min[p]`` to the squared distance of each (point p, segment s) pair.
 
     The per-pair arithmetic is that of the all-pairs evaluation, operation
     for operation.  Its temporaries end with the call, so they never overlap
     those of the next chunk.
     """
-    p_idx, s_idx = _candidate_segments(tree, pts, seg_len2)
     x, a, v = pts[p_idx], seg_a[s_idx], seg_v[s_idx]
     t = np.clip(np.einsum("ij,ij->i", x - a, v) / seg_len2[s_idx], 0.0, 1.0)
-    d2 = np.sum((x - (a + t[:, None] * v)) ** 2, axis=1)
-    d2_min = np.full(pts.shape[0], np.inf)
-    np.minimum.at(d2_min, p_idx, d2)
-    return d2_min
-
-
-def _candidate_segments(tree, pts: np.ndarray, seg_len2: np.ndarray):
-    """(point, segment) index pairs holding each point's nearest segments.
-
-    The 16 nearest vertices hold a point's whole ball (see
-    ``point_to_polyline_distance``) unless the 16th is inside it; such a
-    point, a non-finite one, and all points when there is no tree take every
-    segment.  Pairs may repeat, which leaves the minimum unchanged.
-    """
-    n_seg = seg_len2.size
-    every = np.ones(pts.shape[0], dtype=bool)
-    ball_p = ball_s = np.empty(0, dtype=np.intp)
-    if tree is not None:
-        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
-        dist, vert = tree.query(pts[finite], k=min(16, tree.n))
-        reach = dist[:, 0] + 0.5 * math.sqrt(seg_len2.max())
-        radius = reach + 1e-12 * (reach + np.abs(pts[finite]).max(axis=1))
-        inside = dist <= radius[:, None]
-        whole = ~inside[:, -1]
-        every[finite[whole]] = False
-        row, col = np.nonzero(inside & whole[:, None])
-        near = vert[row, col]
-        ball_p = np.tile(finite[row], 2)
-        ball_s = np.clip(np.concatenate([near - 1, near]), 0, n_seg - 1)
-    dense = np.flatnonzero(every)
-    return (
-        np.concatenate([np.repeat(dense, n_seg), ball_p]),
-        np.concatenate([np.tile(np.arange(n_seg), dense.size), ball_s]),
-    )
+    np.minimum.at(d2_min, p_idx, np.sum((x - (a + t[:, None] * v)) ** 2, axis=1))

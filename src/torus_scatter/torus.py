@@ -130,6 +130,9 @@ class Quadrant(enum.Enum):
         return self.value
 
 
+_BY_POSITION = {q.position: q for q in Quadrant}
+
+
 def quadrant(point: TorusPoint) -> Quadrant:
     """Quadrant label of a torus point by the signs of (sin phi, sin theta)."""
     sp, st = math.sin(point.phi), math.sin(point.theta)
@@ -186,18 +189,21 @@ class Trajectory:
 
     def quadrants(self) -> list[Quadrant]:
         """Quadrant of every sample: ``quadrant(pt)`` for each of ``points``."""
+        return [_BY_POSITION[s] for s in self.positions().tolist()]
+
+    def positions(self) -> np.ndarray:
+        """``Quadrant.position`` of every sample's quadrant, as a string array."""
         sp, st = (np.sin(x) for x in self.wrapped)
-        labels = np.select(
+        return np.select(
             [
                 (np.abs(sp) < BOUNDARY_TOL) | (np.abs(st) < BOUNDARY_TOL),
                 (sp > 0) & (st > 0),
                 (sp < 0) & (st > 0),
                 (sp < 0) & (st < 0),
             ],
-            [Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III],
-            default=Quadrant.IV,
+            [q.position for q in (Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III)],
+            default=Quadrant.IV.position,
         )
-        return labels.tolist()
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """d(phi)/dp and d(theta)/dp with respect to the stored parameter."""

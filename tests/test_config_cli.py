@@ -378,6 +378,15 @@ def test_arithmetic_error_exits_2_with_json(tmp_path, capsys):
     assert json.loads(err.strip())["error"]
 
 
+def test_overflowing_potential_names_the_lengths(tmp_path, capsys):
+    cfg = _write_config(tmp_path, name="huge.json", a0=1e300, a1=-1e300, family=None)
+    assert cli.main(["traj", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err.strip())["error"]
+    assert "a0 = 1e+300" in message and "a1 = -1e+300" in message and "c1" in message
+
+
 def test_cli_import_does_not_load_scipy():
     """traj and verify never integrate, so importing the CLI leaves scipy out."""
     code = (

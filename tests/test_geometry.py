@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,103 @@ def test_integrate_affine_rejects_singular_start():
     # eps = -1: the argument (phi - theta)/2 hits pi/2 at (pi/2, -pi/2)
     with pytest.raises(ValueError, match="singular"):
         geometry.integrate_affine(pot, (math.pi / 2, -math.pi / 2, 1.0, 1.0), 1.0)
+
+
+def _lapse_mp(model, c1):
+    """The construction lapse at 30 digits, from the phases' closed forms:
+    (c1/p)(sin phi - eps sin theta) for 3D zero range, sqrt(2) c1 (phi' - eps
+    theta') on the lambda = 1/4 branch and c1 (phi' - theta') in 2D, with the
+    derivatives taken by ``mpmath.diff``."""
+    if model.dimension == 2:
+        phases = [
+            (lambda p, a=mp.mpf(ch.a2): mp.pi + 2 * mp.atan((2 / mp.pi) * mp.log(a * p)))
+            for ch in model.channels
+        ]
+        return lambda p: c1 * (mp.diff(phases[0], p) - mp.diff(phases[1], p))
+    phases = [
+        (lambda p, a=mp.mpf(ch.a), r=mp.mpf(ch.r): -2 * mp.atan2(a * p, 1 - a * r * p * p / 2))
+        for ch in model.channels
+    ]
+    eps = -1 if model.singlet.a * model.triplet.a > 0 else 1
+    if model.singlet.r == 0.0:
+        return lambda p: c1 / p * (mp.sin(phases[0](p)) - eps * mp.sin(phases[1](p)))
+    return lambda p: mp.sqrt(2) * c1 * (mp.diff(phases[0], p) - eps * mp.diff(phases[1], p))
+
+
+@pytest.mark.parametrize(
+    "model,c1,interval",
+    [
+        (_zero_range(1.0, 5.0), 1.0, (0.05, 20.0)),
+        (_zero_range(-0.7, 3.0), -2.5, (0.1, 40.0)),
+        (ere.make_symmetric_model("T1", 4, 2.0, 0.3), 1.0, (1e-2, 1e2)),
+        # T3 row 6, lambda = 1/4: the singlet's ERE pole sqrt(2/(a r)) = 2 lies
+        # inside the interval and phi passes through pi there.
+        (ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25), 1.0, (1.0, 4.0)),
+        (ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25), -2.5, (0.1, 30.0)),
+        (ere.make_symmetric_model("T2", 6, 2.0, 3.0, lam=0.25), 1.0, (0.05, 5.0)),
+        (ere.make_2d_model(1.0, 3.0), 1.0, (1e-3, 0.5)),
+        (ere.make_2d_model(0.5, 4.0), -2.5, (1e-2, 1e2)),
+    ],
+)
+def test_affine_span_matches_mpmath_quadrature(model, c1, interval):
+    pot = geometry.closed_form_potential(model, c1=c1)
+    p0, p1 = interval
+    mp.mp.dps = 30
+    nodes = [p0, *(p for p in ere.pole_momenta(model) if p0 < p < p1), p1]
+    want = mp.quad(_lapse_mp(model, c1), [mp.mpf(p) for p in nodes])
+    got = geometry.affine_parameter_span(model, pot, p0, p1)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    assert geometry.affine_parameter_span(model, pot, p1, p0) == -got
+
+
+def test_affine_span_rejects_a_potential_the_model_does_not_have():
+    acausal = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
+    with pytest.raises(ValueError, match="closed-form potential"):
+        geometry.affine_parameter_span(acausal, geometry.potential_3d(1.0, 5.0), 0.1, 1.0)
+    with pytest.raises(ValueError, match="closed-form potential"):
+        geometry.affine_parameter_span(
+            _zero_range(1.0, 5.0), geometry.potential_lam14(1.0, 5.0), 0.1, 1.0
+        )
+
+
+@pytest.mark.parametrize(
+    "model,interval",
+    [
+        (_zero_range(1.0, 5.0), (0.2, 20.0)),
+        (ere.make_symmetric_model("T2", 6, 2.0, 3.0, lam=0.25), (0.05, 5.0)),
+        (ere.make_symmetric_model("T3", 6, -0.5, -3.0, lam=0.25), (0.2, 40.0)),
+        # Below the 2D lapse zero 1/sqrt(a0 a1) = 0.707...
+        (ere.make_2d_model(0.5, 4.0), (1e-3, 0.3)),
+    ],
+)
+def test_affine_reconstruction_of_each_closed_form_class(model, interval):
+    """Integrated from the start of an interval of one lapse sign over the
+    exact span, the curve stays on the closed form and ends at its end."""
+    pot = geometry.closed_form_potential(model)
+    p0, p1 = interval
+    grid = np.geomspace(p0, p1, 2000)
+    phi, theta = ere.phases(model, grid)
+    n_val, _ = geometry.construction_lapse(model, pot, grid)
+    assert np.all(n_val > 0) or np.all(n_val < 0)
+    dphi, dtheta = ere.tangents(model, p0)
+    init = (phi[0], theta[0], dphi / n_val[0], dtheta / n_val[0])
+    span = geometry.affine_parameter_span(model, pot, p0, p1)
+    curve = geometry.integrate_affine(pot, init, span, n_samples=800)
+    assert not curve.truncated and curve.tau.size == 800, curve.diagnostic
+    e0 = geometry.first_integral(pot, *init)
+    energy = geometry.first_integral(pot, curve.phi, curve.theta, curve.dphi, curve.dtheta)
+    assert np.max(np.abs(energy - e0)) < 1e-8
+    ref = np.column_stack([phi, theta])
+    hausdorff = max(
+        geometry.point_to_polyline_distance(curve.points, ref).max(),
+        geometry.point_to_polyline_distance(ref, curve.points).max(),
+    )
+    oracle = max(
+        polyline_distance_all_pairs(curve.points, ref).max(),
+        polyline_distance_all_pairs(ref, curve.points).max(),
+    )
+    assert hausdorff == oracle and hausdorff < 1e-5
+    assert abs(curve.phi[-1] - phi[-1]) < 1e-8 and abs(curve.theta[-1] - theta[-1]) < 1e-8
 
 
 def test_point_to_polyline_distance_basic():
