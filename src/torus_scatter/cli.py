@@ -176,10 +176,6 @@ def _as_check(report, tol: float | None = None) -> uvir.Check:
     raise TypeError(f"no check record for {type(report).__name__}")
 
 
-def _density_states(cfg: RunConfig, n: int = 10) -> np.ndarray:
-    return spin.haar_product_states(n, rng=np.random.default_rng(cfg.seed))
-
-
 def _symmetry_skip(model: ere.TwoChannelModel) -> str | None:
     if model.family is None:
         return "symmetry suite needs a family tag (table/row) in the config"
@@ -191,7 +187,7 @@ def _suite_symmetry(cfg, model, grid, tol_override) -> list:
         uvir.verify_phase_map(model, grid, tol=_tol(cfg, "phase_map", tol_override)),
         uvir.verify_density_map(
             model,
-            in_states=_density_states(cfg),
+            in_states=uvir._default_in_states(10, seed=cfg.seed),
             p_grid=grid,
             tol=_tol(cfg, "density_map", tol_override),
         ),

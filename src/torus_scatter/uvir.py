@@ -251,17 +251,27 @@ def verify_density_map(
     their stated sources, and the cross-block phase relation is recorded in
     the report details (not asserted).
 
-    The whole grid is evaluated at once: the scattering operators at p and at
-    its image are built as (n, 4, 4) stacks, each operator is checked for
+    ``in_states`` is a (k, 4) array of normalized states with k >= 1 (one
+    1-D state of length 4 also works); anything else raises ValueError.  The
+    whole grid is evaluated at once: the scattering operators at p and at its
+    image are built as (n, 4, 4) stacks, each operator is checked for
     unitarity to 1e-10 and each in-state for normalization (ValueError
-    otherwise), and only the in-states are looped over.  The products are the
-    stacked form of those in ``spin.out_density_matrix``, so the report is the
-    one a point-by-point evaluation gives.
+    otherwise), and only the in-states are looped over, building just the
+    density matrices that the class compares.  The projector sandwiches are
+    two 2-D products over the whole stack (``_sandwich``).  The projector
+    entries are 0, +-1/2 and 1, so every product is exact and each entry sums
+    at most two nonzero terms: the bits do not depend on how BLAS orders the
+    sums, and the report is the one a point-by-point evaluation gives.
     """
     sym = _require_family(model)
     if in_states is None:
         in_states = _default_in_states(10)
+    shape = np.shape(in_states)
     in_states = np.atleast_2d(np.asarray(in_states, dtype=complex))
+    if in_states.ndim != 2 or in_states.shape[1] != 4:
+        raise ValueError(f"in_states must have shape (k, 4), got {shape}")
+    if in_states.shape[0] == 0:
+        raise ValueError("no in-states")
     states = [spin.normalized_state(psi) for psi in in_states]
     p = _momentum_grid(p_grid)
     phi, theta = (np.atleast_1d(x) for x in ere.phases(model, p))
@@ -281,33 +291,28 @@ def verify_density_map(
     cross_phases = np.full((p.size, len(states)), np.nan)
     for j, psi in enumerate(states):
         rho_image = _outer_rows(s_image @ psi)
-        rho_plain = _outer_rows(s_here @ psi)
-        rho_bar = _outer_rows(s_bar @ psi)
         if sym.rho_class is RhoClass.RHO:
-            dev = _max_abs(rho_image - rho_plain)
+            dev = _max_abs(rho_image - _outer_rows(s_here @ psi))
         elif sym.rho_class is RhoClass.RHO_BAR:
-            dev = _max_abs(rho_image - rho_bar)
+            dev = _max_abs(rho_image - _outer_rows(s_bar @ psi))
         else:
+            rho_plain = _outer_rows(s_here @ psi)
+            rho_bar = _outer_rows(s_bar @ psi)
             if sym.rho_class is RhoClass.RHO_MINUS_RHOBAR_PLUS:
                 singlet_src, triplet_src = rho_plain, rho_bar
             else:
                 singlet_src, triplet_src = rho_bar, rho_plain
             dev = max(
-                _max_abs(p_s @ (rho_image - singlet_src) @ p_s),
-                _max_abs(p_t @ (rho_image - triplet_src) @ p_t),
+                _max_abs(_sandwich(p_s, rho_image - singlet_src, p_s)),
+                _max_abs(_sandwich(p_t, rho_image - triplet_src, p_t)),
             )
             cross_phases[:, j] = _cross_block_phase(rho_image, rho_plain, p_s, p_t)
         max_dev = max(max_dev, dev)
     details: dict = {"rho_class": sym.rho_class.value, "table": model.family.table}
     if mixed:
-        # Point-major order, so min/max break ties (0.0 against -0.0) as a
-        # per-point loop would.
-        finite = [c for c in cross_phases.ravel().tolist() if not math.isnan(c)]
-        if finite:
-            details["cross_block_phase_vs_plain_rho"] = {
-                "min": min(finite),
-                "max": max(finite),
-            }
+        summary = _finite_range(cross_phases)
+        if summary is not None:
+            details["cross_block_phase_vs_plain_rho"] = summary
     return Check(
         "density_map", max_dev, tol, max_dev < tol,
         {"row": model.family.row, "details": details},
@@ -323,6 +328,32 @@ def _outer_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
+def _sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ stack[k] @ right`` for every k, as two (4n, 4) @ (4, 4) products.
+
+    The left product comes first, as in ``left @ stack @ right``: it is taken
+    on the transposed blocks, ``(left X)^T = X^T left^T``.  A stacked matmul
+    would make one small BLAS call per block instead.
+    """
+    n = stack.shape[0]
+    left_x_t = (stack.transpose(0, 2, 1).reshape(4 * n, 4) @ left.T).reshape(n, 4, 4)
+    return (left_x_t.transpose(0, 2, 1).reshape(4 * n, 4) @ right).reshape(n, 4, 4)
+
+
+def _finite_range(values: np.ndarray) -> dict | None:
+    """Min and max of the non-NaN values in C order; None if there are none.
+
+    Ties go to the first of the equal values, as Python's ``min``/``max``
+    break them, so -0.0 against 0.0 comes out as a point-by-point loop gives.
+    """
+    finite = values[~np.isnan(values)]
+    if finite.size == 0:
+        return None
+    low = finite[np.argmax(finite == finite.min())]
+    high = finite[np.argmax(finite == finite.max())]
+    return {"min": float(low), "max": float(high)}
+
+
 def _cross_block_phase(rho_image, rho_plain, p_s, p_t) -> np.ndarray:
     """Phase of the image's singlet-triplet block relative to the plain one.
 
@@ -330,8 +361,8 @@ def _cross_block_phase(rho_image, rho_plain, p_s, p_t) -> np.ndarray:
     first one on ties); the phase is NaN where that entry is below 1e-12.
     """
     n = rho_plain.shape[0]
-    cross_image = (p_s @ rho_image @ p_t).reshape(n, 16)
-    cross_plain = (p_s @ rho_plain @ p_t).reshape(n, 16)
+    cross_image = _sandwich(p_s, rho_image, p_t).reshape(n, 16)
+    cross_plain = _sandwich(p_s, rho_plain, p_t).reshape(n, 16)
     idx = np.argmax(np.abs(cross_plain), axis=1)[:, None]
     plain = np.take_along_axis(cross_plain, idx, axis=1)[:, 0]
     image = np.take_along_axis(cross_image, idx, axis=1)[:, 0]

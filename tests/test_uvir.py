@@ -1,6 +1,7 @@
 """Momentum-inversion symmetry maps: phases, density matrices, EP."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,23 +234,77 @@ def _density_map_by_point(model, in_states, grid):
         ("T2", 4, 1.0, 2.0, 0.7, "rho_bar"),
         ("T2", 2, 1.3, -4.0, 0.3, "rho_minus + rhobar_plus"),
         ("T2", 3, -0.8, 6.0, 0.2, "rho_plus + rhobar_minus"),
+        ("T1", 4, 1.2, 5.0, 1.0, "rho"),
+        ("T3", 6, -0.9, -4.0, 0.25, "rho"),
     ],
 )
 def test_batched_density_map_equals_point_loop(table, row, a0, a1, lam, rho_class):
     m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
-    grid = np.geomspace(1e-2, 1e2, 157)
     states = spin.haar_product_states(10, np.random.default_rng(11))
-    report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
-    assert report["details"]["rho_class"] == rho_class
-    assert report == _density_map_by_point(m, states, grid).to_json()
-    if "+" in rho_class:
-        assert "cross_block_phase_vs_plain_rho" in report["details"]
     # A nearly pure triplet in-state: its cross block stays below 1e-12 and
     # records no phase.
     near_triplet = np.kron([1.0, 0.0], [math.cos(1e-14), math.sin(1e-14)]).astype(complex)
-    report = uvir.verify_density_map(m, in_states=[near_triplet], p_grid=grid).to_json()
-    assert report == _density_map_by_point(m, [near_triplet], grid).to_json()
-    assert "cross_block_phase_vs_plain_rho" not in report["details"]
+    # 600 points is the verify-sweep grid size.
+    for count in (1, 2, 157, 600):
+        grid = np.geomspace(1e-2, 1e2, count)
+        report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
+        assert report["details"]["rho_class"] == rho_class
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(report) == repr(_density_map_by_point(m, states, grid).to_json())
+        if "+" in rho_class:
+            assert "cross_block_phase_vs_plain_rho" in report["details"]
+        report = uvir.verify_density_map(m, in_states=[near_triplet], p_grid=grid).to_json()
+        assert repr(report) == repr(_density_map_by_point(m, [near_triplet], grid).to_json())
+        assert "cross_block_phase_vs_plain_rho" not in report["details"]
+
+
+def test_density_map_rejects_missing_or_misshapen_in_states():
+    m = ere.make_symmetric_model("T2", 2, 1.3, -4.0, lam=0.3)
+    grid = np.geomspace(0.1, 10, 11)
+    with pytest.raises(ValueError, match="^no in-states$"):
+        uvir.verify_density_map(m, in_states=np.zeros((0, 4)), p_grid=grid)
+    for bad, shape in ((np.array([]), "(0,)"), (np.ones((2, 3)), "(2, 3)"),
+                       (np.ones((2, 1, 4)), "(2, 1, 4)")):
+        with pytest.raises(ValueError, match=f"shape \\(k, 4\\), got {re.escape(shape)}$"):
+            uvir.verify_density_map(m, in_states=bad, p_grid=grid)
+
+
+def test_sandwich_equals_stacked_matmul():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(37, 4, 4)) + 1j * rng.normal(size=(37, 4, 4))
+    left, right = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+    np.testing.assert_allclose(uvir._sandwich(left, stack, right), left @ stack @ right,
+                               rtol=1e-13, atol=1e-13)
+    # Projector entries are 0, +-1/2 and 1: every product is exact, so the
+    # bits match the per-block BLAS calls.
+    p_s, p_t = spin.SINGLET_PROJECTOR, spin.TRIPLET_PROJECTOR
+    for a, b in ((p_s, p_s), (p_t, p_t), (p_s, p_t)):
+        assert uvir._sandwich(a, stack, b).tobytes() == (a @ stack @ b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[0.0, 1.0], [-0.0, 2.0]],
+        [[-0.0, 1.0], [0.0, 2.0]],
+        [[-1.0, 0.0], [-2.0, -0.0]],
+        [[-1.0, -0.0], [-2.0, 0.0]],
+        [[np.nan, np.nan], [np.nan, np.nan]],
+        [[np.nan], [0.25], [np.nan]],
+        [[0.5, np.nan, -0.0], [np.nan, 0.0, np.nan], [-3.0, np.nan, 3.0]],
+    ],
+)
+def test_cross_phase_summary_matches_python_min_max(values):
+    values = np.array(values, dtype=float)
+    finite = [v for v in values.ravel().tolist() if not math.isnan(v)]
+    summary = uvir._finite_range(values)
+    if not finite:
+        assert summary is None
+        return
+    want = {"min": min(finite), "max": max(finite)}
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(summary) == repr(want)
+    assert all(type(v) is float for v in summary.values())
 
 
 def test_density_map_rejects_unnormalized_in_state():
