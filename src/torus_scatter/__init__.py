@@ -52,7 +52,7 @@ from .geometry import (
     galilean_rescale,
     inaffinity,
     integrate_affine,
-    lapse_3d,
+    lapse,
     overdetermination_2d,
     potential_2d,
     potential_3d,
@@ -98,7 +98,7 @@ __all__ = [
     "verify_ep_invariance",
     # geometry
     "GeometricPotential", "potential_3d", "potential_lam14", "potential_2d",
-    "lapse_3d", "inaffinity", "eom_residual", "overdetermination_2d",
+    "lapse", "inaffinity", "eom_residual", "overdetermination_2d",
     "integrate_affine", "first_integral", "galilean_rescale",
     # causality
     "PoleSet", "wigner_derivative_bound", "threshold_range_bound_3d",

@@ -11,24 +11,21 @@ potential term (g^{ab} = 2 diag(1,1)).  Three exactly solvable families are
 implemented:
 
 * 3D zero-range models: V = A tan^2((phi + eps theta)/2) with
-  A = |a0 a1| / ((|a0|+|a1|)^2 c1^2), lapse N = (c1/p)(sin phi - eps sin theta);
+  A = |a0 a1| / ((|a0|+|a1|)^2 c1^2);
 * the lambda = 1/4 range-correlated family with r = +2 a lambda in both
-  channels: amplitude A/2, argument rescaled to (phi + eps theta)/4, lapse
-  N = sqrt(2) c1 (phi' - eps theta');
-* 2D models: V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi+theta)/2 + pi/2); the
-  lapse is not assumed but recovered pointwise from the overdetermined
-  trajectory equations (it comes out proportional to phi' - theta').
+  channels: amplitude A/2, argument rescaled to (phi + eps theta)/4;
+* 2D models: V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi+theta)/2 + pi/2).
 
-``closed_form_potential`` decides which of the three a model has, if any.
-
-All three lapses are k c1 (phi' - eps theta'), k = sqrt(2) at lambda = 1/4
-and 1 otherwise (sin(phi)/p = phi' in 3D zero range), so the affine span is
+``closed_form_potential`` decides which of the three a model has, if any,
+and ``lapse`` gives every model its lapse, keyed on the model's class.  The
+three closed-form lapses are k c1 (phi' - eps theta'), so the affine span is
 exact from the continuous-branch phases at its ends (``affine_parameter_span``).
 ``integrate_affine`` integrates the N = 1 motion with scipy's DOP853.
 
-Momenta where the potential argument hits a tan singularity
-(|cos| < 1e-6) or the lapse vanishes (|N| < 1e-10) are excluded from
-residual evaluation and reported.
+``eom_residual`` checks the trajectory equations multiplied through by N,
+which stay regular where the lapse vanishes (the 2D inversion fixed point).
+Momenta where the potential argument hits a tan singularity (|cos| < 1e-6)
+are excluded and reported.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ __all__ = [
     "potential_lam14",
     "potential_2d",
     "closed_form_potential",
-    "lapse_3d",
+    "lapse",
     "construction_lapse",
     "inaffinity",
     "eom_residual",
@@ -63,8 +60,9 @@ __all__ = [
     "point_to_polyline_distance",
 ]
 
-#: Exclusion thresholds for singular grid points (see module docstring).
+#: |cos| of the potential argument below which a grid point is singular.
 COS_SINGULAR_TOL = 1e-6
+#: |N| / |c1| below which the lapse counts as vanishing (no inaffinity).
 LAPSE_SINGULAR_TOL = 1e-10
 
 
@@ -131,17 +129,12 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
     )
 
 
-def potential_lam14(
-    a0: float, a1: float, c1: float = 1.0, lam: float = 0.25
-) -> GeometricPotential:
+def potential_lam14(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
     """Geometric potential of the lambda = 1/4 range-correlated family.
 
     Relative to the zero-range potential the amplitude is halved and the
-    argument rescaled from (phi + eps theta)/2 to (phi + eps theta)/4.  Only
-    lambda = 1/4 admits this closed form; other lambdas are rejected.
+    argument rescaled from (phi + eps theta)/2 to (phi + eps theta)/4.
     """
-    if abs(lam - 0.25) > 1e-15:
-        raise ValueError("closed-form potential exists only at lambda = 1/4")
     base = potential_3d(a0, a1, c1)
     return GeometricPotential(
         amplitude=0.5 * base.amplitude,
@@ -193,76 +186,79 @@ def closed_form_potential(
     return None
 
 
-def lapse_3d(model: ere.TwoChannelModel, p, c1: float = 1.0):
-    """Lapse N(p) = (c1/p)(sin phi - eps sin theta) along a 3D trajectory."""
-    return _sine_lapse(model, p, c1)[0]
+def _lapse_form(model: ere.TwoChannelModel) -> tuple[float, int, bool]:
+    """(k, eps, tangent) of ``lapse``: k c1 (phi' - eps theta') if tangent,
+    else the sine form, where k is 1."""
+    if model.dimension == 2:
+        return 1.0, +1, True
+    eps = epsilon_for(model.singlet.a, model.triplet.a)
+    if ere.quarter_lambda_branch(model) == "solvable":
+        return math.sqrt(2.0), eps, True
+    return 1.0, eps, False
 
 
-def _sine_lapse(model: ere.TwoChannelModel, p, c1: float):
-    """(N, dN/dp) of the 3D sine-form lapse (c1/p)(sin phi - eps sin theta)."""
-    if model.dimension != 3:
-        raise ValueError("lapse_3d requires a 3D model")
+def lapse(model: ere.TwoChannelModel, p, c1: float = 1.0):
+    """(N, dN/dp) of the model's lapse along its trajectory, analytic in p.
+
+    * 2D: N = c1 (phi' - theta'), for which the pointwise-solved trajectory
+      equations close (``overdetermination_2d``);
+    * the lambda = 1/4 branch with r = +2 a lambda: N = sqrt(2) c1 (phi' - eps
+      theta'), there equal to (2 sqrt(2) c1 / p)(sin(phi/2) - eps sin(theta/2));
+    * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is
+      c1 (phi' - eps theta') at zero range (sin(phi)/p = phi').
+    """
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValueError("lapse requires p > 0")
+    k, eps, tangent = _lapse_form(model)
+    if tangent:
+        kc1 = k * c1
+        dphi, dtheta = ere.tangents(model, p)
+        d2phi, d2theta = ere.second_derivatives(model, p)
+        return (kc1 * (dphi - eps * dtheta))[()], (kc1 * (d2phi - eps * d2theta))[()]
     phi, theta = ere.phase_shifts_3d(model, p)
     dphi, dtheta = ere.tangents(model, p)
-    eps = epsilon_for(model.singlet.a, model.triplet.a)
     s = np.sin(phi) - eps * np.sin(theta)
     ds = np.cos(phi) * dphi - eps * np.cos(theta) * dtheta
     return (c1 / p * s)[()], (c1 * (ds / p - s / (p * p)))[()]
 
 
-def _tangent_lapse(model: ere.TwoChannelModel, p, kc1: float, eps: int):
-    """(N, dN/dp) of the lapse N = kc1 (phi' - eps theta')."""
-    dphi, dtheta = ere.tangents(model, p)
-    d2phi, d2theta = ere.second_derivatives(model, p)
-    return (kc1 * (dphi - eps * dtheta))[()], (kc1 * (d2phi - eps * d2theta))[()]
+def _require_closed_form(model: ere.TwoChannelModel, potential: GeometricPotential) -> None:
+    if potential != closed_form_potential(model, potential.c1):
+        raise ValueError("potential is not the model's closed-form potential")
 
 
 def construction_lapse(
     model: ere.TwoChannelModel, potential: GeometricPotential, p
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, dN/dp) of the lapse paired with the given potential family.
+    """(N, dN/dp) of the lapse that generates the model's curve in its own
+    closed-form potential: ``lapse`` at the potential's c1.  Any other
+    potential raises a ValueError."""
+    _require_closed_form(model, potential)
+    return lapse(model, p, potential.c1)
 
-    * 3D zero-range potential (scale 1/2, chi 0): the sine-form lapse;
-    * lambda = 1/4 potential (scale 1/4): N = sqrt(2) c1 (phi' - eps theta'),
-      which on the solvable family equals the half-angle sine form
-      (2 sqrt(2) c1 / p)(sin(phi/2) - eps sin(theta/2));
-    * 2D potential (chi pi/2): N = c1 (phi' - theta'), the normalization for
-      which the pointwise-solved trajectory equations close exactly.
+
+def inaffinity(model: ere.TwoChannelModel, p):
+    """kappa(p) = N'(p)/N(p) of the model's ``lapse``, analytic in p.
+
+    kappa does not depend on c1.  Momenta where the lapse vanishes are
+    flagged by a ValueError.
     """
-    c1 = potential.c1
-    p = np.asarray(p, dtype=float)
-    if potential.chi == math.pi / 2:
-        if model.dimension != 2:
-            raise ValueError("the chi = pi/2 potential belongs to 2D models")
-        return _tangent_lapse(model, p, c1, +1)
-    if potential.scale == 0.25:
-        return _tangent_lapse(model, p, math.sqrt(2.0) * c1, potential.epsilon)
-    return _sine_lapse(model, p, c1)
-
-
-def inaffinity(model: ere.TwoChannelModel, p, c1: float = 1.0):
-    """kappa(p) = N'(p)/N(p) with the model's natural lapse, analytic in p.
-
-    3D models use the sine-form lapse; 2D models use the lapse recovered from
-    the pointwise-solved trajectory equations (proportional to phi' - theta').
-    Momenta where the lapse vanishes are flagged by a ValueError.
-    """
-    p = np.asarray(p, dtype=float)
-    lapse = _sine_lapse(model, p, c1) if model.dimension == 3 else _tangent_lapse(model, p, c1, +1)
-    n_val, dn_val = (np.asarray(x) for x in lapse)
-    bad = np.abs(n_val) < LAPSE_SINGULAR_TOL * abs(c1)
+    n_val, dn_val = (np.asarray(x) for x in lapse(model, p))
+    bad = np.abs(n_val) < LAPSE_SINGULAR_TOL
     if np.any(bad):
-        p_bad = np.atleast_1d(p)[np.atleast_1d(bad)]
+        p_bad = np.atleast_1d(np.asarray(p, dtype=float))[np.atleast_1d(bad)]
         raise ValueError(f"lapse vanishes at p = {p_bad[:3]}: inaffinity singular")
     return (dn_val / n_val)[()]
 
 
 @dataclass(frozen=True)
 class EomResidualReport:
-    """Residuals of the trajectory equations over a momentum grid."""
+    """Relative residuals of the two trajectory equations over a momentum grid.
+
+    ``p``, ``res_phi`` and ``res_theta`` hold the kept grid points; each
+    residual lies in [0, 1].  ``excluded`` lists (p, reason) of the rest.
+    """
 
     p: np.ndarray
     res_phi: np.ndarray
@@ -272,61 +268,43 @@ class EomResidualReport:
 
 
 def eom_residual(
-    model: ere.TwoChannelModel,
-    potential: GeometricPotential,
-    c1: float | None = None,
-    p_grid=None,
+    model: ere.TwoChannelModel, potential: GeometricPotential, p_grid
 ) -> EomResidualReport:
-    """Residual x'' - kappa x' + N^2 dV/dx of both components on a grid.
+    """Relative residual of N x'' - N' x' + N^3 dV/dx, per component, on a grid.
 
-    All derivatives are analytic.  Grid points where the potential argument
-    is within 1e-6 of a tan singularity, or where |N| < 1e-10, are excluded
-    from the max-norm and reported in ``excluded``.  The residual is
-    independent of c1 (the amplitude carries 1/c1^2 and the lapse c1).
+    This is the trajectory equation multiplied through by the model's
+    ``lapse`` N, so it stays regular where N vanishes.  For each component
+    the residual |N x'' - N' x' + N^3 dV/dx| is divided by |N x''| + |N' x'|
+    + |N^3 dV/dx| (0 where that sum is 0).  All derivatives are analytic.
+    Each term carries one power of c1 (the amplitude 1/c1^2), so the
+    residual does not depend on it.  Grid points where the potential
+    argument is within 1e-6 of a tan singularity are excluded from the
+    max-norm and reported in ``excluded``.
     """
-    if p_grid is None:
-        raise ValueError("p_grid is required")
-    if c1 is not None and c1 != potential.c1:
-        raise ValueError("c1 disagrees with the potential's c1")
-    p = np.asarray(p_grid, dtype=float)
+    p = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if np.any(p <= 0):
         raise ValueError("residual grid requires p > 0")
 
-    phi, theta = (np.asarray(x) for x in ere.phases(model, p))
-    dphi, dtheta = (np.asarray(x) for x in ere.tangents(model, p))
-    d2phi, d2theta = (np.asarray(x) for x in ere.second_derivatives(model, p))
-    n_val, dn_val = (np.asarray(x) for x in construction_lapse(model, potential, p))
-
-    singular_pot = np.asarray(potential.singular_mask(phi, theta))
-    singular_lapse = np.abs(n_val) < LAPSE_SINGULAR_TOL * abs(potential.c1)
-    keep = ~(singular_pot | singular_lapse)
-
-    excluded = [
-        (float(pp), "potential singularity" if sp else "vanishing lapse")
-        for pp, sp, kp in zip(np.atleast_1d(p), np.atleast_1d(singular_pot), np.atleast_1d(keep))
-        if not kp
-    ]
-
-    kappa = np.where(keep, dn_val / np.where(keep, n_val, 1.0), np.nan)
-    g_phi, g_theta = (np.asarray(x) for x in potential.gradient(phi, theta))
-    res_phi = d2phi - kappa * dphi + n_val * n_val * g_phi
-    res_theta = d2theta - kappa * dtheta + n_val * n_val * g_theta
-
-    keep_arr = np.atleast_1d(keep)
-    res_phi_kept = np.atleast_1d(res_phi)[keep_arr]
-    res_theta_kept = np.atleast_1d(res_theta)[keep_arr]
-    if res_phi_kept.size == 0:
-        max_norm = math.nan
-    else:
-        max_norm = float(
-            max(np.max(np.abs(res_phi_kept)), np.max(np.abs(res_theta_kept)))
-        )
+    phi, theta = ere.phases(model, p)
+    keep = ~np.asarray(potential.singular_mask(phi, theta))
+    n_val, dn_val = (x[keep] for x in lapse(model, p, potential.c1))
+    n3 = n_val * n_val * n_val
+    res = []
+    for dx, d2x, grad in zip(
+        ere.tangents(model, p),
+        ere.second_derivatives(model, p),
+        potential.gradient(phi[keep], theta[keep]),
+    ):
+        terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
+        total = np.abs(terms[0] + terms[1] + terms[2])
+        scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+        res.append(np.divide(total, scale, out=np.zeros_like(total), where=scale > 0))
     return EomResidualReport(
-        p=np.atleast_1d(p)[keep_arr],
-        res_phi=res_phi_kept,
-        res_theta=res_theta_kept,
-        max_norm=max_norm,
-        excluded=excluded,
+        p=p[keep],
+        res_phi=res[0],
+        res_theta=res[1],
+        max_norm=float(max(res[0].max(), res[1].max())) if keep.any() else math.nan,
+        excluded=[(float(pp), "potential singularity") for pp in p[~keep]],
     )
 
 
@@ -493,16 +471,15 @@ def affine_parameter_span(
 ) -> float:
     """Affine-parameter length tau = integral of N dp between two momenta.
 
-    With N = k c1 (phi' - eps theta') (module docstring) and the phases on
+    With N = k c1 (phi' - eps theta') (``_lapse_form``) and the phases on
     their continuous branch, tau = k c1 [(phi(p1) - phi(p0)) - eps (theta(p1)
     - theta(p0))] exactly.  That holds only for the model's own closed-form
     potential; any other potential raises a ValueError.
     """
-    if potential != closed_form_potential(model, potential.c1):
-        raise ValueError("potential is not the model's closed-form potential")
+    _require_closed_form(model, potential)
+    k, eps, _tangent = _lapse_form(model)
     phi, theta = ere.phases(model, np.array([p_start, p_stop], dtype=float))
-    kc1 = (math.sqrt(2.0) if potential.scale == 0.25 else 1.0) * potential.c1
-    return float(kc1 * ((phi[1] - phi[0]) - potential.epsilon * (theta[1] - theta[0])))
+    return float(k * potential.c1 * ((phi[1] - phi[0]) - eps * (theta[1] - theta[0])))
 
 
 def galilean_rescale(traj: Trajectory, omega: float) -> Trajectory:
@@ -523,10 +500,10 @@ def galilean_rescale(traj: Trajectory, omega: float) -> Trajectory:
     )
 
 
-def trajectory_inaffinity(traj: Trajectory, p_param, c1: float = 1.0):
+def trajectory_inaffinity(traj: Trajectory, p_param):
     """Inaffinity of a (possibly relabeled) trajectory at parameter value(s)."""
     scale = traj.parameter_scale
-    return np.asarray(inaffinity(traj.model, np.asarray(p_param) / scale, c1)) / scale
+    return np.asarray(inaffinity(traj.model, np.asarray(p_param) / scale)) / scale
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:

@@ -207,6 +207,47 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     assert all(r[5] == "" and r[6] == "" and r[1] == r[2] for r in rows)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"a0": -1.0, "a1": -5.0, "family": {"table": "T3", "row": 6, "lambda": 0.25}},
+        {"dimension": 2, "a0": 0.9361, "a1": 5.8859, "family": None},
+    ],
+    ids=["zero-range", "lam14", "2d"],
+)
+def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
+    """Each closed-form class: ``geometry.inaffinity`` reproduces the printed
+    kappa of every regular row bit for bit."""
+    from torus_scatter import geometry
+
+    cfg = _write_config(
+        tmp_path, p_grid={"min": 0.01, "max": 100.0, "count": 600, "spacing": "log"}, **overrides
+    )
+    out = tmp_path / "traj.csv"
+    assert cli.main(["traj", "--config", cfg, "--out", str(out)]) == 0
+    kappa = [r[5] for r in _traj_rows(out)]
+    regular = np.array([k != "" for k in kappa])
+    assert regular.sum() > 500
+    run = RunConfig.load(cfg)
+    want = geometry.inaffinity(run.build_model(), run.build_grid()[regular])
+    assert np.array_equal([float(k) for k in kappa if k], want)
+
+
+def test_verify_all_passes_beside_the_2d_lapse_zero(tmp_path, capsys):
+    # 600 log points on [1e-2, 1e2] fall close to p* = 1/sqrt(a0 a1), where
+    # the 2D lapse vanishes.
+    cfg = _write_config(
+        tmp_path,
+        dimension=2, a0=0.9361, a1=5.8859, family=None,
+        p_grid={"min": 0.01, "max": 100.0, "count": 600, "spacing": "log"},
+    )
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["eom_residual"]["pass"] is True
+    assert checks["eom_residual"]["max_deviation"] < 1e-8
+
+
 def test_verify_report_structure_and_determinism(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
