@@ -16,7 +16,7 @@ Modules
 ``uvir``       momentum-inversion symmetry maps and their verification
 ``geometry``   potentials, lapse, trajectory equations, affine integration
 ``causality``  Wigner bounds, tangent/exit audits, S-matrix poles
-``config``     JSON-serializable run configuration
+``config``     JSON-serializable run configuration, default check tolerances
 ``cli``        the ``torus-scatter`` command-line tool
 """
 

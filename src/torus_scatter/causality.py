@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ere
+from .config import DEFAULT_TOLERANCES
 from .torus import Trajectory
 
 __all__ = [
@@ -105,13 +106,15 @@ class TangentAuditReport:
         return not self.violations
 
 
-def tangent_vector_audit(traj: Trajectory, tol: float = 1e-9) -> TangentAuditReport:
-    """Check phi'(p) >= sin(phi)/p and theta'(p) >= sin(theta)/p samplewise.
+def tangent_vector_audit(
+    traj: Trajectory, tol: float = DEFAULT_TOLERANCES["tangent_audit"]
+) -> TangentAuditReport:
+    """Check p phi'(p) >= sin(phi) and p theta'(p) >= sin(theta) samplewise.
 
-    These are the zero-range causality conditions; zero-effective-range
-    models saturate them identically, negative ranges satisfy them strictly,
-    and positive ranges violate them.  A margin below ``-tol`` counts as a
-    violation; the margin itself is recorded.
+    These are the zero-range causality conditions times p, so the margin
+    p x' - sin x is a pure number; zero-effective-range models saturate
+    them identically, negative ranges satisfy them strictly, and positive
+    ranges violate them.  A margin below ``-tol`` is a recorded violation.
     """
     if traj.model.dimension != 3:
         raise ValueError("tangent-vector audit applies to 3D models")
@@ -124,7 +127,7 @@ def tangent_vector_audit(traj: Trajectory, tol: float = 1e-9) -> TangentAuditRep
         ("phi", traj.phi, np.asarray(dphi)),
         ("theta", traj.theta, np.asarray(dtheta)),
     ):
-        margins = derivs - np.sin(values) / p_phys
+        margins = p_phys * derivs - np.sin(values)
         for k in np.nonzero(margins < -tol)[0]:
             violations.append((float(p_phys[k]), channel, float(margins[k])))
     return TangentAuditReport(checked=2 * p_phys.size, violations=violations)
@@ -213,7 +216,9 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
     +/- p_R - i p_I with p_R = sqrt(4 lambda - 1)/(2|a|lambda), p_I =
     1/(2|a|lambda); lambda = 1/4 a double virtual-state pole at -i/(2|a|lambda);
     lambda < 1/4 two virtual states -i p_+/- with
-    p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda).
+    p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda), p_- computed free of
+    cancellation as 2/(|a|(1 + sqrt(1-4 lambda))).  Lambda = 1/4 means 0.25
+    exactly.  Non-finite inputs or poles raise a ValueError.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
@@ -231,10 +236,10 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
     else:
         root = math.sqrt(1.0 - 4.0 * lam)
         p_plus = (1.0 + root) / (2.0 * mag * lam)
-        p_minus = (1.0 - root) / (2.0 * mag * lam)
+        p_minus = 2.0 / (mag * (1.0 + root))
         poles = ((complex(0.0, -p_plus), 1), (complex(0.0, -p_minus), 1))
         case = "two_virtual"
-    return PoleSet(poles=poles, classification=case, params={"a": a, "lambda_or_r": lam})
+    return _finite_pole_set(poles, case, a, "lambda", lam)
 
 
 def poles_numeric(a: float, r: float) -> PoleSet:
@@ -242,24 +247,25 @@ def poles_numeric(a: float, r: float) -> PoleSet:
 
     Clearing the momentum-dependent scattering length gives the monic
     quadratic p^2 - (2i/r) p - 2/(a r) = 0 with roots
-    p = (1/r)(i +/- sqrt(2r/a - 1)).  The degenerate r = 0 channel has the
-    single pole p = i/a, which sits outside the causal-model discussion and
-    is flagged accordingly.
+    p = (1/r)(i +/- sqrt(2r/a - 1)), the smaller of two on the imaginary
+    axis as the product -2/(a r) over the larger.  The degenerate r = 0
+    channel has the single pole p = i/a, flagged as outside the causal-model
+    discussion.  Non-finite inputs or poles raise a ValueError.
     """
     if a == 0.0:
         raise ValueError("a = 0 has no pole (free channel)")
     if r == 0.0:
         pole = complex(0.0, 1.0 / a)
-        return PoleSet(
-            poles=((pole, 1),),
-            classification="single_pole",
-            params={"a": a, "lambda_or_r": r},
-            scope_flag="outside causal-model scope",
+        return _finite_pole_set(
+            ((pole, 1),), "single_pole", a, "r", r, scope="outside causal-model scope"
         )
     disc = 2.0 / (a * r) - 1.0 / (r * r)
     s = cmath.sqrt(complex(disc, 0.0))
     p1 = 1j / r + s
     p2 = 1j / r - s
+    if disc < 0.0:
+        p1 = max(p1, p2, key=abs)
+        p2 = (-2.0 / (a * r)) / p1
     scale = max(abs(p1), abs(p2))
     if abs(p1 - p2) < COINCIDENCE_TOL * scale:
         pole = 0.5 * (p1 + p2)
@@ -280,7 +286,14 @@ def poles_numeric(a: float, r: float) -> PoleSet:
                 (p, 1) for p in sorted((p1, p2), key=lambda z: z.real)
             )
             case = "resonance_pair"
-    return PoleSet(poles=poles, classification=case, params={"a": a, "lambda_or_r": r})
+    return _finite_pole_set(poles, case, a, "r", r)
+
+
+def _finite_pole_set(poles, case, a, name, value, scope=None) -> PoleSet:
+    """The PoleSet of one channel, unless an input or a pole is not finite."""
+    if not all(map(cmath.isfinite, (a, value, *(p for p, _m in poles)))):
+        raise ValueError(f"no finite poles for a = {a!r}, {name} = {value!r}")
+    return PoleSet(poles, case, {"a": a, "lambda_or_r": value}, scope)
 
 
 def verify_lower_half(poleset: PoleSet) -> bool:

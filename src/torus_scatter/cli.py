@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -108,31 +109,22 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     fields are empty on every row of a model with no closed-form potential
     (``geometry.closed_form_potential``: only 3D zero range, the lambda = 1/4
     branch with r = +2 a lambda, and 2D with distinct lengths have one), and
-    at singular points (vanishing lapse, or the potential argument within
-    1e-6 of a pole of tan^2).
+    at singular points (vanishing lapse, ``geometry.lapse_inaffinity``, or
+    the potential argument within 1e-6 of a pole of tan^2).
     """
     model = cfg.build_model()
     grid = cfg.build_grid()
     traj = torus.sample_trajectory(model, grid)
     dphi, dtheta = ere.tangents(model, grid)
-    dphi = np.atleast_1d(np.asarray(dphi, dtype=float))
-    dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
     # kappa and v_val are printed where a row is regular.
     regular = np.zeros(grid.size, dtype=bool)
     kappa = v_val = np.full(grid.size, np.nan)
     potential = geometry.closed_form_potential(model, cfg.c1)
     if potential is not None:
-        n_val, dn_val = (
-            np.atleast_1d(np.asarray(x, dtype=float))
-            for x in geometry.construction_lapse(model, potential, grid)
-        )
-        v_val = np.atleast_1d(np.asarray(potential.value(traj.phi, traj.theta), dtype=float))
-        regular = ~(
-            np.atleast_1d(potential.singular_mask(traj.phi, traj.theta))
-            | (np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1))
-        )
-        kappa = np.full(grid.size, np.nan)
-        kappa[regular] = dn_val[regular] / n_val[regular]
+        n_val, dn_val = geometry.construction_lapse(model, potential, grid)
+        kappa, vanishing = geometry.lapse_inaffinity(grid, n_val, dn_val, cfg.c1)
+        v_val = potential.value(traj.phi, traj.theta)
+        regular = ~(potential.singular_mask(traj.phi, traj.theta) | vanishing)
     columns = (grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, traj.positions())
     _emit(_csv_blocks(TRAJ_HEADER, _TRAJ_ROWS, columns, pick=regular), out_path)
     return 0
@@ -236,14 +228,12 @@ def _poles_skip(model: ere.TwoChannelModel) -> str | None:
     """The poles suite needs a causal self-correlated family: r = 2 a lambda, a < 0."""
     if model.dimension != 3 or model.family is None:
         return "poles suite needs a 3D model with a family tag"
-    lam = model.family.lam
-    for ch in model.channels:
-        if ch.unitarity or ch.a >= 0 or abs(ch.r - 2.0 * ch.a * lam) > 1e-12 * abs(ch.r):
-            return (
-                "poles suite needs the causal family with r = 2 a lambda and "
-                "a < 0 in both channels (e.g. T3 row 6)"
-            )
-    return None
+    if ere.ranges_follow(model, +1) and all(ch.a < 0 for ch in model.channels):
+        return None
+    return (
+        "poles suite needs the causal family with r = 2 a lambda and "
+        "a < 0 in both channels (e.g. T3 row 6)"
+    )
 
 
 def _suite_poles(cfg, model, grid, tol_override) -> list:
@@ -253,11 +243,9 @@ def _suite_poles(cfg, model, grid, tol_override) -> list:
     worst_im = -np.inf
     for label, ch in (("singlet", model.singlet), ("triplet", model.triplet)):
         closed = causality.poles_closed_form(ch.a, lam)
-        numeric = causality.poles_numeric(ch.a, ch.r)
-        dev = max(
-            abs(c - n)
-            for c, n in zip(causality.flatten_poles(closed), causality.flatten_poles(numeric))
-        )
+        # The roots of p^2 - (2i/r) p - 2/(a r) sum to 2i/r and multiply to -2/(a r).
+        poles = causality.flatten_poles(closed)
+        dev = max(abs(sum(poles) * ch.r / 2j - 1), abs(math.prod(poles) * ch.a * ch.r / -2 - 1))
         checks.append(
             uvir.Check(f"pole_match_{label}", dev, tol, dev < tol, {"case": closed.classification})
         )

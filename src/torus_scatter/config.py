@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ere
 
-__all__ = ["PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT"]
+__all__ = ["PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT", "DEFAULT_TOLERANCES"]
 
 #: Largest accepted ``p_grid.count``: it bounds the tens of float64 arrays of
 #: that length that ``traj`` and ``verify`` allocate.
@@ -90,7 +90,8 @@ class PGrid:
         return {"min": self.min, "max": self.max, "count": self.count, "spacing": self.spacing}
 
 
-_DEFAULT_TOLERANCES = {
+#: Default tolerance of each check; the functions behind the checks use it too.
+DEFAULT_TOLERANCES = {
     "phase_map": 1e-10,
     "density_map": 1e-10,
     "ep_invariance": 1e-12,
@@ -134,7 +135,7 @@ class RunConfig:
             _integer("family.row", self.family["row"])
             _finite("family.lambda", self.family.get("lambda", 1.0))
         for name, value in self.tolerances.items():
-            if name not in _DEFAULT_TOLERANCES:
+            if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance name {name!r}")
             if not _number(f"tolerance {name!r}", value) > 0:
                 raise ConfigError(f"tolerance {name!r} must be positive; got {value!r}")
@@ -142,9 +143,7 @@ class RunConfig:
             raise ConfigError(f"seed must be a nonnegative integer; got {self.seed!r}")
 
     def tolerance(self, name: str) -> float:
-        if name not in _DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance name {name!r}")
-        return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
+        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     # -- model construction ------------------------------------------------
 

@@ -19,7 +19,7 @@ Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 * table "2D": log-periodic 2D models, symmetric under ``p -> 1/(a0 a1 p)``.
 
 Units: hbar = M = 1; lengths in an arbitrary unit L, momenta in 1/L; only the
-dimensionless products a*p, r*p and lambda enter any formula.
+dimensionless products a*p, r*p and lambda enter any formula or tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "channel_pole_momentum",
     "pole_momenta",
     "quarter_lambda_branch",
+    "ranges_follow",
     "T1_ROWS",
     "T2_ROWS",
     "T3_ROWS",
@@ -119,6 +120,9 @@ class FamilyTag:
             raise ValueError(f"table {self.table} has no row {self.row}")
 
 
+#: A range matches its family's value to this fraction of it (no absolute floor).
+RANGE_MATCH_TOL = 1e-12
+
 T1_ROWS = (1, 2, 3, 4)
 T2_ROWS = (1, 2, 3, 4, 5, 6)
 T3_ROWS = (1, 2, 3, 4, 5, 6)
@@ -179,8 +183,7 @@ class TwoChannelModel:
         a0, a1 = self.singlet.a, self.triplet.a
         r0_want, r1_want = _family_ranges(tag.table, tag.row, a0, a1, tag.lam)
         for got, want in ((self.singlet.r, r0_want), (self.triplet.r, r1_want)):
-            scale = max(abs(want), 1.0)
-            if abs(got - want) > 1e-12 * scale:
+            if not _range_matches(got, want):
                 raise ValueError(
                     f"channel ranges ({self.singlet.r}, {self.triplet.r}) do not "
                     f"match {tag.table} row {tag.row} correlation "
@@ -190,6 +193,11 @@ class TwoChannelModel:
     @property
     def channels(self) -> tuple:
         return (self.singlet, self.triplet)
+
+
+def _range_matches(got: float, want: float) -> bool:
+    """True when ``got`` is ``want`` to ``RANGE_MATCH_TOL`` relative to ``want``."""
+    return abs(got - want) <= RANGE_MATCH_TOL * abs(want)
 
 
 def _family_ranges(
@@ -424,29 +432,27 @@ def pole_momenta(model: TwoChannelModel) -> list[float]:
     return sorted(p for p in out if p is not None)
 
 
+def ranges_follow(model: TwoChannelModel, sign: int) -> bool:
+    """True when r = sign * 2 a lambda (family tag's lambda) in every channel,
+    relative to |2 a lambda|; unitarity channels never follow."""
+    return all(
+        not ch.unitarity and _range_matches(ch.r, sign * 2.0 * ch.a * model.family.lam)
+        for ch in model.channels
+    )
+
+
 def quarter_lambda_branch(model: TwoChannelModel) -> str | None:
     """Classify a lambda = 1/4 range-correlated (row 5/6) model.
 
     Returns "solvable" when both channels satisfy r = +2 a lambda (the branch
     generated by row 6 with equal signs or row 5 with mixed signs), or
     "unsolvable" for the complementary branch r = -2 a lambda, where no
-    single-combination geometric potential exists.  Returns None when the
-    model is not a lambda = 1/4 row-5/6 family member.
+    single-combination geometric potential exists (``ranges_follow``).
+    Returns None when the model is not a lambda = 0.25 row-5/6 member.
     """
     tag = model.family
-    if tag is None or tag.table not in ("T2", "T3") or tag.row not in (5, 6):
+    if tag is None or tag.table not in ("T2", "T3") or tag.row not in (5, 6) or tag.lam != 0.25:
         return None
-    if abs(tag.lam - 0.25) > 1e-15:
-        return None
-    lam = tag.lam
-    plus = all(
-        abs(ch.r - 2.0 * ch.a * lam) <= 1e-12 * max(1.0, abs(ch.r))
-        for ch in model.channels
-    )
-    if plus:
+    if ranges_follow(model, +1):
         return "solvable"
-    minus = all(
-        abs(ch.r + 2.0 * ch.a * lam) <= 1e-12 * max(1.0, abs(ch.r))
-        for ch in model.channels
-    )
-    return "unsolvable" if minus else None
+    return "unsolvable" if ranges_follow(model, -1) else None

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ere
+from .config import DEFAULT_TOLERANCES
 from .torus import Trajectory
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "closed_form_potential",
     "lapse",
     "construction_lapse",
+    "lapse_inaffinity",
     "inaffinity",
     "eom_residual",
     "overdetermination_2d",
@@ -62,8 +64,10 @@ __all__ = [
 
 #: |cos| of the potential argument below which a grid point is singular.
 COS_SINGULAR_TOL = 1e-6
-#: |N| / |c1| below which the lapse counts as vanishing (no inaffinity).
+#: |p N / c1| below which the lapse counts as vanishing (no inaffinity).
 LAPSE_SINGULAR_TOL = 1e-10
+#: Relative and absolute error targets of ``integrate_affine``'s DOP853 steps.
+AFFINE_RTOL, AFFINE_ATOL = 1e-11, 1e-12
 
 
 @dataclass(frozen=True)
@@ -238,18 +242,23 @@ def construction_lapse(
     return lapse(model, p, potential.c1)
 
 
-def inaffinity(model: ere.TwoChannelModel, p):
-    """kappa(p) = N'(p)/N(p) of the model's ``lapse``, analytic in p.
+def lapse_inaffinity(p, n_val, dn_val, c1: float = 1.0):
+    """(kappa = dN/N, vanishing) of a lapse (N, dN/dp) at momenta p and its c1:
+    it vanishes, and kappa is NaN, where the pure number |p N / c1| (sin phi -
+    eps sin theta for the sine form) is below ``LAPSE_SINGULAR_TOL``."""
+    vanishing = np.abs(np.asarray(p) * n_val / c1) < LAPSE_SINGULAR_TOL
+    kappa = np.divide(dn_val, n_val, out=np.full(np.shape(vanishing), np.nan), where=~vanishing)
+    return kappa[()], vanishing
 
-    kappa does not depend on c1.  Momenta where the lapse vanishes are
-    flagged by a ValueError.
-    """
-    n_val, dn_val = (np.asarray(x) for x in lapse(model, p))
-    bad = np.abs(n_val) < LAPSE_SINGULAR_TOL
-    if np.any(bad):
-        p_bad = np.atleast_1d(np.asarray(p, dtype=float))[np.atleast_1d(bad)]
+
+def inaffinity(model: ere.TwoChannelModel, p):
+    """kappa(p) = N'(p)/N(p) of the model's ``lapse``, analytic in p; a
+    ValueError where the lapse vanishes (``lapse_inaffinity``)."""
+    kappa, vanishing = lapse_inaffinity(p, *lapse(model, p))
+    if np.any(vanishing):
+        p_bad = np.atleast_1d(p)[np.atleast_1d(vanishing)]
         raise ValueError(f"lapse vanishes at p = {p_bad[:3]}: inaffinity singular")
-    return (dn_val / n_val)[()]
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -328,7 +337,7 @@ class OverdeterminationReport:
 
 
 def overdetermination_2d(
-    model: ere.TwoChannelModel, p_grid, tol: float = 1e-6
+    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["overdetermination"]
 ) -> OverdeterminationReport:
     """Solve the two 2D trajectory equations pointwise and check consistency.
 
@@ -420,8 +429,6 @@ def integrate_affine(
     init: tuple[float, float, float, float],
     tau_span: float,
     n_samples: int = 1000,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
 ) -> AffineCurve:
     """Integrate x''_a = -dV/dx_a from (phi, theta, phi', theta') over tau.
 
@@ -447,8 +454,8 @@ def integrate_affine(
         (0.0, tau_span),
         [phi0, theta0, dphi0, dtheta0],
         t_eval=np.linspace(0.0, tau_span, n_samples),
-        rtol=rtol,
-        atol=atol,
+        rtol=AFFINE_RTOL,
+        atol=AFFINE_ATOL,
         method="DOP853",
     )
     truncated = not sol.success or sol.t.size < n_samples

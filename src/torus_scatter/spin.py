@@ -85,7 +85,7 @@ def build_s_operator(phi, theta) -> np.ndarray:
     return 0.5 * (e_theta + e_phi) * _ID4 + 0.5 * (e_theta - e_phi) * SWAP
 
 
-def is_unitary(op: np.ndarray, tol: float = 1e-12) -> bool:
+def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
     """Check ``op^dagger op = 1`` to absolute tolerance ``tol``.
 
     A stack of operators (shape ``(..., n, n)``) passes only if every operator
@@ -118,7 +118,7 @@ def out_density_matrix(
     ``in_state`` must be a normalized vector in C^4.
     """
     in_state = normalized_state(in_state)
-    if not is_unitary(s_op, tol=1e-10):
+    if not is_unitary(s_op):
         raise ValueError("scattering operator is not unitary")
     s_use = s_op.conj() if conjugated else s_op
     out = s_use @ in_state

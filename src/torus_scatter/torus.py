@@ -133,18 +133,25 @@ class Quadrant(enum.Enum):
 _BY_POSITION = {q.position: q for q in Quadrant}
 
 
+def _positions(phi, theta) -> np.ndarray:
+    """``Quadrant.position`` of each (phi, theta) by the signs of their sines;
+    a sine below ``BOUNDARY_TOL`` in magnitude is an edge."""
+    sp, st = np.sin(phi), np.sin(theta)
+    return np.select(
+        [
+            (np.abs(sp) < BOUNDARY_TOL) | (np.abs(st) < BOUNDARY_TOL),
+            (sp > 0) & (st > 0),
+            (sp < 0) & (st > 0),
+            (sp < 0) & (st < 0),
+        ],
+        [q.position for q in (Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III)],
+        default=Quadrant.IV.position,
+    )
+
+
 def quadrant(point: TorusPoint) -> Quadrant:
     """Quadrant label of a torus point by the signs of (sin phi, sin theta)."""
-    sp, st = math.sin(point.phi), math.sin(point.theta)
-    if abs(sp) < BOUNDARY_TOL or abs(st) < BOUNDARY_TOL:
-        return Quadrant.BOUNDARY
-    if sp > 0 and st > 0:
-        return Quadrant.I
-    if sp < 0 and st > 0:
-        return Quadrant.II
-    if sp < 0 and st < 0:
-        return Quadrant.III
-    return Quadrant.IV
+    return _BY_POSITION[_positions(point.phi, point.theta).item()]
 
 
 @dataclass(frozen=True)
@@ -193,17 +200,7 @@ class Trajectory:
 
     def positions(self) -> np.ndarray:
         """``Quadrant.position`` of every sample's quadrant, as a string array."""
-        sp, st = (np.sin(x) for x in self.wrapped)
-        return np.select(
-            [
-                (np.abs(sp) < BOUNDARY_TOL) | (np.abs(st) < BOUNDARY_TOL),
-                (sp > 0) & (st > 0),
-                (sp < 0) & (st > 0),
-                (sp < 0) & (st < 0),
-            ],
-            [q.position for q in (Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III)],
-            default=Quadrant.IV.position,
-        )
+        return _positions(*self.wrapped)
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """d(phi)/dp and d(theta)/dp with respect to the stored parameter."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ere, spin
+from .config import DEFAULT_TOLERANCES
 from .torus import wrap_angle
 
 __all__ = [
@@ -214,7 +215,7 @@ def _angle_deviation(actual, expected) -> np.ndarray:
 
 
 def verify_phase_map(
-    model: ere.TwoChannelModel, p_grid, tol: float = 1e-10
+    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["phase_map"]
 ) -> Check:
     """Check that phases at inverted momenta follow the family row's map."""
     sym = _require_family(model)
@@ -242,7 +243,7 @@ def verify_density_map(
     model: ere.TwoChannelModel,
     in_states: np.ndarray | None = None,
     p_grid=None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOLERANCES["density_map"],
 ) -> Check:
     """Check the density-matrix transformation class of the family row.
 
@@ -255,7 +256,7 @@ def verify_density_map(
     1-D state of length 4 also works); anything else raises ValueError.  The
     whole grid is evaluated at once: the scattering operators at p and at its
     image are built as (n, 4, 4) stacks, each operator is checked for
-    unitarity to 1e-10 and each in-state for normalization (ValueError
+    unitarity (``spin.is_unitary``) and each in-state for normalization (ValueError
     otherwise), and only the in-states are looped over, building just the
     density matrices that the class compares.  The projector sandwiches are
     two 2-D products over the whole stack (``_sandwich``).  The projector
@@ -280,7 +281,7 @@ def verify_density_map(
 
     s_here = spin.build_s_operator(phi, theta)
     s_image = spin.build_s_operator(phi_inv, theta_inv)
-    if not (spin.is_unitary(s_here, tol=1e-10) and spin.is_unitary(s_image, tol=1e-10)):
+    if not (spin.is_unitary(s_here) and spin.is_unitary(s_image)):
         raise ValueError("scattering operator is not unitary")
     s_bar = s_here.conj()
 
@@ -373,7 +374,7 @@ def _cross_block_phase(rho_image, rho_plain, p_s, p_t) -> np.ndarray:
 
 
 def verify_ep_invariance(
-    model: ere.TwoChannelModel, p_grid, tol: float = 1e-12
+    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
 ) -> Check:
     """Check that the entanglement power is invariant under the inversion."""
     sym = _require_family(model)

@@ -80,7 +80,7 @@ def traj_csv_oracle(cfg) -> str:
         v_val = potential.value(traj.phi, traj.theta)
         regular = ~(
             potential.singular_mask(traj.phi, traj.theta)
-            | (np.abs(n_val) < geometry.LAPSE_SINGULAR_TOL * abs(cfg.c1))
+            | (np.abs(grid * n_val / cfg.c1) < geometry.LAPSE_SINGULAR_TOL)
         )
         kappa = np.full(grid.size, np.nan)
         kappa[regular] = dn_val[regular] / n_val[regular]

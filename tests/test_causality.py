@@ -241,3 +241,24 @@ def test_poles_numeric_classifies_axis_pairs():
     ps2 = causality.poles_numeric(-1.0, 2.0 * (-1.0) * 0.25)
     assert ps2.classification == "double_virtual"
     assert ps2.poles[0][1] == 2
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
+def test_small_virtual_pole_is_free_of_cancellation(lam):
+    """The smaller virtual pole against 50-digit roots of the channel's denominator."""
+    mpmath = pytest.importorskip("mpmath")
+    a = -1.3
+    r = 2.0 * a * lam
+    with mpmath.workdps(50):
+        exact_closed = 2 / (abs(mpmath.mpf(a)) * (1 + mpmath.sqrt(1 - 4 * mpmath.mpf(lam))))
+        # roots of p^2 - (2i/r) p - 2/(a r) for the float r the numeric path sees
+        half_sum, prod = 1j / mpmath.mpf(r), -2 / (mpmath.mpf(a) * mpmath.mpf(r))
+        roots = [half_sum + sg * mpmath.sqrt(half_sum**2 - prod) for sg in (1, -1)]
+        exact_numeric = float(min(abs(z) for z in roots))
+        exact_closed = float(exact_closed)
+    for poleset, exact in (
+        (causality.poles_closed_form(a, lam), exact_closed),
+        (causality.poles_numeric(a, r), exact_numeric),
+    ):
+        small = min(abs(p) for p, _m in poleset.poles)
+        assert abs(small - exact) <= 1e-14 * exact

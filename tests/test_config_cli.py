@@ -379,6 +379,24 @@ def test_poles_cli_json(tmp_path, capsys):
     assert report["lower_half"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (["--a", "nan", "--lam", "0.3"], "lambda"),
+        (["--a", "-1", "--lam", "inf"], "lambda"),
+        (["--a", "-1", "--r", "nan"], "r"),
+        (["--a", "1e-320", "--r", "1"], "r"),
+        (["--a", "-1", "--lam", "1e-320"], "lambda"),
+    ],
+)
+def test_poles_cli_rejects_non_finite_inputs_and_poles(capsys, argv, second):
+    assert cli.main(["poles", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]
+    assert f"a = {float(argv[1])!r}" in message and f"{second} = {float(argv[3])!r}" in message
+
+
 def test_ep_command(tmp_path):
     cfg = _write_config(
         tmp_path, p_grid={"min": 0.5, "max": 2.0, "count": 4, "spacing": "log"}

@@ -1,0 +1,140 @@
+"""Only a*p, r*p and lambda enter the physics, so no decision may depend on the
+unit of length: rescaling every length by s and the grid by 1/s must leave
+every pass flag, blank row and label where it was.  Also the pole-match check
+across the lambda = 1/4 collision and against wrong closed forms."""
+
+import json
+import math
+
+import pytest
+
+from torus_scatter import causality, cli
+
+#: Powers of two, so every a*p and r*p of a rescaled run is bit-identical to
+#: the unit run.
+SCALES = (2.0**-43, 2.0**-13, 2.0**27)
+SCALE_IDS = ("2^-43", "2^-13", "2^27")
+
+#: name -> (config without grid, whether the model has a closed-form potential)
+MODELS = {
+    "T1-4": ({"dimension": 3, "a0": 1.0, "a1": 5.0, "family": {"table": "T1", "row": 4}}, True),
+    "T3-6-quarter": (
+        {"dimension": 3, "a0": -1.0, "a1": -5.0,
+         "family": {"table": "T3", "row": 6, "lambda": 0.25}}, True,
+    ),
+    "T3-6-0.3": (
+        {"dimension": 3, "a0": -1.3, "a1": -4.0,
+         "family": {"table": "T3", "row": 6, "lambda": 0.3}}, False,
+    ),
+    "2D": ({"dimension": 2, "a0": 0.9361, "a1": 5.8859}, True),
+    "T2-6-acausal": (
+        {"dimension": 3, "a0": 1.0, "a1": 5.0,
+         "family": {"table": "T2", "row": 6, "lambda": 0.1}}, False,
+    ),
+    "T2-6-quarter-mixed": (
+        {"dimension": 3, "a0": 1.0, "a1": -3.0,
+         "family": {"table": "T2", "row": 6, "lambda": 0.25}}, False,
+    ),
+}
+
+
+def _run(tmp_path, model, *argv, s=1.0, grid=(0.01, 10.0, 400, "linear")):
+    """Exit code and output text of one command on ``model`` with its lengths
+    times ``s`` and its grid times 1/s."""
+    lo, hi, count, spacing = grid
+    cfg = dict(
+        model, a0=model["a0"] * s, a1=model["a1"] * s,
+        p_grid={"min": lo / s, "max": hi / s, "count": count, "spacing": spacing},
+    )
+    path = tmp_path / f"cfg-{s!r}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"out-{s!r}"
+    code = cli.main([*argv, "--config", str(path), "--out", str(out)])
+    return code, out.read_text()
+
+
+def _traj_columns(text):
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [r[5] for r in rows], [r[6] for r in rows], [r[7] for r in rows]
+
+
+@pytest.mark.parametrize("s", SCALES, ids=SCALE_IDS)
+@pytest.mark.parametrize("name", MODELS)
+def test_traj_does_not_depend_on_the_unit_of_length(tmp_path, name, s):
+    model, closed_form = MODELS[name]
+    code, unit = _run(tmp_path, model, "traj")
+    code_s, scaled = _run(tmp_path, model, "traj", s=s)
+    assert code == code_s == 0
+    kappa, v_val, quadrant = _traj_columns(unit)
+    kappa_s, v_val_s, quadrant_s = _traj_columns(scaled)
+    assert all(kappa) if closed_form else not any(kappa)
+    assert v_val_s == v_val and quadrant_s == quadrant
+    # kappa = N'/N is a length: it scales with s, exactly for a power of two.
+    assert [k == "" for k in kappa_s] == [k == "" for k in kappa]
+    assert [float(k) for k in kappa_s if k] == [s * float(k) for k in kappa if k]
+
+
+def _verdict(code, text):
+    report = json.loads(text)
+    checks = [(c["name"], c["pass"]) for c in report["checks"]]
+    return code, report["pass"], checks, report["skipped"]
+
+
+@pytest.mark.parametrize("s", SCALES, ids=SCALE_IDS)
+@pytest.mark.parametrize("name", MODELS)
+def test_verify_does_not_depend_on_the_unit_of_length(tmp_path, name, s):
+    model, _closed_form = MODELS[name]
+    unit = _verdict(*_run(tmp_path, model, "verify", "--suite", "all"))
+    assert unit == _verdict(*_run(tmp_path, model, "verify", "--suite", "all", s=s))
+
+
+def _t3_row6(lam, a0=-1.3, a1=-7.0):
+    return {"dimension": 3, "a0": a0, "a1": a1,
+            "family": {"table": "T3", "row": 6, "lambda": lam}}
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [0.25 - 1e-10, 0.25 + 1e-10, math.nextafter(0.25, -1.0), math.nextafter(0.25, 1.0)],
+)
+def test_verify_passes_across_the_pole_collision(tmp_path, lam):
+    """Beside lambda = 1/4 the two roots nearly collide and their positions are
+    ill-conditioned; their sum and product are not."""
+    code, text = _run(tmp_path, _t3_row6(lam), "verify", "--suite", "all",
+                      grid=(0.01, 100.0, 400, "log"))
+    assert code == 0, text
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
+def test_verify_poles_passes_at_small_lambda(tmp_path, lam):
+    code, text = _run(tmp_path, _t3_row6(lam), "verify", "--suite", "poles")
+    assert code == 0, text
+
+
+def _mirrored(closed, a, lam):
+    """The right poles, reflected into the upper half plane."""
+    ps = closed(a, lam)
+    return causality.PoleSet(tuple((p.conjugate(), m) for p, m in ps.poles), ps.classification)
+
+
+def _collided(closed, a, lam):
+    """The lambda = 1/4 double pole at every lambda."""
+    return causality.PoleSet(((complex(0.0, -1.0 / (2.0 * abs(a) * lam)), 2),), "double_virtual")
+
+
+def _other_branch(closed, a, lam):
+    """The poles of the r = -2 a lambda channel."""
+    return causality.poles_numeric(a, -2.0 * a * lam)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3])
+@pytest.mark.parametrize("mutant", [_mirrored, _collided, _other_branch])
+def test_pole_match_fails_a_wrong_closed_form(tmp_path, monkeypatch, mutant, lam):
+    closed = causality.poles_closed_form
+    monkeypatch.setattr(causality, "poles_closed_form", lambda a, lam: mutant(closed, a, lam))
+    code, text = _run(tmp_path, _t3_row6(lam, a1=-4.0), "verify", "--suite", "poles")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    for label in ("singlet", "triplet"):
+        check = checks[f"pole_match_{label}"]
+        assert check["pass"] is False and check["max_deviation"] > 0.1
