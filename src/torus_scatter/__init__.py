@@ -12,7 +12,7 @@ Modules
 -------
 ``spin``       two-qubit S operator, density matrices, entanglement power
 ``ere``        effective-range phase shifts (3D and 2D), channels, families
-``torus``      torus points, trajectories, quadrants, R^4 embedding
+``torus``      sampled trajectories, quadrants, angle wrapping
 ``uvir``       momentum-inversion symmetry maps and their verification
 ``geometry``   potentials, lapse, trajectory equations, affine integration
 ``causality``  Wigner bounds, tangent/exit audits, S-matrix poles
@@ -49,7 +49,6 @@ from .geometry import (
     GeometricPotential,
     eom_residual,
     first_integral,
-    galilean_rescale,
     inaffinity,
     integrate_affine,
     lapse,
@@ -65,7 +64,7 @@ from .spin import (
     entanglement_power_mc,
     out_density_matrix,
 )
-from .torus import Embedding4, TorusPoint, Trajectory, embed_r4, sample_trajectory
+from .torus import Trajectory, sample_trajectory
 from .uvir import (
     RhoClass,
     SymmetryMap,
@@ -91,7 +90,7 @@ __all__ = [
     "make_symmetric_model", "make_2d_model", "phases", "tangents",
     "s_element", "quarter_lambda_branch",
     # torus
-    "TorusPoint", "Embedding4", "Trajectory", "embed_r4", "sample_trajectory",
+    "Trajectory", "sample_trajectory",
     # uvir
     "RhoClass", "SymmetryMap", "expected_map", "inverted_momentum",
     "make_paired_grid", "verify_phase_map", "verify_density_map",
@@ -99,7 +98,7 @@ __all__ = [
     # geometry
     "GeometricPotential", "potential_3d", "potential_lam14", "potential_2d",
     "lapse", "inaffinity", "eom_residual", "overdetermination_2d",
-    "integrate_affine", "first_integral", "galilean_rescale",
+    "integrate_affine", "first_integral",
     # causality
     "PoleSet", "wigner_derivative_bound", "threshold_range_bound_3d",
     "effective_area_bound_2d", "tangent_vector_audit", "quadrant_exit_audit",

@@ -118,7 +118,7 @@ def tangent_vector_audit(
     """
     if traj.model.dimension != 3:
         raise ValueError("tangent-vector audit applies to 3D models")
-    p_phys = np.asarray(traj.momenta, dtype=float)
+    p_phys = np.asarray(traj.p, dtype=float)
     if np.any(p_phys <= 0):
         raise ValueError("audit requires strictly positive momenta")
     dphi, dtheta = ere.tangents(traj.model, p_phys)

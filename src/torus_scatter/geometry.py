@@ -37,7 +37,6 @@ import numpy as np
 
 from . import ere
 from .config import DEFAULT_TOLERANCES
-from .torus import Trajectory
 
 __all__ = [
     "GeometricPotential",
@@ -58,7 +57,6 @@ __all__ = [
     "integrate_affine",
     "affine_parameter_span",
     "first_integral",
-    "galilean_rescale",
     "point_to_polyline_distance",
 ]
 
@@ -487,30 +485,6 @@ def affine_parameter_span(
     k, eps, _tangent = _lapse_form(model)
     phi, theta = ere.phases(model, np.array([p_start, p_stop], dtype=float))
     return float(k * potential.c1 * ((phi[1] - phi[0]) - eps * (theta[1] - theta[0])))
-
-
-def galilean_rescale(traj: Trajectory, omega: float) -> Trajectory:
-    """Relabel the trajectory parameter p -> Omega p (Omega >= 1).
-
-    The (phi, theta) point set is untouched; only the parameterization
-    changes.  The recomputed inaffinity obeys the chain rule
-    kappa_original(p) = Omega * kappa_rescaled(Omega p).
-    """
-    if omega < 1.0:
-        raise ValueError("Galilean rescaling requires Omega >= 1")
-    return Trajectory(
-        model=traj.model,
-        p=traj.p * omega,
-        phi=traj.phi,
-        theta=traj.theta,
-        parameter_scale=traj.parameter_scale * omega,
-    )
-
-
-def trajectory_inaffinity(traj: Trajectory, p_param):
-    """Inaffinity of a (possibly relabeled) trajectory at parameter value(s)."""
-    scale = traj.parameter_scale
-    return np.asarray(inaffinity(traj.model, np.asarray(p_param) / scale)) / scale
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "is_unitary",
     "normalized_state",
     "out_density_matrix",
-    "project_total_spin",
     "entanglement_power_closed",
     "entanglement_power_mc",
     "haar_product_states",
@@ -123,21 +122,6 @@ def out_density_matrix(
     s_use = s_op.conj() if conjugated else s_op
     out = s_use @ in_state
     return np.outer(out, out.conj())
-
-
-def project_total_spin(rho: np.ndarray, sector: int) -> np.ndarray:
-    """Project a density matrix onto a total-spin sector: ``P rho P``.
-
-    ``sector`` is 0 for the singlet and 1 for the triplet.  The result is not
-    renormalized; its trace is the sector population.
-    """
-    if sector == 0:
-        proj = SINGLET_PROJECTOR
-    elif sector == 1:
-        proj = TRIPLET_PROJECTOR
-    else:
-        raise ValueError(f"sector must be 0 (singlet) or 1 (triplet), got {sector!r}")
-    return proj @ np.asarray(rho, dtype=complex) @ proj
 
 
 def entanglement_power_closed(phi: float, theta: float) -> float:

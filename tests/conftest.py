@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,20 @@ def polyline_distance_all_pairs(points, polyline):
     return out
 
 
+def quadrant_oracle(phi, theta):
+    """Reference for the quadrant labeller: the ``Quadrant`` of one sample
+    from the signs of the sines of its wrapped phases, a sine below
+    ``torus.BOUNDARY_TOL`` in magnitude being an edge."""
+    from torus_scatter import torus
+
+    sp, st = (math.sin(torus.wrap_angle(x)) for x in (phi, theta))
+    if abs(sp) < torus.BOUNDARY_TOL or abs(st) < torus.BOUNDARY_TOL:
+        return torus.Quadrant.BOUNDARY
+    if sp > 0:
+        return torus.Quadrant.I if st > 0 else torus.Quadrant.IV
+    return torus.Quadrant.II if st > 0 else torus.Quadrant.III
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -84,7 +100,7 @@ def traj_csv_oracle(cfg) -> str:
         )
         kappa = np.full(grid.size, np.nan)
         kappa[regular] = dn_val[regular] / n_val[regular]
-    positions = [q.position for q in traj.quadrants()]
+    positions = [quadrant_oracle(f, t).position for f, t in zip(traj.phi, traj.theta)]
     return cli.TRAJ_HEADER + "\n" + traj_rows_oracle(
         grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, regular, positions
     )

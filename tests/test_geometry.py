@@ -1,4 +1,4 @@
-"""Potentials, lapse, trajectory equations, affine integration, relabeling."""
+"""Potentials, lapse, trajectory equations, affine integration."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, geometry, torus
+from torus_scatter import ere, geometry
 
 from conftest import polyline_distance_all_pairs
 
@@ -576,29 +576,6 @@ def test_point_to_polyline_distance_memory_within_all_pairs():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
-
-
-# ---------------------------------------------------------------------------
-# parameter relabeling
-# ---------------------------------------------------------------------------
-
-
-def test_galilean_rescale_preserves_points_and_chains_inaffinity():
-    m = _zero_range(1.0, 5.0)
-    grid = np.geomspace(1e-1, 1e1, 201)
-    traj = torus.sample_trajectory(m, grid)
-    omega = 3.0
-    rescaled = geometry.galilean_rescale(traj, omega)
-    np.testing.assert_array_equal(rescaled.phi, traj.phi)
-    np.testing.assert_array_equal(rescaled.theta, traj.theta)
-    np.testing.assert_allclose(rescaled.p, omega * grid, rtol=1e-15)
-    # kappa_original(p) = Omega * kappa_rescaled(Omega p)
-    p_test = np.array([0.3, 0.9, 4.0])
-    kappa_orig = np.asarray(geometry.inaffinity(m, p_test))
-    kappa_rescaled = geometry.trajectory_inaffinity(rescaled, omega * p_test)
-    np.testing.assert_allclose(kappa_orig, omega * kappa_rescaled, rtol=1e-12)
-    with pytest.raises(ValueError):
-        geometry.galilean_rescale(traj, 0.5)
 
 
 def test_affine_span_positive_for_negative_lapse_magnitude():

@@ -85,17 +85,6 @@ def test_out_density_matrix_validates_input():
         spin.out_density_matrix(np.eye(4) * 2.0, np.array([1.0, 0, 0, 0]))
 
 
-def test_projection_splits_trace():
-    rng = np.random.default_rng(11)
-    state = spin.haar_product_states(1, rng)[0]
-    rho = spin.out_density_matrix(spin.build_s_operator(0.2, 1.1), state)
-    block_s = spin.project_total_spin(rho, 0)
-    block_t = spin.project_total_spin(rho, 1)
-    assert np.trace(block_s).real + np.trace(block_t).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        spin.project_total_spin(rho, 2)
-
-
 def test_entanglement_power_closed_form_values():
     assert spin.entanglement_power_closed(0.0, 0.0) == 0.0
     assert spin.entanglement_power_closed(0.3, 0.3 + math.pi / 2) == pytest.approx(

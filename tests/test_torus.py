@@ -1,4 +1,4 @@
-"""Torus points, quadrants, R^4 embedding, and sampled trajectories."""
+"""Angle wrapping, quadrants, and sampled trajectories."""
 
 import math
 
@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_scatter import ere, torus
+
+from conftest import quadrant_oracle
 
 ANGLES = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -22,50 +24,18 @@ def test_wrap_angle_idempotent_and_in_window(x):
     assert math.remainder(x - w, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_torus_point_canonicalizes():
-    pt = torus.TorusPoint(3 * math.pi, -5 * math.pi / 2)
-    assert pt.phi == pytest.approx(-math.pi)
-    assert pt.theta == pytest.approx(-math.pi / 2)
-
-
-def test_embedding_fixed_points():
-    origin = torus.embed_r4(torus.TorusPoint(0.0, 0.0))
-    assert (origin.x, origin.y, origin.z, origin.w) == pytest.approx((1.0, 0.0, 0.0, 0.0))
-    anti = torus.embed_r4(torus.TorusPoint(math.pi, 0.0))
-    assert (anti.x, anti.y, anti.z, anti.w) == pytest.approx((0.0, 0.0, 1.0, 0.0))
-
-
-@given(phi=ANGLES, theta=ANGLES)
-@settings(max_examples=200, deadline=None)
-def test_embedding_lies_on_unit_sphere_slice(phi, theta):
-    """Both circle factors carry radius 1/sqrt(2): total norm is 1."""
-    emb = torus.embed_r4(torus.TorusPoint(phi, theta))
-    assert emb.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-@given(phi=ANGLES, theta=ANGLES, dphi=st.floats(-1e-4, 1e-4), dtheta=st.floats(-1e-4, 1e-4))
-@settings(max_examples=200, deadline=None)
-def test_line_element_is_flat_metric(phi, theta, dphi, dtheta):
-    if abs(dphi) + abs(dtheta) < 1e-8:
-        return
-    a = torus.TorusPoint(phi, theta)
-    b = torus.TorusPoint(phi + dphi, theta + dtheta)
-    ratio = torus.line_element_check(a, b)
-    assert ratio == pytest.approx(1.0, abs=1e-6)
-
-
-def test_line_element_check_rejects_far_points():
-    with pytest.raises(ValueError):
-        torus.line_element_check(torus.TorusPoint(0.0, 0.0), torus.TorusPoint(0.5, 0.0))
-
-
 def test_quadrants_by_sign():
-    assert torus.quadrant(torus.TorusPoint(0.5, 0.5)) is torus.Quadrant.I
-    assert torus.quadrant(torus.TorusPoint(-0.5, 0.5)) is torus.Quadrant.II
-    assert torus.quadrant(torus.TorusPoint(-0.5, -0.5)) is torus.Quadrant.III
-    assert torus.quadrant(torus.TorusPoint(0.5, -0.5)) is torus.Quadrant.IV
-    assert torus.quadrant(torus.TorusPoint(0.0, 0.5)) is torus.Quadrant.BOUNDARY
-    assert torus.quadrant(torus.TorusPoint(math.pi, 0.5)) is torus.Quadrant.BOUNDARY
+    cases = [
+        ((0.5, 0.5), torus.Quadrant.I),
+        ((-0.5, 0.5), torus.Quadrant.II),
+        ((-0.5, -0.5), torus.Quadrant.III),
+        ((0.5, -0.5), torus.Quadrant.IV),
+        ((0.0, 0.5), torus.Quadrant.BOUNDARY),
+        ((math.pi, 0.5), torus.Quadrant.BOUNDARY),
+    ]
+    phi, theta = (np.array(x) for x in zip(*(pt for pt, _ in cases)))
+    traj = torus.Trajectory(_model(), np.arange(1.0, phi.size + 1.0), phi, theta)
+    assert traj.positions().tolist() == [q.position for _, q in cases]
     assert torus.Quadrant.I.position == "top-right"
     assert torus.Quadrant.III.position == "bottom-left"
 
@@ -105,30 +75,18 @@ def test_trajectory_validation():
         )
 
 
-def test_trajectory_tangents_respect_parameter_scale():
+def test_trajectory_tangents_are_the_ere_tangents():
     grid = np.geomspace(1e-1, 1e1, 201)
-    traj = torus.sample_trajectory(_model(), grid)
-    scaled = torus.Trajectory(
-        model=traj.model,
-        p=traj.p * 2.0,
-        phi=traj.phi,
-        theta=traj.theta,
-        parameter_scale=2.0,
-    )
-    np.testing.assert_allclose(scaled.momenta, grid, rtol=1e-15)
-    dphi, dtheta = traj.tangents()
-    dphi_s, dtheta_s = scaled.tangents()
-    np.testing.assert_allclose(dphi_s, dphi / 2.0, rtol=1e-13)
-    np.testing.assert_allclose(dtheta_s, dtheta / 2.0, rtol=1e-13)
+    dphi, dtheta = torus.sample_trajectory(_model(), grid).tangents()
+    want_phi, want_theta = ere.tangents(_model(), grid)
+    np.testing.assert_array_equal(dphi, want_phi)
+    np.testing.assert_array_equal(dtheta, want_theta)
 
 
 def test_trajectory_quadrants_follow_wrapped_points():
     grid = np.geomspace(1e-2, 1e2, 101)
     traj = torus.sample_trajectory(_model(), grid)
-    quads = traj.quadrants()
-    phi_w, theta_w = traj.wrapped
-    for q, pw, tw in zip(quads, phi_w, theta_w):
-        assert q is torus.quadrant(torus.TorusPoint(pw, tw))
+    assert traj.quadrants() == [quadrant_oracle(f, t) for f, t in zip(traj.phi, traj.theta)]
 
 
 def test_trajectory_quadrants_match_pointwise_labels_at_edges():
@@ -138,5 +96,5 @@ def test_trajectory_quadrants_match_pointwise_labels_at_edges():
     phi, theta = (np.array(x) for x in zip(*((f, t) for f in edges for t in edges)))
     traj = torus.Trajectory(_model(), np.arange(1.0, phi.size + 1.0), phi, theta)
     quads = traj.quadrants()
-    assert quads == [torus.quadrant(pt) for pt in traj.points]
+    assert quads == [quadrant_oracle(f, t) for f, t in zip(phi, theta)]
     assert set(quads) == set(torus.Quadrant)
