@@ -112,25 +112,25 @@ def tangent_vector_audit(
     """Check p phi'(p) >= sin(phi) and p theta'(p) >= sin(theta) samplewise.
 
     These are the zero-range causality conditions times p, so the margin
-    p x' - sin x is a pure number; zero-effective-range models saturate
-    them identically, negative ranges satisfy them strictly, and positive
-    ranges violate them.  A margin below ``-tol`` is a recorded violation.
+    p x' - sin x is a pure number.  Differentiating p cot(delta) = -1/a +
+    r p^2/2 makes it -2 r p sin^2(x/2) exactly, which is evaluated in that
+    form, free of the cancellation between p x' and sin x: zero-effective-
+    range models saturate the conditions identically, negative ranges
+    satisfy them strictly, and positive ranges violate them.  A margin below
+    ``-tol`` is a recorded violation (p, channel, margin), the phi channel's
+    first, each in grid order.
     """
     if traj.model.dimension != 3:
         raise ValueError("tangent-vector audit applies to 3D models")
-    p_phys = np.asarray(traj.p, dtype=float)
-    if np.any(p_phys <= 0):
+    p = traj.p
+    if np.any(p <= 0):
         raise ValueError("audit requires strictly positive momenta")
-    dphi, dtheta = ere.tangents(traj.model, p_phys)
     violations = []
-    for channel, values, derivs in (
-        ("phi", traj.phi, np.asarray(dphi)),
-        ("theta", traj.theta, np.asarray(dtheta)),
-    ):
-        margins = p_phys * derivs - np.sin(values)
-        for k in np.nonzero(margins < -tol)[0]:
-            violations.append((float(p_phys[k]), channel, float(margins[k])))
-    return TangentAuditReport(checked=2 * p_phys.size, violations=violations)
+    for channel, ch, x in zip(("phi", "theta"), traj.model.channels, (traj.phi, traj.theta)):
+        margins = -2.0 * ch.r * p * np.sin(0.5 * x) ** 2
+        bad = margins < -tol
+        violations += zip(p[bad].tolist(), [channel] * int(bad.sum()), margins[bad].tolist())
+    return TangentAuditReport(checked=2 * p.size, violations=violations)
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class ExitAuditReport:
     """Quadrant-boundary crossings of a trajectory with their exit edges."""
 
     crossings: list = field(default_factory=list)
-    # each crossing: {"p_low", "p_high", "channel", "edge", "allowed"}
+    # each crossing: {"p" (the exact crossing momentum), "channel", "edge", "allowed"}
 
     @property
     def forbidden(self) -> list:
@@ -153,37 +153,30 @@ def quadrant_exit_audit(traj: Trajectory) -> ExitAuditReport:
     """Locate quadrant-boundary crossings and label each exit edge.
 
     Quadrant edges are the lines where either phase is a multiple of pi.  A
-    crossing with increasing unwrapped phase exits through the right edge
-    (phi) or the upper edge (theta); decreasing phases exit left/bottom,
-    which causality forbids.  Adjacent samples must differ by less than pi/4
-    in both phases so crossings are localized one at a time.
+    channel's phase meets one only where cot(delta) = 0, at the single
+    momentum ``ere.channel_pole_momentum``, and the crossing counts when
+    that momentum lies strictly between the first and last grid points.  A
+    phase rising there (``ere.tangents`` > 0) exits through the right edge
+    (phi) or the upper edge (theta); a falling one exits left/bottom, which
+    causality forbids.  Only the grid's ends enter, so any grid is exact.
     """
-    for name, vals in (("phi", traj.phi), ("theta", traj.theta)):
-        jumps = np.abs(np.diff(vals))
-        if jumps.size and np.max(jumps) >= np.pi / 4:
-            raise ValueError(
-                f"grid too coarse to localize crossings: {name} jumps by "
-                f"{np.max(jumps):.3f} rad; refine the grid"
-            )
     crossings = []
-    for channel, vals, up_edge, down_edge in (
-        ("phi", traj.phi, "right", "left"),
-        ("theta", traj.theta, "top", "bottom"),
+    for k, (channel, rise_edge, fall_edge) in enumerate(
+        (("phi", "right", "left"), ("theta", "top", "bottom"))
     ):
-        cells = np.floor(np.asarray(vals) / np.pi)
-        for k in np.nonzero(np.diff(cells) != 0)[0]:
-            increasing = vals[k + 1] > vals[k]
-            edge = up_edge if increasing else down_edge
-            crossings.append(
-                {
-                    "p_low": float(traj.p[k]),
-                    "p_high": float(traj.p[k + 1]),
-                    "channel": channel,
-                    "edge": edge,
-                    "allowed": edge in ("right", "top"),
-                }
-            )
-    crossings.sort(key=lambda c: c["p_low"])
+        p_star = ere.channel_pole_momentum(traj.model.channels[k])
+        if p_star is None or not traj.p[0] < p_star < traj.p[-1]:
+            continue
+        rising = bool(ere.tangents(traj.model, p_star)[k] > 0)
+        crossings.append(
+            {
+                "p": p_star,
+                "channel": channel,
+                "edge": rise_edge if rising else fall_edge,
+                "allowed": rising,
+            }
+        )
+    crossings.sort(key=lambda c: c["p"])
     return ExitAuditReport(crossings=crossings)
 
 

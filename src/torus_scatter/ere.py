@@ -43,7 +43,6 @@ __all__ = [
     "make_symmetric_model",
     "make_2d_model",
     "channel_pole_momentum",
-    "pole_momenta",
     "quarter_lambda_branch",
     "ranges_follow",
     "T1_ROWS",
@@ -415,21 +414,19 @@ def s_element(model: TwoChannelModel, channel: int, p):
     return ((denom - 1j * ch.a * p) / (denom + 1j * ch.a * p))[()]
 
 
-def channel_pole_momentum(ch: Channel3D) -> float | None:
-    """Real momentum where a(p)'s denominator vanishes, if any: p = sqrt(2/(a r))."""
-    if not isinstance(ch, Channel3D) or ch.unitarity:
-        return None
-    if ch.a * ch.r > 0.0:
+def channel_pole_momentum(ch: Channel3D | Channel2D) -> float | None:
+    """The one momentum p > 0 where the channel's phase is a multiple of pi.
+
+    It is the zero of cot(delta): sqrt(2/(a r)) for a 3D channel with a r > 0
+    (the zero of a(p)'s denominator), 1/a2 for a 2D channel (whose phases are
+    defined at sigma2 = 0), and None for every other 3D channel (unitarity
+    included), whose phase stays strictly between two multiples of pi.
+    """
+    if isinstance(ch, Channel2D):
+        return 1.0 / ch.a2
+    if not ch.unitarity and ch.a * ch.r > 0.0:
         return math.sqrt(2.0 / (ch.a * ch.r))
     return None
-
-
-def pole_momenta(model: TwoChannelModel) -> list[float]:
-    """Sorted real momenta where either channel's ERE denominator vanishes."""
-    if model.dimension != 3:
-        return []
-    out = [channel_pole_momentum(ch) for ch in model.channels]
-    return sorted(p for p in out if p is not None)
 
 
 def ranges_follow(model: TwoChannelModel, sign: int) -> bool:

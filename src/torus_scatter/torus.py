@@ -109,28 +109,9 @@ class Trajectory:
 
 
 def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
-    """Sample the model's phases over a sorted positive momentum grid.
+    """Sample the model's phases over a strictly increasing grid of p >= 0.
 
-    The phase formulas already produce the continuous branch; the sampled
-    values are verified to be continuous at the grid resolution, and a grid
-    whose adjacent samples jump by pi or more in either phase is rejected
-    (refine the grid).
+    The phase formulas are analytic and on their continuous branch at every
+    momentum, so any grid is accepted, however coarse.
     """
-    p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.ndim != 1 or p_grid.size < 1:
-        raise ValueError("p_grid must be a 1D array")
-    if np.any(p_grid < 0) or np.any(np.diff(p_grid) <= 0):
-        raise ValueError("p_grid must be sorted, strictly increasing and >= 0")
-    phi, theta = ere.phases(model, p_grid)
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    for name, vals in (("phi", phi), ("theta", theta)):
-        jumps = np.abs(np.diff(vals))
-        if jumps.size and np.max(jumps) >= np.pi:
-            k = int(np.argmax(jumps))
-            raise ValueError(
-                f"grid too coarse for unwrapping: {name} jumps by "
-                f"{jumps[k]:.3f} rad between p={p_grid[k]:.6g} and "
-                f"p={p_grid[k + 1]:.6g}; refine the grid"
-            )
-    return Trajectory(model=model, p=p_grid, phi=phi, theta=theta)
+    return Trajectory(model, p_grid, *ere.phases(model, p_grid))

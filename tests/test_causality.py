@@ -137,16 +137,83 @@ def test_exit_audit_flags_acausal_exits():
     assert len(report.forbidden) >= 1
 
 
-def test_exit_audit_rejects_coarse_sampling():
-    m = ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.1)
-    coarse = torus.Trajectory(
-        model=m,
-        p=np.array([0.01, 50.0]),
-        phi=np.array([0.0, 3.0]),
-        theta=np.array([0.0, 3.0]),
-    )
-    with pytest.raises(ValueError, match="refine"):
-        causality.quadrant_exit_audit(coarse)
+#: Scattering-length signs that each table row accepts (T2 rows accept any).
+_ROW_SIGNS = {
+    "T1": {1: (1, -1), 2: (-1, 1), 3: (-1, -1), 4: (1, 1)},
+    "T3": {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1), 5: (1, 1), 6: (-1, -1)},
+}
+
+
+def _family_models(seed=20261018, draws=2):
+    """T1-T3 rows at lambda in {0.1, 1/4, 1, 4} and 2D pairs, lengths log-uniform in [0.2, 20]."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(draws):
+        for table, rows in (("T1", range(1, 5)), ("T2", range(1, 7)), ("T3", range(1, 7))):
+            for row in rows:
+                for lam in (0.1, 0.25, 1.0, 4.0) if table != "T1" else (1.0,):
+                    mags = np.exp(rng.uniform(math.log(0.2), math.log(20.0), 2))
+                    signs = _ROW_SIGNS.get(table, {}).get(row) or rng.choice((-1, 1), 2)
+                    a0, a1 = (float(s * m) for s, m in zip(signs, mags))
+                    models.append(ere.make_symmetric_model(table, row, a0, a1, lam=lam))
+        a0, a1 = np.exp(rng.uniform(math.log(0.2), math.log(20.0), 2))
+        models.append(ere.make_2d_model(float(a0), float(a1)))
+    return models
+
+
+def _oracle_crossings(model, grid):
+    """(channel, edge, p_low, p_high) of every sign change of floor(x/pi).
+
+    delta = arctan2(p, p cot delta) in (0, pi) is continuous in p > 0, and
+    x = 2 delta differs from the model's phase by a constant multiple of 2 pi;
+    p cot delta is -1/a + r p^2/2 in 3D and -(2/pi) p log(a2 p) in 2D.
+    """
+    out = []
+    for ch, channel, edges in zip(
+        model.channels, ("phi", "theta"), (("right", "left"), ("top", "bottom"))
+    ):
+        if model.dimension == 3:
+            p_cot = -1.0 / ch.a + 0.5 * ch.r * grid**2
+        else:
+            p_cot = -(2.0 / math.pi) * grid * np.log(ch.a2 * grid)
+        x = 2.0 * np.arctan2(grid, p_cot)
+        for k in np.nonzero(np.diff(np.floor(x / math.pi)))[0]:
+            out.append((channel, edges[0] if x[k + 1] > x[k] else edges[1], grid[k], grid[k + 1]))
+    return out
+
+
+def test_exit_crossings_match_a_sign_change_oracle():
+    grid = np.geomspace(1e-3, 1e3, 200_001)
+    models = _family_models()
+    kinds = set()
+    for model in models:
+        got = causality.quadrant_exit_audit(torus.sample_trajectory(model, grid)).crossings
+        want = _oracle_crossings(model, grid)
+        kinds |= {(c["channel"], c["edge"]) for c in got}
+        assert sorted((c["channel"], c["edge"]) for c in got) == sorted(
+            (channel, edge) for channel, edge, _lo, _hi in want
+        ), model
+        for channel, _edge, lo, hi in want:
+            (p_star,) = (c["p"] for c in got if c["channel"] == channel)
+            assert lo <= p_star <= hi, (model, channel)
+    assert kinds == {("phi", "right"), ("phi", "left"), ("theta", "top"), ("theta", "bottom")}
+
+
+def test_tangent_margins_match_mpmath():
+    """Every violation margin of the acausal T2 row 6 against 50-digit p x' - sin x."""
+    mpmath = pytest.importorskip("mpmath")
+    model = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
+    report = causality.tangent_vector_audit(_traj(model, 1e-3, 1e3, 2001))
+    assert len(report.violations) > 3000
+    channels = dict(zip(("phi", "theta"), model.channels))
+    with mpmath.workdps(50):
+        for p, channel, margin in report.violations:
+            a, r, p_mp = (mpmath.mpf(v) for v in (channels[channel].a, channels[channel].r, p))
+            denom = 1 - a * r * p_mp**2 / 2
+            x = -2 * mpmath.atan2(a * p_mp, denom)
+            dx = -2 * a * (2 - denom) / (denom**2 + (a * p_mp) ** 2)
+            exact = p_mp * dx - mpmath.sin(x)
+            assert abs(margin - exact) <= 1e-12 * abs(exact), (p, channel)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from torus_scatter import cli
+from torus_scatter import causality, cli, ere, torus
 from torus_scatter.config import MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
 
@@ -421,6 +421,38 @@ def test_verify_poles_suite_on_causal_family(tmp_path):
         p_grid={"min": 0.01, "max": 100.0, "count": 200, "spacing": "log"},
     )
     assert cli.main(["verify", "--config", cfg, "--suite", "poles", "--out", "/dev/null"]) == 0
+
+
+def test_coarse_grid_over_the_ere_poles_runs_every_command(tmp_path, capsys):
+    """On 11 log points both phases of T3 row 6 at lambda = 4 jump by more than
+    pi between samples; every command still runs on the exact phases."""
+    cfg = _write_config(
+        tmp_path,
+        name="coarse.json",
+        a0=-1.0,
+        a1=-5.0,
+        family={"table": "T3", "row": 6, "lambda": 4.0},
+        p_grid={"min": 0.01, "max": 100.0, "count": 11, "spacing": "log"},
+    )
+    traj_out, ep_out = tmp_path / "coarse.csv", tmp_path / "coarse_ep.csv"
+    assert cli.main(["traj", "--config", cfg, "--out", str(traj_out)]) == 0
+    assert cli.main(["ep", "--config", cfg, "--out", str(ep_out)]) == 0
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and len(report["checks"]) == 8
+    exits = next(c for c in report["checks"] if c["name"] == "quadrant_exit_audit")
+    assert exits["crossings"] == 2
+
+    model = ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=4.0)
+    grid = np.geomspace(0.01, 100.0, 11)
+    rows = np.array([[float(v) for v in row[:3]] for row in _traj_rows(traj_out)])
+    np.testing.assert_array_equal(rows[:, 0], grid)
+    np.testing.assert_array_equal(rows[:, 1:].T, ere.phases(model, grid))
+    crossings = causality.quadrant_exit_audit(torus.sample_trajectory(model, grid)).crossings
+    assert [(c["p"], c["channel"], c["edge"]) for c in crossings] == [
+        (pytest.approx(0.1, rel=1e-15), "theta", "top"),
+        (pytest.approx(0.5, rel=1e-15), "phi", "right"),
+    ]
 
 
 def test_verify_tol_override_can_force_failure(tmp_path, capsys):

@@ -247,16 +247,23 @@ def test_s_element_matches_phase():
 
 def test_pole_momenta():
     m = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
-    assert ere.pole_momenta(m) == pytest.approx([math.sqrt(2.0), math.sqrt(2.0)])
+    for ch in m.channels:
+        assert ere.channel_pole_momentum(ch) == pytest.approx(math.sqrt(2.0))
     # r proportional to a makes a r = 2 a^2 lambda > 0: a denominator zero
-    # exists for the causal row too (the phase passes through -pi there)
+    # exists for the causal row too (with a < 0 the phase rises through +pi there)
     causal = ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25)
-    assert ere.pole_momenta(causal) == pytest.approx([0.4, 2.0])
+    assert [ere.channel_pole_momentum(ch) for ch in causal.channels] == pytest.approx([2.0, 0.4])
     # the opposite orientation r = -2 a lambda has a r < 0: no zero
     no_zero = ere.make_symmetric_model("T3", 5, 1.0, 5.0, lam=0.25)
-    assert ere.pole_momenta(no_zero) == []
     zero_range = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(-2.0))
-    assert ere.pole_momenta(zero_range) == []
+    unitarity = ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(1.0))
+    for model in (no_zero, zero_range, unitarity):
+        assert [ere.channel_pole_momentum(ch) for ch in model.channels] == [None, None]
+    # a 2D phase passes pi where log(a2 p) = 0
+    planar = ere.make_2d_model(0.5, 4.0)
+    assert [ere.channel_pole_momentum(ch) for ch in planar.channels] == [2.0, 0.25]
+    phi, theta = ere.phases(planar, np.array([2.0, 0.25]))
+    assert (phi[0], theta[1]) == pytest.approx((math.pi, math.pi), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,14 @@ def test_trajectory_gallery(tmp_path):
 
 @pytest.mark.parametrize(
     "script,args",
-    [("pole_flow.py", ("--steps", "5")), ("wigner_audit.py", ("--count", "200"))],
+    [
+        ("pole_flow.py", ("--steps", "5")),
+        ("wigner_audit.py", ("--count", "200")),
+        # 11 points over [1e-2, 1e2]: phases jump by more than pi between samples.
+        ("wigner_audit.py", ("--count", "11")),
+        ("trajectory_gallery.py", ("--count", "11", "--out-dir", "{tmp}")),
+    ],
 )
-def test_script_exits_zero(script, args):
-    proc = _run(script, *args)
+def test_script_exits_zero(script, args, tmp_path):
+    proc = _run(script, *(arg.format(tmp=tmp_path) for arg in args))
     assert proc.returncode == 0, proc.stderr

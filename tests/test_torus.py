@@ -59,10 +59,16 @@ def test_sample_trajectory_is_continuous():
     )
 
 
-def test_sample_trajectory_rejects_coarse_grid():
+def test_sample_trajectory_accepts_a_two_point_grid():
+    """The singlet passes -pi at sqrt(2) between the samples; no grid is too coarse."""
     model = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
-    with pytest.raises(ValueError, match="refine"):
-        torus.sample_trajectory(model, np.array([0.01, 100.0]))
+    grid = np.array([0.01, 100.0])
+    traj = torus.sample_trajectory(model, grid)
+    phi, theta = ere.phases(model, grid)
+    assert abs(traj.phi[1] - traj.phi[0]) > math.pi
+    np.testing.assert_array_equal(traj.p, grid)
+    np.testing.assert_array_equal(traj.phi, phi)
+    np.testing.assert_array_equal(traj.theta, theta)
 
 
 def test_trajectory_validation():
