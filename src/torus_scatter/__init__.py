@@ -17,10 +17,11 @@ Modules
 ``geometry``   potentials, lapse, trajectory equations, affine integration
 ``causality``  Wigner bounds, tangent/exit audits, S-matrix poles
 ``config``     JSON-serializable run configuration, default check tolerances
-``cli``        the ``torus-scatter`` command-line tool
+``cli``        the ``torus-scatter`` command-line tool (not imported by the
+               package, so ``python -m torus_scatter.cli`` runs it cleanly)
 """
 
-from . import causality, cli, config, ere, geometry, spin, torus, uvir
+from . import causality, config, ere, geometry, spin, torus, uvir
 from .causality import (
     PoleSet,
     effective_area_bound_2d,
@@ -81,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # subpackages
-    "causality", "cli", "config", "ere", "geometry", "spin", "torus", "uvir",
+    "causality", "config", "ere", "geometry", "spin", "torus", "uvir",
     # spin
     "build_s_operator", "build_swap", "out_density_matrix",
     "entanglement_power_closed", "entanglement_power_mc",

@@ -302,7 +302,7 @@ def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None, tol_override: f
     report = {"suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
     if suite == "all":
         report["skipped"] = skipped
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
     return 0 if report["pass"] else 1
 
 

@@ -87,7 +87,10 @@ class Channel3D:
 
 @dataclass(frozen=True)
 class Channel2D:
-    """A 2D s-wave channel: cot(delta) = (1/pi) log(a2^2 p^2) + sigma2 p^2."""
+    """A 2D s-wave channel with length a2 and shape parameter sigma2.
+
+    The phases take sigma2 = 0 only, where cot(delta) = -(1/pi) log(a2^2 p^2).
+    """
 
     a2: float
     sigma2: float = 0.0
@@ -316,9 +319,10 @@ def _second_3d_channel(ch: Channel3D, p):
 def _phase_2d_channel(ch: Channel2D, p):
     """Continuous-branch 2D phase 2*delta in (0, 2pi), increasing in p.
 
-    cot(delta) = (1/pi) log(a2^2 p^2); the branch is fixed so the phase runs
-    from 0 at threshold to 2pi at infinite momentum.  p = 0 returns the
-    threshold limit 0 exactly (the log itself is singular there).
+    cot(delta) = -(1/pi) log(a2^2 p^2), so 2*delta = pi + 2 arctan((2/pi) log(a2 p));
+    the branch is fixed so the phase runs from 0 at threshold to 2pi at
+    infinite momentum.  p = 0 returns the threshold limit 0 exactly (the log
+    itself is singular there).
     """
     if ch.sigma2 != 0.0:
         raise ValueError("phase formula applies to sigma2 = 0 (scattering-length approximation)")

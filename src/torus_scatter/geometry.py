@@ -286,7 +286,8 @@ def eom_residual(
     Each term carries one power of c1 (the amplitude 1/c1^2), so the
     residual does not depend on it.  Grid points where the potential
     argument is within 1e-6 of a tan singularity are excluded from the
-    max-norm and reported in ``excluded``.
+    max-norm and reported in ``excluded``; a grid with none left raises
+    ValueError.
     """
     p = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if np.any(p <= 0):
@@ -294,6 +295,10 @@ def eom_residual(
 
     phi, theta = ere.phases(model, p)
     keep = ~np.asarray(potential.singular_mask(phi, theta))
+    if not keep.any():
+        raise ValueError(
+            f"eom_residual: all {keep.size} grid points excluded (potential singularity)"
+        )
     n_val, dn_val = (x[keep] for x in lapse(model, p, potential.c1))
     n3 = n_val * n_val * n_val
     res = []
@@ -310,7 +315,7 @@ def eom_residual(
         p=p[keep],
         res_phi=res[0],
         res_theta=res[1],
-        max_norm=float(max(res[0].max(), res[1].max())) if keep.any() else math.nan,
+        max_norm=float(max(res[0].max(), res[1].max())),
         excluded=[(float(pp), "potential singularity") for pp in p[~keep]],
     )
 
@@ -349,7 +354,8 @@ def overdetermination_2d(
     The overdetermination is consistent iff kappa equals (ln sqrt(W))', i.e.
     iff W / (phi' - theta')^2 is constant along the curve; the maximal
     relative spread of that ratio is reported.  Points where the shape's
-    gradient vanishes or blows up are excluded.
+    gradient vanishes or blows up are excluded; a grid with none left raises
+    ValueError.
     """
     if model.dimension != 2:
         raise ValueError("overdetermination check is for 2D models")
@@ -382,19 +388,19 @@ def overdetermination_2d(
     dw = dphi - dtheta
     ratio = np.atleast_1d(w / (dw * dw))[np.atleast_1d(keep)]
     if ratio.size == 0:
-        dev = math.nan
-        passed = False
-    else:
-        center = float(np.median(ratio))
-        dev = float(np.max(np.abs(ratio - center) / abs(center)))
-        passed = dev < tol
+        raise ValueError(
+            f"overdetermination_2d: all {len(excluded)} grid points excluded "
+            "(shape gradient singular or zero)"
+        )
+    center = float(np.median(ratio))
+    dev = float(np.max(np.abs(ratio - center) / abs(center)))
     return OverdeterminationReport(
         p=np.atleast_1d(p)[np.atleast_1d(keep)],
         kappa=np.atleast_1d(kappa)[np.atleast_1d(keep)],
         w=np.atleast_1d(w)[np.atleast_1d(keep)],
         max_relative_deviation=dev,
         tolerance=tol,
-        passed=passed,
+        passed=dev < tol,
         excluded=excluded,
     )
 

@@ -2,14 +2,16 @@
 
 Each symmetric family row pairs a momentum inversion ``p -> 1/(lambda |a0 a1| p)``
 with an affine relabeling of the torus coordinates, e.g. ``phi -> -pi - theta``,
-and a transformation class for the out-state density matrix:
+and a transformation class for the out-state density matrix.  The scattering
+operator is ``S = exp(i phi) P_s + exp(i theta) P_t`` in total spin, and each
+class fixes a sign per sector, (s_s, s_t): the density matrix at the image
+momentum equals the in-state evolved by ``exp(i s_s phi) P_s + exp(i s_t theta) P_t``.
 
-* ``rho``      : the density matrix itself is invariant;
-* ``rho_bar``  : it maps to the conjugated-evolution matrix
+* ``rho``      (+, +): the density matrix itself is invariant;
+* ``rho_bar``  (-, -): it maps to the conjugated-evolution matrix
   ``S* |in><in| S^T`` (all phase shifts change sign);
-* mixed classes: the singlet-projected block follows one of the above and the
-  triplet-projected block the other.  Only the block-diagonal statements are
-  asserted; the cross (singlet-triplet) block phase is recorded as data.
+* mixed classes: one sector keeps its phase and the other changes sign;
+  "minus" names the singlet (SWAP = -1) sector, "plus" the triplet.
 
 The verifiers sample a model over a positive momentum grid, evaluate the
 phases at each ``p`` and at its image ``p'``, and bound the deviation of the
@@ -49,10 +51,18 @@ class RhoClass(enum.Enum):
 
     RHO = "rho"
     RHO_BAR = "rho_bar"
-    # Singlet block from plain rho, triplet block from the conjugated matrix.
     RHO_MINUS_RHOBAR_PLUS = "rho_minus + rhobar_plus"
-    # Singlet block from the conjugated matrix, triplet block from plain rho.
     RHO_PLUS_RHOBAR_MINUS = "rho_plus + rhobar_minus"
+
+
+#: Sector signs (s_s, s_t) of each class: rho(p') is the in-state evolved by
+#: exp(i s_s phi) P_s + exp(i s_t theta) P_t at p.
+_SECTOR_SIGNS = {
+    RhoClass.RHO: (+1, +1),
+    RhoClass.RHO_BAR: (-1, -1),
+    RhoClass.RHO_MINUS_RHOBAR_PLUS: (+1, -1),
+    RhoClass.RHO_PLUS_RHOBAR_MINUS: (-1, +1),
+}
 
 
 @dataclass(frozen=True)
@@ -247,98 +257,66 @@ def verify_density_map(
 ) -> Check:
     """Check the density-matrix transformation class of the family row.
 
-    For classes RHO / RHO_BAR the full 4x4 matrices are compared.  For the
-    mixed classes the singlet- and triplet-projected blocks are compared to
-    their stated sources, and the cross-block phase relation is recorded in
-    the report details (not asserted).
+    With u = P_s psi and v = P_t psi, the out-state of S = exp(i phi) P_s +
+    exp(i theta) P_t is ``u u^+ + v v^+ + exp(i (phi - theta)) u v^+ + h.c.``:
+    the phases enter only through the singlet-triplet cross block, and only
+    through phi - theta.  The class's sector signs (s_s, s_t) therefore state
+    ``rho(p') - rho~(p) = d u v^+ + conj(d) v u^+`` with
+    ``d = exp(i (phi' - theta')) - exp(i (s_s phi - s_t theta))``, and
+    ``max_deviation`` is the largest modulus of an entry of that over all
+    points and in-states, for every class alike.  For the mixed classes the details
+    also record ``cross_block_phase_vs_plain_rho``, the range of
+    wrap((phi' - theta') - (phi - theta)), when some in-state's u v^+ has an
+    entry of at least 1e-12.
 
     ``in_states`` is a (k, 4) array of normalized states with k >= 1 (one
-    1-D state of length 4 also works); anything else raises ValueError.  The
-    whole grid is evaluated at once: the scattering operators at p and at its
-    image are built as (n, 4, 4) stacks, each operator is checked for
-    unitarity (``spin.is_unitary``) and each in-state for normalization (ValueError
-    otherwise), and only the in-states are looped over, building just the
-    density matrices that the class compares.  The projector sandwiches are
-    two 2-D products over the whole stack (``_sandwich``).  The projector
-    entries are 0, +-1/2 and 1, so every product is exact and each entry sums
-    at most two nonzero terms: the bits do not depend on how BLAS orders the
-    sums, and the report is the one a point-by-point evaluation gives.
+    1-D state of length 4 also works); anything else raises ValueError, as
+    does a non-finite phase.
     """
     sym = _require_family(model)
     if in_states is None:
         in_states = _default_in_states(10)
     shape = np.shape(in_states)
-    in_states = np.atleast_2d(np.asarray(in_states, dtype=complex))
-    if in_states.ndim != 2 or in_states.shape[1] != 4:
+    states = np.atleast_2d(np.asarray(in_states, dtype=complex))
+    if states.ndim != 2 or states.shape[1] != 4:
         raise ValueError(f"in_states must have shape (k, 4), got {shape}")
-    if in_states.shape[0] == 0:
+    if states.shape[0] == 0:
         raise ValueError("no in-states")
-    states = [spin.normalized_state(psi) for psi in in_states]
+    norms = np.linalg.norm(states, axis=1)
+    off = ~(np.abs(norms - 1.0) <= 1e-9)
+    if off.any():
+        raise ValueError(f"in_state must be normalized, got |psi| = {norms[off][0]!r}")
     p = _momentum_grid(p_grid)
-    phi, theta = (np.atleast_1d(x) for x in ere.phases(model, p))
-    p_inv = model_inverted_momentum(model, p)
-    phi_inv, theta_inv = (np.atleast_1d(x) for x in ere.phases(model, p_inv))
-
-    s_here = spin.build_s_operator(phi, theta)
-    s_image = spin.build_s_operator(phi_inv, theta_inv)
-    if not (spin.is_unitary(s_here) and spin.is_unitary(s_image)):
+    phi, theta = ere.phases(model, p)
+    phi_inv, theta_inv = ere.phases(model, model_inverted_momentum(model, p))
+    if not np.all(np.isfinite([phi, theta, phi_inv, theta_inv])):
         raise ValueError("scattering operator is not unitary")
-    s_bar = s_here.conj()
 
-    p_s, p_t = spin.SINGLET_PROJECTOR, spin.TRIPLET_PROJECTOR
-    mixed = sym.rho_class not in (RhoClass.RHO, RhoClass.RHO_BAR)
-    max_dev = 0.0
-    # cross_phases[k, j]: point k, in-state j; NaN where the phase is undefined.
-    cross_phases = np.full((p.size, len(states)), np.nan)
-    for j, psi in enumerate(states):
-        rho_image = _outer_rows(s_image @ psi)
-        if sym.rho_class is RhoClass.RHO:
-            dev = _max_abs(rho_image - _outer_rows(s_here @ psi))
-        elif sym.rho_class is RhoClass.RHO_BAR:
-            dev = _max_abs(rho_image - _outer_rows(s_bar @ psi))
-        else:
-            rho_plain = _outer_rows(s_here @ psi)
-            rho_bar = _outer_rows(s_bar @ psi)
-            if sym.rho_class is RhoClass.RHO_MINUS_RHOBAR_PLUS:
-                singlet_src, triplet_src = rho_plain, rho_bar
-            else:
-                singlet_src, triplet_src = rho_bar, rho_plain
-            dev = max(
-                _max_abs(_sandwich(p_s, rho_image - singlet_src, p_s)),
-                _max_abs(_sandwich(p_t, rho_image - triplet_src, p_t)),
-            )
-            cross_phases[:, j] = _cross_block_phase(rho_image, rho_plain, p_s, p_t)
-        max_dev = max(max_dev, dev)
+    s_s, s_t = _SECTOR_SIGNS[sym.rho_class]
+    d = np.exp(1j * (phi_inv - theta_inv)) - np.exp(1j * (s_s * phi - s_t * theta))
+    # Row j of ``states @ P`` is P psi_j (the projectors are real and symmetric).
+    u = states @ spin.SINGLET_PROJECTOR
+    v = states @ spin.TRIPLET_PROJECTOR
+    cross = u[:, :, None] * v.conj()[:, None, :]  # (k, 4, 4): u v^+ per in-state
+    # Entry by entry, with a from u v^+ and b from v u^+,
+    # |d a + conj(d) b|^2 = |d|^2 (|a|^2 + |b|^2) + 2 Re(d^2 a conj(b)):
+    # one real (n, 3) @ (3, 16 k) product squares every entry at every point.
+    a, b = cross.reshape(-1), cross.conj().swapaxes(-1, -2).reshape(-1)
+    ab, d2 = a * b.conj(), d * d
+    squares = np.stack([d.real**2 + d.imag**2, d2.real, d2.imag], axis=-1) @ np.stack(
+        [a.real**2 + a.imag**2 + b.real**2 + b.imag**2, 2.0 * ab.real, -2.0 * ab.imag]
+    )
+    max_dev = math.sqrt(max(float(np.max(squares)), 0.0))
+
     details: dict = {"rho_class": sym.rho_class.value, "table": model.family.table}
-    if mixed:
-        summary = _finite_range(cross_phases)
-        if summary is not None:
-            details["cross_block_phase_vs_plain_rho"] = summary
+    if s_s != s_t and np.max(np.abs(cross)) >= 1e-12:
+        details["cross_block_phase_vs_plain_rho"] = _finite_range(
+            np.atleast_1d(wrap_angle((phi_inv - theta_inv) - (phi - theta)))
+        )
     return Check(
         "density_map", max_dev, tol, max_dev < tol,
         {"row": model.family.row, "details": details},
     )
-
-
-def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x), initial=0.0))
-
-
-def _outer_rows(vectors: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.outer(v, v.conj())``: the stack of pure-state density matrices."""
-    return vectors[:, :, None] * vectors.conj()[:, None, :]
-
-
-def _sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ stack[k] @ right`` for every k, as two (4n, 4) @ (4, 4) products.
-
-    The left product comes first, as in ``left @ stack @ right``: it is taken
-    on the transposed blocks, ``(left X)^T = X^T left^T``.  A stacked matmul
-    would make one small BLAS call per block instead.
-    """
-    n = stack.shape[0]
-    left_x_t = (stack.transpose(0, 2, 1).reshape(4 * n, 4) @ left.T).reshape(n, 4, 4)
-    return (left_x_t.transpose(0, 2, 1).reshape(4 * n, 4) @ right).reshape(n, 4, 4)
 
 
 def _finite_range(values: np.ndarray) -> dict | None:
@@ -353,24 +331,6 @@ def _finite_range(values: np.ndarray) -> dict | None:
     low = finite[np.argmax(finite == finite.min())]
     high = finite[np.argmax(finite == finite.max())]
     return {"min": float(low), "max": float(high)}
-
-
-def _cross_block_phase(rho_image, rho_plain, p_s, p_t) -> np.ndarray:
-    """Phase of the image's singlet-triplet block relative to the plain one.
-
-    Per point, the ratio is taken at the plain block's largest entry (the
-    first one on ties); the phase is NaN where that entry is below 1e-12.
-    """
-    n = rho_plain.shape[0]
-    cross_image = _sandwich(p_s, rho_image, p_t).reshape(n, 16)
-    cross_plain = _sandwich(p_s, rho_plain, p_t).reshape(n, 16)
-    idx = np.argmax(np.abs(cross_plain), axis=1)[:, None]
-    plain = np.take_along_axis(cross_plain, idx, axis=1)[:, 0]
-    image = np.take_along_axis(cross_image, idx, axis=1)[:, 0]
-    phase = np.full(n, np.nan)
-    defined = ~(np.abs(plain) < 1e-12)
-    phase[defined] = np.angle(image[defined] / plain[defined])
-    return phase
 
 
 def verify_ep_invariance(

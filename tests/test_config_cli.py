@@ -486,3 +486,27 @@ def test_cli_import_does_not_load_scipy():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_verify_with_no_grid_point_left_exits_2(tmp_path, capsys):
+    # phi + theta is pi and 3 pi at the two grid points, so the 2D
+    # overdetermination check excludes both; no NaN may reach the report.
+    grid = {"min": 0.10933059980159891, "max": 3.0488567147553383, "count": 2}
+    cfg = _write_config(tmp_path, dimension=2, a0=1.0, a1=3.0, family=None, p_grid=grid)
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]
+    assert message.startswith("overdetermination_2d: all 2 grid points excluded")
+
+
+def test_module_run_keeps_stderr_empty(tmp_path):
+    """``python -m torus_scatter.cli`` prints its report and nothing else."""
+    cfg = _write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "torus_scatter.cli", "verify", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["pass"] is True

@@ -285,6 +285,19 @@ def test_eom_residual_excludes_2d_turning_point():
     assert report.max_norm < 1e-8
 
 
+def test_checks_with_no_grid_point_left_raise():
+    # p* = 1/sqrt(a2_0 a2_1) alone: the eom residual excludes it (tan^2 wall).
+    # p = 0.10933059980159891 and 3.0488567147553383 put phi + theta at pi and
+    # 3 pi, where the 2D shape gradient vanishes.
+    m = ere.make_2d_model(1.0, 4.0)
+    with pytest.raises(ValueError, match=r"^eom_residual: all 1 grid points excluded"):
+        geometry.eom_residual(m, geometry.potential_2d(1.0, 4.0), p_grid=[0.5])
+    m = ere.make_2d_model(1.0, 3.0)
+    grid = [0.10933059980159891, 3.0488567147553383]
+    with pytest.raises(ValueError, match=r"^overdetermination_2d: all 2 grid points excluded"):
+        geometry.overdetermination_2d(m, grid)
+
+
 def test_eom_residual_keeps_vanishing_lapse():
     # equal range-corrected channels: both phases cross -pi at p = sqrt(2),
     # the sine-form lapse vanishes there while the potential stays regular;

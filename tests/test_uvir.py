@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, spin, uvir
+from torus_scatter import ere, spin, torus, uvir
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,15 @@ def test_density_map_oracle_by_hand():
     np.testing.assert_allclose(rho_q, rho_bar_p, atol=1e-12)
 
 
+#: Sector signs (s_s, s_t) read off the mixed class names: "minus" is the
+#: singlet sector, "plus" the triplet; "rho" keeps a sector's phase, "rhobar"
+#: flips its sign.
+MIXED_SIGNS = {
+    uvir.RhoClass.RHO_MINUS_RHOBAR_PLUS: (+1, -1),
+    uvir.RhoClass.RHO_PLUS_RHOBAR_MINUS: (-1, +1),
+}
+
+
 def _density_map_by_point(model, in_states, grid):
     """Reference oracle: the per-point loop over ``spin.out_density_matrix``."""
     sym = uvir.expected_map(model.family.table, model.family.row)
@@ -195,20 +204,15 @@ def _density_map_by_point(model, in_states, grid):
         for psi in in_states:
             rho_image = spin.out_density_matrix(s_image, psi)
             rho_plain = spin.out_density_matrix(s_here, psi)
-            rho_bar = spin.out_density_matrix(s_here, psi, conjugated=True)
             if sym.rho_class is uvir.RhoClass.RHO:
                 dev = np.max(np.abs(rho_image - rho_plain))
             elif sym.rho_class is uvir.RhoClass.RHO_BAR:
+                rho_bar = spin.out_density_matrix(s_here, psi, conjugated=True)
                 dev = np.max(np.abs(rho_image - rho_bar))
             else:
-                if sym.rho_class is uvir.RhoClass.RHO_MINUS_RHOBAR_PLUS:
-                    singlet_src, triplet_src = rho_plain, rho_bar
-                else:
-                    singlet_src, triplet_src = rho_bar, rho_plain
-                dev = max(
-                    np.max(np.abs(p_s @ (rho_image - singlet_src) @ p_s)),
-                    np.max(np.abs(p_t @ (rho_image - triplet_src) @ p_t)),
-                )
+                s_s, s_t = MIXED_SIGNS[sym.rho_class]
+                s_mixed = spin.build_s_operator(s_s * phi[k], s_t * theta[k])
+                dev = np.max(np.abs(rho_image - spin.out_density_matrix(s_mixed, psi)))
                 cross_image = p_s @ rho_image @ p_t
                 cross_plain = p_s @ rho_plain @ p_t
                 idx = np.unravel_index(np.argmax(np.abs(cross_plain)), cross_plain.shape)
@@ -225,6 +229,20 @@ def _density_map_by_point(model, in_states, grid):
         passed=max_dev < 1e-10,
         extra={"row": model.family.row, "details": details},
     )
+
+
+def _assert_matches_oracle(report, oracle):
+    """Same verdict, keys and class; deviation to 1e-15, cross phases to 1e-14 mod 2pi."""
+    assert report.keys() == oracle.keys()
+    assert report["pass"] == oracle["pass"]
+    assert report["details"].keys() == oracle["details"].keys()
+    assert report["details"]["rho_class"] == oracle["details"]["rho_class"]
+    assert abs(report["max_deviation"] - oracle["max_deviation"]) <= 1e-15
+    if "cross_block_phase_vs_plain_rho" in oracle["details"]:
+        got = report["details"]["cross_block_phase_vs_plain_rho"]
+        want = oracle["details"]["cross_block_phase_vs_plain_rho"]
+        for end in ("min", "max"):
+            assert abs(torus.wrap_angle(got[end] - want[end])) <= 1e-14, (got, want)
 
 
 @pytest.mark.parametrize(
@@ -249,13 +267,47 @@ def test_batched_density_map_equals_point_loop(table, row, a0, a1, lam, rho_clas
         grid = np.geomspace(1e-2, 1e2, count)
         report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
         assert report["details"]["rho_class"] == rho_class
-        # repr tells -0.0 from 0.0, which == does not.
-        assert repr(report) == repr(_density_map_by_point(m, states, grid).to_json())
+        _assert_matches_oracle(report, _density_map_by_point(m, states, grid).to_json())
         if "+" in rho_class:
             assert "cross_block_phase_vs_plain_rho" in report["details"]
         report = uvir.verify_density_map(m, in_states=[near_triplet], p_grid=grid).to_json()
-        assert repr(report) == repr(_density_map_by_point(m, [near_triplet], grid).to_json())
+        _assert_matches_oracle(report, _density_map_by_point(m, [near_triplet], grid).to_json())
         assert "cross_block_phase_vs_plain_rho" not in report["details"]
+
+
+@pytest.mark.parametrize(
+    "table,row,a0,a1,lam",
+    [
+        ("T1", 1, 1.2, -5.0, 1.0),
+        ("T1", 4, 1.2, 5.0, 1.0),
+        ("T2", 1, 1.0, 2.0, 0.7),
+        ("T2", 2, 1.3, -4.0, 0.3),
+        ("T2", 3, -0.8, 6.0, 0.2),
+        ("T2", 4, 1.0, 2.0, 0.7),
+        ("T2", 5, -15.0, -1.0, 0.01),
+        ("T3", 6, -0.9, -4.0, 0.25),
+    ],
+)
+def test_density_map_fails_on_perturbed_image_phases(monkeypatch, table, row, a0, a1, lam):
+    """Image phases off by about 1e-3 fail every class, by the 4x4 oracle's amount."""
+    m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
+    grid = np.geomspace(1e-2, 1e2, 7)
+    image = uvir.model_inverted_momentum(m, grid)
+    noise = 1e-3 * np.random.default_rng(5).standard_normal((2, grid.size))
+    real_phases = ere.phases
+
+    def perturbed_phases(model, p):
+        phi, theta = real_phases(model, p)
+        if np.array_equal(p, image):
+            return phi + noise[0], theta + noise[1]
+        return phi, theta
+
+    monkeypatch.setattr(ere, "phases", perturbed_phases)
+    states = spin.haar_product_states(4, np.random.default_rng(11))
+    report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
+    oracle = _density_map_by_point(m, states, grid).to_json()
+    assert not report["pass"] and report["max_deviation"] > 1e-5, report
+    _assert_matches_oracle(report, oracle)
 
 
 def test_density_map_rejects_missing_or_misshapen_in_states():
@@ -267,19 +319,6 @@ def test_density_map_rejects_missing_or_misshapen_in_states():
                        (np.ones((2, 1, 4)), "(2, 1, 4)")):
         with pytest.raises(ValueError, match=f"shape \\(k, 4\\), got {re.escape(shape)}$"):
             uvir.verify_density_map(m, in_states=bad, p_grid=grid)
-
-
-def test_sandwich_equals_stacked_matmul():
-    rng = np.random.default_rng(4)
-    stack = rng.normal(size=(37, 4, 4)) + 1j * rng.normal(size=(37, 4, 4))
-    left, right = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
-    np.testing.assert_allclose(uvir._sandwich(left, stack, right), left @ stack @ right,
-                               rtol=1e-13, atol=1e-13)
-    # Projector entries are 0, +-1/2 and 1: every product is exact, so the
-    # bits match the per-block BLAS calls.
-    p_s, p_t = spin.SINGLET_PROJECTOR, spin.TRIPLET_PROJECTOR
-    for a, b in ((p_s, p_s), (p_t, p_t), (p_s, p_t)):
-        assert uvir._sandwich(a, stack, b).tobytes() == (a @ stack @ b).tobytes()
 
 
 @pytest.mark.parametrize(
