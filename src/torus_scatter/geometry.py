@@ -20,7 +20,13 @@ implemented:
 and ``lapse`` gives every model its lapse, keyed on the model's class.  The
 three closed-form lapses are k c1 (phi' - eps theta'), so the affine span is
 exact from the continuous-branch phases at its ends (``affine_parameter_span``).
-``integrate_affine`` integrates the N = 1 motion with scipy's DOP853.
+``integrate_affine`` integrates the N = 1 motion with scipy's DOP853; its
+right-hand side evaluates ``gradient``'s formula once per call on Python
+floats.  ``point_to_polyline_distance`` measures an integrated curve against
+the closed form.  It evaluates only the segments beside the vertices that
+can be nearest, found by a k-d tree query of 4 neighbours and, where those
+do not cover the point's ball, of 16, and equals the all-pairs distance bit
+for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
@@ -66,6 +72,9 @@ COS_SINGULAR_TOL = 1e-6
 LAPSE_SINGULAR_TOL = 1e-10
 #: Relative and absolute error targets of ``integrate_affine``'s DOP853 steps.
 AFFINE_RTOL, AFFINE_ATOL = 1e-11, 1e-12
+#: Nearest-vertex counts ``point_to_polyline_distance`` asks its k-d tree for,
+#: in turn, before a point whose ball holds more takes every segment.
+BALL_NEIGHBOURS = (4, 16)
 
 
 @dataclass(frozen=True)
@@ -89,22 +98,31 @@ class GeometricPotential:
             raise ValueError("c1 must be nonzero")
 
     def argument(self, phi, theta):
-        return self.scale * (np.asarray(phi) + self.epsilon * np.asarray(theta)) + self.chi
+        """u = scale (phi + epsilon theta) + chi, on arrays or Python floats."""
+        return self.scale * (phi + self.epsilon * theta) + self.chi
 
     def value(self, phi, theta):
-        t = np.tan(self.argument(phi, theta))
+        t = np.tan(self.argument(np.asarray(phi), np.asarray(theta)))
         return (self.amplitude * t * t)[()]
 
     def gradient(self, phi, theta):
         """(dV/dphi, dV/dtheta); the theta component is epsilon times the phi one."""
-        u = self.argument(phi, theta)
-        sec2 = 1.0 / np.cos(u) ** 2
-        g_phi = 2.0 * self.amplitude * self.scale * np.tan(u) * sec2
+        u = self.argument(np.asarray(phi), np.asarray(theta))
+        g_phi = self._slope(np.tan(u), np.cos(u))
         return g_phi[()], (self.epsilon * g_phi)[()]
+
+    def _slope(self, tan_u, cos_u):
+        """dV/dphi = 2 A s tan(u) sec^2(u), given tan(u) and cos(u) of the argument.
+
+        The one statement of the derivative: ``gradient`` passes arrays,
+        ``integrate_affine``'s right-hand side Python floats.  cos^2 is a
+        product, as NumPy squares arrays, so both give the same bits.
+        """
+        return 2.0 * self.amplitude * self.scale * tan_u * (1.0 / (cos_u * cos_u))
 
     def singular_mask(self, phi, theta, tol: float = COS_SINGULAR_TOL):
         """True where tan(argument) blows up (|cos| below tol)."""
-        return np.abs(np.cos(self.argument(phi, theta))) < tol
+        return np.abs(np.cos(self.argument(np.asarray(phi), np.asarray(theta)))) < tol
 
 
 def epsilon_for(a0: float, a1: float) -> int:
@@ -439,22 +457,23 @@ def integrate_affine(
     The inverse-metric factor is folded into the potential term exactly as in
     ``eom_residual`` with N = 1, so an integrated curve initialized on a
     closed-form trajectory stays on it.  DOP853, an eighth-order Runge-Kutta
-    pair, needs about half the right-hand-side calls of RK45 here.  If the
-    integrator fails (typically by running into a potential singularity) the
-    curve is truncated and a diagnostic recorded.
+    pair, needs about half the right-hand-side calls of RK45 here.
+    ``tau_span`` must be finite and nonzero (it may be negative) and
+    ``n_samples`` at least 1.  If the integrator fails (typically by
+    running into a potential singularity) the curve is truncated and a
+    diagnostic recorded.
     """
-    from scipy.integrate import solve_ivp
-
+    if not (math.isfinite(tau_span) and tau_span != 0.0):
+        raise ValueError(f"tau_span must be finite and nonzero, got {tau_span!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     phi0, theta0, dphi0, dtheta0 = (float(v) for v in init)
     if bool(np.asarray(potential.singular_mask(phi0, theta0))):
         raise ValueError("initial point sits on a potential singularity")
-
-    def rhs(_tau, y):
-        g_phi, g_theta = potential.gradient(y[0], y[1])
-        return [y[2], y[3], -g_phi, -g_theta]
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
-        rhs,
+        _affine_rhs(potential),
         (0.0, tau_span),
         [phi0, theta0, dphi0, dtheta0],
         t_eval=np.linspace(0.0, tau_span, n_samples),
@@ -472,6 +491,25 @@ def integrate_affine(
         truncated=truncated,
         diagnostic="" if sol.success else f"integrator stopped: {sol.message}",
     )
+
+
+def _affine_rhs(potential: GeometricPotential):
+    """``integrate_affine``'s right-hand side (phi', theta', -dV/dphi, -dV/dtheta).
+
+    The potential depends on phi and theta only through its argument u, and
+    dV/dtheta = epsilon dV/dphi, so one ``_slope`` on Python floats gives
+    both forces, bit for bit those of ``gradient``.  tan and cos stay NumPy's:
+    ``math.tan`` differs from them in the last bit on some arguments.
+    """
+    eps = potential.epsilon
+
+    def rhs(_tau, y):
+        phi, theta, dphi, dtheta = y.tolist()
+        u = potential.argument(phi, theta)
+        g_phi = potential._slope(float(np.tan(u)), float(np.cos(u)))
+        return [dphi, dtheta, -g_phi, -eps * g_phi]
+
+    return rhs
 
 
 def affine_parameter_span(
@@ -510,16 +548,20 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     vertices are evaluated with the arithmetic of an all-pairs evaluation
     (clipped projection, then the sum of squares), and the minimum over them
     is the all-pairs minimum, so the result is the all-pairs one bit for bit.
-    A point whose ball holds 16 vertices or more, a non-finite point, and
+    The tree is asked for each point's 4 nearest vertices, and again for 16
+    only where the 4th lies inside the ball (``BALL_NEIGHBOURS``).  A point
+    whose 16th nearest vertex lies inside its ball, a non-finite point, and
     every point of a polyline with a non-finite vertex (the tree rejects
-    those) take every segment.  Points go to the tree 4096 at a time, in one
-    query each; those that take every segment go 128 at a time, so at most
-    max(128 (m - 1), 4096 * 30) pairs are held at once.
+    those) take every segment.  Points go to the tree 4096 at a time, in at
+    most two queries each; those that take every segment go 128 at a time,
+    so at most max(128 (m - 1), 4096 * 30) pairs are held at once.
     """
     from scipy.spatial import cKDTree
 
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")
     if polyline.ndim != 2 or polyline.shape[0] < 2 or polyline.shape[1] != 2:
         raise ValueError(
             f"polyline must be an (m, 2) array of m >= 2 vertices, got shape {polyline.shape}"
@@ -547,26 +589,34 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
 def _lower_in_ball(d2_min, tree, pts, seg_a, seg_v, seg_len2) -> np.ndarray:
     """Lower ``d2_min`` over the segments beside the vertices in each ball.
 
-    The 16 nearest vertices hold a point's whole ball (see
-    ``point_to_polyline_distance``) unless the 16th is inside it.  Returns
-    the mask of the points this leaves for every segment: those, and the
-    non-finite ones.  Pairs may repeat, which leaves the minimum unchanged.
+    The k nearest vertices hold a point's whole ball (see
+    ``point_to_polyline_distance``) unless the k-th is inside it; a tree of
+    fewer than k vertices reports the missing ones at infinite distance.
+    Each point is asked for its ``BALL_NEIGHBOURS[0]`` nearest vertices, and
+    only those whose k-th lies inside their ball are asked again for the
+    next count.  Returns the mask of the points this leaves for every
+    segment: those whose last k-th is inside their ball, and the non-finite
+    ones.  Pairs may repeat, which leaves the minimum unchanged.
     """
-    every = np.ones(pts.shape[0], dtype=bool)
-    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
-    dist, vert = tree.query(pts[finite], k=min(16, tree.n))
-    reach = dist[:, 0] + 0.5 * math.sqrt(seg_len2.max())
-    radius = reach + 1e-12 * (reach + np.abs(pts[finite]).max(axis=1))
-    inside = dist <= radius[:, None]
-    whole = ~inside[:, -1]
-    every[finite[whole]] = False
-    row, col = np.nonzero(inside & whole[:, None])
-    near = vert[row, col]
-    _lower_on_pairs(
-        d2_min, pts, np.tile(finite[row], 2),
-        np.clip(np.concatenate([near - 1, near]), 0, seg_len2.size - 1),
-        seg_a, seg_v, seg_len2,
-    )
+    every = ~np.isfinite(pts).all(axis=1)
+    todo = np.flatnonzero(~every)
+    half_longest = 0.5 * math.sqrt(seg_len2.max())
+    for k in BALL_NEIGHBOURS:
+        x = pts[todo]
+        dist, vert = tree.query(x, k=k)
+        reach = dist[:, 0] + half_longest
+        radius = reach + 1e-12 * (reach + np.abs(x).max(axis=1))
+        inside = dist <= radius[:, None]
+        whole = ~inside[:, -1]
+        row, col = np.nonzero(inside & whole[:, None])
+        near = vert[row, col]
+        _lower_on_pairs(
+            d2_min, pts, np.tile(todo[row], 2),
+            np.clip(np.concatenate([near - 1, near]), 0, seg_len2.size - 1),
+            seg_a, seg_v, seg_len2,
+        )
+        todo = todo[~whole]
+    every[todo] = True
     return every
 
 

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -402,6 +406,66 @@ def test_integrate_affine_rejects_singular_start():
         geometry.integrate_affine(pot, (math.pi / 2, -math.pi / 2, 1.0, 1.0), 1.0)
 
 
+def test_integrate_affine_rejects_empty_spans_and_sample_counts():
+    pot = geometry.potential_3d(1.0, -5.0)
+    init = (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ValueError, match="tau_span must be finite and nonzero, got 0.0"):
+        geometry.integrate_affine(pot, init, 0.0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+            geometry.integrate_affine(pot, init, 1.0, n_samples=n)
+    assert geometry.integrate_affine(pot, init, -0.5, n_samples=np.int64(1)).tau.tolist() == [0.0]
+
+
+def test_integrate_affine_rejects_non_finite_spans_without_hanging():
+    """solve_ivp never returns on a non-finite span, so this runs in a
+    child process with a time limit."""
+    code = (
+        "from torus_scatter import geometry\n"
+        "pot = geometry.potential_3d(1.0, -5.0)\n"
+        "for span in (float('nan'), float('inf'), -float('inf')):\n"
+        "    try:\n"
+        "        geometry.integrate_affine(pot, (0.1, 0.2, 0.3, 0.4), span)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        f"tau_span must be finite and nonzero, got {span}" for span in ("nan", "inf", "-inf")
+    ]
+
+
+def test_affine_rhs_is_the_gradient():
+    """The right-hand side on Python floats gives ``gradient``'s forces bit
+    for bit, for each closed-form class, at seeded points away from the
+    tan poles."""
+    rng = np.random.default_rng(14)
+    pots = (
+        geometry.potential_3d(1.3, -4.0),  # zero range, eps = +1
+        geometry.potential_3d(-1.0, -5.0, c1=-2.5),  # zero range, eps = -1
+        geometry.potential_lam14(-1.0, -5.0),
+        geometry.potential_2d(1.0, 5.0),
+    )
+    assert [pot.epsilon for pot in pots[:2]] == [1, -1]
+    for pot in pots:
+        phi, theta = rng.uniform(-2 * math.pi, 2 * math.pi, size=(2, 400))
+        keep = np.abs(np.cos(pot.argument(phi, theta))) > 0.05
+        phi, theta = phi[keep], theta[keep]
+        velocity = rng.normal(size=(phi.size, 2))
+        rhs = geometry._affine_rhs(pot)
+        got = np.array([
+            rhs(0.0, np.array([a, b, u, v])) for a, b, (u, v) in zip(phi, theta, velocity)
+        ])
+        g_phi, g_theta = pot.gradient(phi, theta)
+        assert got[:, :2].tobytes() == velocity.tobytes()
+        assert got[:, 2].tobytes() == (-g_phi).tobytes()
+        assert got[:, 3].tobytes() == (-g_theta).tobytes()
+
+
 def _lapse_mp(model, c1):
     """The construction lapse at 30 digits, from the phases' closed forms:
     (c1/p)(sin phi - eps sin theta) for 3D zero range, sqrt(2) c1 (phi' - eps
@@ -542,6 +606,13 @@ def _polyline_cases(rng):
     s = np.geomspace(1e-3, 3.0, 2000)
     poly = np.column_stack([np.cos(s), np.sin(2 * s)])
     yield poly[::3] + rng.normal(scale=1e-4, size=(667, 2)), poly
+    # A 2D-like phase curve against a sparser resampling of itself: the
+    # balls hold 1-14 vertices, 110 of the 300 points 5 or more, so those
+    # points are asked again for 16 neighbours.
+    def curve(s):
+        return np.column_stack([np.arctan(np.log(s)), np.arctan(np.log(5.0 * s))])
+
+    yield curve(np.geomspace(5e-3, 1.0, 300)), curve(np.geomspace(5e-3, 1.0, 1000))
 
 
 def test_point_to_polyline_distance_matches_all_pairs_bitwise(rng):
@@ -557,6 +628,10 @@ def test_point_to_polyline_distance_edge_cases():
     for short in (poly[:1], poly[:0]):
         with pytest.raises(ValueError, match="m >= 2 vertices"):
             geometry.point_to_polyline_distance(poly, short)
+    for shape in ((2,), (0,), (3, 3), (3, 1), (1, 3, 2)):
+        message = f"points must be an (n, 2) array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            geometry.point_to_polyline_distance(np.zeros(shape), poly)
     # Non-finite inputs get what the all-pairs evaluation gives: NaN for a
     # NaN point, NaN everywhere for a polyline with a NaN or infinite vertex.
     pts = np.array([[0.5, 0.3], [np.nan, 0.0], [2.0, np.inf], [-1.0, 0.0]])
