@@ -6,6 +6,20 @@ A two-channel model carries a singlet and a triplet s-wave channel, either in
 are returned as the doubled angles ``phi = 2*delta_0`` and
 ``theta = 2*delta_1`` that coordinatize the flat torus.
 
+Each channel states its ERE once, as a pair (S, C) of functions of p with
+exp(i delta) proportional to C + i S, so cot(delta) = C/S (``pair`` of
+``Channel3D`` and ``Channel2D``).  Dimension enters only there; every phase
+quantity comes from the pair and its momentum derivatives:
+
+* ``phases``: 2 delta = 2 atan2(S, C), continuous in p;
+* ``tangents``: 2 (S'C - SC')/(S^2 + C^2);
+* ``second_derivatives``: 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2),
+  with t = (S'C - SC')/(S^2 + C^2);
+* ``s_element``: (C + iS)/(C - iS).
+
+All four refuse p < 0; the derivatives of a 2D phase also refuse p = 0, where
+the log in its pair diverges.
+
 Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 
 * table "T1": zero-range models, symmetric under ``p -> 1/(|a0 a1| p)``,
@@ -34,8 +48,6 @@ __all__ = [
     "Channel2D",
     "FamilyTag",
     "TwoChannelModel",
-    "phase_shifts_3d",
-    "phase_shifts_2d",
     "phases",
     "tangents",
     "second_derivatives",
@@ -55,7 +67,8 @@ __all__ = [
 class Channel3D:
     """A 3D s-wave channel: p*cot(delta) = -1/a + (r/2) p^2, no shape terms.
 
-    ``unitarity=True`` represents the a -> +/-infinity limit symbolically
+    Its ERE pair is S = -a p, C = 1 - a r p^2/2.  ``unitarity=True``
+    represents the a -> +/-infinity limit symbolically, with the pair (1, 0)
     (delta = pi/2 at every momentum); it requires r = 0.
     """
 
@@ -84,12 +97,26 @@ class Channel3D:
     def length(self) -> float:
         return self.a
 
+    def pair(self, p: np.ndarray, order: int) -> list:
+        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``."""
+        if self.unitarity:
+            return [(1.0, np.zeros_like(p))] + [(0.0, 0.0)] * order
+        a, r = self.a, self.r
+        pairs = [(-a * p, 1.0 - 0.5 * a * r * p * p)]
+        if order:
+            pairs += [(-a, -a * r * p), (0.0, -a * r)][:order]
+        return pairs
+
 
 @dataclass(frozen=True)
 class Channel2D:
-    """A 2D s-wave channel with length a2 and shape parameter sigma2.
+    """A 2D s-wave channel with length a2 and effective area sigma2.
 
-    The phases take sigma2 = 0 only, where cot(delta) = -(1/pi) log(a2^2 p^2).
+    Its ERE pair is S = 1, C = -(2/pi) log(a2 p), so cot(delta) =
+    -(1/pi) log(a2^2 p^2) and the phase rises from 0 at threshold to 2 pi.
+    The sign of C is this code's convention, not yet checked against the
+    paper's.  Only sigma2 = 0 (the scattering-length approximation) is
+    accepted: the pair has no sigma2 term.
     """
 
     a2: float
@@ -98,10 +125,29 @@ class Channel2D:
     def __post_init__(self) -> None:
         if not (self.a2 > 0.0 and math.isfinite(self.a2)):
             raise ValueError("2D scattering length a2 must be positive and finite")
+        if self.sigma2 != 0.0:
+            raise ValueError(
+                f"2D channels take sigma2 = 0 only (scattering-length approximation); "
+                f"got sigma2={self.sigma2!r}"
+            )
 
     @property
     def length(self) -> float:
         return self.a2
+
+    def pair(self, p: np.ndarray, order: int) -> list:
+        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``;
+        a derivative at p = 0 raises ValueError."""
+        with np.errstate(divide="ignore"):
+            pairs = [(1.0, (-2.0 / np.pi) * np.log(self.a2 * p))]
+        if order:
+            if np.any(p == 0):
+                raise ValueError("2D phase derivatives require p > 0")
+            dc = (-2.0 / np.pi) / p
+            pairs.append((0.0, dc))
+            if order > 1:
+                pairs.append((0.0, -dc / p))
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -270,161 +316,80 @@ def make_2d_model(
 
 
 # ---------------------------------------------------------------------------
-# Phase shifts and their momentum derivatives
+# Phase shifts and their momentum derivatives, from each channel's ERE pair
 # ---------------------------------------------------------------------------
 
 
-def _phase_3d_channel(ch: Channel3D, p):
-    """Continuous-branch phase 2*delta for one 3D channel.
-
-    Writing the momentum-dependent scattering length a(p) = a/(1 - a r p^2/2),
-    the phase is -2*arctan(a(p) p).  Using the two-argument arctangent on the
-    pair (a p, 1 - a r p^2 / 2) keeps the value continuous across the
-    denominator zero (where the phase passes -/+ pi), so the returned value is
-    already unwrapped: it runs from 0 at threshold into (-2pi, 2pi).
-    """
+def _derivative(model: TwoChannelModel, p, order: int) -> tuple:
+    """The ``order``-th momentum derivative (0, 1 or 2) of (phi, theta)."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("momentum must be >= 0")
-    if ch.unitarity:
-        return np.full_like(p, np.pi)[()]
-    denom = 1.0 - 0.5 * ch.a * ch.r * p * p
-    return (-2.0 * np.arctan2(ch.a * p, denom))[()]
+    return tuple(_from_pair(ch.pair(p, order), order) for ch in model.channels)
 
 
-def _tangent_3d_channel(ch: Channel3D, p):
-    """Analytic d(phase)/dp for one 3D channel, valid across the ERE pole."""
-    p = np.asarray(p, dtype=float)
-    if ch.unitarity:
-        return np.zeros_like(p)[()]
-    a, r = ch.a, ch.r
-    denom = 1.0 - 0.5 * a * r * p * p
-    num = 1.0 + 0.5 * a * r * p * p
-    q = denom * denom + a * a * p * p
-    return (-2.0 * a * num / q)[()]
+def _from_pair(pairs: list, order: int):
+    """The ``order``-th derivative of 2 atan2(S, C) from [(S, C), (S', C'), ...].
 
-
-def _second_3d_channel(ch: Channel3D, p):
-    """Analytic d^2(phase)/dp^2 for one 3D channel."""
-    p = np.asarray(p, dtype=float)
-    if ch.unitarity:
-        return np.zeros_like(p)[()]
-    a, r = ch.a, ch.r
-    denom = 1.0 - 0.5 * a * r * p * p
-    num = 1.0 + 0.5 * a * r * p * p
-    q = denom * denom + a * a * p * p
-    return (-2.0 * a * a * p * (r * q - 2.0 * num * (a - r * denom)) / (q * q))[()]
-
-
-def _phase_2d_channel(ch: Channel2D, p):
-    """Continuous-branch 2D phase 2*delta in (0, 2pi), increasing in p.
-
-    cot(delta) = -(1/pi) log(a2^2 p^2), so 2*delta = pi + 2 arctan((2/pi) log(a2 p));
-    the branch is fixed so the phase runs from 0 at threshold to 2pi at
-    infinite momentum.  p = 0 returns the threshold limit 0 exactly (the log
-    itself is singular there).
+    S^2 + C^2 and its companions may overflow for huge a p; the slope then
+    takes its limit 0, as 1/(a p^2) does.  Results are scaled in place, and
+    one channel's pair is dropped before the next is made, so that few large
+    temporaries are alive at once.
     """
-    if ch.sigma2 != 0.0:
-        raise ValueError("phase formula applies to sigma2 = 0 (scattering-length approximation)")
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("momentum must be >= 0")
-    with np.errstate(divide="ignore"):
-        c = (2.0 / np.pi) * np.log(ch.a2 * p)
-    return np.where(p > 0, np.pi + 2.0 * np.arctan(c), 0.0)[()]
-
-
-def _tangent_2d_channel(ch: Channel2D, p):
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("2D tangent requires p > 0")
-    c = (2.0 / np.pi) * np.log(ch.a2 * p)
-    t = 1.0 + c * c
-    return ((4.0 / np.pi) / (p * t))[()]
-
-
-def _second_2d_channel(ch: Channel2D, p):
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("2D second derivative requires p > 0")
-    c = (2.0 / np.pi) * np.log(ch.a2 * p)
-    t = 1.0 + c * c
-    return (-(4.0 / np.pi) * (t + 4.0 * c / np.pi) / (p * p * t * t))[()]
-
-
-def phase_shifts_3d(model: TwoChannelModel, p):
-    """(phi, theta) for a 3D model; continuous (unwrapped) branch in p."""
-    if model.dimension != 3:
-        raise ValueError("phase_shifts_3d requires a 3D model")
-    return _phase_3d_channel(model.singlet, p), _phase_3d_channel(model.triplet, p)
-
-
-def phase_shifts_2d(model: TwoChannelModel, p):
-    """(phi, theta) for a 2D model; each in (0, 2pi), increasing in p."""
-    if model.dimension != 2:
-        raise ValueError("phase_shifts_2d requires a 2D model")
-    return _phase_2d_channel(model.singlet, p), _phase_2d_channel(model.triplet, p)
+    s, c = pairs[0]
+    if order == 0:
+        x = np.arctan2(s, c)
+    else:
+        with np.errstate(over="ignore"):
+            s1, c1 = pairs[1]
+            q = s * s + c * c
+            x = s1 * c - s * c1
+            x /= q
+            if order == 2:
+                s2, c2 = pairs[2]
+                x = ((s2 * c - s * c2) - 2.0 * x * (s * s1 + c * c1)) / q
+    x *= 2.0
+    return x[()]
 
 
 def phases(model: TwoChannelModel, p):
-    """(phi, theta) at momentum p, dispatching on the model dimension."""
-    if model.dimension == 3:
-        return phase_shifts_3d(model, p)
-    return phase_shifts_2d(model, p)
+    """(phi, theta) = 2 atan2(S, C) per channel at momentum p.
+
+    The branch is continuous in p and 0 at threshold: a 3D phase runs into
+    (-2pi, 2pi) (through -/+ pi where C = 0), a 2D phase increases through
+    (0, 2pi), and a unitarity phase is pi.
+    """
+    return _derivative(model, p, 0)
 
 
 def tangents(model: TwoChannelModel, p):
-    """Analytic (dphi/dp, dtheta/dp) at momentum p."""
-    if model.dimension == 3:
-        return (
-            _tangent_3d_channel(model.singlet, p),
-            _tangent_3d_channel(model.triplet, p),
-        )
-    return (
-        _tangent_2d_channel(model.singlet, p),
-        _tangent_2d_channel(model.triplet, p),
-    )
+    """(dphi/dp, dtheta/dp) = 2 t per channel, t = (S'C - SC')/(S^2 + C^2)."""
+    return _derivative(model, p, 1)
 
 
 def second_derivatives(model: TwoChannelModel, p):
-    """Analytic (d2phi/dp2, d2theta/dp2) at momentum p."""
-    if model.dimension == 3:
-        return (
-            _second_3d_channel(model.singlet, p),
-            _second_3d_channel(model.triplet, p),
-        )
-    return (
-        _second_2d_channel(model.singlet, p),
-        _second_2d_channel(model.triplet, p),
-    )
+    """(d2phi/dp2, d2theta/dp2) = 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2)."""
+    return _derivative(model, p, 2)
 
 
 def s_element(model: TwoChannelModel, channel: int, p):
-    """Unit-modulus S-matrix element exp(2 i delta) for one channel.
+    """Unit-modulus S-matrix element (C + iS)/(C - iS) = exp(2 i delta) of one channel.
 
-    For 3D channels the rational form (denom - i a p)/(denom + i a p) with
-    denom = 1 - a r p^2 / 2 is used; it stays finite and unit-modulus through
-    the zero of the momentum-dependent scattering length's denominator.
+    It is taken as exp(i * 2 atan2(S, C)), which stays finite where C is
+    infinite (a 2D channel at threshold, where the element is 1).
     """
     if channel not in (0, 1):
         raise ValueError("channel must be 0 (singlet) or 1 (triplet)")
-    ch = model.channels[channel]
-    if model.dimension == 2:
-        return np.exp(1j * _phase_2d_channel(ch, p))
-    p = np.asarray(p, dtype=float)
-    if ch.unitarity:
-        return np.full_like(p, -1.0 + 0.0j, dtype=complex)[()]
-    denom = 1.0 - 0.5 * ch.a * ch.r * p * p
-    return ((denom - 1j * ch.a * p) / (denom + 1j * ch.a * p))[()]
+    return np.exp(1j * phases(model, p)[channel])
 
 
 def channel_pole_momentum(ch: Channel3D | Channel2D) -> float | None:
     """The one momentum p > 0 where the channel's phase is a multiple of pi.
 
-    It is the zero of cot(delta): sqrt(2/(a r)) for a 3D channel with a r > 0
-    (the zero of a(p)'s denominator), 1/a2 for a 2D channel (whose phases are
-    defined at sigma2 = 0), and None for every other 3D channel (unitarity
-    included), whose phase stays strictly between two multiples of pi.
+    It is the zero of the pair's C: sqrt(2/(a r)) for a 3D channel with
+    a r > 0, 1/a2 for a 2D channel, and None for every other 3D channel
+    (unitarity included), whose phase stays strictly between two multiples
+    of pi.
     """
     if isinstance(ch, Channel2D):
         return 1.0 / ch.a2

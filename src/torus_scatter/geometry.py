@@ -236,7 +236,7 @@ def lapse(model: ere.TwoChannelModel, p, c1: float = 1.0):
         dphi, dtheta = ere.tangents(model, p)
         d2phi, d2theta = ere.second_derivatives(model, p)
         return (kc1 * (dphi - eps * dtheta))[()], (kc1 * (d2phi - eps * d2theta))[()]
-    phi, theta = ere.phase_shifts_3d(model, p)
+    phi, theta = ere.phases(model, p)
     dphi, dtheta = ere.tangents(model, p)
     s = np.sin(phi) - eps * np.sin(theta)
     ds = np.cos(phi) * dphi - eps * np.cos(theta) * dtheta

@@ -96,11 +96,15 @@ def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def normalized_state(in_state) -> np.ndarray:
-    """``in_state`` as a vector in C^4, raising ValueError unless it has unit norm."""
-    in_state = np.asarray(in_state, dtype=complex).reshape(4)
-    norm = np.linalg.norm(in_state)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"in_state must be normalized, got |psi| = {norm!r}")
+    """``in_state`` as a vector in C^4, or a (k, 4) stack of them as given,
+    raising ValueError unless every state has unit norm (to 1e-9)."""
+    in_state = np.asarray(in_state, dtype=complex)
+    if not (in_state.ndim == 2 and in_state.shape[1] == 4):
+        in_state = in_state.reshape(4)
+    norms = np.atleast_1d(np.linalg.norm(in_state, axis=-1))
+    off = ~(np.abs(norms - 1.0) <= 1e-9)
+    if off.any():
+        raise ValueError(f"in_state must be normalized, got |psi| = {norms[off][0]!r}")
     return in_state
 
 
@@ -116,7 +120,7 @@ def out_density_matrix(
 
     ``in_state`` must be a normalized vector in C^4.
     """
-    in_state = normalized_state(in_state)
+    in_state = normalized_state(in_state).reshape(4)
     if not is_unitary(s_op):
         raise ValueError("scattering operator is not unitary")
     s_use = s_op.conj() if conjugated else s_op

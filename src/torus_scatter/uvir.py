@@ -282,10 +282,7 @@ def verify_density_map(
         raise ValueError(f"in_states must have shape (k, 4), got {shape}")
     if states.shape[0] == 0:
         raise ValueError("no in-states")
-    norms = np.linalg.norm(states, axis=1)
-    off = ~(np.abs(norms - 1.0) <= 1e-9)
-    if off.any():
-        raise ValueError(f"in_state must be normalized, got |psi| = {norms[off][0]!r}")
+    states = spin.normalized_state(states)
     p = _momentum_grid(p_grid)
     phi, theta = ere.phases(model, p)
     phi_inv, theta_inv = ere.phases(model, model_inverted_momentum(model, p))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -306,11 +307,118 @@ def test_tangent_2d_matches_symbolic(a2, p):
 
 
 def test_2d_rejects_nonzero_effective_area_in_phases():
-    m = ere.TwoChannelModel(
-        2, ere.Channel2D(1.0, sigma2=0.2), ere.Channel2D(2.0), family=None
-    )
     with pytest.raises(ValueError, match="sigma2"):
+        m = ere.TwoChannelModel(
+            2, ere.Channel2D(1.0, sigma2=0.2), ere.Channel2D(2.0), family=None
+        )
         ere.phases(m, 1.0)
+    # no 2D quantity may quietly drop sigma2: the channel itself is refused
+    with pytest.raises(ValueError, match="sigma2=0.5"):
+        ere.make_2d_model(1.0, 3.0, sigma2_0=0.5)
+
+
+MOMENTUM_MODELS = {
+    "3D": ere.make_symmetric_model("T2", 6, 1.0, 3.0, lam=0.5),
+    "unitarity": ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(-1.0)),
+    "2D": ere.make_2d_model(1.0, 3.0),
+}
+MOMENTUM_FUNCTIONS = {
+    "phases": ere.phases,
+    "tangents": ere.tangents,
+    "second_derivatives": ere.second_derivatives,
+    "s_element": lambda model, p: ere.s_element(model, 1, p),
+}
+
+
+@pytest.mark.parametrize("kind", MOMENTUM_MODELS)
+@pytest.mark.parametrize("name", MOMENTUM_FUNCTIONS)
+def test_one_momentum_rule(name, kind):
+    """p < 0 raises in every function; p = 0 is refused only by the 2D
+    derivatives, whose log diverges there."""
+    model, f = MOMENTUM_MODELS[kind], MOMENTUM_FUNCTIONS[name]
+    for p in (-1.0, np.array([1.0, -1e-300])):
+        with pytest.raises(ValueError, match="^momentum must be >= 0$"):
+            f(model, p)
+    if kind == "2D" and name in ("tangents", "second_derivatives"):
+        with pytest.raises(ValueError, match="p > 0"):
+            f(model, np.array([0.0, 1.0]))
+    else:
+        assert np.all(np.isfinite(f(model, np.array([0.0, 1.0]))))
+
+
+def test_threshold_values():
+    planar, spatial = MOMENTUM_MODELS["2D"], MOMENTUM_MODELS["3D"]
+    assert ere.phases(planar, 0.0) == (0.0, 0.0) == ere.phases(spatial, 0.0)
+    assert ere.s_element(planar, 0, 0.0) == 1.0 == ere.s_element(spatial, 0, 0.0)
+    assert ere.tangents(spatial, 0.0) == (-2.0, -6.0)
+
+
+# ---------------------------------------------------------------------------
+# 50-digit oracle for the phases and their first two momentum derivatives
+# ---------------------------------------------------------------------------
+
+#: Channels of every kind: 3D zero range; a r < 0 with r of either sign (no
+#: pole); a r > 0 with r of either sign, sampled across the real ERE pole
+#: sqrt(2/(a r)); unitarity; 2D at three lengths.
+ORACLE_CHANNELS = [
+    ere.Channel3D(1.0),
+    ere.Channel3D(-2.5),
+    ere.Channel3D(1.3, r=-0.8),
+    ere.Channel3D(-0.7, r=0.4),
+    ere.Channel3D(1.0, r=1.0),
+    ere.Channel3D(-2.0, r=-0.3),
+    ere.Channel3D(5.0, r=2e-3),
+    ere.Channel3D.at_unitarity(),
+    ere.Channel2D(0.5),
+    ere.Channel2D(1.0),
+    ere.Channel2D(3.0),
+]
+
+
+def _oracle_phase(ch, p):
+    """2 delta at 50 digits on the code's continuous branch (0 at threshold).
+
+    From cot(delta) = k: 2 delta = pi - 2 atan(k), less 2 pi for a 3D channel
+    with a > 0, whose phase starts from 0 downwards.  3D: k = (-1/a + r p^2/2)/p
+    (0 at unitarity); 2D: k = -(2/pi) log(a2 p).
+    """
+    if isinstance(ch, ere.Channel2D):
+        return mp.pi - 2 * mp.atan(-(2 / mp.pi) * mp.log(mp.mpf(ch.a2) * p))
+    if ch.unitarity:
+        return +mp.pi
+    a, r = mp.mpf(ch.a), mp.mpf(ch.r)
+    k = (-1 / a + r * p * p / 2) / p
+    return mp.pi - 2 * mp.atan(k) - (2 * mp.pi if a > 0 else 0)
+
+
+def _oracle_grid(ch):
+    """Log grid over a p in [1e-8, 1e8], plus the ERE pole and its neighbours."""
+    length = abs(ch.length) if math.isfinite(ch.length) else 1.0
+    p = list(np.geomspace(1e-8, 1e8, 97) / length)
+    p_star = ere.channel_pole_momentum(ch)
+    if p_star is not None and isinstance(ch, ere.Channel3D):
+        p += [p_star * (1 + s * 10.0**-k) for k in range(1, 9) for s in (-1, 1)] + [p_star]
+    return np.array(sorted(p))
+
+
+@pytest.mark.parametrize("ch", ORACLE_CHANNELS, ids=repr)
+def test_phases_tangents_curvatures_match_50_digit_oracle(ch):
+    """Phases and tangents to 4e-15 relative; second derivatives to 4e-15 on
+    the scale |x'|/p + |x''|."""
+    other = ere.Channel2D(2.0) if isinstance(ch, ere.Channel2D) else ere.Channel3D(2.0)
+    model = ere.TwoChannelModel(2 if isinstance(ch, ere.Channel2D) else 3, ch, other)
+    p = _oracle_grid(ch)
+    got = [ere.phases(model, p)[0], ere.tangents(model, p)[0], ere.second_derivatives(model, p)[0]]
+    with mp.workdps(50):
+        want = np.array(
+            [[float(mp.diff(lambda q: _oracle_phase(ch, q), mp.mpf(pk), n)) for pk in p]
+             for n in range(3)]
+        )
+    err = [np.abs(g - w) for g, w in zip(got, want)]
+    assert np.all(err[0] <= 4e-15 * np.abs(want[0])), np.max(err[0] / np.abs(want[0]))
+    assert np.all(err[1] <= 4e-15 * np.abs(want[1])), np.max(err[1] / np.abs(want[1]))
+    scale = np.abs(want[1]) / p + np.abs(want[2])
+    assert np.all(err[2] <= 4e-15 * scale), np.max(err[2] / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,17 @@ def test_out_density_matrix_validates_input():
         spin.out_density_matrix(np.eye(4) * 2.0, np.array([1.0, 0, 0, 0]))
 
 
+def test_normalized_state_takes_a_state_or_a_stack():
+    states = spin.haar_product_states(3, np.random.default_rng(4))
+    assert spin.normalized_state(states).shape == (3, 4)
+    assert spin.normalized_state(states[1]).shape == (4,)
+    states[2] = [1.5, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"^in_state must be normalized, got \|psi\| = np.float64\(1.5"):
+        spin.normalized_state(states)
+    with pytest.raises(ValueError, match=r"^in_state must be normalized, got \|psi\| = np.float64\(1.5"):
+        spin.normalized_state(states[2])
+
+
 def test_entanglement_power_closed_form_values():
     assert spin.entanglement_power_closed(0.0, 0.0) == 0.0
     assert spin.entanglement_power_closed(0.3, 0.3 + math.pi / 2) == pytest.approx(
