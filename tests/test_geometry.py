@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -418,8 +419,9 @@ def test_integrate_affine_rejects_empty_spans_and_sample_counts():
 
 
 def test_integrate_affine_rejects_non_finite_spans_without_hanging():
-    """solve_ivp never returns on a non-finite span, so this runs in a
-    child process with a time limit."""
+    """A non-finite span is refused before the integrator starts; should
+    that guard go, an integrator that never returns is stopped by running
+    this in a child process with a time limit."""
     code = (
         "from torus_scatter import geometry\n"
         "pot = geometry.potential_3d(1.0, -5.0)\n"
@@ -562,6 +564,80 @@ def test_affine_reconstruction_of_each_closed_form_class(model, interval):
     )
     assert hausdorff == oracle and hausdorff < 1e-5
     assert abs(curve.phi[-1] - phi[-1]) < 1e-8 and abs(curve.theta[-1] - theta[-1]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "model,interval",
+    [
+        # Two decades around 1/sqrt(|a0 a1|) in 3D and two decades below
+        # it, the 2D lapse zero, in 2D, as in the affine benchmark.
+        (ere.make_symmetric_model("T1", 4, 0.6, 8.3), (0.09, 9.0)),
+        (ere.make_symmetric_model("T3", 6, -1.44, -4.08, lam=0.25), (0.08, 8.0)),
+        (ere.make_2d_model(1.0, 5.15), (1.4e-3, 0.14)),
+    ],
+    ids=["T1-4", "T3-6", "2D"],
+)
+def test_affine_samples_lie_on_the_closed_form_at_their_own_momenta(model, interval):
+    """Every 50th sample sits within 1e-11 of the closed-form point at the
+    momentum whose exact affine span is the sample's tau, found by root
+    finding on ``affine_parameter_span``; no integrator enters the reference."""
+    from scipy.optimize import brentq
+
+    pot = geometry.closed_form_potential(model)
+    p0, p1 = interval
+    (phi0,), (theta0,) = ere.phases(model, np.array([p0]))
+    dphi, dtheta = ere.tangents(model, p0)
+    n0, _ = geometry.construction_lapse(model, pot, p0)
+    init = (phi0, theta0, float(dphi / n0), float(dtheta / n0))
+    span = geometry.affine_parameter_span(model, pot, p0, p1)
+    curve = geometry.integrate_affine(pot, init, span, n_samples=1200)
+    assert not curve.truncated, curve.diagnostic
+    worst = 0.0
+    for k in range(0, 1200, 50):
+        tau_k = curve.tau[k]
+        p_k = brentq(
+            lambda p: geometry.affine_parameter_span(model, pot, p0, p) - tau_k,
+            p0, p1, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+        )
+        phi_k, theta_k = ere.phases(model, np.array([p_k]))
+        worst = max(worst, abs(phi_k[0] - curve.phi[k]), abs(theta_k[0] - curve.theta[k]))
+    assert worst < 1e-11, worst
+
+
+@pytest.mark.parametrize("span", [5.0, -5.0])
+def test_integrate_affine_truncates_at_a_wall_quietly(span, capfd):
+    """Started towards the 2D potential's attractive wall, forwards or
+    backwards in tau, the integrator fails: the curve is cut to the samples
+    it reached, all finite, the message is kept, and nothing is warned or
+    printed."""
+    pot = geometry.potential_2d(1.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = geometry.integrate_affine(pot, (0.3, 0.3, -1.0, -1.0), span, n_samples=50)
+    assert curve.truncated and curve.diagnostic
+    n = curve.tau.size
+    assert 1 <= n < 50
+    assert curve.tau.tobytes() == np.linspace(0.0, span, 50)[:n].tobytes()
+    for arr in (curve.phi, curve.theta, curve.dphi, curve.dtheta):
+        assert arr.shape == (n,) and np.all(np.isfinite(arr))
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+
+
+def test_integrate_affine_over_one_long_output_interval():
+    """Two samples over p in [1e-2, 1e2] put all the steps between two
+    output times; the end point is still the closed form's."""
+    model = _zero_range(1.0, 5.0)
+    pot = geometry.potential_3d(1.0, 5.0)
+    p0, p1 = 1e-2, 1e2
+    phi, theta = ere.phases(model, np.array([p0, p1]))
+    dphi, dtheta = ere.tangents(model, p0)
+    n0, _ = geometry.construction_lapse(model, pot, p0)
+    init = (phi[0], theta[0], float(dphi / n0), float(dtheta / n0))
+    span = geometry.affine_parameter_span(model, pot, p0, p1)
+    curve = geometry.integrate_affine(pot, init, span, n_samples=2)
+    assert not curve.truncated and curve.tau.size == 2, curve.diagnostic
+    assert abs(curve.phi[-1] - phi[1]) < 1e-10 and abs(curve.theta[-1] - theta[1]) < 1e-10
 
 
 def test_point_to_polyline_distance_basic():
