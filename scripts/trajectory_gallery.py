@@ -58,16 +58,14 @@ def main() -> None:
             raise SystemExit(f"traj failed for {name}")
 
         model = cfg.build_model()
-        grid = cfg.build_grid()
-        traj = torus.sample_trajectory(model, grid)
+        traj = torus.sample_trajectory(model, cfg.build_grid())
         exits = causality.quadrant_exit_audit(traj)
         n_quadrants = len(set(traj.positions().tolist()) - {"boundary"})
 
         residual = "n/a"
         pot = geometry.closed_form_potential(model)
         if pot is not None:
-            report = geometry.eom_residual(model, pot, p_grid=grid)
-            residual = f"{report.max_norm:.2e}"
+            residual = f"{geometry.eom_residual(traj, pot).max_norm:.2e}"
 
         print(f"{name:24s} {n_quadrants:9d} {len(exits.crossings):9d} {residual:>14s}")
         print(f"  -> {path}")

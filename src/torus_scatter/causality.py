@@ -123,8 +123,6 @@ def tangent_vector_audit(
     if traj.model.dimension != 3:
         raise ValueError("tangent-vector audit applies to 3D models")
     p = traj.p
-    if np.any(p <= 0):
-        raise ValueError("audit requires strictly positive momenta")
     violations = []
     for channel, ch, x in zip(("phi", "theta"), traj.model.channels, (traj.phi, traj.theta)):
         margins = -2.0 * ch.r * p * np.sin(0.5 * x) ** 2

@@ -113,19 +113,20 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     the potential argument within 1e-6 of a pole of tan^2).
     """
     model = cfg.build_model()
-    grid = cfg.build_grid()
-    traj = torus.sample_trajectory(model, grid)
-    dphi, dtheta = ere.tangents(model, grid)
+    traj = torus.sample_trajectory(model, cfg.build_grid())
     # kappa and v_val are printed where a row is regular.
-    regular = np.zeros(grid.size, dtype=bool)
-    kappa = v_val = np.full(grid.size, np.nan)
+    regular = np.zeros(traj.p.size, dtype=bool)
+    kappa = v_val = np.full(traj.p.size, np.nan)
     potential = geometry.closed_form_potential(model, cfg.c1)
     if potential is not None:
-        n_val, dn_val = geometry.construction_lapse(model, potential, grid)
-        kappa, vanishing = geometry.lapse_inaffinity(grid, n_val, dn_val, cfg.c1)
+        kappa, vanishing = geometry.lapse_inaffinity(
+            traj.p, *geometry.lapse(traj, cfg.c1), cfg.c1
+        )
         v_val = potential.value(traj.phi, traj.theta)
         regular = ~(potential.singular_mask(traj.phi, traj.theta) | vanishing)
-    columns = (grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, traj.positions())
+    columns = (
+        traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.positions()
+    )
     _emit(_csv_blocks(TRAJ_HEADER, _TRAJ_ROWS, columns, pick=regular), out_path)
     return 0
 
@@ -134,7 +135,8 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
 # verify
 #
 # Each suite is a pair: a predicate giving the reason it does not apply to a
-# model (None when it does) and a runner returning ``uvir.Check`` records.
+# model and its closed-form potential (None when it does), and a runner
+# returning ``uvir.Check`` records from the model's sampled trajectory.
 # ---------------------------------------------------------------------------
 
 
@@ -168,28 +170,27 @@ def _as_check(report, tol: float | None = None) -> uvir.Check:
     raise TypeError(f"no check record for {type(report).__name__}")
 
 
-def _symmetry_skip(model: ere.TwoChannelModel) -> str | None:
+def _symmetry_skip(model: ere.TwoChannelModel, potential) -> str | None:
     if model.family is None:
         return "symmetry suite needs a family tag (table/row) in the config"
     return None
 
 
-def _suite_symmetry(cfg, model, grid, tol_override) -> list:
+def _suite_symmetry(cfg, traj, potential, tol_override) -> list:
     return [
-        uvir.verify_phase_map(model, grid, tol=_tol(cfg, "phase_map", tol_override)),
+        uvir.verify_phase_map(traj, tol=_tol(cfg, "phase_map", tol_override)),
         uvir.verify_density_map(
-            model,
+            traj,
             in_states=uvir._default_in_states(10, seed=cfg.seed),
-            p_grid=grid,
             tol=_tol(cfg, "density_map", tol_override),
         ),
     ]
 
 
-def _eom_skip(model: ere.TwoChannelModel) -> str | None:
+def _eom_skip(model: ere.TwoChannelModel, potential) -> str | None:
     if model.family is None:
         return "eom suite needs a family tag identifying a solvable-potential model"
-    if geometry.closed_form_potential(model) is not None:
+    if potential is not None:
         return None
     if model.dimension == 2:
         return "equal 2D scattering lengths: trajectory is a geodesic, no potential"
@@ -199,24 +200,22 @@ def _eom_skip(model: ere.TwoChannelModel) -> str | None:
     )
 
 
-def _suite_eom(cfg, model, grid, tol_override) -> list:
+def _suite_eom(cfg, traj, potential, tol_override) -> list:
     tol = _tol(cfg, "eom_residual", tol_override)
-    potential = geometry.closed_form_potential(model, cfg.c1)
-    checks = [_as_check(geometry.eom_residual(model, potential, p_grid=grid), tol)]
-    if model.dimension == 2:
+    checks = [_as_check(geometry.eom_residual(traj, potential), tol)]
+    if traj.model.dimension == 2:
         over_tol = _tol(cfg, "overdetermination", tol_override)
-        checks.append(_as_check(geometry.overdetermination_2d(model, grid, tol=over_tol)))
+        checks.append(_as_check(geometry.overdetermination_2d(traj, tol=over_tol)))
     return checks
 
 
-def _wigner_skip(model: ere.TwoChannelModel) -> str | None:
+def _wigner_skip(model: ere.TwoChannelModel, potential) -> str | None:
     if model.dimension != 3:
         return "wigner suite applies to 3D models (2D has the area bound instead)"
     return None
 
 
-def _suite_wigner(cfg, model, grid, tol_override) -> list:
-    traj = torus.sample_trajectory(model, grid)
+def _suite_wigner(cfg, traj, potential, tol_override) -> list:
     tol = _tol(cfg, "tangent_audit", tol_override)
     return [
         _as_check(causality.tangent_vector_audit(traj, tol=tol), tol),
@@ -224,7 +223,7 @@ def _suite_wigner(cfg, model, grid, tol_override) -> list:
     ]
 
 
-def _poles_skip(model: ere.TwoChannelModel) -> str | None:
+def _poles_skip(model: ere.TwoChannelModel, potential) -> str | None:
     """The poles suite needs a causal self-correlated family: r = 2 a lambda, a < 0."""
     if model.dimension != 3 or model.family is None:
         return "poles suite needs a 3D model with a family tag"
@@ -236,12 +235,12 @@ def _poles_skip(model: ere.TwoChannelModel) -> str | None:
     )
 
 
-def _suite_poles(cfg, model, grid, tol_override) -> list:
-    lam = model.family.lam
+def _suite_poles(cfg, traj, potential, tol_override) -> list:
+    lam = traj.model.family.lam
     tol = _tol(cfg, "pole_match", tol_override)
     checks = []
     worst_im = -np.inf
-    for label, ch in (("singlet", model.singlet), ("triplet", model.triplet)):
+    for label, ch in zip(("singlet", "triplet"), traj.model.channels):
         closed = causality.poles_closed_form(ch.a, lam)
         # The roots of p^2 - (2i/r) p - 2/(a r) sum to 2i/r and multiply to -2/(a r).
         poles = causality.flatten_poles(closed)
@@ -254,7 +253,7 @@ def _suite_poles(cfg, model, grid, tol_override) -> list:
     return checks
 
 
-def _ep_skip(model: ere.TwoChannelModel) -> str | None:
+def _ep_skip(model: ere.TwoChannelModel, potential) -> str | None:
     if model.family is None:
         return "ep suite needs a family tag (table/row) in the config"
     mapping = uvir.expected_map(model.family.table, model.family.row)
@@ -266,13 +265,12 @@ def _ep_skip(model: ere.TwoChannelModel) -> str | None:
     return None
 
 
-def _suite_ep(cfg, model, grid, tol_override) -> list:
-    return [
-        uvir.verify_ep_invariance(model, grid, tol=_tol(cfg, "ep_invariance", tol_override))
-    ]
+def _suite_ep(cfg, traj, potential, tol_override) -> list:
+    return [uvir.verify_ep_invariance(traj, tol=_tol(cfg, "ep_invariance", tol_override))]
 
 
 #: name -> (reason the suite does not apply, or None; runner), in report order.
+#: Both take the model's closed-form potential, resolved once per op.
 _SUITES = {
     "symmetry": (_symmetry_skip, _suite_symmetry),
     "eom": (_eom_skip, _suite_eom),
@@ -285,14 +283,15 @@ SUITES = (*_SUITES, "all")
 
 def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None, tol_override: float | None) -> int:
     model = cfg.build_model()
-    grid = cfg.build_grid()
+    traj = torus.sample_trajectory(model, cfg.build_grid())
+    potential = geometry.closed_form_potential(model, cfg.c1)
     checks: list = []
     skipped: list = []
     for name in _SUITES if suite == "all" else (suite,):
         skip_reason, run = _SUITES[name]
-        reason = skip_reason(model)
+        reason = skip_reason(model, potential)
         if reason is None:
-            checks.extend(c.to_json() for c in run(cfg, model, grid, tol_override))
+            checks.extend(c.to_json() for c in run(cfg, traj, potential, tol_override))
         elif suite == "all":
             skipped.append({"suite": name, "reason": reason})
         else:

@@ -325,31 +325,33 @@ def _derivative(model: TwoChannelModel, p, order: int) -> tuple:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("momentum must be >= 0")
-    return tuple(_from_pair(ch.pair(p, order), order) for ch in model.channels)
+    return tuple(_from_pair(ch.pair(p, order))[order] for ch in model.channels)
 
 
-def _from_pair(pairs: list, order: int):
-    """The ``order``-th derivative of 2 atan2(S, C) from [(S, C), (S', C'), ...].
+def _from_pair(pairs: list) -> list:
+    """2 atan2(S, C) and its derivatives from [(S, C), (S', C'), ...], to the
+    order of ``pairs``: 2 t with t = (S'C - SC')/(S^2 + C^2), then
+    2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
     S^2 + C^2 and its companions may overflow for huge a p; the slope then
-    takes its limit 0, as 1/(a p^2) does.  Results are scaled in place, and
-    one channel's pair is dropped before the next is made, so that few large
-    temporaries are alive at once.
+    takes its limit 0, as 1/(a p^2) does, and the second derivative may be
+    NaN there (0 times an overflowed SS'), without a warning: a zero-range
+    model's lapse does not read it, and the trajectory-equation checks that
+    do cannot pass on a NaN.
     """
     s, c = pairs[0]
-    if order == 0:
-        x = np.arctan2(s, c)
-    else:
+    out = [2.0 * np.arctan2(s, c)]
+    if len(pairs) > 1:
         with np.errstate(over="ignore"):
             s1, c1 = pairs[1]
             q = s * s + c * c
-            x = s1 * c - s * c1
-            x /= q
-            if order == 2:
-                s2, c2 = pairs[2]
-                x = ((s2 * c - s * c2) - 2.0 * x * (s * s1 + c * c1)) / q
-    x *= 2.0
-    return x[()]
+            t = (s1 * c - s * c1) / q
+            out.append(2.0 * t)
+        if len(pairs) > 2:
+            s2, c2 = pairs[2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out.append(2.0 * (((s2 * c - s * c2) - 2.0 * t * (s * s1 + c * c1)) / q))
+    return [x[()] for x in out]
 
 
 def phases(model: TwoChannelModel, p):

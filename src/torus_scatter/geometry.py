@@ -17,9 +17,12 @@ implemented:
 * 2D models: V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi+theta)/2 + pi/2).
 
 ``closed_form_potential`` decides which of the three a model has, if any,
-and ``lapse`` gives every model its lapse, keyed on the model's class.  The
-three closed-form lapses are k c1 (phi' - eps theta'), so the affine span is
-exact from the continuous-branch phases at its ends (``affine_parameter_span``).
+and ``lapse`` gives every model its lapse, keyed on the model's class.
+``lapse``, ``inaffinity``, ``eom_residual`` and ``overdetermination_2d`` read
+the phases and their derivatives from a sampled ``torus.Trajectory``;
+``construction_lapse`` samples one at the momenta it is given.  The three
+closed-form lapses are k c1 (phi' - eps theta'), so the affine span is exact
+from the continuous-branch phases at its ends (``affine_parameter_span``).
 ``integrate_affine`` integrates the N = 1 motion with LSODA through scipy's
 ``odeint``, whose step loop and output interpolation run in compiled code;
 its right-hand side evaluates ``gradient``'s formula once per call on Python
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ere
+from . import ere, torus
 from .config import DEFAULT_TOLERANCES
 
 __all__ = [
@@ -221,8 +224,8 @@ def _lapse_form(model: ere.TwoChannelModel) -> tuple[float, int, bool]:
     return 1.0, eps, False
 
 
-def lapse(model: ere.TwoChannelModel, p, c1: float = 1.0):
-    """(N, dN/dp) of the model's lapse along its trajectory, analytic in p.
+def lapse(traj: torus.Trajectory, c1: float = 1.0):
+    """(N, dN/dp) of the model's lapse along its sampled trajectory, analytic in p.
 
     * 2D: N = c1 (phi' - theta'), for which the pointwise-solved trajectory
       equations close (``overdetermination_2d``);
@@ -231,20 +234,14 @@ def lapse(model: ere.TwoChannelModel, p, c1: float = 1.0):
     * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is
       c1 (phi' - eps theta') at zero range (sin(phi)/p = phi').
     """
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("lapse requires p > 0")
-    k, eps, tangent = _lapse_form(model)
+    k, eps, tangent = _lapse_form(traj.model)
     if tangent:
         kc1 = k * c1
-        dphi, dtheta = ere.tangents(model, p)
-        d2phi, d2theta = ere.second_derivatives(model, p)
-        return (kc1 * (dphi - eps * dtheta))[()], (kc1 * (d2phi - eps * d2theta))[()]
-    phi, theta = ere.phases(model, p)
-    dphi, dtheta = ere.tangents(model, p)
-    s = np.sin(phi) - eps * np.sin(theta)
-    ds = np.cos(phi) * dphi - eps * np.cos(theta) * dtheta
-    return (c1 / p * s)[()], (c1 * (ds / p - s / (p * p)))[()]
+        return kc1 * (traj.dphi - eps * traj.dtheta), kc1 * (traj.d2phi - eps * traj.d2theta)
+    p = traj.p
+    s = np.sin(traj.phi) - eps * np.sin(traj.theta)
+    ds = np.cos(traj.phi) * traj.dphi - eps * np.cos(traj.theta) * traj.dtheta
+    return c1 / p * s, c1 * (ds / p - s / (p * p))
 
 
 def _require_closed_form(model: ere.TwoChannelModel, potential: GeometricPotential) -> None:
@@ -256,10 +253,13 @@ def construction_lapse(
     model: ere.TwoChannelModel, potential: GeometricPotential, p
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, dN/dp) of the lapse that generates the model's curve in its own
-    closed-form potential: ``lapse`` at the potential's c1.  Any other
-    potential raises a ValueError."""
+    closed-form potential: ``lapse`` at the potential's c1, on the trajectory
+    sampled at ``p`` (a scalar or a strictly increasing 1D grid of p > 0),
+    in the shape of ``p``.  Any other potential raises a ValueError."""
     _require_closed_form(model, potential)
-    return lapse(model, p, potential.c1)
+    shape = np.shape(p)
+    n_val, dn_val = lapse(torus.sample_trajectory(model, np.ravel(p)), potential.c1)
+    return n_val.reshape(shape)[()], dn_val.reshape(shape)[()]
 
 
 def lapse_inaffinity(p, n_val, dn_val, c1: float = 1.0):
@@ -271,13 +271,12 @@ def lapse_inaffinity(p, n_val, dn_val, c1: float = 1.0):
     return kappa[()], vanishing
 
 
-def inaffinity(model: ere.TwoChannelModel, p):
-    """kappa(p) = N'(p)/N(p) of the model's ``lapse``, analytic in p; a
-    ValueError where the lapse vanishes (``lapse_inaffinity``)."""
-    kappa, vanishing = lapse_inaffinity(p, *lapse(model, p))
+def inaffinity(traj: torus.Trajectory):
+    """kappa(p) = N'(p)/N(p) of the model's ``lapse`` along its sampled
+    trajectory; a ValueError where the lapse vanishes (``lapse_inaffinity``)."""
+    kappa, vanishing = lapse_inaffinity(traj.p, *lapse(traj))
     if np.any(vanishing):
-        p_bad = np.atleast_1d(p)[np.atleast_1d(vanishing)]
-        raise ValueError(f"lapse vanishes at p = {p_bad[:3]}: inaffinity singular")
+        raise ValueError(f"lapse vanishes at p = {traj.p[vanishing][:3]}: inaffinity singular")
     return kappa
 
 
@@ -296,10 +295,9 @@ class EomResidualReport:
     excluded: list = field(default_factory=list)
 
 
-def eom_residual(
-    model: ere.TwoChannelModel, potential: GeometricPotential, p_grid
-) -> EomResidualReport:
-    """Relative residual of N x'' - N' x' + N^3 dV/dx, per component, on a grid.
+def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomResidualReport:
+    """Relative residual of N x'' - N' x' + N^3 dV/dx, per component, along a
+    sampled trajectory.
 
     This is the trajectory equation multiplied through by the model's
     ``lapse`` N, so it stays regular where N vanishes.  For each component
@@ -311,22 +309,18 @@ def eom_residual(
     max-norm and reported in ``excluded``; a grid with none left raises
     ValueError.
     """
-    p = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    if np.any(p <= 0):
-        raise ValueError("residual grid requires p > 0")
-
-    phi, theta = ere.phases(model, p)
-    keep = ~np.asarray(potential.singular_mask(phi, theta))
+    p, phi, theta = traj.p, traj.phi, traj.theta
+    keep = ~potential.singular_mask(phi, theta)
     if not keep.any():
         raise ValueError(
             f"eom_residual: all {keep.size} grid points excluded (potential singularity)"
         )
-    n_val, dn_val = (x[keep] for x in lapse(model, p, potential.c1))
+    n_val, dn_val = (x[keep] for x in lapse(traj, potential.c1))
     n3 = n_val * n_val * n_val
     res = []
     for dx, d2x, grad in zip(
-        ere.tangents(model, p),
-        ere.second_derivatives(model, p),
+        (traj.dphi, traj.dtheta),
+        (traj.d2phi, traj.d2theta),
         potential.gradient(phi[keep], theta[keep]),
     ):
         terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
@@ -362,7 +356,7 @@ class OverdeterminationReport:
 
 
 def overdetermination_2d(
-    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["overdetermination"]
+    traj: torus.Trajectory, tol: float = DEFAULT_TOLERANCES["overdetermination"]
 ) -> OverdeterminationReport:
     """Solve the two 2D trajectory equations pointwise and check consistency.
 
@@ -379,26 +373,17 @@ def overdetermination_2d(
     gradient vanishes or blows up are excluded; a grid with none left raises
     ValueError.
     """
+    model = traj.model
     if model.dimension != 2:
         raise ValueError("overdetermination check is for 2D models")
     if model.singlet.a2 == model.triplet.a2:
         raise ValueError("equal 2D scattering lengths: geodesic, nothing to solve")
-    p = np.asarray(p_grid, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("grid requires p > 0")
+    p, dphi, dtheta, d2phi, d2theta = traj.p, traj.dphi, traj.dtheta, traj.d2phi, traj.d2theta
 
-    phi, theta = (np.asarray(x) for x in ere.phases(model, p))
-    dphi, dtheta = (np.asarray(x) for x in ere.tangents(model, p))
-    d2phi, d2theta = (np.asarray(x) for x in ere.second_derivatives(model, p))
-
-    u = 0.5 * (phi + theta) + math.pi / 2
+    u = 0.5 * (traj.phi + traj.theta) + math.pi / 2
     cos_u, sin_u = np.cos(u), np.sin(u)
     keep = (np.abs(cos_u) >= COS_SINGULAR_TOL) & (np.abs(sin_u) >= COS_SINGULAR_TOL)
-    excluded = [
-        (float(pp), "shape gradient singular or zero")
-        for pp, kp in zip(np.atleast_1d(p), np.atleast_1d(keep))
-        if not kp
-    ]
+    excluded = [(float(pp), "shape gradient singular or zero") for pp in p[~keep]]
 
     # Unit-amplitude shape gradient: dU/dphi = dU/dtheta = tan(u)/cos^2(u).
     grad_u = np.tan(u) / (cos_u * cos_u)
@@ -408,7 +393,7 @@ def overdetermination_2d(
     w = np.where(keep, (dphi * d2theta - d2phi * dtheta) / np.where(keep, det, 1.0), np.nan)
 
     dw = dphi - dtheta
-    ratio = np.atleast_1d(w / (dw * dw))[np.atleast_1d(keep)]
+    ratio = (w / (dw * dw))[keep]
     if ratio.size == 0:
         raise ValueError(
             f"overdetermination_2d: all {len(excluded)} grid points excluded "
@@ -417,9 +402,9 @@ def overdetermination_2d(
     center = float(np.median(ratio))
     dev = float(np.max(np.abs(ratio - center) / abs(center)))
     return OverdeterminationReport(
-        p=np.atleast_1d(p)[np.atleast_1d(keep)],
-        kappa=np.atleast_1d(kappa)[np.atleast_1d(keep)],
-        w=np.atleast_1d(w)[np.atleast_1d(keep)],
+        p=p[keep],
+        kappa=kappa[keep],
+        w=w[keep],
         max_relative_deviation=dev,
         tolerance=tol,
         passed=dev < tol,

@@ -1,11 +1,14 @@
 """Flat-torus trajectories and their quadrants.
 
 The two doubled phase shifts (phi, theta) live on a flat torus.  A
-``Trajectory`` stores the curve traced on the torus as the momentum runs
-over a grid, keeping both the continuous (unwrapped) phases and their wrapped
-representatives.  Quadrants are named by the signs of (sin phi, sin theta)
-following the usual picture of the fundamental square: "bottom-left" means
-both phases lie in (-pi, 0) mod 2pi.
+``Trajectory`` is the curve traced on the torus as the momentum runs over a
+grid: the continuous (unwrapped) phases and their first and second momentum
+derivatives, from one evaluation of each channel's ERE pair
+(``sample_trajectory``).  It is the one place the curve on a grid is
+evaluated; the lapse, the trajectory equations, the causality audits and the
+inversion checks all read it.  Quadrants are named by the signs of
+(sin phi, sin theta) following the usual picture of the fundamental square:
+"bottom-left" means both phases lie in (-pi, 0) mod 2pi.
 """
 
 from __future__ import annotations
@@ -69,26 +72,22 @@ def _positions(phi, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An S-matrix curve sampled over a strictly increasing momentum grid.
+    """An S-matrix curve sampled over a grid of momenta p > 0, strictly
+    increasing (build it with ``sample_trajectory``).
 
-    ``p`` holds the c.o.m. momenta; ``phi`` and ``theta`` are the continuous
-    (unwrapped) phases there.
+    ``phi`` and ``theta`` are the continuous (unwrapped) phases at ``p``,
+    ``dphi``/``dtheta`` their momentum derivatives and ``d2phi``/``d2theta``
+    their second derivatives, all 1D arrays of the grid's length.
     """
 
     model: ere.TwoChannelModel
     p: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("p", "phi", "theta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.p.ndim == 1 and self.p.size >= 1):
-            raise ValueError("p must be a 1D array with at least one sample")
-        if self.phi.shape != self.p.shape or self.theta.shape != self.p.shape:
-            raise ValueError("phi/theta must match the grid shape")
-        if np.any(np.diff(self.p) <= 0):
-            raise ValueError("parameter grid must be strictly increasing")
+    dphi: np.ndarray
+    dtheta: np.ndarray
+    d2phi: np.ndarray
+    d2theta: np.ndarray
 
     @property
     def wrapped(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,14 +103,24 @@ class Trajectory:
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """d(phi)/dp and d(theta)/dp at the samples."""
-        dphi, dtheta = ere.tangents(self.model, self.p)
-        return np.asarray(dphi), np.asarray(dtheta)
+        return self.dphi, self.dtheta
 
 
 def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
-    """Sample the model's phases over a strictly increasing grid of p >= 0.
+    """The model's curve over a non-empty, strictly increasing grid of p > 0.
 
-    The phase formulas are analytic and on their continuous branch at every
-    momentum, so any grid is accepted, however coarse.
+    Each channel's ERE pair is evaluated once, to second order, and gives
+    the phase and its two momentum derivatives with the arithmetic of
+    ``ere.phases``, ``ere.tangents`` and ``ere.second_derivatives``, bit for
+    bit.  The phase formulas are analytic and on their continuous branch at
+    every momentum, so any grid is accepted, however coarse.
     """
-    return Trajectory(model, p_grid, *ere.phases(model, p_grid))
+    p = np.asarray(p_grid, dtype=float)
+    if not (p.ndim == 1 and p.size >= 1):
+        raise ValueError("momentum grid must be a non-empty 1D array")
+    if not (p[0] > 0 and np.all(np.diff(p) > 0)):
+        raise ValueError("momentum grid must be strictly increasing with p > 0")
+    (phi, dphi, d2phi), (theta, dtheta, d2theta) = (
+        ere._from_pair(ch.pair(p, 2)) for ch in model.channels
+    )
+    return Trajectory(model, p, phi, theta, dphi, dtheta, d2phi, d2theta)

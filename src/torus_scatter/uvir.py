@@ -13,9 +13,10 @@ momentum equals the in-state evolved by ``exp(i s_s phi) P_s + exp(i s_t theta) 
 * mixed classes: one sector keeps its phase and the other changes sign;
   "minus" names the singlet (SWAP = -1) sector, "plus" the triplet.
 
-The verifiers sample a model over a positive momentum grid, evaluate the
-phases at each ``p`` and at its image ``p'``, and bound the deviation of the
-mapped relation.  All comparisons of angles are taken mod 2pi.
+The verifiers read a model's sampled ``Trajectory`` for the phases at each
+grid momentum ``p``, evaluate the phases at its image ``p'`` once
+(``_image_phases``), and bound the deviation of the mapped relation.  All
+comparisons of angles are taken mod 2pi.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import ere, spin
 from .config import DEFAULT_TOLERANCES
-from .torus import wrap_angle
+from .torus import Trajectory, wrap_angle
 
 __all__ = [
     "RhoClass",
@@ -203,20 +204,14 @@ class Check:
         }
 
 
-def _require_family(model: ere.TwoChannelModel) -> SymmetryMap:
+def _image_phases(traj: Trajectory) -> tuple:
+    """(map, phi', theta'): the family row's map of the trajectory's model and
+    the phases at the inversion image p' of each grid momentum."""
+    model = traj.model
     if model.family is None:
         raise ValueError("verification requires a model with a family tag")
-    return expected_map(model.family.table, model.family.row)
-
-
-def _momentum_grid(p_grid) -> np.ndarray:
-    """The grid as a float array; a missing or empty grid is rejected."""
-    if p_grid is None:
-        raise ValueError("p_grid is required")
-    p = np.asarray(p_grid, dtype=float)
-    if p.size == 0:
-        raise ValueError("empty momentum grid")
-    return p
+    sym = expected_map(model.family.table, model.family.row)
+    return (sym, *ere.phases(model, model_inverted_momentum(model, traj.p)))
 
 
 def _angle_deviation(actual, expected) -> np.ndarray:
@@ -224,23 +219,18 @@ def _angle_deviation(actual, expected) -> np.ndarray:
     return np.abs(wrap_angle(np.asarray(actual) - np.asarray(expected)))
 
 
-def verify_phase_map(
-    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["phase_map"]
-) -> Check:
+def verify_phase_map(traj: Trajectory, tol: float = DEFAULT_TOLERANCES["phase_map"]) -> Check:
     """Check that phases at inverted momenta follow the family row's map."""
-    sym = _require_family(model)
-    p = _momentum_grid(p_grid)
-    phi, theta = ere.phases(model, p)
-    p_inv = model_inverted_momentum(model, p)
-    phi_inv, theta_inv = ere.phases(model, p_inv)
-    want_phi, want_theta = sym.apply(phi, theta)
+    sym, phi_inv, theta_inv = _image_phases(traj)
+    want_phi, want_theta = sym.apply(traj.phi, traj.theta)
     dev = max(
         float(np.max(_angle_deviation(phi_inv, want_phi))),
         float(np.max(_angle_deviation(theta_inv, want_theta))),
     )
+    family = traj.model.family
     return Check(
         "phase_map", dev, tol, dev < tol,
-        {"row": model.family.row, "details": {"table": model.family.table}},
+        {"row": family.row, "details": {"table": family.table}},
     )
 
 
@@ -250,9 +240,8 @@ def _default_in_states(n: int, seed: int = 7) -> np.ndarray:
 
 
 def verify_density_map(
-    model: ere.TwoChannelModel,
+    traj: Trajectory,
     in_states: np.ndarray | None = None,
-    p_grid=None,
     tol: float = DEFAULT_TOLERANCES["density_map"],
 ) -> Check:
     """Check the density-matrix transformation class of the family row.
@@ -273,7 +262,7 @@ def verify_density_map(
     1-D state of length 4 also works); anything else raises ValueError, as
     does a non-finite phase.
     """
-    sym = _require_family(model)
+    sym, phi_inv, theta_inv = _image_phases(traj)
     if in_states is None:
         in_states = _default_in_states(10)
     shape = np.shape(in_states)
@@ -283,9 +272,7 @@ def verify_density_map(
     if states.shape[0] == 0:
         raise ValueError("no in-states")
     states = spin.normalized_state(states)
-    p = _momentum_grid(p_grid)
-    phi, theta = ere.phases(model, p)
-    phi_inv, theta_inv = ere.phases(model, model_inverted_momentum(model, p))
+    phi, theta = traj.phi, traj.theta
     if not np.all(np.isfinite([phi, theta, phi_inv, theta_inv])):
         raise ValueError("scattering operator is not unitary")
 
@@ -305,14 +292,15 @@ def verify_density_map(
     )
     max_dev = math.sqrt(max(float(np.max(squares)), 0.0))
 
-    details: dict = {"rho_class": sym.rho_class.value, "table": model.family.table}
+    family = traj.model.family
+    details: dict = {"rho_class": sym.rho_class.value, "table": family.table}
     if s_s != s_t and np.max(np.abs(cross)) >= 1e-12:
         details["cross_block_phase_vs_plain_rho"] = _finite_range(
-            np.atleast_1d(wrap_angle((phi_inv - theta_inv) - (phi - theta)))
+            wrap_angle((phi_inv - theta_inv) - (phi - theta))
         )
     return Check(
         "density_map", max_dev, tol, max_dev < tol,
-        {"row": model.family.row, "details": details},
+        {"row": family.row, "details": details},
     )
 
 
@@ -331,19 +319,16 @@ def _finite_range(values: np.ndarray) -> dict | None:
 
 
 def verify_ep_invariance(
-    model: ere.TwoChannelModel, p_grid, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
+    traj: Trajectory, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
 ) -> Check:
-    """Check that the entanglement power is invariant under the inversion."""
-    sym = _require_family(model)
-    del sym  # the family tag is required; EP invariance holds for every row
-    p = _momentum_grid(p_grid)
-    phi, theta = ere.phases(model, p)
-    p_inv = model_inverted_momentum(model, p)
-    phi_inv, theta_inv = ere.phases(model, p_inv)
-    ep_here = spin.entanglement_power_closed(phi, theta)
+    """Check that the entanglement power is invariant under the inversion;
+    it holds for every family row."""
+    _sym, phi_inv, theta_inv = _image_phases(traj)
+    ep_here = spin.entanglement_power_closed(traj.phi, traj.theta)
     ep_image = spin.entanglement_power_closed(phi_inv, theta_inv)
-    dev = float(np.max(np.abs(np.asarray(ep_here) - np.asarray(ep_image))))
+    dev = float(np.max(np.abs(ep_here - ep_image)))
+    family = traj.model.family
     return Check(
         "ep_invariance", dev, tol, dev < tol,
-        {"row": model.family.row, "details": {"table": model.family.table}},
+        {"row": family.row, "details": {"table": family.table}},
     )

@@ -99,9 +99,9 @@ def test_acceptance_2_entanglement_power_mc():
 def test_acceptance_3_zero_range_reflection_pair():
     t0 = time.perf_counter()
     model = ere.make_symmetric_model("T1", 4, 1.0, 5.0)
-    grid = uvir.make_paired_grid(1.0, 5.0, count=101)
-    phase = uvir.verify_phase_map(model, grid, tol=1e-10)
-    ep = uvir.verify_ep_invariance(model, grid, tol=1e-12)
+    traj = torus.sample_trajectory(model, uvir.make_paired_grid(1.0, 5.0, count=101))
+    phase = uvir.verify_phase_map(traj, tol=1e-10)
+    ep = uvir.verify_ep_invariance(traj, tol=1e-12)
     runtime = _elapsed(t0)
     ok = phase.passed and ep.passed and runtime < 1.0
     detail = (
@@ -126,9 +126,9 @@ def test_acceptance_4_range_corrected_swap_pair():
     worst_rho = 0.0
     for a0, a1 in [(-15.0, -1.0), (15.0, 1.0)]:
         model = ere.make_symmetric_model("T2", 5, a0, a1, lam=0.01)
-        grid = uvir.make_paired_grid(a0, a1, lam=0.01, count=101)
-        phase = uvir.verify_phase_map(model, grid, tol=1e-10)
-        dens = uvir.verify_density_map(model, in_states=states, p_grid=grid, tol=1e-10)
+        traj = torus.sample_trajectory(model, uvir.make_paired_grid(a0, a1, lam=0.01, count=101))
+        phase = uvir.verify_phase_map(traj, tol=1e-10)
+        dens = uvir.verify_density_map(traj, in_states=states, tol=1e-10)
         worst_phase = max(worst_phase, phase.max_deviation)
         worst_rho = max(worst_rho, dens.max_deviation)
     runtime = _elapsed(t0)
@@ -156,9 +156,8 @@ def test_acceptance_5_exact_solutions():
     for _ in range(20):
         a0, a1 = rng.uniform(0.1, 10.0, size=2) * rng.choice([-1.0, 1.0], size=2)
         model = ere.TwoChannelModel(3, ere.Channel3D(a0), ere.Channel3D(a1))
-        report = geometry.eom_residual(
-            model, geometry.potential_3d(a0, a1), p_grid=grid
-        )
+        traj = torus.sample_trajectory(model, grid)
+        report = geometry.eom_residual(traj, geometry.potential_3d(a0, a1))
         worst_zero_range = max(worst_zero_range, report.max_norm)
 
     worst_quarter = 0.0
@@ -170,9 +169,8 @@ def test_acceptance_5_exact_solutions():
         a0, a1 = s0 * mag0, s1 * mag1
         model = ere.make_symmetric_model(table, row, a0, a1, lam=0.25)
         assert ere.quarter_lambda_branch(model) == "solvable"
-        report = geometry.eom_residual(
-            model, geometry.potential_lam14(a0, a1), p_grid=grid
-        )
+        traj = torus.sample_trajectory(model, grid)
+        report = geometry.eom_residual(traj, geometry.potential_lam14(a0, a1))
         worst_quarter = max(worst_quarter, report.max_norm)
 
     worst_2d = 0.0
@@ -181,7 +179,7 @@ def test_acceptance_5_exact_solutions():
         if abs(a2[0] - a2[1]) < 1e-3:
             a2[1] *= 2.0
         model = ere.make_2d_model(a2[0], a2[1])
-        over = geometry.overdetermination_2d(model, grid, tol=1e-6)
+        over = geometry.overdetermination_2d(torus.sample_trajectory(model, grid), tol=1e-6)
         worst_2d = max(worst_2d, over.max_relative_deviation)
 
     runtime = _elapsed(t0)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, geometry
+from torus_scatter import ere, geometry, torus
 
 from conftest import polyline_distance_all_pairs
 
@@ -96,7 +96,7 @@ def test_lapse_equal_channels_closed_form():
     p = np.array([0.2, 1.0, 4.0])
     phi = ere.phases(m, p)[0]
     np.testing.assert_allclose(
-        geometry.lapse(m, p)[0], 2.0 * np.sin(phi) / p, rtol=1e-13
+        geometry.lapse(torus.sample_trajectory(m, p))[0], 2.0 * np.sin(phi) / p, rtol=1e-13
     )
 
 
@@ -108,7 +108,7 @@ def test_lapse_equals_tangent_combination_at_zero_range(a0, a1, p):
     m = _zero_range(a0, a1)
     eps = geometry.epsilon_for(a0, a1)
     dphi, dtheta = ere.tangents(m, p)
-    n_val = geometry.lapse(m, p)[0]
+    n_val = geometry.lapse(torus.sample_trajectory(m, [p]))[0][0]
     assert n_val == pytest.approx(dphi - eps * dtheta, rel=1e-10, abs=1e-12)
 
 
@@ -117,13 +117,14 @@ def test_inaffinity_singular_at_vanishing_lapse():
     # zero p = sqrt(2), so N ~ 2 sin(phi)/p vanishes there
     m_r = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
     with pytest.raises(ValueError, match="lapse"):
-        geometry.inaffinity(m_r, math.sqrt(2.0))
+        geometry.inaffinity(torus.sample_trajectory(m_r, [math.sqrt(2.0)]))
     # 2D equal lengths: phi' = theta' identically, N = 0 everywhere
     m_2d = ere.make_2d_model(2.0, 2.0)
     with pytest.raises(ValueError, match="lapse"):
-        geometry.inaffinity(m_2d, 1.0)
+        geometry.inaffinity(torus.sample_trajectory(m_2d, [1.0]))
     # generic case evaluates fine
-    assert np.isfinite(geometry.inaffinity(_zero_range(1.0, 1.0), 0.7))
+    generic = torus.sample_trajectory(_zero_range(1.0, 1.0), [0.7])
+    assert np.isfinite(geometry.inaffinity(generic))
 
 
 def test_construction_lapse_is_the_model_lapse_of_its_own_potential():
@@ -135,7 +136,7 @@ def test_construction_lapse_is_the_model_lapse_of_its_own_potential():
         grid = np.geomspace(0.05, 20.0, 50)
         pot = geometry.closed_form_potential(m, c1=-2.5)
         got = geometry.construction_lapse(m, pot, grid)
-        want = geometry.lapse(m, grid, c1=-2.5)
+        want = geometry.lapse(torus.sample_trajectory(m, grid), c1=-2.5)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
     with pytest.raises(ValueError, match="closed-form potential"):
         geometry.construction_lapse(
@@ -159,15 +160,16 @@ def test_eom_residual_zero_range(a0, a1):
     m = _zero_range(a0, a1)
     pot = geometry.potential_3d(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.max_norm < 1e-8, report.excluded
 
 
 def test_eom_residual_c1_invariant():
     m = _zero_range(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 200)
-    r1 = geometry.eom_residual(m, geometry.potential_3d(1.0, 5.0, c1=1.0), p_grid=grid)
-    r2 = geometry.eom_residual(m, geometry.potential_3d(1.0, 5.0, c1=4.2), p_grid=grid)
+    traj = torus.sample_trajectory(m, grid)
+    r1 = geometry.eom_residual(traj, geometry.potential_3d(1.0, 5.0, c1=1.0))
+    r2 = geometry.eom_residual(traj, geometry.potential_3d(1.0, 5.0, c1=4.2))
     assert r2.max_norm < 1e-8
     assert r1.max_norm == pytest.approx(r2.max_norm, abs=1e-9)
 
@@ -177,7 +179,7 @@ def test_eom_residual_detects_wrong_model():
     wrong = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
     pot = geometry.potential_3d(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 300)
-    report = geometry.eom_residual(wrong, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(wrong, grid), pot)
     assert report.max_norm > 1e-3
 
 
@@ -196,7 +198,7 @@ def test_eom_residual_quarter_lambda_solvable(table, row, a0, a1):
     assert ere.quarter_lambda_branch(m) == "solvable"
     pot = geometry.potential_lam14(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.max_norm < 1e-8, report.excluded
 
 
@@ -212,7 +214,7 @@ def test_quarter_lambda_complementary_branch_has_no_single_potential():
     assert ere.quarter_lambda_branch(m) == "unsolvable"
     pot = geometry.potential_lam14(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 300)
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.max_norm > 1e-2
 
 
@@ -246,12 +248,13 @@ def test_closed_form_potential_follows_the_class_rule():
         classes[kind] += 1
         pot = geometry.closed_form_potential(m, c1=c1)
         assert pot == want, m
+        traj = torus.sample_trajectory(m, grid)
         if pot is None:
             # Neither 3D closed form solves this model's trajectory equations.
             for wrong in (geometry.potential_3d(a0, a1), geometry.potential_lam14(a0, a1)):
-                assert geometry.eom_residual(m, wrong, p_grid=grid).max_norm > 0.1, m
+                assert geometry.eom_residual(traj, wrong).max_norm > 0.1, m
         else:
-            assert geometry.eom_residual(m, pot, p_grid=grid).max_norm < 1e-8, m
+            assert geometry.eom_residual(traj, pot).max_norm < 1e-8, m
     assert classes == {"zero-range": 10, "lam14": 7, None: 69}
     planar = ere.make_2d_model(1.0, 3.0)
     assert geometry.closed_form_potential(planar, c1=c1) == geometry.potential_2d(1.0, 3.0, c1=c1)
@@ -267,7 +270,7 @@ def test_eom_residual_2d():
     m = ere.make_2d_model(1.0, 3.0)
     pot = geometry.potential_2d(1.0, 3.0)
     grid = np.geomspace(1e-2, 1e2, 500)
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.max_norm < 1e-8, report.excluded
 
 
@@ -281,7 +284,7 @@ def test_eom_residual_excludes_2d_turning_point():
     pot = geometry.potential_2d(a2_0, a2_1)
     p_star = 1.0 / math.sqrt(a2_0 * a2_1)
     grid = np.unique(np.concatenate([np.geomspace(0.1, 10.0, 101), [p_star]]))
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert any(p == pytest.approx(p_star) for p, _reason in report.excluded)
     assert all(
         reason in ("potential singularity", "vanishing lapse")
@@ -296,11 +299,11 @@ def test_checks_with_no_grid_point_left_raise():
     # 3 pi, where the 2D shape gradient vanishes.
     m = ere.make_2d_model(1.0, 4.0)
     with pytest.raises(ValueError, match=r"^eom_residual: all 1 grid points excluded"):
-        geometry.eom_residual(m, geometry.potential_2d(1.0, 4.0), p_grid=[0.5])
+        geometry.eom_residual(torus.sample_trajectory(m, [0.5]), geometry.potential_2d(1.0, 4.0))
     m = ere.make_2d_model(1.0, 3.0)
     grid = [0.10933059980159891, 3.0488567147553383]
     with pytest.raises(ValueError, match=r"^overdetermination_2d: all 2 grid points excluded"):
-        geometry.overdetermination_2d(m, grid)
+        geometry.overdetermination_2d(torus.sample_trajectory(m, grid))
 
 
 def test_eom_residual_keeps_vanishing_lapse():
@@ -310,8 +313,9 @@ def test_eom_residual_keeps_vanishing_lapse():
     m = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
     pot = geometry.potential_3d(1.0, 1.0)
     grid = np.array([1.3, math.sqrt(2.0), 1.5])
-    assert abs(geometry.lapse(m, math.sqrt(2.0))[0]) < geometry.LAPSE_SINGULAR_TOL
-    report = geometry.eom_residual(m, pot, p_grid=grid)
+    n_star = geometry.lapse(torus.sample_trajectory(m, [math.sqrt(2.0)]))[0][0]
+    assert abs(n_star) < geometry.LAPSE_SINGULAR_TOL
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.excluded == []
     assert report.p.tolist() == grid.tolist()
     assert np.all(np.isfinite(report.res_phi)) and np.all(np.isfinite(report.res_theta))
@@ -327,8 +331,8 @@ def test_eom_residual_regular_beside_the_2d_lapse_zero():
         for a0, a1 in zip(rng.uniform(0.5, 2.0, 100), rng.uniform(3.0, 10.0, 100))
     ]
     for a0, a1 in pairs:
-        m = ere.make_2d_model(a0, a1)
-        report = geometry.eom_residual(m, geometry.potential_2d(a0, a1), p_grid=grid)
+        traj = torus.sample_trajectory(ere.make_2d_model(a0, a1), grid)
+        report = geometry.eom_residual(traj, geometry.potential_2d(a0, a1))
         assert report.max_norm < 1e-8, (a0, a1, report.max_norm)
         assert all(reason == "potential singularity" for _p, reason in report.excluded)
 
@@ -341,7 +345,7 @@ def test_eom_residual_regular_beside_the_2d_lapse_zero():
 def test_overdetermination_2d_consistency():
     m = ere.make_2d_model(1.0, math.e)
     grid = np.geomspace(1e-3, 1e3, 800)
-    report = geometry.overdetermination_2d(m, grid)
+    report = geometry.overdetermination_2d(torus.sample_trajectory(m, grid))
     assert report.passed and report.max_relative_deviation < 1e-6, report.excluded
     # the shared ratio W / (phi' - theta')^2 equals c1^2 * amplitude
     pot = geometry.potential_2d(1.0, math.e)
@@ -353,13 +357,13 @@ def test_overdetermination_2d_consistency():
 def test_overdetermination_rejects_equal_lengths():
     m = ere.make_2d_model(2.0, 2.0)
     with pytest.raises(ValueError):
-        geometry.overdetermination_2d(m, np.geomspace(0.1, 10, 50))
+        geometry.overdetermination_2d(torus.sample_trajectory(m, np.geomspace(0.1, 10, 50)))
 
 
 def test_overdetermination_requires_2d():
     m = _zero_range(1.0, 5.0)
     with pytest.raises(ValueError):
-        geometry.overdetermination_2d(m, np.geomspace(0.1, 10, 50))
+        geometry.overdetermination_2d(torus.sample_trajectory(m, np.geomspace(0.1, 10, 50)))
 
 
 # ---------------------------------------------------------------------------

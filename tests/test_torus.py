@@ -34,7 +34,7 @@ def test_quadrants_by_sign():
         ((math.pi, 0.5), torus.Quadrant.BOUNDARY),
     ]
     phi, theta = (np.array(x) for x in zip(*(pt for pt, _ in cases)))
-    traj = torus.Trajectory(_model(), np.arange(1.0, phi.size + 1.0), phi, theta)
+    traj = _at_points(phi, theta)
     assert traj.positions().tolist() == [q.position for _, q in cases]
     assert torus.Quadrant.I.position == "top-right"
     assert torus.Quadrant.III.position == "bottom-left"
@@ -42,6 +42,14 @@ def test_quadrants_by_sign():
 
 def _model():
     return ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(5.0))
+
+
+def _at_points(phi, theta):
+    """A trajectory through the given torus points (its derivatives are unused)."""
+    zeros = np.zeros_like(phi)
+    return torus.Trajectory(
+        _model(), np.arange(1.0, phi.size + 1.0), phi, theta, zeros, zeros, zeros, zeros
+    )
 
 
 def test_sample_trajectory_is_continuous():
@@ -72,21 +80,32 @@ def test_sample_trajectory_accepts_a_two_point_grid():
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        torus.Trajectory(
-            model=_model(),
-            p=np.array([1.0, 0.5]),
-            phi=np.zeros(2),
-            theta=np.zeros(2),
-        )
+    """The grid must be non-empty, 1D, strictly increasing and positive."""
+    for grid in ([1.0, 0.5], [0.5, 0.5], [], [[0.5, 1.0]], [0.0, 1.0], [-1.0, 1.0], [np.nan]):
+        for model in (_model(), ere.make_2d_model(1.0, 3.0)):
+            with pytest.raises(ValueError, match="^momentum grid must be"):
+                torus.sample_trajectory(model, grid)
 
 
 def test_trajectory_tangents_are_the_ere_tangents():
+    """One evaluation of each pair gives ``ere``'s phases and both derivatives
+    bit for bit: 3D zero range, lambda = 1/4, a unitarity channel, and 2D."""
     grid = np.geomspace(1e-1, 1e1, 201)
-    dphi, dtheta = torus.sample_trajectory(_model(), grid).tangents()
-    want_phi, want_theta = ere.tangents(_model(), grid)
-    np.testing.assert_array_equal(dphi, want_phi)
-    np.testing.assert_array_equal(dtheta, want_theta)
+    for model in (
+        _model(),
+        ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25),
+        ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(-2.0, r=-0.5)),
+        ere.make_2d_model(1.0, 3.0),
+    ):
+        traj = torus.sample_trajectory(model, grid)
+        for got, want in (
+            ((traj.phi, traj.theta), ere.phases(model, grid)),
+            (traj.tangents(), ere.tangents(model, grid)),
+            ((traj.d2phi, traj.d2theta), ere.second_derivatives(model, grid)),
+        ):
+            for g, w in zip(got, want):
+                assert g.shape == grid.shape
+                np.testing.assert_array_equal(g, w)
 
 
 def test_trajectory_quadrants_follow_wrapped_points():
@@ -100,7 +119,6 @@ def test_trajectory_quadrants_match_pointwise_labels_at_edges():
     edges = [0.0, math.pi, -math.pi, 2.0 * math.pi, 2.0 * tol, -2.0 * tol, 0.5 * tol,
              -0.5 * tol, math.pi - 2.0 * tol, math.pi - 0.5 * tol, 0.5, -0.5, 2.5, -2.5]
     phi, theta = (np.array(x) for x in zip(*((f, t) for f in edges for t in edges)))
-    traj = torus.Trajectory(_model(), np.arange(1.0, phi.size + 1.0), phi, theta)
-    quads = traj.quadrants()
+    quads = _at_points(phi, theta).quadrants()
     assert quads == [quadrant_oracle(f, t) for f, t in zip(phi, theta)]
     assert set(quads) == set(torus.Quadrant)

@@ -1,5 +1,6 @@
 """Momentum-inversion symmetry maps: phases, density matrices, EP."""
 
+import dataclasses
 import math
 import re
 
@@ -114,7 +115,7 @@ def test_t1_row4_relation_directly():
 def test_verify_phase_map_t1_row4():
     m = ere.make_symmetric_model("T1", 4, 1.0, 5.0)
     grid = uvir.make_paired_grid(1.0, 5.0)
-    report = uvir.verify_phase_map(m, grid)
+    report = uvir.verify_phase_map(torus.sample_trajectory(m, grid))
     assert report.passed and report.max_deviation < 1e-10
 
 
@@ -122,7 +123,7 @@ def test_verify_phase_map_t1_row4():
 def test_verify_phase_map_t1_other_rows(row, a0, a1):
     m = ere.make_symmetric_model("T1", row, a0, a1)
     grid = uvir.make_paired_grid(a0, a1)
-    report = uvir.verify_phase_map(m, grid)
+    report = uvir.verify_phase_map(torus.sample_trajectory(m, grid))
     assert report.passed, report.to_json()
 
 
@@ -143,7 +144,7 @@ def test_verify_phase_map_t1_other_rows(row, a0, a1):
 def test_verify_phase_map_range_families(table, row, a0, a1, lam):
     m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
     grid = uvir.make_paired_grid(a0, a1, lam=lam)
-    report = uvir.verify_phase_map(m, grid)
+    report = uvir.verify_phase_map(torus.sample_trajectory(m, grid))
     assert report.passed, report.to_json()
 
 
@@ -156,7 +157,7 @@ def test_verify_density_map_full_and_mixed_classes():
     ]:
         m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
         grid = uvir.make_paired_grid(a0, a1, lam=lam, count=21)
-        report = uvir.verify_density_map(m, p_grid=grid)
+        report = uvir.verify_density_map(torus.sample_trajectory(m, grid))
         assert report.passed, report.to_json()
 
 
@@ -265,12 +266,13 @@ def test_batched_density_map_equals_point_loop(table, row, a0, a1, lam, rho_clas
     # 600 points is the verify-sweep grid size.
     for count in (1, 2, 157, 600):
         grid = np.geomspace(1e-2, 1e2, count)
-        report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
+        traj = torus.sample_trajectory(m, grid)
+        report = uvir.verify_density_map(traj, in_states=states).to_json()
         assert report["details"]["rho_class"] == rho_class
         _assert_matches_oracle(report, _density_map_by_point(m, states, grid).to_json())
         if "+" in rho_class:
             assert "cross_block_phase_vs_plain_rho" in report["details"]
-        report = uvir.verify_density_map(m, in_states=[near_triplet], p_grid=grid).to_json()
+        report = uvir.verify_density_map(traj, in_states=[near_triplet]).to_json()
         _assert_matches_oracle(report, _density_map_by_point(m, [near_triplet], grid).to_json())
         assert "cross_block_phase_vs_plain_rho" not in report["details"]
 
@@ -304,7 +306,7 @@ def test_density_map_fails_on_perturbed_image_phases(monkeypatch, table, row, a0
 
     monkeypatch.setattr(ere, "phases", perturbed_phases)
     states = spin.haar_product_states(4, np.random.default_rng(11))
-    report = uvir.verify_density_map(m, in_states=states, p_grid=grid).to_json()
+    report = uvir.verify_density_map(torus.sample_trajectory(m, grid), in_states=states).to_json()
     oracle = _density_map_by_point(m, states, grid).to_json()
     assert not report["pass"] and report["max_deviation"] > 1e-5, report
     _assert_matches_oracle(report, oracle)
@@ -314,11 +316,11 @@ def test_density_map_rejects_missing_or_misshapen_in_states():
     m = ere.make_symmetric_model("T2", 2, 1.3, -4.0, lam=0.3)
     grid = np.geomspace(0.1, 10, 11)
     with pytest.raises(ValueError, match="^no in-states$"):
-        uvir.verify_density_map(m, in_states=np.zeros((0, 4)), p_grid=grid)
+        uvir.verify_density_map(torus.sample_trajectory(m, grid), in_states=np.zeros((0, 4)))
     for bad, shape in ((np.array([]), "(0,)"), (np.ones((2, 3)), "(2, 3)"),
                        (np.ones((2, 1, 4)), "(2, 1, 4)")):
         with pytest.raises(ValueError, match=f"shape \\(k, 4\\), got {re.escape(shape)}$"):
-            uvir.verify_density_map(m, in_states=bad, p_grid=grid)
+            uvir.verify_density_map(torus.sample_trajectory(m, grid), in_states=bad)
 
 
 @pytest.mark.parametrize(
@@ -347,39 +349,30 @@ def test_cross_phase_summary_matches_python_min_max(values):
 
 
 def test_density_map_rejects_unnormalized_in_state():
-    m = ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7)
+    traj = torus.sample_trajectory(
+        ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7), np.geomspace(0.1, 10, 11)
+    )
     states = spin.haar_product_states(3, np.random.default_rng(2))
     for bad in (states[1] * 1.001, np.full(4, np.nan)):
         states[1] = bad
         with pytest.raises(ValueError, match="normalized"):
-            uvir.verify_density_map(m, in_states=states, p_grid=np.geomspace(0.1, 10, 11))
+            uvir.verify_density_map(traj, in_states=states)
 
 
 def test_verifiers_reject_empty_grid():
+    """The verifiers read a sampled trajectory, and an empty grid has none."""
     m = ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7)
-    for verify in (
-        uvir.verify_phase_map,
-        uvir.verify_ep_invariance,
-        lambda model, grid: uvir.verify_density_map(model, p_grid=grid),
-    ):
-        with pytest.raises(ValueError, match="^empty momentum grid$"):
-            verify(m, np.array([]))
+    with pytest.raises(ValueError, match="^momentum grid must be a non-empty 1D array$"):
+        torus.sample_trajectory(m, np.array([]))
 
 
-def test_density_map_rejects_non_unitary_operator(monkeypatch):
+def test_density_map_rejects_non_unitary_operator():
     m = ere.make_symmetric_model("T2", 4, 1.0, 2.0, lam=0.7)
-    grid = np.geomspace(0.1, 10, 11)
-    real_phases = ere.phases
-
-    def phases_with_nan(model, p):
-        phi, theta = real_phases(model, p)
-        phi = np.array(phi, dtype=float)
-        phi[np.isclose(p, grid[4])] = np.nan
-        return phi, theta
-
-    monkeypatch.setattr(ere, "phases", phases_with_nan)
+    traj = torus.sample_trajectory(m, np.geomspace(0.1, 10, 11))
+    phi = traj.phi.copy()
+    phi[4] = np.nan
     with pytest.raises(ValueError, match="scattering operator is not unitary"):
-        uvir.verify_density_map(m, p_grid=grid)
+        uvir.verify_density_map(dataclasses.replace(traj, phi=phi))
 
 
 def test_verify_ep_invariance_rows():
@@ -390,7 +383,7 @@ def test_verify_ep_invariance_rows():
     ]:
         m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
         grid = uvir.make_paired_grid(a0, a1, lam=lam)
-        report = uvir.verify_ep_invariance(m, grid)
+        report = uvir.verify_ep_invariance(torus.sample_trajectory(m, grid))
         assert report.passed and report.max_deviation < 1e-12, report.to_json()
 
 
@@ -403,15 +396,16 @@ def test_verify_phase_map_fails_for_wrong_claim():
         family=None,
     )
     with pytest.raises(ValueError):
-        uvir.verify_phase_map(m, np.geomspace(0.1, 10, 11))
+        uvir.verify_phase_map(torus.sample_trajectory(m, np.geomspace(0.1, 10, 11)))
 
 
 def test_2d_model_phase_map():
     m = ere.make_2d_model(1.0, 3.0)
     grid = uvir.make_paired_grid(1.0, 3.0)
-    report = uvir.verify_phase_map(m, grid)
+    report = uvir.verify_phase_map(torus.sample_trajectory(m, grid))
     assert report.passed, report.to_json()
-    report_d = uvir.verify_density_map(m, p_grid=uvir.make_paired_grid(1.0, 3.0, count=21))
+    paired = uvir.make_paired_grid(1.0, 3.0, count=21)
+    report_d = uvir.verify_density_map(torus.sample_trajectory(m, paired))
     assert report_d.passed
-    report_e = uvir.verify_ep_invariance(m, grid)
+    report_e = uvir.verify_ep_invariance(torus.sample_trajectory(m, grid))
     assert report_e.passed
