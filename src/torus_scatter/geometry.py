@@ -452,8 +452,9 @@ def integrate_affine(
     ``n_samples`` at least 1; the samples are ``np.linspace(0, tau_span,
     n_samples)``.  If the integrator fails (typically by running into a
     potential singularity) the curve is cut before the first sample it did
-    not reach, and the integrator's message is the diagnostic; no warning
-    is raised.
+    not reach, and the diagnostic names the tau it reached, the potential
+    argument u at its last right-hand-side evaluation, the latest state it
+    tried, and the cause; no warning is raised.
     """
     if not (math.isfinite(tau_span) and tau_span != 0.0):
         raise ValueError(f"tau_span must be finite and nonzero, got {tau_span!r}")
@@ -465,11 +466,12 @@ def integrate_affine(
     from scipy.integrate import ODEintWarning, odeint
 
     tau = np.linspace(0.0, tau_span, n_samples)
+    last_u = [math.nan]
     with warnings.catch_warnings():
         # A failure is read from ``tcur`` and the message, not the warning.
         warnings.simplefilter("ignore", ODEintWarning)
         y, info = odeint(
-            _affine_rhs(potential),
+            _affine_rhs(potential, last_u),
             [phi0, theta0, dphi0, dtheta0],
             tau,
             rtol=AFFINE_RTOL,
@@ -477,13 +479,21 @@ def integrate_affine(
             full_output=True,
             tfirst=True,
         )
-    # After a failed interval the rows of y and tcur hold uninitialised
-    # memory: keep the samples before the first output time not reached.
+    # ``tcur`` of a failed interval is the tau reached; the rows of y from it
+    # on, and tcur after it, hold uninitialised memory: keep the samples
+    # before the first output time not reached.
     short = ~(np.sign(tau_span) * info["tcur"] >= np.sign(tau_span) * tau[1:])
     truncated = bool(short.any())
+    diagnostic = ""
     if truncated:
-        keep = 1 + int(np.argmax(short))
-        tau, y = tau[:keep], y[:keep]
+        failed = int(np.argmax(short))
+        tau, y = tau[: failed + 1], y[: failed + 1]
+        # scipy appends a guess at a Jacobian fault; none is passed here.
+        cause = info["message"].partition(" (perhaps")[0]
+        diagnostic = (
+            f"integrator stopped at tau = {float(info['tcur'][failed])!r} of {tau_span!r}, "
+            f"where the potential argument was last u = {last_u[0]!r}: {cause}"
+        )
     phi, theta, dphi, dtheta = y.T
     return AffineCurve(
         tau=tau,
@@ -492,23 +502,24 @@ def integrate_affine(
         dphi=dphi,
         dtheta=dtheta,
         truncated=truncated,
-        diagnostic=f"integrator stopped: {info['message']}" if truncated else "",
+        diagnostic=diagnostic,
     )
 
 
-def _affine_rhs(potential: GeometricPotential):
+def _affine_rhs(potential: GeometricPotential, last_u: list):
     """``integrate_affine``'s right-hand side (phi', theta', -dV/dphi, -dV/dtheta).
 
     The potential depends on phi and theta only through its argument u, and
     dV/dtheta = epsilon dV/dphi, so one ``_slope`` on Python floats gives
     both forces, bit for bit those of ``gradient``.  tan and cos stay NumPy's:
-    ``math.tan`` differs from them in the last bit on some arguments.
+    ``math.tan`` differs from them in the last bit on some arguments.  Each
+    call leaves its u in ``last_u[0]``, for the diagnostic of a failure.
     """
     eps = potential.epsilon
 
     def rhs(_tau, y):
         phi, theta, dphi, dtheta = y.tolist()
-        u = potential.argument(phi, theta)
+        u = last_u[0] = potential.argument(phi, theta)
         g_phi = potential._slope(float(np.tan(u)), float(np.cos(u)))
         return [dphi, dtheta, -g_phi, -eps * g_phi]
 

@@ -358,6 +358,46 @@ def test_invalid_config_values_exit_2_naming_the_key(tmp_path, capsys, overrides
         assert key in json.loads(out.err)["error"]
 
 
+#: Configs whose dimensionless magnitudes leave float64 on the grid: 2D
+#: a0 p = 1e310 at p = 1e10, and 3D a0 p = 1e350 at p = 1e150.
+UNREPRESENTABLE = {
+    "2d-a2p": {"dimension": 2, "a0": 1e300, "a1": 2e-300, "family": None,
+               "p_grid": {"min": 1e-10, "max": 1e10, "count": 5, "spacing": "log"}},
+    "3d-ap": {"dimension": 3, "a0": 1e200, "a1": -3e200, "family": None,
+              "p_grid": {"min": 1e150, "max": 1e200, "count": 5, "spacing": "log"}},
+}
+
+
+@pytest.mark.parametrize("name", UNREPRESENTABLE)
+def test_unrepresentable_magnitudes_exit_2_before_any_output(tmp_path, capsys, name):
+    """Each command refuses the config with one JSON line naming the key,
+    instead of printing NaN or limit phases."""
+    cfg = _write_config(tmp_path, **UNREPRESENTABLE[name])
+    for command in ("traj", "ep", "verify"):
+        assert cli.main([command, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        message = json.loads(line)["error"]
+        assert message.startswith("a0: a") and "must be finite and nonzero over p_grid" in message
+
+
+def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsys):
+    """A zero range is exactly 0, not an underflow; a p that underflows to 0 is refused."""
+    zero_range = _write_config(tmp_path, name="zr.json", family=None)
+    assert cli.main(["ep", "--config", zero_range]) == 0
+    tiny = _write_config(
+        tmp_path, name="tiny.json", a0=1.0, a1=1e-200, family=None,
+        p_grid={"min": 1e-150, "max": 1.0, "count": 3},
+    )
+    capsys.readouterr()
+    assert cli.main(["ep", "--config", tiny]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]
+    assert message == (
+        "a1: a p must be finite and nonzero over p_grid [1e-150, 1.0]; got 0.0 at p = 1e-150"
+    )
+
+
 def test_poles_cli_json(tmp_path, capsys):
     assert cli.main(["poles", "--a", "-1", "--lam", "0.25"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_scatter import cli
@@ -77,6 +77,11 @@ def config_path(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=configs())
+# Dimensionless magnitudes outside float64: 2D a0 p = 1e310, 3D a0 p = 1e350.
+@example(data={"dimension": 2, "a0": 1e300, "a1": 2e-300,
+               "p_grid": {"min": 1e-10, "max": 1e10, "count": 5, "spacing": "log"}})
+@example(data={"dimension": 3, "a0": 1e200, "a1": -3e200,
+               "p_grid": {"min": 1e150, "max": 1e200, "count": 5, "spacing": "log"}})
 def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
     config_path.write_text(json.dumps(data))
     for command, allowed in EXIT_CODES.items():

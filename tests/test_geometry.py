@@ -462,10 +462,12 @@ def test_affine_rhs_is_the_gradient():
         keep = np.abs(np.cos(pot.argument(phi, theta))) > 0.05
         phi, theta = phi[keep], theta[keep]
         velocity = rng.normal(size=(phi.size, 2))
-        rhs = geometry._affine_rhs(pot)
+        last_u = [math.nan]
+        rhs = geometry._affine_rhs(pot, last_u)
         got = np.array([
             rhs(0.0, np.array([a, b, u, v])) for a, b, (u, v) in zip(phi, theta, velocity)
         ])
+        assert last_u[0] == pot.argument(phi[-1], theta[-1])
         g_phi, g_theta = pot.gradient(phi, theta)
         assert got[:, :2].tobytes() == velocity.tobytes()
         assert got[:, 2].tobytes() == (-g_phi).tobytes()
@@ -626,6 +628,27 @@ def test_integrate_affine_truncates_at_a_wall_quietly(span, capfd):
         assert arr.shape == (n,) and np.all(np.isfinite(arr))
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+@pytest.mark.parametrize("span,kept", [(5.0, 15), (-5.0, 27)])
+def test_integrate_affine_diagnostic_names_where_it_stopped(span, kept):
+    """The diagnostic of a cut curve names the tau reached, between the last
+    kept sample and the next, and the potential argument there, at the tan^2
+    wall; not scipy's guess at a Jacobian fault, as no Jacobian is passed."""
+    pot = geometry.potential_2d(1.0, 5.0)
+    curve = geometry.integrate_affine(pot, (0.3, 0.3, -1.0, -1.0), span, n_samples=1000)
+    assert curve.truncated and curve.tau.size == kept
+    match = re.fullmatch(
+        r"integrator stopped at tau = (\S+) of (\S+), where the potential argument "
+        r"was last u = (\S+): Excess work done on this call",
+        curve.diagnostic,
+    )
+    assert match, curve.diagnostic
+    reached, whole, u = (float(g) for g in match.groups())
+    assert whole == span
+    next_sample = np.linspace(0.0, span, 1000)[kept]
+    assert abs(curve.tau[-1]) <= abs(reached) < abs(next_sample)
+    assert abs(math.cos(u)) < 1e-2
 
 
 def test_integrate_affine_over_one_long_output_interval():
