@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from torus_scatter import causality, cli, ere, torus
+from torus_scatter import causality, cli, ere, geometry, torus
 from torus_scatter.config import MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
 
@@ -219,8 +220,6 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
 def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
     """Each closed-form class: ``geometry.inaffinity`` reproduces the printed
     kappa of every regular row bit for bit."""
-    from torus_scatter import geometry
-
     cfg = _write_config(
         tmp_path, p_grid={"min": 0.01, "max": 100.0, "count": 600, "spacing": "log"}, **overrides
     )
@@ -396,6 +395,63 @@ def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsy
     assert message == (
         "a1: a p must be finite and nonzero over p_grid [1e-150, 1.0]; got 0.0 at p = 1e-150"
     )
+
+
+def _count_evaluations(monkeypatch, size: int) -> Counter:
+    """Count, per channel, the ``pair`` calls on ``size`` momenta, and the
+    ``geometry.closed_form_potential`` calls."""
+    calls = Counter()
+    for cls in (ere.Channel3D, ere.Channel2D):
+
+        def pair(self, p, order, _pair=cls.pair):
+            if np.size(p) == size:
+                calls[self] += 1
+            return _pair(self, p, order)
+
+        monkeypatch.setattr(cls, "pair", pair)
+
+    def closed_form_potential(*args, _resolve=geometry.closed_form_potential, **kwargs):
+        calls["closed_form_potential"] += 1
+        return _resolve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "closed_form_potential", closed_form_potential)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"family": {"table": "T1", "row": 4}},
+        {"a0": -1.0, "a1": -5.0, "family": {"table": "T3", "row": 6, "lambda": 0.25}},
+        {"family": {"table": "T2", "row": 6, "lambda": 0.1}},
+        {"dimension": 2, "a0": 1.0, "a1": 3.0, "family": None},
+    ],
+    ids=["zero-range", "lam14", "no-closed-form", "2d"],
+)
+def test_traj_evaluates_each_channel_once(tmp_path, monkeypatch, overrides):
+    """One pair evaluation per channel feeds every column and the lapse."""
+    grid = {"min": 0.01, "max": 100.0, "count": 601, "spacing": "log"}
+    cfg = _write_config(tmp_path, p_grid=grid, **overrides)
+    calls = _count_evaluations(monkeypatch, 601)
+    assert cli.main(["traj", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+    channels = RunConfig.load(cfg).build_model().channels
+    assert calls == Counter({channels[0]: 1, channels[1]: 1, "closed_form_potential": 1})
+
+
+def test_verify_evaluates_the_grid_once_and_each_image_once(tmp_path, monkeypatch):
+    """T3 row 6 at lambda = 1/4 runs every suite: the grid is evaluated once
+    per channel, the inversion image once per channel in each of the three
+    inversion checks, and the closed-form potential is resolved once."""
+    grid = {"min": 0.01, "max": 100.0, "count": 601, "spacing": "log"}
+    cfg = _write_config(
+        tmp_path, a0=-1.0, a1=-5.0, family={"table": "T3", "row": 6, "lambda": 0.25}, p_grid=grid
+    )
+    calls = _count_evaluations(monkeypatch, 601)
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "all", "--config", cfg, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["skipped"] == []
+    channels = RunConfig.load(cfg).build_model().channels
+    assert calls == Counter({channels[0]: 4, channels[1]: 4, "closed_form_potential": 1})
 
 
 def test_poles_cli_json(tmp_path, capsys):
