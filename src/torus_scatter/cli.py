@@ -119,9 +119,7 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     kappa = v_val = np.full(traj.p.size, np.nan)
     potential = geometry.closed_form_potential(model, cfg.c1)
     if potential is not None:
-        kappa, vanishing = geometry.lapse_inaffinity(
-            traj.p, *geometry.lapse(traj, cfg.c1), cfg.c1
-        )
+        kappa, vanishing = geometry.lapse_inaffinity(traj, cfg.c1)
         v_val = potential.value(traj.phi, traj.theta)
         regular = ~(potential.singular_mask(traj.phi, traj.theta) | vanishing)
     columns = (

@@ -10,13 +10,13 @@ Construction validates every value and raises :class:`ConfigError` naming
 the key: integers (``dimension``, ``seed``, ``family.row``, ``p_grid.count``)
 may be integral floats but not booleans or strings; ``a0``, ``a1``, ``c1``,
 ``family.lambda`` and the grid bounds must be finite numbers, and
-tolerances positive numbers.  ``build_model`` also rejects a model whose
-dimensionless magnitudes a p, r p, a r p^2 (3D) or a2 p (2D) are not finite
-and nonzero over the grid, naming the channel's length key.
+tolerances positive numbers.  ``build_model`` also names the key of a
+channel whose dimensionless magnitudes are not finite and nonzero on the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,7 +92,7 @@ class PGrid:
         return {"min": self.min, "max": self.max, "count": self.count, "spacing": self.spacing}
 
 
-def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: np.ndarray) -> list:
+def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: float) -> list:
     """[(name, coefficient, value at p)] of the dimensionless products in a
     channel's ERE pair, formed as its arithmetic forms them: a p, r p and
     a r p^2 in 3D, a2 p in 2D."""
@@ -160,23 +160,19 @@ class RunConfig:
     # -- model construction ------------------------------------------------
 
     def build_model(self) -> ere.TwoChannelModel:
-        """The configured model.  A ConfigError names the key of a channel
-        with a dimensionless magnitude (``_magnitudes``) that overflows, or
-        underflows to 0 from a nonzero coefficient, on the grid: the phases
-        and their derivatives would then be limits or NaN.  Each magnitude
-        is monotonic in p, so the grid's ends bound it."""
+        """The configured model, refused if a magnitude (``_magnitudes``)
+        overflows, or underflows to 0 from a nonzero coefficient, at a grid
+        end, and so somewhere on the monotonic grid: the phases and their
+        derivatives would be limits or NaN."""
         model = self._model()
-        ends = [self.p_grid.min, self.p_grid.max]
-        for key, ch in zip(("a0", "a1"), model.channels):
-            with np.errstate(over="ignore"):
-                magnitudes = _magnitudes(ch, np.array(ends))
-            for name, coefficient, value in magnitudes:
-                for p, v in zip(ends, value.tolist()):
-                    if not math.isfinite(v) or (v == 0.0 and coefficient != 0.0):
-                        raise ConfigError(
-                            f"{key}: {name} must be finite and nonzero over p_grid "
-                            f"[{ends[0]!r}, {ends[1]!r}]; got {v!r} at p = {p!r}"
-                        )
+        ends = (self.p_grid.min, self.p_grid.max)
+        for (key, ch), p in itertools.product(zip(("a0", "a1"), model.channels), ends):
+            for name, coefficient, value in _magnitudes(ch, p):
+                if not math.isfinite(value) or (value == 0.0 and coefficient != 0.0):
+                    raise ConfigError(
+                        f"{key}: {name} must be finite and nonzero over p_grid "
+                        f"[{ends[0]!r}, {ends[1]!r}]; got {value!r} at p = {p!r}"
+                    )
         return model
 
     def _model(self) -> ere.TwoChannelModel:

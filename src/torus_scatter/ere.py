@@ -18,7 +18,8 @@ quantity comes from the pair and its momentum derivatives:
 * ``s_element``: (C + iS)/(C - iS).
 
 All four refuse p < 0; the derivatives of a 2D phase also refuse p = 0, where
-the log in its pair diverges.
+the log in its pair diverges.  On a grid, ``torus.sample_trajectory`` gives
+all three from one evaluation of each pair, with the same arithmetic.
 
 Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 
@@ -334,10 +335,8 @@ def _from_pair(pairs: list) -> list:
     2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
     S^2 + C^2 and its companions may overflow for huge a p; the slope then
-    takes its limit 0, as 1/(a p^2) does, and the second derivative may be
-    NaN there (0 times an overflowed SS'), without a warning: a zero-range
-    model's lapse does not read it, and the trajectory-equation checks that
-    do cannot pass on a NaN.
+    takes its limit 0, as 1/(a p^2) does, and the second derivative may be a
+    quiet NaN (0 times an overflowed SS'), which no check can pass.
     """
     s, c = pairs[0]
     out = [2.0 * np.arctan2(s, c)]

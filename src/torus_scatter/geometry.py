@@ -17,12 +17,11 @@ implemented:
 * 2D models: V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi+theta)/2 + pi/2).
 
 ``closed_form_potential`` decides which of the three a model has, if any,
-and ``lapse`` gives every model its lapse, keyed on the model's class.
-``lapse``, ``inaffinity``, ``eom_residual`` and ``overdetermination_2d`` read
-the phases and their derivatives from a sampled ``torus.Trajectory``;
-``construction_lapse`` samples one at the momenta it is given.  The three
-closed-form lapses are k c1 (phi' - eps theta'), so the affine span is exact
-from the continuous-branch phases at its ends (``affine_parameter_span``).
+and ``lapse`` gives every model its lapse, keyed on the model's class, along
+a sampled ``torus.Trajectory``, which the trajectory-equation checks also
+read.  The three closed-form lapses are k c1 (phi' - eps theta'), so the
+affine span is exact from the continuous-branch phases at its ends
+(``affine_parameter_span``).
 ``integrate_affine`` integrates the N = 1 motion with LSODA through scipy's
 ``odeint``, whose step loop and output interpolation run in compiled code;
 its right-hand side evaluates ``gradient``'s formula once per call on Python
@@ -262,19 +261,19 @@ def construction_lapse(
     return n_val.reshape(shape)[()], dn_val.reshape(shape)[()]
 
 
-def lapse_inaffinity(p, n_val, dn_val, c1: float = 1.0):
-    """(kappa = dN/N, vanishing) of a lapse (N, dN/dp) at momenta p and its c1:
+def lapse_inaffinity(traj: torus.Trajectory, c1: float = 1.0):
+    """(kappa = dN/N, vanishing) of ``lapse`` at c1 along a sampled trajectory:
     it vanishes, and kappa is NaN, where the pure number |p N / c1| (sin phi -
     eps sin theta for the sine form) is below ``LAPSE_SINGULAR_TOL``."""
-    vanishing = np.abs(np.asarray(p) * n_val / c1) < LAPSE_SINGULAR_TOL
-    kappa = np.divide(dn_val, n_val, out=np.full(np.shape(vanishing), np.nan), where=~vanishing)
-    return kappa[()], vanishing
+    n_val, dn_val = lapse(traj, c1)
+    vanishing = np.abs(traj.p * n_val / c1) < LAPSE_SINGULAR_TOL
+    return np.divide(dn_val, n_val, out=np.full(n_val.shape, np.nan), where=~vanishing), vanishing
 
 
 def inaffinity(traj: torus.Trajectory):
     """kappa(p) = N'(p)/N(p) of the model's ``lapse`` along its sampled
     trajectory; a ValueError where the lapse vanishes (``lapse_inaffinity``)."""
-    kappa, vanishing = lapse_inaffinity(traj.p, *lapse(traj))
+    kappa, vanishing = lapse_inaffinity(traj)
     if np.any(vanishing):
         raise ValueError(f"lapse vanishes at p = {traj.p[vanishing][:3]}: inaffinity singular")
     return kappa

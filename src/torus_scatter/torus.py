@@ -2,13 +2,10 @@
 
 The two doubled phase shifts (phi, theta) live on a flat torus.  A
 ``Trajectory`` is the curve traced on the torus as the momentum runs over a
-grid: the continuous (unwrapped) phases and their first and second momentum
-derivatives, from one evaluation of each channel's ERE pair
-(``sample_trajectory``).  It is the one place the curve on a grid is
-evaluated; the lapse, the trajectory equations, the causality audits and the
-inversion checks all read it.  Quadrants are named by the signs of
-(sin phi, sin theta) following the usual picture of the fundamental square:
-"bottom-left" means both phases lie in (-pi, 0) mod 2pi.
+grid, with the phases' first two momentum derivatives, from one evaluation of
+each channel's ERE pair; every consumer of the curve reads it.  Quadrants are
+named by the signs of (sin phi, sin theta) following the usual picture of the
+fundamental square: "bottom-left" means both phases lie in (-pi, 0) mod 2pi.
 """
 
 from __future__ import annotations
@@ -72,12 +69,9 @@ def _positions(phi, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An S-matrix curve sampled over a grid of momenta p > 0, strictly
-    increasing (build it with ``sample_trajectory``).
-
-    ``phi`` and ``theta`` are the continuous (unwrapped) phases at ``p``,
-    ``dphi``/``dtheta`` their momentum derivatives and ``d2phi``/``d2theta``
-    their second derivatives, all 1D arrays of the grid's length.
+    """An S-matrix curve sampled by ``sample_trajectory`` over a grid ``p``:
+    the continuous (unwrapped) phases ``phi`` and ``theta``, their momentum
+    derivatives ``dphi``/``dtheta`` and second derivatives ``d2phi``/``d2theta``.
     """
 
     model: ere.TwoChannelModel
@@ -89,17 +83,13 @@ class Trajectory:
     d2phi: np.ndarray
     d2theta: np.ndarray
 
-    @property
-    def wrapped(self) -> tuple[np.ndarray, np.ndarray]:
-        return wrap_angle(self.phi), wrap_angle(self.theta)
-
     def quadrants(self) -> list[Quadrant]:
         """Quadrant of every sample, as ``Quadrant`` members (see ``positions``)."""
         return [_BY_POSITION[s] for s in self.positions().tolist()]
 
     def positions(self) -> np.ndarray:
         """``Quadrant.position`` of every sample's quadrant, as a string array."""
-        return _positions(*self.wrapped)
+        return _positions(wrap_angle(self.phi), wrap_angle(self.theta))
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """d(phi)/dp and d(theta)/dp at the samples."""
@@ -107,13 +97,12 @@ class Trajectory:
 
 
 def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
-    """The model's curve over a non-empty, strictly increasing grid of p > 0.
+    """The model's curve over a non-empty, strictly increasing grid of p > 0,
+    from one second-order evaluation of each channel's ERE pair, bit for bit
+    ``ere``'s phases and derivatives.
 
-    Each channel's ERE pair is evaluated once, to second order, and gives
-    the phase and its two momentum derivatives with the arithmetic of
-    ``ere.phases``, ``ere.tangents`` and ``ere.second_derivatives``, bit for
-    bit.  The phase formulas are analytic and on their continuous branch at
-    every momentum, so any grid is accepted, however coarse.
+    The phase formulas are analytic and on their continuous branch at every
+    momentum, so any grid is accepted, however coarse.
     """
     p = np.asarray(p_grid, dtype=float)
     if not (p.ndim == 1 and p.size >= 1):

@@ -13,10 +13,9 @@ momentum equals the in-state evolved by ``exp(i s_s phi) P_s + exp(i s_t theta) 
 * mixed classes: one sector keeps its phase and the other changes sign;
   "minus" names the singlet (SWAP = -1) sector, "plus" the triplet.
 
-The verifiers read a model's sampled ``Trajectory`` for the phases at each
-grid momentum ``p``, evaluate the phases at its image ``p'`` once
-(``_image_phases``), and bound the deviation of the mapped relation.  All
-comparisons of angles are taken mod 2pi.
+The verifiers read the phases at each ``p`` from a sampled ``Trajectory``,
+evaluate them once at its image ``p'`` (``_image_phases``), and bound the
+deviation of the mapped relation.  All comparisons of angles are mod 2pi.
 """
 
 from __future__ import annotations
@@ -214,6 +213,14 @@ def _image_phases(traj: Trajectory) -> tuple:
     return (sym, *ere.phases(model, model_inverted_momentum(model, traj.p)))
 
 
+def _family_check(traj: Trajectory, name: str, dev: float, tol: float, **details) -> Check:
+    """The record of an inversion check: the family row, and its table among the details."""
+    family = traj.model.family
+    return Check(
+        name, dev, tol, dev < tol, {"row": family.row, "details": {"table": family.table, **details}}
+    )
+
+
 def _angle_deviation(actual, expected) -> np.ndarray:
     """Absolute deviation between two angles, reduced mod 2pi."""
     return np.abs(wrap_angle(np.asarray(actual) - np.asarray(expected)))
@@ -227,11 +234,7 @@ def verify_phase_map(traj: Trajectory, tol: float = DEFAULT_TOLERANCES["phase_ma
         float(np.max(_angle_deviation(phi_inv, want_phi))),
         float(np.max(_angle_deviation(theta_inv, want_theta))),
     )
-    family = traj.model.family
-    return Check(
-        "phase_map", dev, tol, dev < tol,
-        {"row": family.row, "details": {"table": family.table}},
-    )
+    return _family_check(traj, "phase_map", dev, tol)
 
 
 def _default_in_states(n: int, seed: int = 7) -> np.ndarray:
@@ -292,16 +295,12 @@ def verify_density_map(
     )
     max_dev = math.sqrt(max(float(np.max(squares)), 0.0))
 
-    family = traj.model.family
-    details: dict = {"rho_class": sym.rho_class.value, "table": family.table}
+    details: dict = {"rho_class": sym.rho_class.value}
     if s_s != s_t and np.max(np.abs(cross)) >= 1e-12:
         details["cross_block_phase_vs_plain_rho"] = _finite_range(
             wrap_angle((phi_inv - theta_inv) - (phi - theta))
         )
-    return Check(
-        "density_map", max_dev, tol, max_dev < tol,
-        {"row": family.row, "details": details},
-    )
+    return _family_check(traj, "density_map", max_dev, tol, **details)
 
 
 def _finite_range(values: np.ndarray) -> dict | None:
@@ -321,14 +320,9 @@ def _finite_range(values: np.ndarray) -> dict | None:
 def verify_ep_invariance(
     traj: Trajectory, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
 ) -> Check:
-    """Check that the entanglement power is invariant under the inversion;
-    it holds for every family row."""
+    """Check that the entanglement power is invariant under every row's inversion."""
     _sym, phi_inv, theta_inv = _image_phases(traj)
     ep_here = spin.entanglement_power_closed(traj.phi, traj.theta)
     ep_image = spin.entanglement_power_closed(phi_inv, theta_inv)
     dev = float(np.max(np.abs(ep_here - ep_image)))
-    family = traj.model.family
-    return Check(
-        "ep_invariance", dev, tol, dev < tol,
-        {"row": family.row, "details": {"table": family.table}},
-    )
+    return _family_check(traj, "ep_invariance", dev, tol)
