@@ -16,7 +16,6 @@ channel whose dimensionless magnitudes are not finite and nonzero on the grid.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -166,13 +165,14 @@ class RunConfig:
         derivatives would be limits or NaN."""
         model = self._model()
         ends = (self.p_grid.min, self.p_grid.max)
-        for (key, ch), p in itertools.product(zip(("a0", "a1"), model.channels), ends):
-            for name, coefficient, value in _magnitudes(ch, p):
-                if not math.isfinite(value) or (value == 0.0 and coefficient != 0.0):
-                    raise ConfigError(
-                        f"{key}: {name} must be finite and nonzero over p_grid "
-                        f"[{ends[0]!r}, {ends[1]!r}]; got {value!r} at p = {p!r}"
-                    )
+        for key, ch in zip(("a0", "a1"), model.channels):
+            for p in ends:
+                for name, coefficient, value in _magnitudes(ch, p):
+                    if not math.isfinite(value) or (value == 0.0 and coefficient != 0.0):
+                        raise ConfigError(
+                            f"{key}: {name} must be finite and nonzero over p_grid "
+                            f"[{ends[0]!r}, {ends[1]!r}]; got {value!r} at p = {p!r}"
+                        )
         return model
 
     def _model(self) -> ere.TwoChannelModel:

@@ -336,7 +336,7 @@ def _from_pair(pairs: list) -> list:
 
     S^2 + C^2 and its companions may overflow for huge a p; the slope then
     takes its limit 0, as 1/(a p^2) does, and the second derivative may be a
-    quiet NaN (0 times an overflowed SS'), which no check can pass.
+    quiet NaN (0 times an overflowed SS'), which ``geometry.eom_residual`` refuses.
     """
     s, c = pairs[0]
     out = [2.0 * np.arctan2(s, c)]

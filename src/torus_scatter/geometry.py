@@ -301,7 +301,8 @@ def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomRe
     This is the trajectory equation multiplied through by the model's
     ``lapse`` N, so it stays regular where N vanishes.  For each component
     the residual |N x'' - N' x' + N^3 dV/dx| is divided by |N x''| + |N' x'|
-    + |N^3 dV/dx| (0 where that sum is 0).  All derivatives are analytic.
+    + |N^3 dV/dx| (0 where that sum is 0; a NaN term raises ValueError).
+    All derivatives are analytic.
     Each term carries one power of c1 (the amplitude 1/c1^2), so the
     residual does not depend on it.  Grid points where the potential
     argument is within 1e-6 of a tan singularity are excluded from the
@@ -325,12 +326,15 @@ def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomRe
         terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
         total = np.abs(terms[0] + terms[1] + terms[2])
         scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-        res.append(np.divide(total, scale, out=np.zeros_like(total), where=scale > 0))
+        res.append(np.divide(total, scale, out=np.zeros_like(total), where=scale != 0))
+    max_norm = float(np.maximum(res[0].max(), res[1].max()))
+    if math.isnan(max_norm):
+        raise ValueError("eom_residual: a residual is NaN (a phase derivative overflowed)")
     return EomResidualReport(
         p=p[keep],
         res_phi=res[0],
         res_theta=res[1],
-        max_norm=float(max(res[0].max(), res[1].max())),
+        max_norm=max_norm,
         excluded=[(float(pp), "potential singularity") for pp in p[~keep]],
     )
 

@@ -216,9 +216,8 @@ def _image_phases(traj: Trajectory) -> tuple:
 def _family_check(traj: Trajectory, name: str, dev: float, tol: float, **details) -> Check:
     """The record of an inversion check: the family row, and its table among the details."""
     family = traj.model.family
-    return Check(
-        name, dev, tol, dev < tol, {"row": family.row, "details": {"table": family.table, **details}}
-    )
+    extra = {"row": family.row, "details": {"table": family.table, **details}}
+    return Check(name, dev, tol, dev < tol, extra)
 
 
 def _angle_deviation(actual, expected) -> np.ndarray:

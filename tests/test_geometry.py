@@ -321,6 +321,17 @@ def test_eom_residual_keeps_vanishing_lapse():
     assert np.all(np.isfinite(report.res_phi)) and np.all(np.isfinite(report.res_theta))
 
 
+def test_eom_residual_refuses_a_nan_derivative():
+    # At a = 1e150 and p near 1e10, S^2 + C^2 and SS' overflow: the slope
+    # takes its limit 0 and the second derivative is 0 * inf.  A NaN term
+    # must not read as a zero residual (a passing check).
+    m = ere.make_symmetric_model("T1", 4, 1e150, 1e150)
+    traj = torus.sample_trajectory(m, np.geomspace(1e9, 1e10, 5))
+    assert np.isnan(traj.d2phi).all()
+    with pytest.raises(ValueError, match="^eom_residual: a residual is NaN"):
+        geometry.eom_residual(traj, geometry.closed_form_potential(m))
+
+
 def test_eom_residual_regular_beside_the_2d_lapse_zero():
     # The 2D lapse c1 (phi' - theta') vanishes at p* = 1/sqrt(a0 a1); dividing
     # the equations by it lost ~7 digits on grid points beside p*.
