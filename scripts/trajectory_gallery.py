@@ -65,9 +65,9 @@ def main() -> None:
         residual = "n/a"
         pot = geometry.closed_form_potential(model)
         if pot is not None:
-            residual = f"{geometry.eom_residual(traj, pot).max_norm:.2e}"
+            residual = f"{geometry.eom_residual(traj, pot).max_deviation:.2e}"
 
-        print(f"{name:24s} {n_quadrants:9d} {len(exits.crossings):9d} {residual:>14s}")
+        print(f"{name:24s} {n_quadrants:9d} {exits.extra['crossings']:9d} {residual:>14s}")
         print(f"  -> {path}")
 
 

@@ -39,10 +39,11 @@ def main() -> None:
         traj = torus.sample_trajectory(model, grid)
         tangent = causality.tangent_vector_audit(traj)
         exits = causality.quadrant_exit_audit(traj)
-        forbidden = sorted({c["edge"] for c in exits.forbidden}) or ["-"]
+        crossings = exits.detail["crossings"]
+        forbidden = sorted({c["edge"] for c in crossings if not c["allowed"]}) or ["-"]
         print(
-            f"{name:26s} {tangent.checked:8d} {len(tangent.violations):11d} "
-            f"{len(exits.crossings):10d} {','.join(forbidden):>16s}"
+            f"{name:26s} {tangent.detail['checked']:8d} {tangent.extra['violations']:11d} "
+            f"{len(crossings):10d} {','.join(forbidden):>16s}"
         )
 
 

@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ere
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Check
 from .torus import Trajectory
 
 __all__ = [
-    "TangentAuditReport",
-    "ExitAuditReport",
     "PoleSet",
     "wigner_derivative_bound",
     "threshold_range_bound_3d",
@@ -94,21 +92,9 @@ def effective_area_bound_2d(R: float, a2: float) -> float:
     return (R * R / math.pi) * (bracket * bracket + 0.25)
 
 
-@dataclass(frozen=True)
-class TangentAuditReport:
-    """Result of checking the tangent-vector conditions along a trajectory."""
-
-    checked: int
-    violations: list = field(default_factory=list)  # (p, channel, margin)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def tangent_vector_audit(
     traj: Trajectory, tol: float = DEFAULT_TOLERANCES["tangent_audit"]
-) -> TangentAuditReport:
+) -> Check:
     """Check p phi'(p) >= sin(phi) and p theta'(p) >= sin(theta) samplewise.
 
     These are the zero-range causality conditions times p, so the margin
@@ -117,8 +103,11 @@ def tangent_vector_audit(
     form, free of the cancellation between p x' and sin x: zero-effective-
     range models saturate the conditions identically, negative ranges
     satisfy them strictly, and positive ranges violate them.  A margin below
-    ``-tol`` is a recorded violation (p, channel, margin), the phi channel's
-    first, each in grid order.
+    ``-tol`` is a violation (p, channel, margin).  The ``tangent_audit``
+    check's deviation is the modulus of the worst violation's margin (0
+    with none), its extra the violation count; its detail holds
+    ``violations``, the phi channel's first, each in grid order, and
+    ``checked``, the count of margins read.
     """
     if traj.model.dimension != 3:
         raise ValueError("tangent-vector audit applies to 3D models")
@@ -128,26 +117,14 @@ def tangent_vector_audit(
         margins = -2.0 * ch.r * p * np.sin(0.5 * x) ** 2
         bad = margins < -tol
         violations += zip(p[bad].tolist(), [channel] * int(bad.sum()), margins[bad].tolist())
-    return TangentAuditReport(checked=2 * p.size, violations=violations)
+    worst = min((m for _p, _c, m in violations), default=0.0)
+    return Check(
+        "tangent_audit", abs(min(worst, 0.0)), tol, {"violations": len(violations)},
+        {"checked": 2 * p.size, "violations": violations},
+    )
 
 
-@dataclass(frozen=True)
-class ExitAuditReport:
-    """Quadrant-boundary crossings of a trajectory with their exit edges."""
-
-    crossings: list = field(default_factory=list)
-    # each crossing: {"p" (the exact crossing momentum), "channel", "edge", "allowed"}
-
-    @property
-    def forbidden(self) -> list:
-        return [c for c in self.crossings if not c["allowed"]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.forbidden
-
-
-def quadrant_exit_audit(traj: Trajectory) -> ExitAuditReport:
+def quadrant_exit_audit(traj: Trajectory) -> Check:
     """Locate quadrant-boundary crossings and label each exit edge.
 
     Quadrant edges are the lines where either phase is a multiple of pi.  A
@@ -157,6 +134,11 @@ def quadrant_exit_audit(traj: Trajectory) -> ExitAuditReport:
     phase rising there (``ere.tangents`` > 0) exits through the right edge
     (phi) or the upper edge (theta); a falling one exits left/bottom, which
     causality forbids.  Only the grid's ends enter, so any grid is exact.
+
+    The ``quadrant_exit_audit`` check's deviation is the count of forbidden
+    exits, against a fixed tolerance of 1, and its extra the count of
+    crossings.  Its detail holds ``crossings``, in order of momentum, each
+    {"p" (the exact crossing momentum), "channel", "edge", "allowed"}.
     """
     crossings = []
     for k, (channel, rise_edge, fall_edge) in enumerate(
@@ -175,7 +157,11 @@ def quadrant_exit_audit(traj: Trajectory) -> ExitAuditReport:
             }
         )
     crossings.sort(key=lambda c: c["p"])
-    return ExitAuditReport(crossings=crossings)
+    forbidden = sum(not c["allowed"] for c in crossings)
+    return Check(
+        "quadrant_exit_audit", float(forbidden), 1.0, {"crossings": len(crossings)},
+        {"crossings": crossings},
+    )
 
 
 @dataclass(frozen=True)

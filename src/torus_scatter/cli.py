@@ -5,13 +5,14 @@ Subcommands
 ``traj``    write the torus trajectory of a configured model as CSV
             (columns ``p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant``);
             ``kappa`` and ``V`` are empty on every row of a model with no
-            closed-form potential (one exists only for 3D zero range, the
-            lambda = 1/4 branch with r = +2 a lambda, and 2D with distinct
-            lengths) and at singular points
+            closed-form potential (``geometry.closed_form_potential`` names
+            the three classes that have one) and at singular points
 ``verify``  run a verification suite (symmetry, eom, wigner, poles, ep, all)
-            and emit a JSON report; exit 0 iff every check passes.  ``all``
-            runs the suites that apply to the model and lists the others
-            under ``skipped`` with the reason
+            and emit a JSON report; exit 0 iff every check passes, that is
+            iff each check's max_deviation is below its tolerance, which the
+            config's ``tolerances`` set (``config.Check``).  ``all`` runs
+            the suites that apply to the model and lists the others under
+            ``skipped`` with the reason
 ``poles``   report the S-matrix pole set of one channel as JSON
 ``ep``      tabulate the closed-form entanglement power along the grid
 
@@ -36,7 +37,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import causality, ere, geometry, spin, torus, uvir
-from .config import ConfigError, RunConfig
+from .config import Check, ConfigError, RunConfig
 
 __all__ = ["main", "build_parser", "SuiteError"]
 
@@ -107,10 +108,10 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     ``kappa`` is the inaffinity N'(p)/N(p) of the closed-form construction
     lapse and ``V`` the closed-form potential at the trajectory point.  Both
     fields are empty on every row of a model with no closed-form potential
-    (``geometry.closed_form_potential``: only 3D zero range, the lambda = 1/4
-    branch with r = +2 a lambda, and 2D with distinct lengths have one), and
-    at singular points (vanishing lapse, ``geometry.lapse_inaffinity``, or
-    the potential argument within 1e-6 of a pole of tan^2).
+    (``geometry.closed_form_potential`` names the three classes that have
+    one), and at singular points (vanishing lapse,
+    ``geometry.lapse_inaffinity``, or the potential argument within 1e-6 of
+    a pole of tan^2).
     """
     model = cfg.build_model()
     traj = torus.sample_trajectory(model, cfg.build_grid())
@@ -134,38 +135,9 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
 #
 # Each suite is a pair: a predicate giving the reason it does not apply to a
 # model and its closed-form potential (None when it does), and a runner
-# returning ``uvir.Check`` records from the model's sampled trajectory.
+# returning ``config.Check`` records from the model's sampled trajectory,
+# each at the config's tolerance for its check.
 # ---------------------------------------------------------------------------
-
-
-def _tol(cfg: RunConfig, name: str, override: float | None) -> float:
-    return float(override) if override is not None else cfg.tolerance(name)
-
-
-def _as_check(report, tol: float | None = None) -> uvir.Check:
-    """The check record of a geometry or causality report."""
-    if isinstance(report, geometry.EomResidualReport):
-        return uvir.Check(
-            "eom_residual", report.max_norm, tol, report.max_norm < tol,
-            {"n_points": int(report.p.size)},
-        )
-    if isinstance(report, geometry.OverdeterminationReport):
-        return uvir.Check(
-            "overdetermination_2d", report.max_relative_deviation, report.tolerance,
-            report.passed, {"n_points": int(report.p.size)},
-        )
-    if isinstance(report, causality.TangentAuditReport):
-        worst = min((m for _p, _c, m in report.violations), default=0.0)
-        return uvir.Check(
-            "tangent_audit", abs(min(worst, 0.0)), tol, report.passed,
-            {"violations": len(report.violations)},
-        )
-    if isinstance(report, causality.ExitAuditReport):
-        return uvir.Check(
-            "quadrant_exit_audit", float(len(report.forbidden)), 1.0, report.passed,
-            {"crossings": len(report.crossings)},
-        )
-    raise TypeError(f"no check record for {type(report).__name__}")
 
 
 def _symmetry_skip(model: ere.TwoChannelModel, potential) -> str | None:
@@ -174,13 +146,13 @@ def _symmetry_skip(model: ere.TwoChannelModel, potential) -> str | None:
     return None
 
 
-def _suite_symmetry(cfg, traj, potential, tol_override) -> list:
+def _suite_symmetry(cfg, traj, potential) -> list:
     return [
-        uvir.verify_phase_map(traj, tol=_tol(cfg, "phase_map", tol_override)),
+        uvir.verify_phase_map(traj, tol=cfg.tolerance("phase_map")),
         uvir.verify_density_map(
             traj,
             in_states=uvir._default_in_states(10, seed=cfg.seed),
-            tol=_tol(cfg, "density_map", tol_override),
+            tol=cfg.tolerance("density_map"),
         ),
     ]
 
@@ -198,12 +170,12 @@ def _eom_skip(model: ere.TwoChannelModel, potential) -> str | None:
     )
 
 
-def _suite_eom(cfg, traj, potential, tol_override) -> list:
-    tol = _tol(cfg, "eom_residual", tol_override)
-    checks = [_as_check(geometry.eom_residual(traj, potential), tol)]
+def _suite_eom(cfg, traj, potential) -> list:
+    checks = [geometry.eom_residual(traj, potential, tol=cfg.tolerance("eom_residual"))]
     if traj.model.dimension == 2:
-        over_tol = _tol(cfg, "overdetermination", tol_override)
-        checks.append(_as_check(geometry.overdetermination_2d(traj, tol=over_tol)))
+        checks.append(
+            geometry.overdetermination_2d(traj, tol=cfg.tolerance("overdetermination"))
+        )
     return checks
 
 
@@ -213,11 +185,10 @@ def _wigner_skip(model: ere.TwoChannelModel, potential) -> str | None:
     return None
 
 
-def _suite_wigner(cfg, traj, potential, tol_override) -> list:
-    tol = _tol(cfg, "tangent_audit", tol_override)
+def _suite_wigner(cfg, traj, potential) -> list:
     return [
-        _as_check(causality.tangent_vector_audit(traj, tol=tol), tol),
-        _as_check(causality.quadrant_exit_audit(traj)),
+        causality.tangent_vector_audit(traj, tol=cfg.tolerance("tangent_audit")),
+        causality.quadrant_exit_audit(traj),
     ]
 
 
@@ -233,9 +204,9 @@ def _poles_skip(model: ere.TwoChannelModel, potential) -> str | None:
     )
 
 
-def _suite_poles(cfg, traj, potential, tol_override) -> list:
+def _suite_poles(cfg, traj, potential) -> list:
     lam = traj.model.family.lam
-    tol = _tol(cfg, "pole_match", tol_override)
+    tol = cfg.tolerance("pole_match")
     checks = []
     worst_im = -np.inf
     for label, ch in zip(("singlet", "triplet"), traj.model.channels):
@@ -243,11 +214,9 @@ def _suite_poles(cfg, traj, potential, tol_override) -> list:
         # The roots of p^2 - (2i/r) p - 2/(a r) sum to 2i/r and multiply to -2/(a r).
         poles = causality.flatten_poles(closed)
         dev = max(abs(sum(poles) * ch.r / 2j - 1), abs(math.prod(poles) * ch.a * ch.r / -2 - 1))
-        checks.append(
-            uvir.Check(f"pole_match_{label}", dev, tol, dev < tol, {"case": closed.classification})
-        )
+        checks.append(Check(f"pole_match_{label}", dev, tol, {"case": closed.classification}))
         worst_im = max(worst_im, max(p.imag for p, _m in closed.poles))
-    checks.append(uvir.Check("pole_lower_half", worst_im, 0.0, worst_im < 0.0))
+    checks.append(Check("pole_lower_half", worst_im, 0.0))
     return checks
 
 
@@ -263,8 +232,8 @@ def _ep_skip(model: ere.TwoChannelModel, potential) -> str | None:
     return None
 
 
-def _suite_ep(cfg, traj, potential, tol_override) -> list:
-    return [uvir.verify_ep_invariance(traj, tol=_tol(cfg, "ep_invariance", tol_override))]
+def _suite_ep(cfg, traj, potential) -> list:
+    return [uvir.verify_ep_invariance(traj, tol=cfg.tolerance("ep_invariance"))]
 
 
 #: name -> (reason the suite does not apply, or None; runner), in report order.
@@ -279,7 +248,7 @@ _SUITES = {
 SUITES = (*_SUITES, "all")
 
 
-def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None, tol_override: float | None) -> int:
+def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None) -> int:
     model = cfg.build_model()
     traj = torus.sample_trajectory(model, cfg.build_grid())
     potential = geometry.closed_form_potential(model, cfg.c1)
@@ -289,7 +258,7 @@ def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None, tol_override: f
         skip_reason, run = _SUITES[name]
         reason = skip_reason(model, potential)
         if reason is None:
-            checks.extend(c.to_json() for c in run(cfg, traj, potential, tol_override))
+            checks.extend(c.to_json() for c in run(cfg, traj, potential))
         elif suite == "all":
             skipped.append({"suite": name, "reason": reason})
         else:
@@ -352,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", required=True, help="JSON run configuration")
     p_verify.add_argument("--suite", default="all", choices=SUITES)
     p_verify.add_argument("--out", default=None, help="report file (default stdout)")
-    p_verify.add_argument(
-        "--tol", type=float, default=None,
-        help="override every tolerance used by the suite",
-    )
 
     p_poles = sub.add_parser("poles", help="pole set of one channel")
     p_poles.add_argument("--a", type=float, required=True, help="scattering length")
@@ -381,7 +346,7 @@ def main(argv=None) -> int:
         if args.command == "traj":
             return cmd_traj(RunConfig.load(args.config), args.out)
         if args.command == "verify":
-            return cmd_verify(RunConfig.load(args.config), args.suite, args.out, args.tol)
+            return cmd_verify(RunConfig.load(args.config), args.suite, args.out)
         if args.command == "poles":
             return cmd_poles(args.a, args.lam, args.r, args.out)
         if args.command == "ep":

@@ -12,19 +12,26 @@ may be integral floats but not booleans or strings; ``a0``, ``a1``, ``c1``,
 ``family.lambda`` and the grid bounds must be finite numbers, and
 tolerances positive numbers.  ``build_model`` also names the key of a
 channel whose dimensionless magnitudes are not finite and nonzero on the grid.
+
+Every verification check reports one :class:`Check`, which passes iff its
+``max_deviation`` is below its ``tolerance``; the tolerance of each named
+check comes from ``RunConfig.tolerance``, that is from the config's
+``tolerances`` or ``DEFAULT_TOLERANCES``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import ere
 
-__all__ = ["PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT", "DEFAULT_TOLERANCES"]
+__all__ = [
+    "PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT", "DEFAULT_TOLERANCES", "Check",
+]
 
 #: Largest accepted ``p_grid.count``: it bounds the tens of float64 arrays of
 #: that length that ``traj`` and ``verify`` allocate.
@@ -61,6 +68,20 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _checked_keys(cls, data, where: str, missing: str) -> dict:
+    """``data``, a JSON object with no key that is not a field of dataclass
+    ``cls`` and every field that has no default."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            raise ConfigError(f"{missing} {f.name!r}")
+    return data
+
+
 @dataclass(frozen=True)
 class PGrid:
     """Momentum grid: count points from min to max, log or linear spacing."""
@@ -90,6 +111,10 @@ class PGrid:
     def to_json(self) -> dict:
         return {"min": self.min, "max": self.max, "count": self.count, "spacing": self.spacing}
 
+    @classmethod
+    def from_json(cls, data: dict) -> "PGrid":
+        return cls(**_checked_keys(cls, data, "p_grid", "p_grid missing key"))
+
 
 def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: float) -> list:
     """[(name, coefficient, value at p)] of the dimensionless products in a
@@ -111,6 +136,32 @@ DEFAULT_TOLERANCES = {
     "tangent_audit": 1e-9,
     "pole_match": 1e-12,
 }
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one verification check: it passes iff ``max_deviation`` is
+    below ``tolerance``.  ``extra`` joins its JSON as is; ``detail`` holds
+    the measurement behind it and stays out of the JSON."""
+
+    name: str
+    max_deviation: float
+    tolerance: float
+    extra: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_deviation < self.tolerance)
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "max_deviation": float(self.max_deviation),
+            "tolerance": float(self.tolerance),
+            "pass": self.passed,
+            **self.extra,
+        }
 
 
 @dataclass(frozen=True)
@@ -214,48 +265,19 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(data) - {
-            "dimension", "a0", "a1", "family", "p_grid", "c1", "tolerances", "seed",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("dimension", "a0", "a1"):
-            if key not in data:
-                raise ConfigError(f"config missing required key {key!r}")
-        grid_data = data.get("p_grid")
-        if grid_data is None:
-            grid = PGrid(0.01, 100.0)
-        elif isinstance(grid_data, dict):
-            unknown = set(grid_data) - {"min", "max", "count", "spacing"}
-            if unknown:
-                raise ConfigError(f"unknown p_grid keys: {sorted(unknown)}")
-            try:
-                grid = PGrid(
-                    min=grid_data["min"],
-                    max=grid_data["max"],
-                    count=grid_data.get("count", 101),
-                    spacing=grid_data.get("spacing", "log"),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"p_grid missing key {exc.args[0]!r}") from exc
-        else:
-            raise ConfigError("p_grid must be a JSON object")
+        """The config of a JSON object; an absent or null ``p_grid`` and every
+        other absent key take the dataclass default."""
+        kwargs = dict(_checked_keys(cls, data, "config", "config missing required key"))
+        grid_data = kwargs.pop("p_grid", None)
+        if grid_data is not None:
+            kwargs["p_grid"] = PGrid.from_json(grid_data)
         try:
-            return cls(
-                dimension=data["dimension"],
-                a0=data["a0"],
-                a1=data["a1"],
-                family=data.get("family"),
-                p_grid=grid,
-                c1=data.get("c1", 1.0),
-                tolerances=dict(data.get("tolerances", {})),
-                seed=data.get("seed", 0),
-            )
+            if "tolerances" in kwargs:
+                kwargs["tolerances"] = dict(kwargs["tolerances"])
+            return cls(**kwargs)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(str(exc)) from exc
 
     @classmethod

@@ -7,21 +7,13 @@ metric g = diag(1,1)/2, traversed with a momentum-dependent lapse N(p):
     x''_a - kappa x'_a + N^2 dV/dx_a = 0,   kappa = N'/N,
 
 where primes are d/dp and the inverse-metric factor 2 is folded into the
-potential term (g^{ab} = 2 diag(1,1)).  Three exactly solvable families are
-implemented:
-
-* 3D zero-range models: V = A tan^2((phi + eps theta)/2) with
-  A = |a0 a1| / ((|a0|+|a1|)^2 c1^2);
-* the lambda = 1/4 range-correlated family with r = +2 a lambda in both
-  channels: amplitude A/2, argument rescaled to (phi + eps theta)/4;
-* 2D models: V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi+theta)/2 + pi/2).
-
-``closed_form_potential`` decides which of the three a model has, if any,
-and ``lapse`` gives every model its lapse, keyed on the model's class, along
-a sampled ``torus.Trajectory``, which the trajectory-equation checks also
-read.  The three closed-form lapses are k c1 (phi' - eps theta'), so the
-affine span is exact from the continuous-branch phases at its ends
-(``affine_parameter_span``).
+potential term (g^{ab} = 2 diag(1,1)).  ``closed_form_potential`` names the
+three exactly solvable model classes and gives each its potential; every
+other model has none.  ``lapse`` gives every model its lapse, keyed on the
+model's class, along a sampled ``torus.Trajectory``, which the
+trajectory-equation checks also read.  The three closed-form lapses are
+k c1 (phi' - eps theta'), so the affine span is exact from the
+continuous-branch phases at its ends (``affine_parameter_span``).
 ``integrate_affine`` integrates the N = 1 motion with LSODA through scipy's
 ``odeint``, whose step loop and output interpolation run in compiled code;
 its right-hand side evaluates ``gradient``'s formula once per call on Python
@@ -34,24 +26,23 @@ for bit.
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
 Momenta where the potential argument hits a tan singularity (|cos| < 1e-6)
-are excluded and reported.
+are excluded and reported.  It and ``overdetermination_2d`` return a
+``config.Check``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ere, torus
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Check
 
 __all__ = [
     "GeometricPotential",
-    "EomResidualReport",
-    "OverdeterminationReport",
     "AffineCurve",
     "epsilon_for",
     "potential_3d",
@@ -197,10 +188,20 @@ def closed_form_potential(
 ) -> GeometricPotential | None:
     """The exact potential whose trajectory is the model's curve, or None.
 
-    Three classes have one: 3D zero range (both effective ranges zero, finite
-    lengths), the lambda = 1/4 branch with r = +2 a lambda in both channels,
-    and 2D with distinct lengths.  Every other model has None, among them 2D
-    models with equal lengths, whose curve is a geodesic.
+    Three model classes have one:
+
+    * 3D zero range (both effective ranges zero, finite lengths):
+      V = A tan^2((phi + eps theta)/2) with A = |a0 a1| / ((|a0|+|a1|)^2 c1^2)
+      (``potential_3d``);
+    * the lambda = 1/4 branch with r = +2 a lambda in both channels:
+      amplitude A/2, argument rescaled to (phi + eps theta)/4
+      (``potential_lam14``);
+    * 2D with distinct lengths:
+      V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi + theta)/2 + pi/2)
+      (``potential_2d``).
+
+    Every other model has None, among them 2D models with equal lengths,
+    whose curve is a geodesic.
     """
     a0, a1 = model.singlet.length, model.triplet.length
     if model.dimension == 2:
@@ -279,24 +280,14 @@ def inaffinity(traj: torus.Trajectory):
     return kappa
 
 
-@dataclass(frozen=True)
-class EomResidualReport:
-    """Relative residuals of the two trajectory equations over a momentum grid.
-
-    ``p``, ``res_phi`` and ``res_theta`` hold the kept grid points; each
-    residual lies in [0, 1].  ``excluded`` lists (p, reason) of the rest.
-    """
-
-    p: np.ndarray
-    res_phi: np.ndarray
-    res_theta: np.ndarray
-    max_norm: float
-    excluded: list = field(default_factory=list)
-
-
-def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomResidualReport:
+def eom_residual(
+    traj: torus.Trajectory,
+    potential: GeometricPotential,
+    tol: float = DEFAULT_TOLERANCES["eom_residual"],
+) -> Check:
     """Relative residual of N x'' - N' x' + N^3 dV/dx, per component, along a
-    sampled trajectory.
+    sampled trajectory, as the ``eom_residual`` check: its deviation is the
+    larger residual's max-norm, its extra the count of kept grid points.
 
     This is the trajectory equation multiplied through by the model's
     ``lapse`` N, so it stays regular where N vanishes.  For each component
@@ -306,8 +297,9 @@ def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomRe
     Each term carries one power of c1 (the amplitude 1/c1^2), so the
     residual does not depend on it.  Grid points where the potential
     argument is within 1e-6 of a tan singularity are excluded from the
-    max-norm and reported in ``excluded``; a grid with none left raises
-    ValueError.
+    max-norm; a grid with none left raises ValueError.  The detail holds
+    the kept ``p``, the residuals ``res_phi`` and ``res_theta`` there, each
+    in [0, 1], and ``excluded``, the (p, reason) of the rest.
     """
     p, phi, theta = traj.p, traj.phi, traj.theta
     keep = ~potential.singular_mask(phi, theta)
@@ -330,37 +322,20 @@ def eom_residual(traj: torus.Trajectory, potential: GeometricPotential) -> EomRe
     max_norm = float(np.maximum(res[0].max(), res[1].max()))
     if math.isnan(max_norm):
         raise ValueError("eom_residual: a residual is NaN (a phase derivative overflowed)")
-    return EomResidualReport(
-        p=p[keep],
-        res_phi=res[0],
-        res_theta=res[1],
-        max_norm=max_norm,
-        excluded=[(float(pp), "potential singularity") for pp in p[~keep]],
+    return Check(
+        "eom_residual", max_norm, tol, {"n_points": int(keep.sum())},
+        {
+            "p": p[keep],
+            "res_phi": res[0],
+            "res_theta": res[1],
+            "excluded": [(float(pp), "potential singularity") for pp in p[~keep]],
+        },
     )
-
-
-@dataclass(frozen=True)
-class OverdeterminationReport:
-    """Consistency of the pointwise-solved 2D trajectory equations.
-
-    The two equations at fixed p are linear in (kappa, W = N^2 * amplitude)
-    once the potential shape is fixed with unit amplitude.  Exactness of
-    kappa = (ln N)' is equivalent to W being proportional to (phi'-theta')^2;
-    ``max_relative_deviation`` bounds the spread of that ratio on the grid.
-    """
-
-    p: np.ndarray
-    kappa: np.ndarray
-    w: np.ndarray
-    max_relative_deviation: float
-    tolerance: float
-    passed: bool
-    excluded: list = field(default_factory=list)
 
 
 def overdetermination_2d(
     traj: torus.Trajectory, tol: float = DEFAULT_TOLERANCES["overdetermination"]
-) -> OverdeterminationReport:
+) -> Check:
     """Solve the two 2D trajectory equations pointwise and check consistency.
 
     Unknowns per grid point: the inaffinity kappa and the combination
@@ -371,10 +346,13 @@ def overdetermination_2d(
         theta'' = kappa theta' - W dU/dtheta,   U = tan^2((phi+theta)/2 + pi/2).
 
     The overdetermination is consistent iff kappa equals (ln sqrt(W))', i.e.
-    iff W / (phi' - theta')^2 is constant along the curve; the maximal
-    relative spread of that ratio is reported.  Points where the shape's
-    gradient vanishes or blows up are excluded; a grid with none left raises
-    ValueError.
+    iff W / (phi' - theta')^2 is constant along the curve.  The
+    ``overdetermination_2d`` check's deviation is the largest relative
+    spread of that ratio about its median, its extra the count of kept grid
+    points.  Points where the shape's gradient vanishes or blows up are
+    excluded; a grid with none left raises ValueError.  The detail holds the
+    kept ``p``, ``kappa`` and ``w`` there, and ``excluded``, the (p, reason)
+    of the rest.
     """
     model = traj.model
     if model.dimension != 2:
@@ -404,14 +382,9 @@ def overdetermination_2d(
         )
     center = float(np.median(ratio))
     dev = float(np.max(np.abs(ratio - center) / abs(center)))
-    return OverdeterminationReport(
-        p=p[keep],
-        kappa=kappa[keep],
-        w=w[keep],
-        max_relative_deviation=dev,
-        tolerance=tol,
-        passed=dev < tol,
-        excluded=excluded,
+    return Check(
+        "overdetermination_2d", dev, tol, {"n_points": int(ratio.size)},
+        {"p": p[keep], "kappa": kappa[keep], "w": w[keep], "excluded": excluded},
     )
 
 

@@ -158,7 +158,7 @@ def test_acceptance_5_exact_solutions():
         model = ere.TwoChannelModel(3, ere.Channel3D(a0), ere.Channel3D(a1))
         traj = torus.sample_trajectory(model, grid)
         report = geometry.eom_residual(traj, geometry.potential_3d(a0, a1))
-        worst_zero_range = max(worst_zero_range, report.max_norm)
+        worst_zero_range = max(worst_zero_range, report.max_deviation)
 
     worst_quarter = 0.0
     shapes = [("T3", 6, -1.0, -1.0), ("T2", 6, 1.0, 1.0), ("T2", 5, 1.0, -1.0),
@@ -171,7 +171,7 @@ def test_acceptance_5_exact_solutions():
         assert ere.quarter_lambda_branch(model) == "solvable"
         traj = torus.sample_trajectory(model, grid)
         report = geometry.eom_residual(traj, geometry.potential_lam14(a0, a1))
-        worst_quarter = max(worst_quarter, report.max_norm)
+        worst_quarter = max(worst_quarter, report.max_deviation)
 
     worst_2d = 0.0
     for _ in range(5):
@@ -180,7 +180,7 @@ def test_acceptance_5_exact_solutions():
             a2[1] *= 2.0
         model = ere.make_2d_model(a2[0], a2[1])
         over = geometry.overdetermination_2d(torus.sample_trajectory(model, grid), tol=1e-6)
-        worst_2d = max(worst_2d, over.max_relative_deviation)
+        worst_2d = max(worst_2d, over.max_deviation)
 
     runtime = _elapsed(t0)
     ok = (
@@ -273,21 +273,21 @@ def test_acceptance_7_causality_audits():
     acausal_report = causality.tangent_vector_audit(torus.sample_trajectory(acausal, grid))
 
     exits_ok = causal_exits.passed and all(
-        c["edge"] in ("top", "right") for c in causal_exits.crossings
+        c["edge"] in ("top", "right") for c in causal_exits.detail["crossings"]
     )
     runtime = _elapsed(t0)
     ok = (
         zr_report.passed
         and causal_tangent.passed
-        and len(acausal_report.violations) >= 1
+        and len(acausal_report.detail["violations"]) >= 1
         and exits_ok
         and runtime < 2.0
     )
     detail = (
-        f"tangent audit: r=0 violations {len(zr_report.violations)} (=0), causal "
-        f"family violations {len(causal_tangent.violations)} (=0), positive-range "
-        f"violations {len(acausal_report.violations)} (>=1); causal exits "
-        f"{sorted(set(c['edge'] for c in causal_exits.crossings))} (upper/right only), "
+        f"tangent audit: r=0 violations {len(zr_report.detail['violations'])} (=0), causal "
+        f"family violations {len(causal_tangent.detail['violations'])} (=0), positive-range "
+        f"violations {len(acausal_report.detail['violations'])} (>=1); causal exits "
+        f"{sorted(set(c['edge'] for c in causal_exits.detail['crossings']))} (upper/right only), "
         f"runtime {runtime:.2f}s (<2s)"
     )
     record_acceptance(7, ok, detail)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from torus_scatter import causality, ere, torus
 
+from conftest import family_models
+
 
 # ---------------------------------------------------------------------------
 # bounds
@@ -86,7 +88,7 @@ def _traj(model, lo=1e-2, hi=1e2, n=1500):
 def test_tangent_audit_zero_range_saturates():
     m = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(-5.0))
     report = causality.tangent_vector_audit(_traj(m))
-    assert report.passed and report.checked == 2 * 1500
+    assert report.passed and report.detail["checked"] == 2 * 1500
 
 
 def test_tangent_audit_causal_family_strict():
@@ -99,8 +101,8 @@ def test_tangent_audit_flags_positive_range():
     m = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
     report = causality.tangent_vector_audit(_traj(m))
     assert not report.passed
-    assert len(report.violations) >= 1
-    p0, channel, margin = report.violations[0]
+    assert len(report.detail["violations"]) >= 1
+    p0, channel, margin = report.detail["violations"][0]
     assert margin < 0 and channel in ("phi", "theta")
 
 
@@ -125,40 +127,17 @@ def test_exit_audit_causal_only_upper_right():
     m = ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.1)
     report = causality.quadrant_exit_audit(_traj(m))
     assert report.passed
-    assert len(report.crossings) == 2
-    assert {c["edge"] for c in report.crossings} == {"top", "right"}
+    assert len(report.detail["crossings"]) == 2
+    assert {c["edge"] for c in report.detail["crossings"]} == {"top", "right"}
 
 
 def test_exit_audit_flags_acausal_exits():
     m = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
     report = causality.quadrant_exit_audit(_traj(m))
     assert not report.passed
-    assert {c["edge"] for c in report.forbidden} <= {"left", "bottom"}
-    assert len(report.forbidden) >= 1
-
-
-#: Scattering-length signs that each table row accepts (T2 rows accept any).
-_ROW_SIGNS = {
-    "T1": {1: (1, -1), 2: (-1, 1), 3: (-1, -1), 4: (1, 1)},
-    "T3": {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1), 5: (1, 1), 6: (-1, -1)},
-}
-
-
-def _family_models(seed=20261018, draws=2):
-    """T1-T3 rows at lambda in {0.1, 1/4, 1, 4} and 2D pairs, lengths log-uniform in [0.2, 20]."""
-    rng = np.random.default_rng(seed)
-    models = []
-    for _ in range(draws):
-        for table, rows in (("T1", range(1, 5)), ("T2", range(1, 7)), ("T3", range(1, 7))):
-            for row in rows:
-                for lam in (0.1, 0.25, 1.0, 4.0) if table != "T1" else (1.0,):
-                    mags = np.exp(rng.uniform(math.log(0.2), math.log(20.0), 2))
-                    signs = _ROW_SIGNS.get(table, {}).get(row) or rng.choice((-1, 1), 2)
-                    a0, a1 = (float(s * m) for s, m in zip(signs, mags))
-                    models.append(ere.make_symmetric_model(table, row, a0, a1, lam=lam))
-        a0, a1 = np.exp(rng.uniform(math.log(0.2), math.log(20.0), 2))
-        models.append(ere.make_2d_model(float(a0), float(a1)))
-    return models
+    forbidden = [c for c in report.detail["crossings"] if not c["allowed"]]
+    assert {c["edge"] for c in forbidden} <= {"left", "bottom"}
+    assert len(forbidden) >= 1
 
 
 def _oracle_crossings(model, grid):
@@ -184,10 +163,11 @@ def _oracle_crossings(model, grid):
 
 def test_exit_crossings_match_a_sign_change_oracle():
     grid = np.geomspace(1e-3, 1e3, 200_001)
-    models = _family_models()
+    models = family_models()
     kinds = set()
     for model in models:
-        got = causality.quadrant_exit_audit(torus.sample_trajectory(model, grid)).crossings
+        traj = torus.sample_trajectory(model, grid)
+        got = causality.quadrant_exit_audit(traj).detail["crossings"]
         want = _oracle_crossings(model, grid)
         kinds |= {(c["channel"], c["edge"]) for c in got}
         assert sorted((c["channel"], c["edge"]) for c in got) == sorted(
@@ -204,10 +184,10 @@ def test_tangent_margins_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     model = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
     report = causality.tangent_vector_audit(_traj(model, 1e-3, 1e3, 2001))
-    assert len(report.violations) > 3000
+    assert len(report.detail["violations"]) > 3000
     channels = dict(zip(("phi", "theta"), model.channels))
     with mpmath.workdps(50):
-        for p, channel, margin in report.violations:
+        for p, channel, margin in report.detail["violations"]:
             a, r, p_mp = (mpmath.mpf(v) for v in (channels[channel].a, channels[channel].r, p))
             denom = 1 - a * r * p_mp**2 / 2
             x = -2 * mpmath.atan2(a * p_mp, denom)

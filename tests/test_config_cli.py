@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from torus_scatter import causality, cli, ere, geometry, torus
-from torus_scatter.config import MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
+from torus_scatter.config import DEFAULT_TOLERANCES, MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
+
+from conftest import family_models
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +56,11 @@ def test_runconfig_roundtrip_identity():
         seed=7,
     )
     assert RunConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_runconfig_from_required_keys_takes_the_defaults():
+    data = {"dimension": 3, "a0": 1.5, "a1": -2.0}
+    assert RunConfig.from_json(data) == RunConfig(3, 1.5, -2.0)
 
 
 def test_runconfig_validation():
@@ -381,6 +388,29 @@ def test_unrepresentable_magnitudes_exit_2_before_any_output(tmp_path, capsys, n
         assert message.startswith("a0: a") and "must be finite and nonzero over p_grid" in message
 
 
+#: T1 row 4 at a = 1e150: lambda |a0 a1| p = 1e309 overflows on the whole grid.
+ETA_OVERFLOW = {"a0": 1e150, "a1": 1e150,
+                "p_grid": {"min": 1e9, "max": 1e10, "count": 5, "spacing": "log"}}
+
+
+def test_inversion_overflow_exits_2_from_verify_only(tmp_path, capsys):
+    """The phases are representable, so traj and ep write them; every verify
+    suite that inverts the momentum refuses the config with one JSON line."""
+    cfg = _write_config(tmp_path, **ETA_OVERFLOW)
+    for command in ("traj", "ep"):
+        assert cli.main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+    for suite in ("symmetry", "ep", "all"):
+        assert cli.main(["verify", "--config", cfg, "--suite", suite]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert json.loads(line)["error"] == (
+            "momentum inversion: lambda |a0 a1| p = inf at p = 1000000000.0; "
+            "its image 1/(lambda |a0 a1| p) must be finite and nonzero"
+        )
+
+
 def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsys):
     """A zero range is exactly 0, not an underflow; a p that underflows to 0 is refused."""
     zero_range = _write_config(tmp_path, name="zr.json", family=None)
@@ -544,18 +574,58 @@ def test_coarse_grid_over_the_ere_poles_runs_every_command(tmp_path, capsys):
     rows = np.array([[float(v) for v in row[:3]] for row in _traj_rows(traj_out)])
     np.testing.assert_array_equal(rows[:, 0], grid)
     np.testing.assert_array_equal(rows[:, 1:].T, ere.phases(model, grid))
-    crossings = causality.quadrant_exit_audit(torus.sample_trajectory(model, grid)).crossings
+    traj = torus.sample_trajectory(model, grid)
+    crossings = causality.quadrant_exit_audit(traj).detail["crossings"]
     assert [(c["p"], c["channel"], c["edge"]) for c in crossings] == [
         (pytest.approx(0.1, rel=1e-15), "theta", "top"),
         (pytest.approx(0.5, rel=1e-15), "phi", "right"),
     ]
 
 
-def test_verify_tol_override_can_force_failure(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
+def test_config_tolerances_can_force_failure(tmp_path, capsys):
     # machine-precision results cannot beat an absurd 1e-20 tolerance
-    assert cli.main(["verify", "--config", cfg, "--suite", "symmetry", "--tol", "1e-20"]) == 1
+    tight = {"phase_map": 1e-20, "density_map": 1e-20}
+    cfg = _write_config(tmp_path, tolerances=tight)
+    assert cli.main(["verify", "--config", cfg, "--suite", "symmetry"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["tolerance"], c["pass"]) for c in report["checks"]] == [(1e-20, False)] * 2
+    # The config is the only source of a tolerance: there is no --tol option.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", cfg, "--tol", "1e-20"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _family_config(model) -> dict:
+    if model.dimension == 2:
+        return {"dimension": 2, "a0": model.singlet.a2, "a1": model.triplet.a2, "family": None}
+    family = model.family
+    return {
+        "dimension": 3, "a0": model.singlet.a, "a1": model.triplet.a,
+        "family": {"table": family.table, "row": family.row, "lambda": family.lam},
+    }
+
+
+def test_every_check_passes_iff_its_deviation_is_below_its_tolerance(tmp_path, capsys):
+    """Over the family models, every third with every tolerance at 1e-300."""
+    verdicts = Counter()
+    for k, model in enumerate(family_models()):
+        tolerances = dict.fromkeys(DEFAULT_TOLERANCES, 1e-300) if k % 3 == 0 else {}
+        cfg = _write_config(tmp_path, **_family_config(model), tolerances=tolerances)
+        rc = cli.main(["verify", "--config", cfg, "--suite", "all"])
+        report = json.loads(capsys.readouterr().out)
+        for check in report["checks"]:
+            assert check["pass"] == (check["max_deviation"] < check["tolerance"]), check
+            verdicts[check["name"], check["pass"]] += 1
+        assert report["pass"] == all(c["pass"] for c in report["checks"])
+        assert rc == (0 if report["pass"] else 1)
+    # Every check is seen to pass and, but for the fixed-tolerance pole
+    # check of the causal family, to fail.
+    names = {"phase_map", "density_map", "eom_residual", "overdetermination_2d",
+             "tangent_audit", "quadrant_exit_audit", "ep_invariance",
+             "pole_match_singlet", "pole_match_triplet", "pole_lower_half"}
+    assert {name for name, verdict in verdicts if verdict} == names
+    assert {name for name, verdict in verdicts if not verdict} == names - {"pole_lower_half"}
 
 
 def test_arithmetic_error_exits_2_with_json(tmp_path, capsys):

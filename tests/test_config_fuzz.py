@@ -82,6 +82,9 @@ def config_path(tmp_path_factory):
                "p_grid": {"min": 1e-10, "max": 1e10, "count": 5, "spacing": "log"}})
 @example(data={"dimension": 3, "a0": 1e200, "a1": -3e200,
                "p_grid": {"min": 1e150, "max": 1e200, "count": 5, "spacing": "log"}})
+# The inversion strength lambda |a0 a1| p = 1e309 overflows on the grid.
+@example(data={"dimension": 3, "a0": 1e150, "a1": 1e150, "family": {"table": "T1", "row": 4},
+               "p_grid": {"min": 1e9, "max": 1e10, "count": 5, "spacing": "log"}})
 def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
     config_path.write_text(json.dumps(data))
     for command, allowed in EXIT_CODES.items():

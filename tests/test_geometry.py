@@ -161,7 +161,7 @@ def test_eom_residual_zero_range(a0, a1):
     pot = geometry.potential_3d(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert report.max_norm < 1e-8, report.excluded
+    assert report.max_deviation < 1e-8, report.detail["excluded"]
 
 
 def test_eom_residual_c1_invariant():
@@ -170,8 +170,8 @@ def test_eom_residual_c1_invariant():
     traj = torus.sample_trajectory(m, grid)
     r1 = geometry.eom_residual(traj, geometry.potential_3d(1.0, 5.0, c1=1.0))
     r2 = geometry.eom_residual(traj, geometry.potential_3d(1.0, 5.0, c1=4.2))
-    assert r2.max_norm < 1e-8
-    assert r1.max_norm == pytest.approx(r2.max_norm, abs=1e-9)
+    assert r2.max_deviation < 1e-8
+    assert r1.max_deviation == pytest.approx(r2.max_deviation, abs=1e-9)
 
 
 def test_eom_residual_detects_wrong_model():
@@ -180,7 +180,7 @@ def test_eom_residual_detects_wrong_model():
     pot = geometry.potential_3d(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 300)
     report = geometry.eom_residual(torus.sample_trajectory(wrong, grid), pot)
-    assert report.max_norm > 1e-3
+    assert report.max_deviation > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ def test_eom_residual_quarter_lambda_solvable(table, row, a0, a1):
     pot = geometry.potential_lam14(a0, a1)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert report.max_norm < 1e-8, report.excluded
+    assert report.max_deviation < 1e-8, report.detail["excluded"]
 
 
 def test_quarter_lambda_complementary_branch_has_no_single_potential():
@@ -215,7 +215,7 @@ def test_quarter_lambda_complementary_branch_has_no_single_potential():
     pot = geometry.potential_lam14(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 300)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert report.max_norm > 1e-2
+    assert report.max_deviation > 1e-2
 
 
 def _family_models():
@@ -252,9 +252,9 @@ def test_closed_form_potential_follows_the_class_rule():
         if pot is None:
             # Neither 3D closed form solves this model's trajectory equations.
             for wrong in (geometry.potential_3d(a0, a1), geometry.potential_lam14(a0, a1)):
-                assert geometry.eom_residual(traj, wrong).max_norm > 0.1, m
+                assert geometry.eom_residual(traj, wrong).max_deviation > 0.1, m
         else:
-            assert geometry.eom_residual(traj, pot).max_norm < 1e-8, m
+            assert geometry.eom_residual(traj, pot).max_deviation < 1e-8, m
     assert classes == {"zero-range": 10, "lam14": 7, None: 69}
     planar = ere.make_2d_model(1.0, 3.0)
     assert geometry.closed_form_potential(planar, c1=c1) == geometry.potential_2d(1.0, 3.0, c1=c1)
@@ -271,7 +271,7 @@ def test_eom_residual_2d():
     pot = geometry.potential_2d(1.0, 3.0)
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert report.max_norm < 1e-8, report.excluded
+    assert report.max_deviation < 1e-8, report.detail["excluded"]
 
 
 def test_eom_residual_excludes_2d_turning_point():
@@ -285,12 +285,12 @@ def test_eom_residual_excludes_2d_turning_point():
     p_star = 1.0 / math.sqrt(a2_0 * a2_1)
     grid = np.unique(np.concatenate([np.geomspace(0.1, 10.0, 101), [p_star]]))
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert any(p == pytest.approx(p_star) for p, _reason in report.excluded)
+    assert any(p == pytest.approx(p_star) for p, _reason in report.detail["excluded"])
     assert all(
         reason in ("potential singularity", "vanishing lapse")
-        for _p, reason in report.excluded
+        for _p, reason in report.detail["excluded"]
     )
-    assert report.max_norm < 1e-8
+    assert report.max_deviation < 1e-8
 
 
 def test_checks_with_no_grid_point_left_raise():
@@ -316,9 +316,11 @@ def test_eom_residual_keeps_vanishing_lapse():
     n_star = geometry.lapse(torus.sample_trajectory(m, [math.sqrt(2.0)]))[0][0]
     assert abs(n_star) < geometry.LAPSE_SINGULAR_TOL
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-    assert report.excluded == []
-    assert report.p.tolist() == grid.tolist()
-    assert np.all(np.isfinite(report.res_phi)) and np.all(np.isfinite(report.res_theta))
+    assert report.detail["excluded"] == []
+    assert report.detail["p"].tolist() == grid.tolist()
+    assert np.all(np.isfinite(report.detail["res_phi"])) and np.all(
+        np.isfinite(report.detail["res_theta"])
+    )
 
 
 def test_eom_residual_refuses_a_nan_derivative():
@@ -344,8 +346,8 @@ def test_eom_residual_regular_beside_the_2d_lapse_zero():
     for a0, a1 in pairs:
         traj = torus.sample_trajectory(ere.make_2d_model(a0, a1), grid)
         report = geometry.eom_residual(traj, geometry.potential_2d(a0, a1))
-        assert report.max_norm < 1e-8, (a0, a1, report.max_norm)
-        assert all(reason == "potential singularity" for _p, reason in report.excluded)
+        assert report.max_deviation < 1e-8, (a0, a1, report.max_deviation)
+        assert all(reason == "potential singularity" for _p, reason in report.detail["excluded"])
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +359,11 @@ def test_overdetermination_2d_consistency():
     m = ere.make_2d_model(1.0, math.e)
     grid = np.geomspace(1e-3, 1e3, 800)
     report = geometry.overdetermination_2d(torus.sample_trajectory(m, grid))
-    assert report.passed and report.max_relative_deviation < 1e-6, report.excluded
+    assert report.passed and report.max_deviation < 1e-6, report.detail["excluded"]
     # the shared ratio W / (phi' - theta')^2 equals c1^2 * amplitude
     pot = geometry.potential_2d(1.0, math.e)
-    dphi, dtheta = ere.tangents(m, report.p)
-    ratio = report.w / (dphi - dtheta) ** 2
+    dphi, dtheta = ere.tangents(m, report.detail["p"])
+    ratio = report.detail["w"] / (dphi - dtheta) ** 2
     np.testing.assert_allclose(ratio, pot.amplitude, rtol=1e-6)
 
 

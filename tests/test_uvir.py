@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, spin, torus, uvir
+from torus_scatter import config, ere, spin, torus, uvir
 
 
 # ---------------------------------------------------------------------------
@@ -22,6 +22,33 @@ def test_inverted_momentum_values():
     assert uvir.inverted_momentum(1.0, 0.01, -15.0, -1.0) == pytest.approx(100.0 / 15.0)
     with pytest.raises(ValueError, match="threshold"):
         uvir.inverted_momentum(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "p,lam,a0,a1,product",
+    [
+        ([1.0, 1e160], 1.0, 1e150, 1.0, "inf"),  # lambda |a0 a1| p overflows
+        (1e-300, 1e-10, 1e-10, 1.0, "1e-320"),  # its inverse overflows
+        (1e-310, 1e-10, 1e-10, 1.0, "0.0"),  # it underflows to 0
+    ],
+)
+def test_inverted_momentum_refuses_an_unrepresentable_image(p, lam, a0, a1, product):
+    with pytest.raises(ValueError, match=rf"^momentum inversion: lambda \|a0 a1\| p = {product} "):
+        uvir.inverted_momentum(p, lam, a0, a1)
+
+
+@pytest.mark.parametrize(
+    "lam,a0,a1,eta", [(1.0, 1e200, 1e200, "inf"), (1e-30, 1e-300, 1.0, "0.0")]
+)
+def test_inversion_strength_must_be_finite_and_nonzero(lam, a0, a1, eta):
+    message = rf"^momentum inversion: lambda \|a0 a1\| = {eta} must be finite and nonzero$"
+    for call in (
+        lambda: uvir.inversion_fixed_point(lam, a0, a1),
+        lambda: uvir.inverted_momentum(1.0, lam, a0, a1),
+        lambda: uvir.make_paired_grid(a0, a1, lam=lam),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @given(p=st.floats(1e-6, 1e6), lam=st.floats(0.01, 10.0), a0=st.floats(0.1, 10.0))
@@ -223,11 +250,10 @@ def _density_map_by_point(model, in_states, grid):
     details = {"rho_class": sym.rho_class.value, "table": model.family.table}
     if cross:
         details["cross_block_phase_vs_plain_rho"] = {"min": min(cross), "max": max(cross)}
-    return uvir.Check(
+    return config.Check(
         name="density_map",
         max_deviation=max_dev,
         tolerance=1e-10,
-        passed=max_dev < 1e-10,
         extra={"row": model.family.row, "details": details},
     )
 
