@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ere
-from .config import DEFAULT_TOLERANCES, Check
+from .config import DEFAULT_TOLERANCES, Check, NotApplicable
 from .torus import Trajectory
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "quadrant_exit_audit",
     "poles_closed_form",
     "poles_numeric",
+    "verify_poles",
     "verify_lower_half",
     "flatten_poles",
 ]
@@ -107,10 +108,12 @@ def tangent_vector_audit(
     check's deviation is the modulus of the worst violation's margin (0
     with none), its extra the violation count; its detail holds
     ``violations``, the phi channel's first, each in grid order, and
-    ``checked``, the count of margins read.
+    ``checked``, the count of margins read.  A 2D model is NotApplicable.
     """
     if traj.model.dimension != 3:
-        raise ValueError("tangent-vector audit applies to 3D models")
+        raise NotApplicable(
+            "tangent-vector audit applies to 3D models (2D has the area bound instead)"
+        )
     p = traj.p
     violations = []
     for channel, ch, x in zip(("phi", "theta"), traj.model.channels, (traj.phi, traj.theta)):
@@ -271,6 +274,31 @@ def _finite_pole_set(poles, case, a, name, value, scope=None) -> PoleSet:
     if not all(map(cmath.isfinite, (a, value, *(p for p, _m in poles)))):
         raise ValueError(f"no finite poles for a = {a!r}, {name} = {value!r}")
     return PoleSet(poles, case, {"a": a, "lambda_or_r": value}, scope)
+
+
+def verify_poles(traj: Trajectory, tol: float = DEFAULT_TOLERANCES["pole_match"]) -> list:
+    """The pole checks of a causal family model.  ``pole_match_<channel>``:
+    the closed-form poles against the sum 2i/r and product -2/(a r) of the
+    roots of p^2 - (2i/r) p - 2/(a r), relative; ``pole_lower_half``: the
+    largest imaginary part of a pole, against 0.  A model outside the causal
+    family (3D, a < 0 and r = 2 a lambda in both channels) is NotApplicable."""
+    model = traj.model
+    causal = model.dimension == 3 and model.family is not None and ere.ranges_follow(model, +1)
+    if not (causal and all(ch.a < 0 for ch in model.channels)):
+        raise NotApplicable(
+            "pole checks need the causal family: a 3D model with r = 2 a lambda "
+            "and a < 0 in both channels (e.g. T3 row 6)"
+        )
+    checks = []
+    worst_im = -math.inf
+    for label, ch in zip(("singlet", "triplet"), model.channels):
+        closed = poles_closed_form(ch.a, model.family.lam)
+        poles = flatten_poles(closed)
+        dev = max(abs(sum(poles) * ch.r / 2j - 1), abs(math.prod(poles) * ch.a * ch.r / -2 - 1))
+        checks.append(Check(f"pole_match_{label}", dev, tol, {"case": closed.classification}))
+        worst_im = max(worst_im, max(p.imag for p, _m in closed.poles))
+    checks.append(Check("pole_lower_half", worst_im, 0.0))
+    return checks
 
 
 def verify_lower_half(poleset: PoleSet) -> bool:

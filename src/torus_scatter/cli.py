@@ -10,9 +10,9 @@ Subcommands
 ``verify``  run a verification suite (symmetry, eom, wigner, poles, ep, all)
             and emit a JSON report; exit 0 iff every check passes, that is
             iff each check's max_deviation is below its tolerance, which the
-            config's ``tolerances`` set (``config.Check``).  ``all`` runs
-            the suites that apply to the model and lists the others under
-            ``skipped`` with the reason
+            config's ``tolerances`` set (``config.Check``).  A suite applies
+            unless a check of it raises ``config.NotApplicable``, whose
+            reason ``all`` lists under ``skipped``
 ``poles``   report the S-matrix pole set of one channel as JSON
 ``ep``      tabulate the closed-form entanglement power along the grid
 
@@ -21,8 +21,8 @@ Configuration errors are reported as one JSON object on standard error.
 All floating-point output uses 17 significant digits, so files are
 bit-identical across runs for a fixed config and seed.
 
-``traj`` and ``ep`` compute every column before the output is opened, then
-write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
+``traj`` and ``ep`` compute every column, refuse a value that is not finite,
+then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
 ``%``-template, so the text of a large grid never sits in memory at once.
 """
 
@@ -30,20 +30,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import causality, ere, geometry, spin, torus, uvir
-from .config import Check, ConfigError, RunConfig
+from .config import NotApplicable, RunConfig
 
-__all__ = ["main", "build_parser", "SuiteError"]
-
-
-class SuiteError(ValueError):
-    """A verification suite that does not apply to the configured model."""
+__all__ = ["main", "build_parser"]
 
 
 def _fail(message: str) -> None:
@@ -89,6 +84,19 @@ def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
             yield "".join([templates[i] % row for i, row in zip(pick[block].tolist(), rows)])
 
 
+def _require_finite(p, columns: dict, rows=True) -> None:
+    """A ValueError naming the first column of ``columns`` (name -> array over
+    the grid ``p``) with a value that is not finite on ``rows``, and its momentum."""
+    for name, values in columns.items():
+        bad = ~np.isfinite(values) & rows
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"{name} is not finite at p = {float(p[k])!r} (got {float(values[k])!r}); "
+                "no output is written"
+            )
+
+
 # ---------------------------------------------------------------------------
 # traj
 # ---------------------------------------------------------------------------
@@ -123,6 +131,9 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
         kappa, vanishing = geometry.lapse_inaffinity(traj, cfg.c1)
         v_val = potential.value(traj.phi, traj.theta)
         regular = ~(potential.singular_mask(traj.phi, traj.theta) | vanishing)
+    _require_finite(traj.p, {"phi": traj.phi, "theta": traj.theta, "dphi_dp": traj.dphi,
+                             "dtheta_dp": traj.dtheta})
+    _require_finite(traj.p, {"kappa": kappa, "V": v_val}, regular)
     columns = (
         traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.positions()
     )
@@ -133,17 +144,11 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 #
-# Each suite is a pair: a predicate giving the reason it does not apply to a
-# model and its closed-form potential (None when it does), and a runner
-# returning ``config.Check`` records from the model's sampled trajectory,
-# each at the config's tolerance for its check.
+# Each suite is a runner returning ``config.Check`` records from the model's
+# sampled trajectory and closed-form potential (None when it has none), each
+# at the config's tolerance for its check.  A suite applies unless one of its
+# checks raises ``config.NotApplicable``.
 # ---------------------------------------------------------------------------
-
-
-def _symmetry_skip(model: ere.TwoChannelModel, potential) -> str | None:
-    if model.family is None:
-        return "symmetry suite needs a family tag (table/row) in the config"
-    return None
 
 
 def _suite_symmetry(cfg, traj, potential) -> list:
@@ -157,32 +162,18 @@ def _suite_symmetry(cfg, traj, potential) -> list:
     ]
 
 
-def _eom_skip(model: ere.TwoChannelModel, potential) -> str | None:
-    if model.family is None:
-        return "eom suite needs a family tag identifying a solvable-potential model"
-    if potential is not None:
-        return None
-    if model.dimension == 2:
-        return "equal 2D scattering lengths: trajectory is a geodesic, no potential"
-    return (
-        "eom suite needs a solvable-potential family: zero effective ranges "
-        "or the lambda = 1/4 branch with r = +2 a lambda in both channels"
-    )
-
-
 def _suite_eom(cfg, traj, potential) -> list:
+    if potential is None:
+        raise NotApplicable(
+            "eom suite needs a closed-form potential (geometry.closed_form_potential); "
+            "this model has none"
+        )
     checks = [geometry.eom_residual(traj, potential, tol=cfg.tolerance("eom_residual"))]
     if traj.model.dimension == 2:
         checks.append(
             geometry.overdetermination_2d(traj, tol=cfg.tolerance("overdetermination"))
         )
     return checks
-
-
-def _wigner_skip(model: ere.TwoChannelModel, potential) -> str | None:
-    if model.dimension != 3:
-        return "wigner suite applies to 3D models (2D has the area bound instead)"
-    return None
 
 
 def _suite_wigner(cfg, traj, potential) -> list:
@@ -192,58 +183,21 @@ def _suite_wigner(cfg, traj, potential) -> list:
     ]
 
 
-def _poles_skip(model: ere.TwoChannelModel, potential) -> str | None:
-    """The poles suite needs a causal self-correlated family: r = 2 a lambda, a < 0."""
-    if model.dimension != 3 or model.family is None:
-        return "poles suite needs a 3D model with a family tag"
-    if ere.ranges_follow(model, +1) and all(ch.a < 0 for ch in model.channels):
-        return None
-    return (
-        "poles suite needs the causal family with r = 2 a lambda and "
-        "a < 0 in both channels (e.g. T3 row 6)"
-    )
-
-
 def _suite_poles(cfg, traj, potential) -> list:
-    lam = traj.model.family.lam
-    tol = cfg.tolerance("pole_match")
-    checks = []
-    worst_im = -np.inf
-    for label, ch in zip(("singlet", "triplet"), traj.model.channels):
-        closed = causality.poles_closed_form(ch.a, lam)
-        # The roots of p^2 - (2i/r) p - 2/(a r) sum to 2i/r and multiply to -2/(a r).
-        poles = causality.flatten_poles(closed)
-        dev = max(abs(sum(poles) * ch.r / 2j - 1), abs(math.prod(poles) * ch.a * ch.r / -2 - 1))
-        checks.append(Check(f"pole_match_{label}", dev, tol, {"case": closed.classification}))
-        worst_im = max(worst_im, max(p.imag for p, _m in closed.poles))
-    checks.append(Check("pole_lower_half", worst_im, 0.0))
-    return checks
-
-
-def _ep_skip(model: ere.TwoChannelModel, potential) -> str | None:
-    if model.family is None:
-        return "ep suite needs a family tag (table/row) in the config"
-    mapping = uvir.expected_map(model.family.table, model.family.row)
-    if mapping.rho_class not in (uvir.RhoClass.RHO, uvir.RhoClass.RHO_BAR):
-        return (
-            "ep suite applies to families mapping onto rho or rho-bar as a whole; "
-            f"this row mixes sectors ({mapping.rho_class.value})"
-        )
-    return None
+    return causality.verify_poles(traj, tol=cfg.tolerance("pole_match"))
 
 
 def _suite_ep(cfg, traj, potential) -> list:
     return [uvir.verify_ep_invariance(traj, tol=cfg.tolerance("ep_invariance"))]
 
 
-#: name -> (reason the suite does not apply, or None; runner), in report order.
-#: Both take the model's closed-form potential, resolved once per op.
+#: name -> runner, in report order.
 _SUITES = {
-    "symmetry": (_symmetry_skip, _suite_symmetry),
-    "eom": (_eom_skip, _suite_eom),
-    "wigner": (_wigner_skip, _suite_wigner),
-    "poles": (_poles_skip, _suite_poles),
-    "ep": (_ep_skip, _suite_ep),
+    "symmetry": _suite_symmetry,
+    "eom": _suite_eom,
+    "wigner": _suite_wigner,
+    "poles": _suite_poles,
+    "ep": _suite_ep,
 }
 SUITES = (*_SUITES, "all")
 
@@ -255,16 +209,14 @@ def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None) -> int:
     checks: list = []
     skipped: list = []
     for name in _SUITES if suite == "all" else (suite,):
-        skip_reason, run = _SUITES[name]
-        reason = skip_reason(model, potential)
-        if reason is None:
-            checks.extend(c.to_json() for c in run(cfg, traj, potential))
-        elif suite == "all":
-            skipped.append({"suite": name, "reason": reason})
-        else:
-            raise SuiteError(reason)
+        try:
+            checks.extend(c.to_json() for c in _SUITES[name](cfg, traj, potential))
+        except NotApplicable as exc:
+            if suite != "all":
+                raise
+            skipped.append({"suite": name, "reason": str(exc)})
     if not checks:
-        raise SuiteError("no verification suite applies to this config")
+        raise NotApplicable("no verification suite applies to this config")
     report = {"suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
     if suite == "all":
         report["skipped"] = skipped
@@ -296,6 +248,7 @@ def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
     grid = cfg.build_grid()
     phi, theta = ere.phases(model, grid)
     power = spin.entanglement_power_closed(phi, theta)
+    _require_finite(grid, {"phi": phi, "theta": theta, "ep": power})
     _emit(_csv_blocks(EP_HEADER, (_EP_ROW,), (grid, phi, theta, power)), out_path)
     return 0
 
@@ -349,10 +302,8 @@ def main(argv=None) -> int:
             return cmd_verify(RunConfig.load(args.config), args.suite, args.out)
         if args.command == "poles":
             return cmd_poles(args.a, args.lam, args.r, args.out)
-        if args.command == "ep":
-            return cmd_ep(RunConfig.load(args.config), args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, SuiteError, ValueError, ArithmeticError) as exc:
+        return cmd_ep(RunConfig.load(args.config), args.out)
+    except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
         return 2
     except OSError as exc:

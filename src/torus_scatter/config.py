@@ -16,7 +16,8 @@ channel whose dimensionless magnitudes are not finite and nonzero on the grid.
 Every verification check reports one :class:`Check`, which passes iff its
 ``max_deviation`` is below its ``tolerance``; the tolerance of each named
 check comes from ``RunConfig.tolerance``, that is from the config's
-``tolerances`` or ``DEFAULT_TOLERANCES``.
+``tolerances`` or ``DEFAULT_TOLERANCES``.  A check that does not apply to
+a model raises :class:`NotApplicable`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import ere
 
 __all__ = [
     "PGrid", "RunConfig", "ConfigError", "MAX_GRID_COUNT", "DEFAULT_TOLERANCES", "Check",
+    "NotApplicable",
 ]
 
 #: Largest accepted ``p_grid.count``: it bounds the tens of float64 arrays of
@@ -162,6 +164,10 @@ class Check:
             "pass": self.passed,
             **self.extra,
         }
+
+
+class NotApplicable(ValueError):
+    """A check that does not apply to the model it was given; the message says why."""
 
 
 @dataclass(frozen=True)

@@ -335,13 +335,15 @@ def _from_pair(pairs: list) -> list:
     2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
     S^2 + C^2 and its companions may overflow for huge a p; the slope then
-    takes its limit 0, as 1/(a p^2) does, and the second derivative may be a
-    quiet NaN (0 times an overflowed SS'), which ``geometry.eom_residual`` refuses.
+    takes its limit 0, as 1/(a p^2) does, or is a quiet NaN where S'C and SC'
+    both overflow, and the second derivative may be a quiet NaN (0 times an
+    overflowed SS').  ``geometry.eom_residual`` and the ``traj`` command
+    refuse a NaN they would use.
     """
     s, c = pairs[0]
     out = [2.0 * np.arctan2(s, c)]
     if len(pairs) > 1:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             s1, c1 = pairs[1]
             q = s * s + c * c
             t = (s1 * c - s * c1) / q

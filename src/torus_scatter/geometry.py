@@ -190,7 +190,7 @@ def closed_form_potential(
 
     Three model classes have one:
 
-    * 3D zero range (both effective ranges zero, finite lengths):
+    * 3D zero range (both effective ranges zero, finite nonzero lengths):
       V = A tan^2((phi + eps theta)/2) with A = |a0 a1| / ((|a0|+|a1|)^2 c1^2)
       (``potential_3d``);
     * the lambda = 1/4 branch with r = +2 a lambda in both channels:
@@ -207,7 +207,8 @@ def closed_form_potential(
     if model.dimension == 2:
         return None if a0 == a1 else potential_2d(a0, a1, c1=c1)
     if model.singlet.r == 0.0 and model.triplet.r == 0.0:
-        return potential_3d(a0, a1, c1=c1) if math.isfinite(a0) and math.isfinite(a1) else None
+        regular = math.isfinite(a0) and math.isfinite(a1) and 0.0 not in (a0, a1)
+        return potential_3d(a0, a1, c1=c1) if regular else None
     if ere.quarter_lambda_branch(model) == "solvable":
         return potential_lam14(a0, a1, c1=c1)
     return None

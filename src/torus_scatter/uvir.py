@@ -16,6 +16,7 @@ momentum equals the in-state evolved by ``exp(i s_s phi) P_s + exp(i s_t theta) 
 The verifiers read the phases at each ``p`` from a sampled ``Trajectory``,
 evaluate them once at its image ``p'`` (``_image_phases``), and bound the
 deviation of the mapped relation.  All comparisons of angles are mod 2pi.
+An untagged model is ``config.NotApplicable`` to every verifier.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ere, spin
-from .config import DEFAULT_TOLERANCES, Check
+from .config import DEFAULT_TOLERANCES, Check, NotApplicable
 from .torus import Trajectory, wrap_angle
 
 __all__ = [
@@ -115,6 +116,13 @@ for _row, _map in _RANGE_ROW_MAPS.items():
     _MAPS[("T3", _row)] = _map
 
 
+def _row_map(model: ere.TwoChannelModel) -> SymmetryMap:
+    """The map of the model's family row; an untagged model is NotApplicable."""
+    if model.family is None:
+        raise NotApplicable("inversion checks need a family tag (table/row) in the config")
+    return expected_map(model.family.table, model.family.row)
+
+
 def expected_map(table: str, row: int) -> SymmetryMap:
     """The (phi, theta, rho) transformation triple of a family row."""
     try:
@@ -169,18 +177,13 @@ def inversion_fixed_point(lam: float, a0: float, a1: float) -> float:
 
 def model_inversion_strength(model: ere.TwoChannelModel) -> float:
     """eta = lambda |a0 a1| of the model's family inversion."""
-    if model.family is None:
-        raise ValueError("model carries no family tag")
-    a0 = model.singlet.length
-    a1 = model.triplet.length
-    if not (math.isfinite(a0) and math.isfinite(a1)):
-        raise ValueError("momentum inversion undefined at unitarity")
-    return _inversion_strength(model.family.lam, a0, a1)
+    _row_map(model)
+    return _inversion_strength(model.family.lam, model.singlet.length, model.triplet.length)
 
 
 def model_inverted_momentum(model: ere.TwoChannelModel, p):
     """Image of p under the model's own family inversion."""
-    model_inversion_strength(model)  # rejects untagged and unitarity models
+    _row_map(model)
     return inverted_momentum(p, model.family.lam, model.singlet.length, model.triplet.length)
 
 
@@ -209,11 +212,8 @@ def make_paired_grid(
 def _image_phases(traj: Trajectory) -> tuple:
     """(map, phi', theta'): the family row's map of the trajectory's model and
     the phases at the inversion image p' of each grid momentum."""
-    model = traj.model
-    if model.family is None:
-        raise ValueError("verification requires a model with a family tag")
-    sym = expected_map(model.family.table, model.family.row)
-    return (sym, *ere.phases(model, model_inverted_momentum(model, traj.p)))
+    sym = _row_map(traj.model)
+    return (sym, *ere.phases(traj.model, model_inverted_momentum(traj.model, traj.p)))
 
 
 def _family_check(traj: Trajectory, name: str, dev: float, tol: float, **details) -> Check:
@@ -322,7 +322,14 @@ def _finite_range(values: np.ndarray) -> dict | None:
 def verify_ep_invariance(
     traj: Trajectory, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
 ) -> Check:
-    """Check that the entanglement power is invariant under every row's inversion."""
+    """Check that the entanglement power is invariant under the row's inversion;
+    a row that mixes the sectors is NotApplicable before any inversion."""
+    rho_class = _row_map(traj.model).rho_class
+    if rho_class not in (RhoClass.RHO, RhoClass.RHO_BAR):
+        raise NotApplicable(
+            "ep suite applies to families mapping onto rho or rho-bar as a whole; "
+            f"this row mixes sectors ({rho_class.value})"
+        )
     _sym, phi_inv, theta_inv = _image_phases(traj)
     ep_here = spin.entanglement_power_closed(traj.phi, traj.theta)
     ep_image = spin.entanglement_power_closed(phi_inv, theta_inv)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import causality, ere, torus
+from torus_scatter import causality, config, ere, torus
 
 from conftest import family_models
 
@@ -89,6 +89,11 @@ def test_tangent_audit_zero_range_saturates():
     m = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(-5.0))
     report = causality.tangent_vector_audit(_traj(m))
     assert report.passed and report.detail["checked"] == 2 * 1500
+
+
+def test_tangent_audit_does_not_apply_to_2d():
+    with pytest.raises(config.NotApplicable, match="3D models"):
+        causality.tangent_vector_audit(_traj(ere.make_2d_model(1.0, 3.0)))
 
 
 def test_tangent_audit_causal_family_strict():
@@ -214,6 +219,39 @@ def test_poles_closed_form_three_cases():
     assert virt.classification == "two_virtual"
     expected = sorted([4.0 * (1.0 + 1.0 / math.sqrt(2.0)), 4.0 * (1.0 - 1.0 / math.sqrt(2.0))])
     assert sorted(-p.imag for p, _ in virt.poles) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.25, 4.0])
+def test_verify_poles_on_the_causal_family(lam):
+    """T3 row 6 (r = 2 a lambda, a < 0): the closed-form poles are the roots
+    of each channel's denominator, and all lie in the lower half plane."""
+    m = ere.make_symmetric_model("T3", 6, -1.3, -4.2, lam=lam)
+    singlet, triplet, lower = causality.verify_poles(_traj(m, n=5))
+    assert [c.name for c in (singlet, triplet, lower)] == [
+        "pole_match_singlet", "pole_match_triplet", "pole_lower_half"
+    ]
+    closed = [causality.poles_closed_form(ch.a, lam) for ch in m.channels]
+    for check, poleset in zip((singlet, triplet), closed):
+        assert check.passed and check.tolerance == 1e-12
+        assert check.extra == {"case": poleset.classification}
+    assert lower.passed
+    assert lower.max_deviation == max(p.imag for ps in closed for p, _m in ps.poles) < 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ere.make_symmetric_model("T3", 5, 1.3, 4.2, lam=0.25),  # r = -2 a lambda
+        ere.make_symmetric_model("T2", 6, 1.3, 4.2, lam=0.1),  # r = 2 a lambda, a > 0
+        ere.make_symmetric_model("T1", 3, -1.3, -4.2),  # zero range
+        ere.TwoChannelModel(3, ere.Channel3D(-1.3, -0.65), ere.Channel3D(-4.2, -2.1)),
+        ere.make_2d_model(1.0, 3.0),
+    ],
+    ids=["T3-5", "T2-6-acausal", "T1-3", "untagged", "2d"],
+)
+def test_verify_poles_does_not_apply_outside_the_causal_family(model):
+    with pytest.raises(config.NotApplicable, match="causal family"):
+        causality.verify_poles(_traj(model, n=5))
 
 
 def test_poles_closed_form_guards():

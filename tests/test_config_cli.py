@@ -10,10 +10,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torus_scatter import causality, cli, ere, geometry, torus
+from torus_scatter import causality, cli, ere, geometry, spin, torus
 from torus_scatter.config import DEFAULT_TOLERANCES, MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
-from conftest import family_models
+from conftest import ROW_SIGNS, family_models
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +198,13 @@ def test_traj_leaves_v_and_kappa_empty_without_closed_form(tmp_path):
     assert all(r[5] and r[6] for r in _traj_rows(out))
 
 
+#: The reason of the eom suite on a model with no closed-form potential.
+NO_POTENTIAL = (
+    "eom suite needs a closed-form potential (geometry.closed_form_potential); "
+    "this model has none"
+)
+
+
 def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     path = tmp_path / "geodesic.json"
     path.write_text(json.dumps({"dimension": 2, "a0": 1, "a1": 1}))
@@ -207,7 +214,7 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     assert _suites_run(report) == {"symmetry", "ep"}
     # Named on its own, the suite that does not apply is a usage error.
     assert cli.main(["verify", "--config", str(path), "--suite", "eom"]) == 2
-    assert "geodesic" in json.loads(capsys.readouterr().err)["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == NO_POTENTIAL
     out = tmp_path / "geodesic.csv"
     assert cli.main(["traj", "--config", str(path), "--out", str(out)]) == 0
     rows = _traj_rows(out)
@@ -280,20 +287,186 @@ def test_verify_all_skips_inapplicable(tmp_path):
     assert {"symmetry", "ep", "wigner", "eom"} <= {c for c in _suites_run(report)}
 
 
+#: The suite of each check name.
+SUITE_OF = {
+    "phase_map": "symmetry",
+    "density_map": "symmetry",
+    "eom_residual": "eom",
+    "overdetermination_2d": "eom",
+    "tangent_audit": "wigner",
+    "quadrant_exit_audit": "wigner",
+    "pole_match_singlet": "poles",
+    "pole_match_triplet": "poles",
+    "pole_lower_half": "poles",
+    "ep_invariance": "ep",
+}
+
+
 def _suites_run(report):
-    mapping = {
-        "phase_map": "symmetry",
-        "density_map": "symmetry",
-        "eom_residual": "eom",
-        "overdetermination_2d": "eom",
-        "tangent_audit": "wigner",
-        "quadrant_exit_audit": "wigner",
-        "pole_match_singlet": "poles",
-        "pole_match_triplet": "poles",
-        "pole_lower_half": "poles",
-        "ep_invariance": "ep",
+    return {SUITE_OF[c["name"]] for c in report["checks"]}
+
+
+def _family_config(model) -> dict:
+    """The config of a ``family_models`` model; a 2D model's tag is implicit."""
+    tag = model.family
+    return {
+        "dimension": model.dimension, "a0": model.singlet.length, "a1": model.triplet.length,
+        "family": {"table": tag.table, "row": tag.row, "lambda": tag.lam}
+        if model.dimension == 3 else None,
     }
-    return {mapping[c["name"]] for c in report["checks"]}
+
+
+#: Every family row, 2D with distinct and equal lengths, and untagged 3D
+#: zero-range models (a free singlet among them).
+APPLICABILITY_CONFIGS = [_family_config(m) for m in family_models(draws=1)] + [
+    {"dimension": 2, "a0": 2.0, "a1": 2.0, "family": None},
+    {"dimension": 3, "a0": 1.0, "a1": 5.0, "family": None},
+    {"dimension": 3, "a0": -1.0, "a1": 5.0, "family": None},
+    {"dimension": 3, "a0": 0.0, "a1": 5.0, "family": None},
+]
+
+
+@pytest.mark.parametrize("data", APPLICABILITY_CONFIGS, ids=lambda d: json.dumps(d))
+def test_a_suite_alone_is_refused_iff_all_skips_it(tmp_path, capsys, data):
+    """For each suite, ``--suite NAME`` exits 2 with message E exactly when
+    ``all`` lists NAME as skipped with reason E; otherwise it reports the
+    checks that ``all`` reports for NAME."""
+    cfg = _write_config(tmp_path, p_grid={"min": 0.01, "max": 100.0, "count": 41}, **data)
+    rc_all = cli.main(["verify", "--config", cfg, "--suite", "all"])
+    whole = json.loads(capsys.readouterr().out)
+    assert rc_all == (0 if whole["pass"] else 1)
+    skipped = {s["suite"]: s["reason"] for s in whole["skipped"]}
+    for suite in cli.SUITES[:-1]:
+        rc = cli.main(["verify", "--config", cfg, "--suite", suite])
+        out = capsys.readouterr()
+        if suite in skipped:
+            assert (rc, out.out) == (2, "")
+            assert json.loads(out.err) == {"error": skipped[suite]}
+        else:
+            report = json.loads(out.out)
+            assert rc == (0 if report["pass"] else 1)
+            assert report["checks"] == [c for c in whole["checks"] if SUITE_OF[c["name"]] == suite]
+            assert report["checks"]
+
+
+_BASE = ("phase_map", "density_map")
+_WIGNER = ("tangent_audit", "quadrant_exit_audit")
+_POLES = ("pole_match_singlet", "pole_match_triplet", "pole_lower_half")
+
+#: The config classes of the benchmark's verify-sweep: (config, the pass flag
+#: of every check of ``verify --suite all``, the suites it skips).
+SWEEP_CLASSES = {
+    **{
+        f"T1-{row}": (
+            {"a0": s0 * 1.3, "a1": s1 * 4.2, "family": {"table": "T1", "row": row}},
+            dict.fromkeys(_BASE + ("eom_residual",) + _WIGNER + ("ep_invariance",), True),
+            ["poles"],
+        )
+        for row, (s0, s1) in ROW_SIGNS["T1"].items()
+    },
+    "T3-6": (
+        {"a0": -1.3, "a1": -4.2, "family": {"table": "T3", "row": 6, "lambda": 0.25}},
+        dict.fromkeys(_BASE + ("eom_residual",) + _WIGNER + _POLES + ("ep_invariance",), True),
+        [],
+    ),
+    "T2-2": (
+        {"a0": 1.3, "a1": -4.2, "family": {"table": "T2", "row": 2, "lambda": 0.3}},
+        dict.fromkeys(_BASE + _WIGNER, True),
+        ["eom", "poles", "ep"],
+    ),
+    "T2-3": (
+        {"a0": -1.3, "a1": 4.2, "family": {"table": "T2", "row": 3, "lambda": 0.3}},
+        dict.fromkeys(_BASE + _WIGNER, True),
+        ["eom", "poles", "ep"],
+    ),
+    "T2-6-acausal": (
+        {"a0": 1.3, "a1": 4.2, "family": {"table": "T2", "row": 6, "lambda": 0.1}},
+        {**dict.fromkeys(_BASE + ("ep_invariance",), True), **dict.fromkeys(_WIGNER, False)},
+        ["eom", "poles"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_CLASSES)
+def test_verify_sweep_classes_report_their_check_sets(tmp_path, capsys, name):
+    """``verify --suite all`` on each verify-sweep class reports exactly these
+    checks with these verdicts, and skips exactly these suites."""
+    data, checks, skipped = SWEEP_CLASSES[name]
+    cfg = _write_config(tmp_path, p_grid={"min": 0.01, "max": 100.0, "count": 400}, **data)
+    rc = cli.main(["verify", "--config", cfg, "--suite", "all"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == (0 if all(checks.values()) else 1)
+    assert {c["name"]: c["pass"] for c in report["checks"]} == checks
+    assert [s["suite"] for s in report["skipped"]] == skipped
+
+
+def test_zero_scattering_length_has_no_potential(tmp_path, capsys):
+    """An untagged zero-range model with a free singlet (a0 = 0) has no
+    closed-form potential: traj leaves kappa and V empty, and verify skips eom."""
+    cfg = _write_config(tmp_path, a0=0.0, a1=5.0, family=None)
+    out = tmp_path / "zero.csv"
+    assert cli.main(["traj", "--config", cfg, "--out", str(out)]) == 0
+    rows = _traj_rows(out)
+    assert len(rows) == 41 and all(r[5] == "" and r[6] == "" for r in rows)
+    assert cli.main(["ep", "--config", cfg, "--out", str(tmp_path / "ep.csv")]) == 0
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert _suites_run(report) == {"wigner"}
+    assert {s["suite"]: s["reason"] for s in report["skipped"]}["eom"] == NO_POTENTIAL
+    assert cli.main(["verify", "--config", cfg, "--suite", "eom"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": NO_POTENTIAL}
+
+
+#: T3 row 6 at lambda = 1/4 with a = -1e150 on p in [1e-9, 1e-8]: every
+#: magnitude is finite (a r p^2 = 5e281), but S'C and SC' overflow to -inf,
+#: so the slope inf - inf is NaN on every row.
+NAN_SLOPE = {"a0": -1e150, "a1": -1e150, "family": {"table": "T3", "row": 6, "lambda": 0.25},
+             "p_grid": {"min": 1e-9, "max": 1e-8, "count": 3, "spacing": "log"}}
+
+
+def test_traj_refuses_a_slope_that_is_not_finite(tmp_path, capsys):
+    """traj and verify exit 2 with one JSON line and no warning; ep, whose
+    phases and power are finite, writes them."""
+    cfg = _write_config(tmp_path, **NAN_SLOPE)
+    assert cli.main(["traj", "--config", cfg]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "dphi_dp is not finite at p = 1e-09 (got nan); no output is written"
+    }
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert cli.main(["ep", "--config", cfg]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and len(out.out.splitlines()) == 4
+    assert all(math.isfinite(float(v)) for line in out.out.splitlines()[1:] for v in line.split(","))
+
+
+def test_a_column_that_is_not_finite_is_refused(tmp_path, capsys, monkeypatch):
+    """A non-finite value at the second grid point of a written column exits
+    2 naming the column and the momentum, before any output."""
+    power, inaffinity = spin.entanglement_power_closed, geometry.lapse_inaffinity
+
+    def spoiled(values):
+        values = np.array(values, dtype=float)
+        values[1] = math.inf
+        return values
+
+    def spoiled_inaffinity(*args):
+        kappa, vanishing = inaffinity(*args)
+        return spoiled(kappa), vanishing
+
+    monkeypatch.setattr(spin, "entanglement_power_closed", lambda *a: spoiled(power(*a)))
+    monkeypatch.setattr(geometry, "lapse_inaffinity", spoiled_inaffinity)
+    cfg = _write_config(tmp_path, p_grid={"min": 1.0, "max": 4.0, "count": 3})
+    for command, column in (("ep", "ep"), ("traj", "kappa")):
+        assert cli.main([command, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": f"{column} is not finite at p = 2.0 (got inf); no output is written"
+        }
 
 
 def test_exit_code_matrix(tmp_path, capsys):
@@ -327,9 +500,16 @@ def test_exit_code_matrix(tmp_path, capsys):
     assert cli.main(["traj", "--config", str(bad_json)]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
+    # An untagged zero-range model has the zero-range potential: eom applies.
     cfg_nofam = _write_config(tmp_path, name="nofam.json", family=None)
-    assert cli.main(["verify", "--config", cfg_nofam, "--suite", "eom"]) == 2
-    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg_nofam, "--suite", "eom"]) == 0
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == ["eom_residual"]
+
+    # 2: a suite named on its own that does not apply (no closed-form potential)
+    assert cli.main(["verify", "--config", cfg_fail, "--suite", "eom"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == NO_POTENTIAL
 
     # 2: poles with invalid lambda
     assert cli.main(["poles", "--a", "-1", "--lam", "-1"]) == 2

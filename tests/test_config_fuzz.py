@@ -1,5 +1,6 @@
 """Fuzz the configuration boundary: every JSON config ends in a result or in
-exit 2 with one JSON error object on stderr, never in a traceback."""
+exit 2 with one JSON error object on stderr, never in a traceback, and a CSV
+that ``traj`` or ``ep`` writes holds no value that is not finite."""
 
 import contextlib
 import io
@@ -85,6 +86,10 @@ def config_path(tmp_path_factory):
 # The inversion strength lambda |a0 a1| p = 1e309 overflows on the grid.
 @example(data={"dimension": 3, "a0": 1e150, "a1": 1e150, "family": {"table": "T1", "row": 4},
                "p_grid": {"min": 1e9, "max": 1e10, "count": 5, "spacing": "log"}})
+# S'C and SC' overflow to -inf: the slope inf - inf is NaN on every row.
+@example(data={"dimension": 3, "a0": -1e150, "a1": -1e150,
+               "family": {"table": "T3", "row": 6, "lambda": 0.25},
+               "p_grid": {"min": 1e-9, "max": 1e-8, "count": 3, "spacing": "log"}})
 def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
     config_path.write_text(json.dumps(data))
     for command, allowed in EXIT_CODES.items():
@@ -92,6 +97,9 @@ def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main([command, "--config", str(config_path)])
         assert rc in allowed, (command, rc, err.getvalue())
+        if rc == 0 and command in ("traj", "ep"):
+            fields = set(out.getvalue().replace("\n", ",").split(","))
+            assert not fields & {"nan", "inf", "-inf"}, (command, data)
         if rc == 2:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()

@@ -260,6 +260,9 @@ def test_closed_form_potential_follows_the_class_rule():
     assert geometry.closed_form_potential(planar, c1=c1) == geometry.potential_2d(1.0, 3.0, c1=c1)
     assert geometry.closed_form_potential(ere.make_2d_model(2.0, 2.0)) is None
     assert geometry.closed_form_potential(_zero_range(1.0, -5.0)) == geometry.potential_3d(1.0, -5.0)
+    # A zero length is a free channel, with no potential (potential_3d refuses it).
+    assert geometry.closed_form_potential(_zero_range(0.0, 5.0)) is None
+    assert geometry.closed_form_potential(_zero_range(-1.0, 0.0)) is None
     at_unitarity = ere.TwoChannelModel(
         3, ere.Channel3D(1.0, unitarity=True), ere.Channel3D(5.0)
     )

@@ -413,6 +413,29 @@ def test_verify_ep_invariance_rows():
         assert report.passed and report.max_deviation < 1e-12, report.to_json()
 
 
+def test_inversion_checks_do_not_apply_to_an_untagged_model():
+    m = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(5.0))
+    traj = torus.sample_trajectory(m, np.geomspace(0.1, 10, 11))
+    for verify in (uvir.verify_phase_map, uvir.verify_density_map, uvir.verify_ep_invariance):
+        with pytest.raises(config.NotApplicable, match="family tag"):
+            verify(traj)
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_ep_invariance_refuses_a_mixed_row_before_inverting(monkeypatch, row):
+    """A row whose density map mixes the sectors does not preserve the
+    power; it is refused without computing the inversion."""
+    m = ere.make_symmetric_model("T2", row, 1.3, -4.2, lam=0.3)
+    traj = torus.sample_trajectory(m, np.geomspace(0.1, 10, 11))
+
+    def no_inversion(*args):
+        raise AssertionError("the inversion was computed")
+
+    monkeypatch.setattr(uvir, "model_inverted_momentum", no_inversion)
+    with pytest.raises(config.NotApplicable, match="mixes sectors"):
+        uvir.verify_ep_invariance(traj)
+
+
 def test_verify_phase_map_fails_for_wrong_claim():
     """A model whose ranges break the family correlation is detected."""
     m = ere.TwoChannelModel(
