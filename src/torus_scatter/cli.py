@@ -17,7 +17,10 @@ Subcommands
 ``ep``      tabulate the closed-form entanglement power along the grid
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage/config error.
-Configuration errors are reported as one JSON object on standard error.
+Usage and configuration errors are reported as one JSON object on standard
+error, with nothing on standard output; ``--help`` prints help and exits 0.
+``main`` parses with one parser per process, built on its first call
+(``build_parser``) and reused by every later one.
 All floating-point output uses 17 significant digits, so files are
 bit-identical across runs for a fixed config and seed.
 
@@ -29,6 +32,7 @@ then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -258,8 +262,20 @@ def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise a ValueError with argparse's
+    message, prefixed by the (sub)command, instead of printing usage and
+    exiting, so that ``main`` reports them as exit 2 with a JSON error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The shared parser of ``main``: built on the first call, the same object
+    after that.  Parsing keeps no state in it, so one parser serves every call."""
+    parser = _Parser(
         prog="torus-scatter",
         description="Two-channel low-energy scattering on the flat phase torus: "
         "trajectories, symmetry/causality verification, pole reports.",
@@ -293,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "traj":
             return cmd_traj(RunConfig.load(args.config), args.out)
         if args.command == "verify":

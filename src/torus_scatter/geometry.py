@@ -33,8 +33,9 @@ are excluded and reported.  It and ``overdetermination_2d`` return a
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +77,11 @@ BALL_NEIGHBOURS = (4, 16)
 
 @dataclass(frozen=True)
 class GeometricPotential:
-    """V(phi, theta) = amplitude * tan^2(scale*(phi + epsilon*theta) + chi)."""
+    """V(phi, theta) = amplitude * tan^2(scale*(phi + epsilon*theta) + chi).
+
+    The amplitude must be a finite, nonzero normal float.  It scales as
+    1/c1^2, so a large or small enough c1 is refused here by name.
+    """
 
     amplitude: float
     epsilon: int
@@ -93,6 +98,11 @@ class GeometricPotential:
             raise ValueError("chi must be 0 or pi/2")
         if self.c1 == 0.0:
             raise ValueError("c1 must be nonzero")
+        if not (math.isfinite(self.amplitude) and abs(self.amplitude) >= sys.float_info.min):
+            raise ValueError(
+                f"potential amplitude {self.amplitude!r} at c1 = {self.c1!r} is not a finite, "
+                "nonzero normal float (the amplitude scales as 1/c1^2)"
+            )
 
     def argument(self, phi, theta):
         """u = scale (phi + epsilon theta) + chi, on arrays or Python floats."""
@@ -138,7 +148,7 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
     try:
-        amp = abs(a0 * a1) / ((abs(a0) + abs(a1)) ** 2 * c1 * c1)
+        amp = abs(a0 * a1) / (abs(a0) + abs(a1)) ** 2 / c1 / c1
     except OverflowError:
         raise ValueError(f"potential overflows for a0 = {a0!r}, a1 = {a1!r}, c1 = {c1!r}") from None
     return GeometricPotential(
@@ -177,7 +187,7 @@ def potential_2d(a2_0: float, a2_1: float, c1: float = 1.0) -> GeometricPotentia
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
     log_ratio = math.log(a2_0 / a2_1)
-    amp = -math.pi**2 / (4.0 * log_ratio * log_ratio * c1 * c1)
+    amp = -math.pi**2 / (4.0 * log_ratio * log_ratio) / c1 / c1
     return GeometricPotential(
         amplitude=amp, epsilon=+1, scale=0.5, chi=math.pi / 2, c1=c1
     )
@@ -296,7 +306,9 @@ def eom_residual(
     + |N^3 dV/dx| (0 where that sum is 0; a NaN term raises ValueError).
     All derivatives are analytic.
     Each term carries one power of c1 (the amplitude 1/c1^2), so the
-    residual does not depend on it.  Grid points where the potential
+    residual does not depend on it; it is evaluated in that c1-free form,
+    with the lapse at c1 = 1 and the amplitude times c1^2, which neither
+    overflows nor underflows where N^3 would.  Grid points where the potential
     argument is within 1e-6 of a tan singularity are excluded from the
     max-norm; a grid with none left raises ValueError.  The detail holds
     the kept ``p``, the residuals ``res_phi`` and ``res_theta`` there, each
@@ -308,13 +320,16 @@ def eom_residual(
         raise ValueError(
             f"eom_residual: all {keep.size} grid points excluded (potential singularity)"
         )
-    n_val, dn_val = (x[keep] for x in lapse(traj, potential.c1))
+    n_val, dn_val = (x[keep] for x in lapse(traj))
     n3 = n_val * n_val * n_val
+    unit = replace(
+        potential, amplitude=potential.amplitude * potential.c1 * potential.c1, c1=1.0
+    )
     res = []
     for dx, d2x, grad in zip(
         (traj.dphi, traj.dtheta),
         (traj.d2phi, traj.d2theta),
-        potential.gradient(phi[keep], theta[keep]),
+        unit.gradient(phi[keep], theta[keep]),
     ):
         terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
         total = np.abs(terms[0] + terms[1] + terms[2])

@@ -770,10 +770,10 @@ def test_config_tolerances_can_force_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [(c["tolerance"], c["pass"]) for c in report["checks"]] == [(1e-20, False)] * 2
     # The config is the only source of a tolerance: there is no --tol option.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--config", cfg, "--tol", "1e-20"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--tol", "1e-20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "torus-scatter: unrecognized arguments: --tol 1e-20"}
 
 
 def _family_config(model) -> dict:
@@ -830,6 +830,81 @@ def test_cli_import_does_not_load_scipy():
         "import sys, torus_scatter.cli; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
     )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "torus-scatter: the following arguments are required: command"),
+        (["verify"], "torus-scatter verify: the following arguments are required: --config"),
+        (["verify", "--config", "cfg.json", "--tol", "1"],
+         "torus-scatter: unrecognized arguments: --tol 1"),
+        (["poles", "--a", "1"], "torus-scatter poles: one of the arguments --lam --r is required"),
+        (["poles", "--a", "x", "--lam", "1"],
+         "torus-scatter poles: argument --a: invalid float value: 'x'"),
+        (["verify", "--config", "cfg.json", "--suite", "bogus"],
+         "torus-scatter verify: argument --suite: invalid choice: 'bogus' (choose from "
+         "'symmetry', 'eom', 'wigner', 'poles', 'ep', 'all')"),
+    ],
+)
+def test_usage_errors_exit_2_with_one_json_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": message}
+
+
+def test_help_prints_help_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: torus-scatter verify") and captured.err == ""
+
+
+def test_the_parser_is_built_once_and_carries_no_state(tmp_path, capsys, monkeypatch):
+    """One parser serves every call of main: a command gives the same exit code
+    and bytes after any other command, or a usage error, as on a fresh parser."""
+    cfg = _write_config(tmp_path)
+    commands = [
+        ["verify", "--config", cfg, "--suite", "eom"],
+        ["verify", "--config", cfg],
+        ["verify", "--config", cfg, "--suite", "bogus"],
+        ["poles", "--a", "-1", "--lam", "0.3"],
+        ["traj", "--config", cfg],
+    ]
+
+    def run(argv):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert json.loads(fresh[1][1])["suite"] == "all"
+    assert [rc for rc, _, _ in fresh] == [0, 0, 2, 0, 0]
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in commands + commands[::-1]]
+    assert shared == fresh + fresh[::-1]
+    assert built.count("torus-scatter") == 1
+
+
+def test_the_parser_is_not_built_at_import():
+    code = "import torus_scatter.cli as c; assert c.build_parser.cache_info().currsize == 0"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

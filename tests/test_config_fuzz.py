@@ -26,6 +26,9 @@ JUNK = st.one_of(
 )
 
 LENGTH = st.floats(0.2, 20.0) | st.floats(-20.0, -0.2)
+#: The lapse normalization, also at magnitudes where the amplitude 1/c1^2 of a
+#: closed-form potential is not a normal float (+-1e160, 1e-160, 1e-200).
+C1 = LENGTH | st.sampled_from([1e-140, 1e140, -1e160, 1e-160, 1e-200])
 
 BASE = st.fixed_dictionaries(
     {
@@ -40,6 +43,7 @@ BASE = st.fixed_dictionaries(
     },
     optional={
         "seed": st.integers(0, 10),
+        "c1": C1,
         "family": st.fixed_dictionaries(
             {"table": st.sampled_from(["T1", "T2", "T3"]), "row": st.integers(1, 6)},
             optional={"lambda": st.sampled_from([0.1, 0.25, 1.0])},
@@ -48,7 +52,7 @@ BASE = st.fixed_dictionaries(
 )
 
 #: Keys a config may lose or have replaced by junk; dotted ones are nested.
-KEYS = ("dimension", "a0", "a1", "seed", "family", "p_grid", "family.table", "family.row",
+KEYS = ("dimension", "a0", "a1", "c1", "seed", "family", "p_grid", "family.table", "family.row",
         "family.lambda", "p_grid.min", "p_grid.max", "p_grid.count", "p_grid.spacing")
 
 
@@ -90,6 +94,15 @@ def config_path(tmp_path_factory):
 @example(data={"dimension": 3, "a0": -1e150, "a1": -1e150,
                "family": {"table": "T3", "row": 6, "lambda": 0.25},
                "p_grid": {"min": 1e-9, "max": 1e-8, "count": 3, "spacing": "log"}})
+# c1 * c1 overflows or underflows: the potential's amplitude is refused by name.
+@example(data={"dimension": 3, "a0": 1.0, "a1": 5.0, "c1": 1e160,
+               "p_grid": {"min": 0.01, "max": 100.0, "count": 5, "spacing": "log"}})
+@example(data={"dimension": 2, "a0": 1.0, "a1": 5.0, "c1": -1e160,
+               "p_grid": {"min": 0.01, "max": 100.0, "count": 5, "spacing": "log"}})
+@example(data={"dimension": 3, "a0": 1.0, "a1": 5.0, "c1": 1e-160,
+               "p_grid": {"min": 0.01, "max": 100.0, "count": 5, "spacing": "log"}})
+@example(data={"dimension": 3, "a0": 1.0, "a1": 5.0, "c1": 1e-200,
+               "p_grid": {"min": 0.01, "max": 100.0, "count": 5, "spacing": "log"}})
 def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
     config_path.write_text(json.dumps(data))
     for command, allowed in EXIT_CODES.items():

@@ -174,6 +174,28 @@ def test_eom_residual_c1_invariant():
     assert r1.max_deviation == pytest.approx(r2.max_deviation, abs=1e-9)
 
 
+@pytest.mark.parametrize("model", [_zero_range(1.0, 5.0), ere.make_2d_model(1.0, 5.0)],
+                         ids=["3d", "2d"])
+@pytest.mark.parametrize("c1", [1e-140, 1e140, -1e140])
+def test_eom_residual_at_an_extreme_c1_equals_it_at_1(model, c1):
+    """N^3 under- or overflows at these c1 when formed with N = c1 (...); the
+    residual is evaluated c1-free, so the verdict is the one at c1 = 1."""
+    traj = torus.sample_trajectory(model, np.geomspace(0.01, 100.0, 5))
+    at_1 = geometry.eom_residual(traj, geometry.closed_form_potential(model, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_c1 = geometry.eom_residual(traj, geometry.closed_form_potential(model, c1))
+    assert at_1.passed and at_c1.passed
+    assert at_c1.max_deviation == pytest.approx(at_1.max_deviation, abs=at_1.tolerance)
+
+
+@pytest.mark.parametrize("c1", [1e160, -1e160, 1e-160, 1e-200])
+def test_potentials_refuse_an_amplitude_that_is_not_normal(c1):
+    for build in (geometry.potential_3d, geometry.potential_lam14, geometry.potential_2d):
+        with pytest.raises(ValueError, match=f"at c1 = {re.escape(repr(c1))} is not a finite"):
+            build(1.0, 5.0, c1=c1)
+
+
 def test_eom_residual_detects_wrong_model():
     """The residual is an actual diagnostic: a mismatched model fails loudly."""
     wrong = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
