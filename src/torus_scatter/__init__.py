@@ -43,14 +43,12 @@ from .ere import (
     make_symmetric_model,
     phases,
     quarter_lambda_branch,
-    s_element,
     tangents,
 )
 from .geometry import (
     GeometricPotential,
     eom_residual,
     first_integral,
-    inaffinity,
     integrate_affine,
     lapse,
     overdetermination_2d,
@@ -89,7 +87,7 @@ __all__ = [
     # ere
     "Channel3D", "Channel2D", "FamilyTag", "TwoChannelModel",
     "make_symmetric_model", "make_2d_model", "phases", "tangents",
-    "s_element", "quarter_lambda_branch",
+    "quarter_lambda_branch",
     # torus
     "Trajectory", "sample_trajectory",
     # uvir
@@ -98,7 +96,7 @@ __all__ = [
     "verify_ep_invariance",
     # geometry
     "GeometricPotential", "potential_3d", "potential_lam14", "potential_2d",
-    "lapse", "inaffinity", "eom_residual", "overdetermination_2d",
+    "lapse", "eom_residual", "overdetermination_2d",
     "integrate_affine", "first_integral",
     # causality
     "PoleSet", "wigner_derivative_bound", "threshold_range_bound_3d",

@@ -70,18 +70,25 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _checked_keys(cls, data, where: str, missing: str) -> dict:
-    """``data``, a JSON object with no key that is not a field of dataclass
-    ``cls`` and every field that has no default."""
+def _checked_keys(data, where: str, missing: str, known, required) -> dict:
+    """``data``, a JSON object with every key of ``required`` and no key
+    outside ``known``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
-            raise ConfigError(f"{missing} {f.name!r}")
+    for name in required:
+        if name not in data:
+            raise ConfigError(f"{missing} {name!r}")
     return data
+
+
+def _field_keys(cls) -> tuple:
+    """(every field name, the names of the fields without a default) of dataclass ``cls``."""
+    return [f.name for f in fields(cls)], [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
 
 
 @dataclass(frozen=True)
@@ -115,17 +122,18 @@ class PGrid:
 
     @classmethod
     def from_json(cls, data: dict) -> "PGrid":
-        return cls(**_checked_keys(cls, data, "p_grid", "p_grid missing key"))
+        return cls(**_checked_keys(data, "p_grid", "p_grid missing key", *_field_keys(cls)))
 
 
 def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: float) -> list:
     """[(name, coefficient, value at p)] of the dimensionless products in a
     channel's ERE pair, formed as its arithmetic forms them: a p, r p and
-    a r p^2 in 3D, a2 p in 2D."""
+    a r p^2 in 3D, a2 p in 2D.  A coefficient is nonzero iff the lengths in
+    its product are, also where a r underflows."""
     if isinstance(ch, ere.Channel2D):
         return [("a2 p", ch.a2, ch.a2 * p)]
     return [("a p", ch.a, ch.a * p), ("r p", ch.r, ch.r * p),
-            ("a r p^2", ch.a * ch.r, ch.a * ch.r * p * p)]
+            ("a r p^2", ch.a and ch.r, ch.a * ch.r * p * p)]
 
 
 #: Default tolerance of each check; the functions behind the checks use it too.
@@ -194,12 +202,10 @@ class RunConfig:
         if self.c1 == 0.0:
             raise ConfigError("c1 must be nonzero")
         if self.family is not None:
-            missing = {"table", "row"} - set(self.family)
-            if missing:
-                raise ConfigError(f"family tag missing keys: {sorted(missing)}")
-            unknown = set(self.family) - {"table", "row", "lambda"}
-            if unknown:
-                raise ConfigError(f"family tag has unknown keys: {sorted(unknown)}")
+            _checked_keys(
+                self.family, "family", "family tag missing key", ("table", "row", "lambda"),
+                ("table", "row"),
+            )
             _integer("family.row", self.family["row"])
             _finite("family.lambda", self.family.get("lambda", 1.0))
         for name, value in self.tolerances.items():
@@ -273,7 +279,9 @@ class RunConfig:
     def from_json(cls, data: dict) -> "RunConfig":
         """The config of a JSON object; an absent or null ``p_grid`` and every
         other absent key take the dataclass default."""
-        kwargs = dict(_checked_keys(cls, data, "config", "config missing required key"))
+        kwargs = dict(
+            _checked_keys(data, "config", "config missing required key", *_field_keys(cls))
+        )
         grid_data = kwargs.pop("p_grid", None)
         if grid_data is not None:
             kwargs["p_grid"] = PGrid.from_json(grid_data)

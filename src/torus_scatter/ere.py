@@ -12,14 +12,13 @@ exp(i delta) proportional to C + i S, so cot(delta) = C/S (``pair`` of
 quantity comes from the pair and its momentum derivatives:
 
 * ``phases``: 2 delta = 2 atan2(S, C), continuous in p;
-* ``tangents``: 2 (S'C - SC')/(S^2 + C^2);
-* ``second_derivatives``: 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2),
-  with t = (S'C - SC')/(S^2 + C^2);
-* ``s_element``: (C + iS)/(C - iS).
+* ``tangents``: 2 t with t = (S'C - SC')/(S^2 + C^2);
+* the second derivative 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
-All four refuse p < 0; the derivatives of a 2D phase also refuse p = 0, where
-the log in its pair diverges.  On a grid, ``torus.sample_trajectory`` gives
-all three from one evaluation of each pair, with the same arithmetic.
+``phases`` and ``tangents`` refuse p < 0; the tangent of a 2D phase also
+refuses p = 0, where the log in its pair diverges.  On a grid,
+``torus.sample_trajectory`` gives all three from one evaluation of each pair,
+with the same arithmetic.
 
 Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 
@@ -51,8 +50,6 @@ __all__ = [
     "TwoChannelModel",
     "phases",
     "tangents",
-    "second_derivatives",
-    "s_element",
     "make_symmetric_model",
     "make_2d_model",
     "channel_pole_momentum",
@@ -68,31 +65,17 @@ __all__ = [
 class Channel3D:
     """A 3D s-wave channel: p*cot(delta) = -1/a + (r/2) p^2, no shape terms.
 
-    Its ERE pair is S = -a p, C = 1 - a r p^2/2.  ``unitarity=True``
-    represents the a -> +/-infinity limit symbolically, with the pair (1, 0)
-    (delta = pi/2 at every momentum); it requires r = 0.
+    Its ERE pair is S = -a p, C = 1 - a r p^2/2.  Both a and r must be finite.
     """
 
     a: float
     r: float = 0.0
-    unitarity: bool = False
 
     def __post_init__(self) -> None:
-        if self.unitarity:
-            if self.r != 0.0:
-                raise ValueError("unitarity channel requires r = 0")
-            object.__setattr__(self, "a", math.inf)
-        else:
-            if not math.isfinite(self.a):
-                raise ValueError(
-                    "infinite scattering length must use the unitarity flag"
-                )
-            if not math.isfinite(self.r):
-                raise ValueError("effective range must be finite")
-
-    @classmethod
-    def at_unitarity(cls) -> "Channel3D":
-        return cls(a=math.inf, r=0.0, unitarity=True)
+        if not math.isfinite(self.a):
+            raise ValueError("scattering length must be finite")
+        if not math.isfinite(self.r):
+            raise ValueError("effective range must be finite")
 
     @property
     def length(self) -> float:
@@ -100,8 +83,6 @@ class Channel3D:
 
     def pair(self, p: np.ndarray, order: int) -> list:
         """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``."""
-        if self.unitarity:
-            return [(1.0, np.zeros_like(p))] + [(0.0, 0.0)] * order
         a, r = self.a, self.r
         pairs = [(-a * p, 1.0 - 0.5 * a * r * p * p)]
         if order:
@@ -322,7 +303,7 @@ def make_2d_model(
 
 
 def _derivative(model: TwoChannelModel, p, order: int) -> tuple:
-    """The ``order``-th momentum derivative (0, 1 or 2) of (phi, theta)."""
+    """The ``order``-th momentum derivative (0 or 1) of (phi, theta)."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("momentum must be >= 0")
@@ -359,8 +340,8 @@ def phases(model: TwoChannelModel, p):
     """(phi, theta) = 2 atan2(S, C) per channel at momentum p.
 
     The branch is continuous in p and 0 at threshold: a 3D phase runs into
-    (-2pi, 2pi) (through -/+ pi where C = 0), a 2D phase increases through
-    (0, 2pi), and a unitarity phase is pi.
+    (-2pi, 2pi) (through -/+ pi where C = 0), and a 2D phase increases through
+    (0, 2pi).
     """
     return _derivative(model, p, 0)
 
@@ -370,43 +351,25 @@ def tangents(model: TwoChannelModel, p):
     return _derivative(model, p, 1)
 
 
-def second_derivatives(model: TwoChannelModel, p):
-    """(d2phi/dp2, d2theta/dp2) = 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2)."""
-    return _derivative(model, p, 2)
-
-
-def s_element(model: TwoChannelModel, channel: int, p):
-    """Unit-modulus S-matrix element (C + iS)/(C - iS) = exp(2 i delta) of one channel.
-
-    It is taken as exp(i * 2 atan2(S, C)), which stays finite where C is
-    infinite (a 2D channel at threshold, where the element is 1).
-    """
-    if channel not in (0, 1):
-        raise ValueError("channel must be 0 (singlet) or 1 (triplet)")
-    return np.exp(1j * phases(model, p)[channel])
-
-
 def channel_pole_momentum(ch: Channel3D | Channel2D) -> float | None:
     """The one momentum p > 0 where the channel's phase is a multiple of pi.
 
     It is the zero of the pair's C: sqrt(2/(a r)) for a 3D channel with
-    a r > 0, 1/a2 for a 2D channel, and None for every other 3D channel
-    (unitarity included), whose phase stays strictly between two multiples
-    of pi.
+    a r > 0, 1/a2 for a 2D channel, and None for every other 3D channel,
+    whose phase stays strictly between two multiples of pi.
     """
     if isinstance(ch, Channel2D):
         return 1.0 / ch.a2
-    if not ch.unitarity and ch.a * ch.r > 0.0:
+    if ch.a * ch.r > 0.0:
         return math.sqrt(2.0 / (ch.a * ch.r))
     return None
 
 
 def ranges_follow(model: TwoChannelModel, sign: int) -> bool:
     """True when r = sign * 2 a lambda (family tag's lambda) in every channel,
-    relative to |2 a lambda|; unitarity channels never follow."""
+    relative to |2 a lambda|."""
     return all(
-        not ch.unitarity and _range_matches(ch.r, sign * 2.0 * ch.a * model.family.lam)
-        for ch in model.channels
+        _range_matches(ch.r, sign * 2.0 * ch.a * model.family.lam) for ch in model.channels
     )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "lapse",
     "construction_lapse",
     "lapse_inaffinity",
-    "inaffinity",
     "eom_residual",
     "overdetermination_2d",
     "integrate_affine",
@@ -127,16 +126,17 @@ class GeometricPotential:
         """
         return 2.0 * self.amplitude * self.scale * tan_u * (1.0 / (cos_u * cos_u))
 
-    def singular_mask(self, phi, theta, tol: float = COS_SINGULAR_TOL):
-        """True where tan(argument) blows up (|cos| below tol)."""
-        return np.abs(np.cos(self.argument(np.asarray(phi), np.asarray(theta)))) < tol
+    def singular_mask(self, phi, theta):
+        """True where tan(argument) blows up (|cos| below ``COS_SINGULAR_TOL``)."""
+        u = self.argument(np.asarray(phi), np.asarray(theta))
+        return np.abs(np.cos(u)) < COS_SINGULAR_TOL
 
 
 def epsilon_for(a0: float, a1: float) -> int:
     """Sign convention of the potential argument: -1 for equal-sign lengths."""
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("scattering lengths must be nonzero")
-    return -1 if a0 * a1 > 0.0 else +1
+    return -1 if (a0 > 0.0) == (a1 > 0.0) else +1
 
 
 def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
@@ -147,10 +147,12 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
         raise ValueError("potential requires finite scattering lengths")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    try:
-        amp = abs(a0 * a1) / (abs(a0) + abs(a1)) ** 2 / c1 / c1
-    except OverflowError:
-        raise ValueError(f"potential overflows for a0 = {a0!r}, a1 = {a1!r}, c1 = {c1!r}") from None
+    # |a0 a1| / (|a0| + |a1|)^2 from both lengths scaled by one power of two,
+    # exactly, so the ratio neither overflows nor underflows at any unit of
+    # length and is the same bits at every power-of-two unit.
+    exponent = math.frexp(max(abs(a0), abs(a1)))[1]
+    b0, b1 = math.ldexp(abs(a0), -exponent), math.ldexp(abs(a1), -exponent)
+    amp = b0 * b1 / (b0 + b1) ** 2 / c1 / c1
     return GeometricPotential(
         amplitude=amp, epsilon=epsilon_for(a0, a1), scale=0.5, chi=0.0, c1=c1
     )
@@ -217,8 +219,7 @@ def closed_form_potential(
     if model.dimension == 2:
         return None if a0 == a1 else potential_2d(a0, a1, c1=c1)
     if model.singlet.r == 0.0 and model.triplet.r == 0.0:
-        regular = math.isfinite(a0) and math.isfinite(a1) and 0.0 not in (a0, a1)
-        return potential_3d(a0, a1, c1=c1) if regular else None
+        return None if 0.0 in (a0, a1) else potential_3d(a0, a1, c1=c1)
     if ere.quarter_lambda_branch(model) == "solvable":
         return potential_lam14(a0, a1, c1=c1)
     return None
@@ -244,15 +245,27 @@ def lapse(traj: torus.Trajectory, c1: float = 1.0):
       theta'), there equal to (2 sqrt(2) c1 / p)(sin(phi/2) - eps sin(theta/2));
     * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is
       c1 (phi' - eps theta') at zero range (sin(phi)/p = phi').
+
+    N is a length and dN/dp a length squared (times c1): where either
+    overflows or underflows, as at lengths near 1e+-154 and beyond, this
+    raises a ValueError.
     """
     k, eps, tangent = _lapse_form(traj.model)
-    if tangent:
-        kc1 = k * c1
-        return kc1 * (traj.dphi - eps * traj.dtheta), kc1 * (traj.d2phi - eps * traj.d2theta)
     p = traj.p
-    s = np.sin(traj.phi) - eps * np.sin(traj.theta)
-    ds = np.cos(traj.phi) * traj.dphi - eps * np.cos(traj.theta) * traj.dtheta
-    return c1 / p * s, c1 * (ds / p - s / (p * p))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            if tangent:
+                kc1 = k * c1
+                n_val = kc1 * (traj.dphi - eps * traj.dtheta)
+                return n_val, kc1 * (traj.d2phi - eps * traj.d2theta)
+            s = np.sin(traj.phi) - eps * np.sin(traj.theta)
+            ds = np.cos(traj.phi) * traj.dphi - eps * np.cos(traj.theta) * traj.dtheta
+            return c1 / p * s, c1 * (ds / p - s / (p * p))
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"lapse: {exc} on p_grid [{float(p[0])!r}, {float(p[-1])!r}]; N or dN/dp is not "
+            "a normal float at this unit of length"
+        ) from None
 
 
 def _require_closed_form(model: ere.TwoChannelModel, potential: GeometricPotential) -> None:
@@ -280,15 +293,6 @@ def lapse_inaffinity(traj: torus.Trajectory, c1: float = 1.0):
     n_val, dn_val = lapse(traj, c1)
     vanishing = np.abs(traj.p * n_val / c1) < LAPSE_SINGULAR_TOL
     return np.divide(dn_val, n_val, out=np.full(n_val.shape, np.nan), where=~vanishing), vanishing
-
-
-def inaffinity(traj: torus.Trajectory):
-    """kappa(p) = N'(p)/N(p) of the model's ``lapse`` along its sampled
-    trajectory; a ValueError where the lapse vanishes (``lapse_inaffinity``)."""
-    kappa, vanishing = lapse_inaffinity(traj)
-    if np.any(vanishing):
-        raise ValueError(f"lapse vanishes at p = {traj.p[vanishing][:3]}: inaffinity singular")
-    return kappa
 
 
 def eom_residual(

@@ -170,7 +170,6 @@ def entanglement_power_mc(
     theta: float,
     n_samples: int = 100_000,
     seed: int | None = 0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the entanglement power with its standard error.
 
@@ -181,9 +180,7 @@ def entanglement_power_mc(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    states = haar_product_states(n_samples, rng)
+    states = haar_product_states(n_samples, np.random.default_rng(seed))
     s_op = build_s_operator(phi, theta)
     out = states @ s_op.T  # row k becomes S @ states[k]
     ent = linear_entropy_one_qubit(out)

@@ -37,7 +37,6 @@ __all__ = [
     "expected_map",
     "inverted_momentum",
     "inversion_fixed_point",
-    "model_inversion_strength",
     "model_inverted_momentum",
     "make_paired_grid",
     "verify_phase_map",
@@ -175,32 +174,25 @@ def inversion_fixed_point(lam: float, a0: float, a1: float) -> float:
     return 1.0 / math.sqrt(_inversion_strength(lam, a0, a1))
 
 
-def model_inversion_strength(model: ere.TwoChannelModel) -> float:
-    """eta = lambda |a0 a1| of the model's family inversion."""
-    _row_map(model)
-    return _inversion_strength(model.family.lam, model.singlet.length, model.triplet.length)
-
-
 def model_inverted_momentum(model: ere.TwoChannelModel, p):
     """Image of p under the model's own family inversion."""
     _row_map(model)
     return inverted_momentum(p, model.family.lam, model.singlet.length, model.triplet.length)
 
 
-def make_paired_grid(
-    a0: float, a1: float, lam: float = 1.0, count: int = 101, decades: float = 3.0
-) -> np.ndarray:
-    """Log grid closed under the momentum inversion.
+def make_paired_grid(a0: float, a1: float, lam: float = 1.0, count: int = 101) -> np.ndarray:
+    """Log grid closed under the momentum inversion, over three decades on
+    either side of the fixed point p*.
 
-    Points below the fixed point p* are mirrored to 1/(eta p) above it, so
-    every sample's inversion image is (up to roundoff) also a sample.  With an
-    odd ``count`` the fixed point itself is included.
+    Points below p* are mirrored to 1/(eta p) above it, so every sample's
+    inversion image is (up to roundoff) also a sample.  With an odd ``count``
+    the fixed point itself is included.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     pstar = inversion_fixed_point(lam, a0, a1)
     half = count // 2
-    lower = pstar * np.logspace(-decades, 0.0, half, endpoint=False)
+    lower = pstar * np.logspace(-3.0, 0.0, half, endpoint=False)
     upper = inverted_momentum(lower, lam, a0, a1)
     parts = [lower]
     if count % 2:

@@ -232,8 +232,8 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     ids=["zero-range", "lam14", "2d"],
 )
 def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
-    """Each closed-form class: ``geometry.inaffinity`` reproduces the printed
-    kappa of every regular row bit for bit."""
+    """Each closed-form class: ``geometry.lapse_inaffinity`` reproduces the
+    printed kappa of every regular row bit for bit, with no vanishing lapse."""
     cfg = _write_config(
         tmp_path, p_grid={"min": 0.01, "max": 100.0, "count": 600, "spacing": "log"}, **overrides
     )
@@ -244,7 +244,9 @@ def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
     assert regular.sum() > 500
     run = RunConfig.load(cfg)
     traj = torus.sample_trajectory(run.build_model(), run.build_grid()[regular])
-    assert np.array_equal([float(k) for k in kappa if k], geometry.inaffinity(traj))
+    want, vanishing = geometry.lapse_inaffinity(traj)
+    assert not vanishing.any()
+    assert np.array_equal([float(k) for k in kappa if k], want)
 
 
 def test_verify_all_passes_beside_the_2d_lapse_zero(tmp_path, capsys):
@@ -533,6 +535,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         ({"seed": True}, "seed"),
         ({"dimension": 3.7}, "dimension"),
         ({"family": {"table": "T1", "row": 4.5}}, "family.row"),
+        ({"family": 5}, "family"),
+        ({"family": "T1"}, "family"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(tmp_path, capsys, overrides, key):
@@ -605,6 +609,16 @@ def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsy
     assert message == (
         "a1: a p must be finite and nonzero over p_grid [1e-150, 1.0]; got 0.0 at p = 1e-150"
     )
+    # a r = 2^-1321 underflows to 0 although a and r are nonzero: the range
+    # term would vanish from the pair, so the config is refused.
+    s = 2.0**-660
+    tiny_range = _write_config(
+        tmp_path, name="tiny_range.json", a0=-s, a1=-5.0 * s,
+        family={"table": "T3", "row": 6, "lambda": 0.25},
+        p_grid={"min": 0.01 / s, "max": 10.0 / s, "count": 3},
+    )
+    assert cli.main(["ep", "--config", tiny_range]) == 2
+    assert "a0: a r p^2 must be finite and nonzero" in json.loads(capsys.readouterr().err)["error"]
 
 
 def _count_evaluations(monkeypatch, size: int) -> Counter:
@@ -808,20 +822,22 @@ def test_every_check_passes_iff_its_deviation_is_below_its_tolerance(tmp_path, c
     assert {name for name, verdict in verdicts if not verdict} == names - {"pole_lower_half"}
 
 
-def test_arithmetic_error_exits_2_with_json(tmp_path, capsys):
-    cfg = _write_config(tmp_path, name="huge.json", a0=1e300, a1=-1e300, family=None)
-    assert cli.main(["traj", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert json.loads(err.strip())["error"]
-
-
-def test_overflowing_potential_names_the_lengths(tmp_path, capsys):
-    cfg = _write_config(tmp_path, name="huge.json", a0=1e300, a1=-1e300, family=None)
-    assert cli.main(["traj", "--config", cfg]) == 2
+def test_arithmetic_error_exits_2_with_json(capsys):
+    # 2/(a r) divides by a r = 1e-600, which is 0.0: a ZeroDivisionError.
+    assert cli.main(["poles", "--a", "1e-300", "--r", "1e-300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    message = json.loads(captured.err.strip())["error"]
-    assert "a0 = 1e+300" in message and "a1 = -1e+300" in message and "c1" in message
+    assert json.loads(captured.err.strip()) == {"error": "float division by zero"}
+
+
+def test_potential_at_huge_lengths_is_the_unit_one(tmp_path, capsys):
+    """|a0 a1| and (|a0| + |a1|)^2 overflow at a = (1e300, -1e300), but the
+    amplitude is their ratio 1/4, as at a = (1, -1)."""
+    assert geometry.potential_3d(1e300, -1e300) == geometry.potential_3d(1.0, -1.0)
+    assert geometry.potential_3d(1e300, -1e300).amplitude == 0.25
+    cfg = _write_config(tmp_path, name="huge.json", a0=1e300, a1=-1e300, family=None)
+    assert cli.main(["traj", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_import_does_not_load_scipy():

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere
+from torus_scatter import ere, torus
 
 LENGTHS = st.floats(0.05, 20.0).map(lambda x: x) | st.floats(-20.0, -0.05)
 MOMENTA = st.floats(1e-3, 1e3)
@@ -35,10 +35,6 @@ def test_channel_validation():
         ere.Channel3D(a=math.inf)
     with pytest.raises(ValueError):
         ere.Channel3D(a=1.0, r=math.nan)
-    ch = ere.Channel3D.at_unitarity()
-    assert ch.unitarity and ch.r == 0.0
-    with pytest.raises(ValueError):
-        ere.Channel3D(a=1.0, r=0.5, unitarity=True)
     with pytest.raises(ValueError):
         ere.Channel2D(a2=-1.0)
     with pytest.raises(ValueError):
@@ -153,16 +149,6 @@ def test_phase_3d_threshold_and_sign():
     assert theta == pytest.approx(2e-9, rel=1e-6)
 
 
-def test_unitarity_channel():
-    m = ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(1.0))
-    p = np.array([0.01, 1.0, 100.0])
-    phi, _ = ere.phases(m, p)
-    np.testing.assert_allclose(phi, math.pi, atol=0)
-    dphi, _ = ere.tangents(m, p)
-    np.testing.assert_allclose(dphi, 0.0, atol=0)
-    np.testing.assert_allclose(ere.s_element(m, 0, p), -1.0, atol=0)
-
-
 def test_phase_continuous_through_ere_pole():
     """With a r > 0 the denominator zero is crossed without a phase jump."""
     m = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
@@ -227,23 +213,7 @@ def test_tangent_and_curvature_match_symbolic_derivative(a, r, p):
     m = ere.TwoChannelModel(3, ere.Channel3D(a, r=r), ere.Channel3D(1.0))
     d1, d2 = _sympy_derivatives_3d(a, r, p)
     assert ere.tangents(m, p)[0] == pytest.approx(d1, rel=1e-12)
-    assert ere.second_derivatives(m, p)[0] == pytest.approx(d2, rel=1e-10)
-
-
-@given(a=LENGTHS, p=MOMENTA)
-@settings(max_examples=100, deadline=None)
-def test_s_element_unit_modulus(a, p):
-    m = ere.TwoChannelModel(3, ere.Channel3D(a, r=-0.4), ere.Channel3D(a))
-    for ch in (0, 1):
-        assert abs(ere.s_element(m, ch, p)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_s_element_matches_phase():
-    m = ere.TwoChannelModel(3, ere.Channel3D(2.0, r=-0.4), ere.Channel3D(-1.0))
-    p = np.array([0.3, 1.7])
-    phi, theta = ere.phases(m, p)
-    np.testing.assert_allclose(ere.s_element(m, 0, p), np.exp(1j * phi), atol=1e-13)
-    np.testing.assert_allclose(ere.s_element(m, 1, p), np.exp(1j * theta), atol=1e-13)
+    assert torus.sample_trajectory(m, [p]).d2phi[0] == pytest.approx(d2, rel=1e-10)
 
 
 def test_pole_momenta():
@@ -257,8 +227,7 @@ def test_pole_momenta():
     # the opposite orientation r = -2 a lambda has a r < 0: no zero
     no_zero = ere.make_symmetric_model("T3", 5, 1.0, 5.0, lam=0.25)
     zero_range = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(-2.0))
-    unitarity = ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(1.0))
-    for model in (no_zero, zero_range, unitarity):
+    for model in (no_zero, zero_range):
         assert [ere.channel_pole_momentum(ch) for ch in model.channels] == [None, None]
     # a 2D phase passes pi where log(a2 p) = 0
     planar = ere.make_2d_model(0.5, 4.0)
@@ -303,7 +272,7 @@ def test_tangent_2d_matches_symbolic(a2, p):
     m = ere.make_2d_model(a2, 2 * a2)
     d1, d2 = _sympy_derivatives_2d(a2, p)
     assert ere.tangents(m, p)[0] == pytest.approx(d1, rel=1e-12)
-    assert ere.second_derivatives(m, p)[0] == pytest.approx(d2, rel=1e-10)
+    assert torus.sample_trajectory(m, [p]).d2phi[0] == pytest.approx(d2, rel=1e-10)
 
 
 def test_2d_rejects_nonzero_effective_area_in_phases():
@@ -319,27 +288,21 @@ def test_2d_rejects_nonzero_effective_area_in_phases():
 
 MOMENTUM_MODELS = {
     "3D": ere.make_symmetric_model("T2", 6, 1.0, 3.0, lam=0.5),
-    "unitarity": ere.TwoChannelModel(3, ere.Channel3D.at_unitarity(), ere.Channel3D(-1.0)),
     "2D": ere.make_2d_model(1.0, 3.0),
 }
-MOMENTUM_FUNCTIONS = {
-    "phases": ere.phases,
-    "tangents": ere.tangents,
-    "second_derivatives": ere.second_derivatives,
-    "s_element": lambda model, p: ere.s_element(model, 1, p),
-}
+MOMENTUM_FUNCTIONS = {"phases": ere.phases, "tangents": ere.tangents}
 
 
 @pytest.mark.parametrize("kind", MOMENTUM_MODELS)
 @pytest.mark.parametrize("name", MOMENTUM_FUNCTIONS)
 def test_one_momentum_rule(name, kind):
-    """p < 0 raises in every function; p = 0 is refused only by the 2D
-    derivatives, whose log diverges there."""
+    """p < 0 raises in both functions; p = 0 is refused only by the 2D
+    tangents, whose log diverges there."""
     model, f = MOMENTUM_MODELS[kind], MOMENTUM_FUNCTIONS[name]
     for p in (-1.0, np.array([1.0, -1e-300])):
         with pytest.raises(ValueError, match="^momentum must be >= 0$"):
             f(model, p)
-    if kind == "2D" and name in ("tangents", "second_derivatives"):
+    if kind == "2D" and name == "tangents":
         with pytest.raises(ValueError, match="p > 0"):
             f(model, np.array([0.0, 1.0]))
     else:
@@ -349,7 +312,6 @@ def test_one_momentum_rule(name, kind):
 def test_threshold_values():
     planar, spatial = MOMENTUM_MODELS["2D"], MOMENTUM_MODELS["3D"]
     assert ere.phases(planar, 0.0) == (0.0, 0.0) == ere.phases(spatial, 0.0)
-    assert ere.s_element(planar, 0, 0.0) == 1.0 == ere.s_element(spatial, 0, 0.0)
     assert ere.tangents(spatial, 0.0) == (-2.0, -6.0)
 
 
@@ -359,7 +321,7 @@ def test_threshold_values():
 
 #: Channels of every kind: 3D zero range; a r < 0 with r of either sign (no
 #: pole); a r > 0 with r of either sign, sampled across the real ERE pole
-#: sqrt(2/(a r)); unitarity; 2D at three lengths.
+#: sqrt(2/(a r)); 2D at three lengths.
 ORACLE_CHANNELS = [
     ere.Channel3D(1.0),
     ere.Channel3D(-2.5),
@@ -368,7 +330,6 @@ ORACLE_CHANNELS = [
     ere.Channel3D(1.0, r=1.0),
     ere.Channel3D(-2.0, r=-0.3),
     ere.Channel3D(5.0, r=2e-3),
-    ere.Channel3D.at_unitarity(),
     ere.Channel2D(0.5),
     ere.Channel2D(1.0),
     ere.Channel2D(3.0),
@@ -379,13 +340,11 @@ def _oracle_phase(ch, p):
     """2 delta at 50 digits on the code's continuous branch (0 at threshold).
 
     From cot(delta) = k: 2 delta = pi - 2 atan(k), less 2 pi for a 3D channel
-    with a > 0, whose phase starts from 0 downwards.  3D: k = (-1/a + r p^2/2)/p
-    (0 at unitarity); 2D: k = -(2/pi) log(a2 p).
+    with a > 0, whose phase starts from 0 downwards.  3D: k = (-1/a + r p^2/2)/p;
+    2D: k = -(2/pi) log(a2 p).
     """
     if isinstance(ch, ere.Channel2D):
         return mp.pi - 2 * mp.atan(-(2 / mp.pi) * mp.log(mp.mpf(ch.a2) * p))
-    if ch.unitarity:
-        return +mp.pi
     a, r = mp.mpf(ch.a), mp.mpf(ch.r)
     k = (-1 / a + r * p * p / 2) / p
     return mp.pi - 2 * mp.atan(k) - (2 * mp.pi if a > 0 else 0)
@@ -393,8 +352,7 @@ def _oracle_phase(ch, p):
 
 def _oracle_grid(ch):
     """Log grid over a p in [1e-8, 1e8], plus the ERE pole and its neighbours."""
-    length = abs(ch.length) if math.isfinite(ch.length) else 1.0
-    p = list(np.geomspace(1e-8, 1e8, 97) / length)
+    p = list(np.geomspace(1e-8, 1e8, 97) / abs(ch.length))
     p_star = ere.channel_pole_momentum(ch)
     if p_star is not None and isinstance(ch, ere.Channel3D):
         p += [p_star * (1 + s * 10.0**-k) for k in range(1, 9) for s in (-1, 1)] + [p_star]
@@ -408,7 +366,9 @@ def test_phases_tangents_curvatures_match_50_digit_oracle(ch):
     other = ere.Channel2D(2.0) if isinstance(ch, ere.Channel2D) else ere.Channel3D(2.0)
     model = ere.TwoChannelModel(2 if isinstance(ch, ere.Channel2D) else 3, ch, other)
     p = _oracle_grid(ch)
-    got = [ere.phases(model, p)[0], ere.tangents(model, p)[0], ere.second_derivatives(model, p)[0]]
+    got = [
+        ere.phases(model, p)[0], ere.tangents(model, p)[0], torus.sample_trajectory(model, p).d2phi
+    ]
     with mp.workdps(50):
         want = np.array(
             [[float(mp.diff(lambda q: _oracle_phase(ch, q), mp.mpf(pk), n)) for pk in p]

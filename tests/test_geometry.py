@@ -74,7 +74,7 @@ def test_potential_2d_amplitude_and_guards():
 @settings(max_examples=200, deadline=None)
 def test_gradient_matches_finite_difference(phi, theta, amp, eps):
     pot = geometry.GeometricPotential(amplitude=amp, epsilon=eps, scale=0.5, chi=0.0)
-    if bool(np.asarray(pot.singular_mask(phi, theta, tol=1e-3))):
+    if abs(math.cos(pot.argument(phi, theta))) < 1e-3:
         return
     h = 1e-6
     g_phi, g_theta = pot.gradient(phi, theta)
@@ -113,18 +113,19 @@ def test_lapse_equals_tangent_combination_at_zero_range(a0, a1, p):
 
 
 def test_inaffinity_singular_at_vanishing_lapse():
+    """``lapse_inaffinity`` flags a vanishing lapse and leaves kappa NaN there."""
     # equal range-corrected channels: phi = theta = -pi at the denominator
     # zero p = sqrt(2), so N ~ 2 sin(phi)/p vanishes there
     m_r = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
-    with pytest.raises(ValueError, match="lapse"):
-        geometry.inaffinity(torus.sample_trajectory(m_r, [math.sqrt(2.0)]))
     # 2D equal lengths: phi' = theta' identically, N = 0 everywhere
     m_2d = ere.make_2d_model(2.0, 2.0)
-    with pytest.raises(ValueError, match="lapse"):
-        geometry.inaffinity(torus.sample_trajectory(m_2d, [1.0]))
+    for model, p in ((m_r, math.sqrt(2.0)), (m_2d, 1.0)):
+        kappa, vanishing = geometry.lapse_inaffinity(torus.sample_trajectory(model, [p]))
+        assert vanishing.tolist() == [True] and np.isnan(kappa).all()
     # generic case evaluates fine
     generic = torus.sample_trajectory(_zero_range(1.0, 1.0), [0.7])
-    assert np.isfinite(geometry.inaffinity(generic))
+    kappa, vanishing = geometry.lapse_inaffinity(generic)
+    assert vanishing.tolist() == [False] and np.isfinite(kappa).all()
 
 
 def test_construction_lapse_is_the_model_lapse_of_its_own_potential():
@@ -285,10 +286,6 @@ def test_closed_form_potential_follows_the_class_rule():
     # A zero length is a free channel, with no potential (potential_3d refuses it).
     assert geometry.closed_form_potential(_zero_range(0.0, 5.0)) is None
     assert geometry.closed_form_potential(_zero_range(-1.0, 0.0)) is None
-    at_unitarity = ere.TwoChannelModel(
-        3, ere.Channel3D(1.0, unitarity=True), ere.Channel3D(5.0)
-    )
-    assert geometry.closed_form_potential(at_unitarity) is None
 
 
 def test_eom_residual_2d():

@@ -8,12 +8,16 @@ import math
 
 import pytest
 
-from torus_scatter import causality, cli
+from torus_scatter import causality, cli, geometry
 
 #: Powers of two, so every a*p and r*p of a rescaled run is bit-identical to
 #: the unit run.
 SCALES = (2.0**-43, 2.0**-13, 2.0**27)
 SCALE_IDS = ("2^-43", "2^-13", "2^27")
+#: Units at which |a0 a1| and (|a0| + |a1|)^2 of unit lengths leave float64,
+#: and so does dN/dp, a length squared.
+EXTREME_SCALES = (2.0**-660, 2.0**660)
+EXTREME_IDS = ("2^-660", "2^660")
 
 #: name -> (config without grid, whether the model has a closed-form potential)
 MODELS = {
@@ -72,6 +76,42 @@ def test_traj_does_not_depend_on_the_unit_of_length(tmp_path, name, s):
     # kappa = N'/N is a length: it scales with s, exactly for a power of two.
     assert [k == "" for k in kappa_s] == [k == "" for k in kappa]
     assert [float(k) for k in kappa_s if k] == [s * float(k) for k in kappa if k]
+
+
+@pytest.mark.parametrize("s", SCALES + EXTREME_SCALES, ids=SCALE_IDS + EXTREME_IDS)
+def test_potentials_do_not_depend_on_the_unit_of_length(s):
+    """Each closed-form potential is a function of length ratios: the same
+    bits at every power-of-two unit, however large or small."""
+    for build, a0, a1 in (
+        (geometry.potential_3d, 1.0, 5.0),
+        (geometry.potential_3d, -1.3, 4.0),
+        (geometry.potential_lam14, -1.0, -5.0),
+        (geometry.potential_2d, 0.9361, 5.8859),
+    ):
+        assert build(a0 * s, a1 * s) == build(a0, a1)
+
+
+@pytest.mark.parametrize("s", EXTREME_SCALES, ids=EXTREME_IDS)
+def test_a_lapse_outside_float64_is_refused_by_name(tmp_path, capsys, s):
+    """At these units traj and the eom suite exit 2 naming the lapse, whose
+    derivative is a length squared, with nothing on stdout; ep, which reads
+    only the phases, writes the unit run's phases."""
+    model = MODELS["T1-4"][0]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(dict(
+        model, a0=model["a0"] * s, a1=model["a1"] * s,
+        p_grid={"min": 0.01 / s, "max": 10.0 / s, "count": 400, "spacing": "linear"},
+    )))
+    for argv in (["traj"], ["verify", "--suite", "eom"]):
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("lapse: ")
+    code, unit = _run(tmp_path, model, "ep")
+    code_s, scaled = _run(tmp_path, model, "ep", s=s)
+    assert code == code_s == 0
+    columns = [line.split(",")[1:] for line in unit.splitlines()]
+    assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
 
 
 def _verdict(code, text):

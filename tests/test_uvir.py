@@ -66,11 +66,12 @@ def test_fixed_point():
 
 
 def test_model_inversion_strength():
+    """A model inverts p -> 1/(eta p) with its family's eta = lambda |a0 a1|."""
     m = ere.make_symmetric_model("T2", 5, -15.0, -1.0, lam=0.01)
-    assert uvir.model_inversion_strength(m) == pytest.approx(0.15, rel=1e-15)
+    assert uvir.model_inverted_momentum(m, 2.0) == pytest.approx(1.0 / (0.15 * 2.0), rel=1e-15)
     bare = ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(2.0))
     with pytest.raises(ValueError):
-        uvir.model_inversion_strength(bare)
+        uvir.model_inverted_momentum(bare, 2.0)
 
 
 def test_paired_grid_is_inversion_closed():
