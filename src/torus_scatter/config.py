@@ -9,9 +9,10 @@ so runs are reproducible byte for byte.
 Construction validates every value and raises :class:`ConfigError` naming
 the key: integers (``dimension``, ``seed``, ``family.row``, ``p_grid.count``)
 may be integral floats but not booleans or strings; ``a0``, ``a1``, ``c1``,
-``family.lambda`` and the grid bounds must be finite numbers, and
-tolerances positive numbers.  ``build_model`` also names the key of a
-channel whose dimensionless magnitudes are not finite and nonzero on the grid.
+``family.lambda`` and the grid bounds must be finite numbers; ``family``
+and ``tolerances`` must be JSON objects, and each tolerance a positive
+number.  ``build_model`` also names the key of a channel whose
+dimensionless magnitudes are not finite and nonzero on the grid.
 
 Every verification check reports one :class:`Check`, which passes iff its
 ``max_deviation`` is below its ``tolerance``; the tolerance of each named
@@ -128,12 +129,13 @@ class PGrid:
 def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: float) -> list:
     """[(name, coefficient, value at p)] of the dimensionless products in a
     channel's ERE pair, formed as its arithmetic forms them: a p, r p and
-    a r p^2 in 3D, a2 p in 2D.  A coefficient is nonzero iff the lengths in
-    its product are, also where a r underflows."""
+    a r p^2 in 3D (from ``Channel3D.scaled`` lengths), a2 p in 2D.  A
+    coefficient is nonzero iff the lengths in its product are."""
     if isinstance(ch, ere.Channel2D):
         return [("a2 p", ch.a2, ch.a2 * p)]
+    _, a_u, r_u, p_u = ch.scaled(p)
     return [("a p", ch.a, ch.a * p), ("r p", ch.r, ch.r * p),
-            ("a r p^2", ch.a and ch.r, ch.a * ch.r * p * p)]
+            ("a r p^2", ch.a and ch.r, a_u * r_u * p_u * p_u)]
 
 
 #: Default tolerance of each check; the functions behind the checks use it too.
@@ -208,9 +210,9 @@ class RunConfig:
             )
             _integer("family.row", self.family["row"])
             _finite("family.lambda", self.family.get("lambda", 1.0))
+        _checked_keys(self.tolerances, "tolerances", "", DEFAULT_TOLERANCES, ())
+        object.__setattr__(self, "tolerances", dict(self.tolerances))
         for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance name {name!r}")
             if not _number(f"tolerance {name!r}", value) > 0:
                 raise ConfigError(f"tolerance {name!r} must be positive; got {value!r}")
         if self.seed < 0:
@@ -286,8 +288,6 @@ class RunConfig:
         if grid_data is not None:
             kwargs["p_grid"] = PGrid.from_json(grid_data)
         try:
-            if "tolerances" in kwargs:
-                kwargs["tolerances"] = dict(kwargs["tolerances"])
             return cls(**kwargs)
         except ConfigError:
             raise

@@ -39,6 +39,7 @@ dimensionless products a*p, r*p and lambda enter any formula or tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,28 @@ __all__ = [
 ]
 
 
+def _scaled_lengths(x: float, y: float) -> tuple:
+    """(k, x / 2^k, y / 2^k) for the power of two that brings the larger of
+    |x|, |y| into [1, 2).  The scaling is exact, so products and ratios of
+    the scaled lengths, and of momenta times 2^k, are the given unit's bits
+    wherever those neither over- nor underflow, and do not depend on the unit."""
+    k = math.frexp(max(abs(x), abs(y)))[1] - 1
+    return k, math.ldexp(x, -k), math.ldexp(y, -k)
+
+
+def _check_derivatives(p, at) -> None:
+    """Raise ValueError naming the grid where a pair's C' or C'' (a length and
+    its square) is not finite and nonzero at this unit of length.  Both are
+    monotone in p, so ``at(end)``, their floats at the grid's nonzero ends by
+    the same operations, bound every value."""
+    ends = float(p.min()), float(p.max())
+    if not all(math.isfinite(d) and d for end in ends if end for d in at(end)):
+        raise ValueError(
+            f"phase derivatives: C' or C'' is not finite and nonzero on p in "
+            f"[{ends[0]!r}, {ends[1]!r}] at this unit of length"
+        )
+
+
 @dataclass(frozen=True)
 class Channel3D:
     """A 3D s-wave channel: p*cot(delta) = -1/a + (r/2) p^2, no shape terms.
@@ -76,17 +99,33 @@ class Channel3D:
             raise ValueError("scattering length must be finite")
         if not math.isfinite(self.r):
             raise ValueError("effective range must be finite")
+        k, a_u, r_u = _scaled_lengths(self.a, self.r)
+        object.__setattr__(self, "_unit", (2.0**k, a_u, r_u))
 
     @property
     def length(self) -> float:
         return self.a
 
+    def scaled(self, p) -> tuple:
+        """(unit, a, r, p) in the ``_scaled_lengths`` unit of a and r, where
+        p is at most max(|a|, |r|) p."""
+        unit, a_u, r_u = self._unit
+        return unit, a_u, r_u, p * unit
+
     def pair(self, p: np.ndarray, order: int) -> list:
-        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``."""
-        a, r = self.a, self.r
-        pairs = [(-a * p, 1.0 - 0.5 * a * r * p * p)]
+        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``,
+        from the ``scaled`` lengths and momenta: S and C are pure numbers, and
+        C' and C'' are scaled back by the unit.  Where a r is a normal float
+        in that unit, C' and C'' must be finite and nonzero
+        (``_check_derivatives``); a smaller one (one length below 2^-1021 of
+        the other) is not checked, and may be subnormal or 0."""
+        unit, a_u, r_u, p_u = self.scaled(p)
+        pairs = [(-a_u * p_u, 1.0 - 0.5 * a_u * r_u * p_u * p_u)]
         if order:
-            pairs += [(-a, -a * r * p), (0.0, -a * r)][:order]
+            ar = -a_u * r_u
+            if abs(ar) >= sys.float_info.min:
+                _check_derivatives(p, lambda end: (ar * (end * unit) * unit, ar * unit * unit))
+            pairs += [(-self.a, ar * p_u * unit), (0.0, ar * unit * unit)][:order]
         return pairs
 
 
@@ -119,12 +158,14 @@ class Channel2D:
 
     def pair(self, p: np.ndarray, order: int) -> list:
         """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``;
-        a derivative at p = 0 raises ValueError."""
+        a derivative at p = 0, or one that is not finite and nonzero
+        (``_check_derivatives``), raises ValueError."""
         with np.errstate(divide="ignore"):
             pairs = [(1.0, (-2.0 / np.pi) * np.log(self.a2 * p))]
         if order:
             if np.any(p == 0):
                 raise ValueError("2D phase derivatives require p > 0")
+            _check_derivatives(p, lambda end: ((-2.0 / np.pi) / end, 2.0 / np.pi / end / end))
             dc = (-2.0 / np.pi) / p
             pairs.append((0.0, dc))
             if order > 1:
@@ -242,10 +283,11 @@ def _family_ranges(
                 raise ValueError(f"T1 row {row} requires ({label}{cond}); got {label}={a}")
         return 0.0, 0.0
     if table == "T2":
-        eta = lam * abs(a0 * a1)
-        (sg0, d0), (sg1, d1) = _T2_RANGE[row]
-        dens = (a0, a1)
-        return sg0 * 2.0 * eta / dens[d0], sg1 * 2.0 * eta / dens[d1]
+        # 2 eta / a, eta = lambda |a0 a1|, in the ``_scaled_lengths`` unit,
+        # where eta cannot under- or overflow, and scaled back by 2^k exactly.
+        k, *dens = _scaled_lengths(a0, a1)
+        eta = lam * abs(dens[0] * dens[1])
+        return tuple(sg * 2.0 * eta / dens[d] * 2.0**k for sg, d in _T2_RANGE[row])
     if table == "T3":
         sources = (a0, a1)
         out = []

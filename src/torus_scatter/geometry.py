@@ -18,10 +18,9 @@ continuous-branch phases at its ends (``affine_parameter_span``).
 ``odeint``, whose step loop and output interpolation run in compiled code;
 its right-hand side evaluates ``gradient``'s formula once per call on Python
 floats.  ``point_to_polyline_distance`` measures an integrated curve against
-the closed form.  It evaluates only the segments beside the vertices that
-can be nearest, found by a k-d tree query of 4 neighbours and, where those
-do not cover the point's ball, of 16, and equals the all-pairs distance bit
-for bit.
+the closed form.  One sorted sweep along a coordinate bounds each point's
+nearest segment to a contiguous slice of the segments ordered by their lower
+end, and the distance over that slice equals the all-pairs one bit for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
@@ -69,9 +68,6 @@ LAPSE_SINGULAR_TOL = 1e-10
 #: At 1e-11 and 1e-12 LSODA's 2D first-integral drift reached 1.3e-10 to
 #: 4.8e-10 on the affine benchmark's intervals; here it stays below 5e-12.
 AFFINE_RTOL, AFFINE_ATOL = 1e-13, 1e-14
-#: Nearest-vertex counts ``point_to_polyline_distance`` asks its k-d tree for,
-#: in turn, before a point whose ball holds more takes every segment.
-BALL_NEIGHBOURS = (4, 16)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,9 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
         raise ValueError("potential requires finite scattering lengths")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    # |a0 a1| / (|a0| + |a1|)^2 from both lengths scaled by one power of two,
-    # exactly, so the ratio neither overflows nor underflows at any unit of
-    # length and is the same bits at every power-of-two unit.
-    exponent = math.frexp(max(abs(a0), abs(a1)))[1]
-    b0, b1 = math.ldexp(abs(a0), -exponent), math.ldexp(abs(a1), -exponent)
+    # |a0 a1| / (|a0| + |a1|)^2 in the ``ere._scaled_lengths`` unit, where it
+    # neither overflows nor underflows: the same bits at every unit.
+    _, b0, b1 = ere._scaled_lengths(abs(a0), abs(a1))
     amp = b0 * b1 / (b0 + b1) ** 2 / c1 / c1
     return GeometricPotential(
         amplitude=amp, epsilon=epsilon_for(a0, a1), scale=0.5, chi=0.0, c1=c1
@@ -545,29 +539,22 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     """Distance from each point to a piecewise-linear curve.
 
     ``points`` is (n, 2) and ``polyline`` (m, 2) with m >= 2.  Returns the
-    (n,) array of Euclidean distances to the nearest segment.
+    (n,) distances to the nearest segment, bit for bit those of evaluating
+    every (point, segment) pair.
 
-    Only segments that can be nearest are evaluated.  Let d_v be a point's
-    distance to its nearest vertex and L_max the longest segment.  The nearest
-    segment is at distance <= d_v, and each point of a segment lies within
-    half its length of one of its endpoints, so the nearest segment has an
-    endpoint within d_v + L_max/2 of the point.  A k-d tree on the vertices
-    finds the vertices in that ball, its radius inflated by 1e-12 of
-    d_v + L_max/2 plus the point's largest coordinate, far more than the
-    rounding of any computed distance.  The segments on either side of those
-    vertices are evaluated with the arithmetic of an all-pairs evaluation
-    (clipped projection, then the sum of squares), and the minimum over them
-    is the all-pairs minimum, so the result is the all-pairs one bit for bit.
-    The tree is asked for each point's 4 nearest vertices, and again for 16
-    only where the 4th lies inside the ball (``BALL_NEIGHBOURS``).  A point
-    whose 16th nearest vertex lies inside its ball, a non-finite point, and
-    every point of a polyline with a non-finite vertex (the tree rejects
-    those) take every segment.  Points go to the tree 4096 at a time, in at
-    most two queries each; those that take every segment go 128 at a time,
-    so at most max(128 (m - 1), 4096 * 30) pairs are held at once.
+    One sorted sweep, along the coordinate c in which the widest segment, of
+    extent w, is the smaller share of the curve's extent.  A point's distance
+    to the three segments at its place in the order of their lower ends in c
+    bounds its distance by d_u, inflated by 1e-12 of (d_u + |point| + w), far
+    more than any rounding.  The segment of least computed distance then
+    meets [x_c - d_u, x_c + d_u], so its lower end lies in [x_c - d_u - w,
+    x_c + d_u]: one contiguous slice of that order.  Each pair in the slice
+    is evaluated with the all-pairs arithmetic (clipped projection, then the
+    sum of squares), so the slice's minimum is the all-pairs one.  A point
+    for which a pair could overflow (its largest |coordinate| plus 3 times
+    the polyline's at least 1e150, or not finite) takes every segment.  Pairs
+    are evaluated at most 128 (m - 1) at a time.
     """
-    from scipy.spatial import cKDTree
-
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -576,67 +563,50 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
         raise ValueError(
             f"polyline must be an (m, 2) array of m >= 2 vertices, got shape {polyline.shape}"
         )
-    seg_a = polyline[:-1]
-    seg_v = polyline[1:] - seg_a
-    seg_len2 = np.maximum(np.einsum("ij,ij->i", seg_v, seg_v), 1e-300)
-    tree = cKDTree(polyline) if np.isfinite(polyline).all() else None
-    d2 = np.full(points.shape[0], np.inf)
-    every = np.ones(points.shape[0], dtype=bool)
-    if tree is not None:
-        for start in range(0, points.shape[0], 4096):
-            block = slice(start, start + 4096)
-            every[block] = _lower_in_ball(d2[block], tree, points[block], seg_a, seg_v, seg_len2)
-    dense, n_seg = np.flatnonzero(every), seg_len2.size
-    for start in range(0, dense.size, 128):
-        idx = dense[start : start + 128]
-        _lower_on_pairs(
-            d2, points, np.repeat(idx, n_seg), np.tile(np.arange(n_seg), idx.size),
-            seg_a, seg_v, seg_len2,
-        )
+    xs, ys = points.T.copy(), polyline.T.copy()
+    n_pts, n_seg = xs.shape[1], ys.shape[1] - 1
+    v = ys[:, 1:] - ys[:, :-1]
+    # Rows: the segments' starts, steps and squared lengths.
+    seg = np.vstack([ys[:, :-1], v, np.maximum(v[0] * v[0] + v[1] * v[1], 1e-300)])
+    size = np.maximum(np.abs(xs[0]), np.abs(xs[1]))
+    start, stop = np.zeros(n_pts, dtype=np.intp), np.full(n_pts, n_seg)
+    # Below this bound no intermediate of a pair overflows, so no distance is
+    # inf or NaN; the other points take every segment.
+    swept = size + 3.0 * np.abs(ys).max() < 1e150
+    if swept.any():
+        width, extent = np.abs(v).max(axis=1), np.ptp(ys, axis=1)
+        share = np.divide(width, extent, out=np.ones(2), where=extent > 0)
+        c = int(share[1] < share[0])
+        lower = np.minimum(ys[c, :-1], ys[c, 1:])
+        order = np.argsort(lower, kind="stable")
+        lower, seg = lower[order], np.take(seg, order, axis=1)
+        near = np.clip(np.searchsorted(lower, xs[c]) + np.arange(-1, 2)[:, None], 0, n_seg - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # only where not swept
+            d_u = np.sqrt(_pair_d2(xs[0], xs[1], np.take(seg, near, axis=1)).min(axis=0))
+            reach = d_u + 1e-12 * (d_u + size + width[c])
+            start = np.where(swept, np.searchsorted(lower, xs[c] - reach - width[c]), 0)
+            stop = np.where(swept, np.searchsorted(lower, xs[c] + reach, side="right"), n_seg)
+    counts = stop - start
+    ends = np.cumsum(counts)
+    begin = ends - counts
+    d2 = np.empty(n_pts)
+    first = 0
+    while first < n_pts:
+        last = int(np.searchsorted(ends, begin[first] + 128 * n_seg, side="right"))
+        block = slice(first, last)
+        offsets = begin[block] - begin[first]
+        s = np.arange(ends[last - 1] - begin[first])
+        s += np.repeat(start[block] - offsets, counts[block])
+        x0, x1 = np.repeat(xs[:, block], counts[block], axis=1)
+        d2[block] = np.minimum.reduceat(_pair_d2(x0, x1, np.take(seg, s, axis=1)), offsets)
+        first = last
     return np.sqrt(d2)
 
 
-def _lower_in_ball(d2_min, tree, pts, seg_a, seg_v, seg_len2) -> np.ndarray:
-    """Lower ``d2_min`` over the segments beside the vertices in each ball.
-
-    The k nearest vertices hold a point's whole ball (see
-    ``point_to_polyline_distance``) unless the k-th is inside it; a tree of
-    fewer than k vertices reports the missing ones at infinite distance.
-    Each point is asked for its ``BALL_NEIGHBOURS[0]`` nearest vertices, and
-    only those whose k-th lies inside their ball are asked again for the
-    next count.  Returns the mask of the points this leaves for every
-    segment: those whose last k-th is inside their ball, and the non-finite
-    ones.  Pairs may repeat, which leaves the minimum unchanged.
-    """
-    every = ~np.isfinite(pts).all(axis=1)
-    todo = np.flatnonzero(~every)
-    half_longest = 0.5 * math.sqrt(seg_len2.max())
-    for k in BALL_NEIGHBOURS:
-        x = pts[todo]
-        dist, vert = tree.query(x, k=k)
-        reach = dist[:, 0] + half_longest
-        radius = reach + 1e-12 * (reach + np.abs(x).max(axis=1))
-        inside = dist <= radius[:, None]
-        whole = ~inside[:, -1]
-        row, col = np.nonzero(inside & whole[:, None])
-        near = vert[row, col]
-        _lower_on_pairs(
-            d2_min, pts, np.tile(todo[row], 2),
-            np.clip(np.concatenate([near - 1, near]), 0, seg_len2.size - 1),
-            seg_a, seg_v, seg_len2,
-        )
-        todo = todo[~whole]
-    every[todo] = True
-    return every
-
-
-def _lower_on_pairs(d2_min, pts, p_idx, s_idx, seg_a, seg_v, seg_len2) -> None:
-    """Lower ``d2_min[p]`` to the squared distance of each (point p, segment s) pair.
-
-    The per-pair arithmetic is that of the all-pairs evaluation, operation
-    for operation.  Its temporaries end with the call, so they never overlap
-    those of the next chunk.
-    """
-    x, a, v = pts[p_idx], seg_a[s_idx], seg_v[s_idx]
-    t = np.clip(np.einsum("ij,ij->i", x - a, v) / seg_len2[s_idx], 0.0, 1.0)
-    np.minimum.at(d2_min, p_idx, np.sum((x - (a + t[:, None] * v)) ** 2, axis=1))
+def _pair_d2(x0, x1, seg):
+    """Squared distance of each point (x0, x1) to its segment, the columns of
+    ``seg`` (start, step and squared length), with the arithmetic of the
+    all-pairs evaluation, operation for operation."""
+    a0, a1, v0, v1, len2 = seg
+    t = np.clip(((x0 - a0) * v0 + (x1 - a1) * v1) / len2, 0.0, 1.0)
+    return (x0 - (a0 + t * v0)) ** 2 + (x1 - (a1 + t * v1)) ** 2

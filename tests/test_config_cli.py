@@ -537,6 +537,9 @@ def test_exit_code_matrix(tmp_path, capsys):
         ({"family": {"table": "T1", "row": 4.5}}, "family.row"),
         ({"family": 5}, "family"),
         ({"family": "T1"}, "family"),
+        ({"tolerances": 5}, "tolerances must be a JSON object"),
+        ({"tolerances": [["phase_map", 1e-9]]}, "tolerances must be a JSON object"),
+        ({"tolerances": None}, "tolerances must be a JSON object"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(tmp_path, capsys, overrides, key):
@@ -609,13 +612,12 @@ def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsy
     assert message == (
         "a1: a p must be finite and nonzero over p_grid [1e-150, 1.0]; got 0.0 at p = 1e-150"
     )
-    # a r = 2^-1321 underflows to 0 although a and r are nonzero: the range
-    # term would vanish from the pair, so the config is refused.
-    s = 2.0**-660
+    # a r p^2 = 5e-341 underflows to 0 although a p and r p are nonzero:
+    # the range term would vanish from the pair, so the config is refused.
     tiny_range = _write_config(
-        tmp_path, name="tiny_range.json", a0=-s, a1=-5.0 * s,
+        tmp_path, name="tiny_range.json", a0=-1.0, a1=-5.0,
         family={"table": "T3", "row": 6, "lambda": 0.25},
-        p_grid={"min": 0.01 / s, "max": 10.0 / s, "count": 3},
+        p_grid={"min": 1e-170, "max": 1e-169, "count": 3},
     )
     assert cli.main(["ep", "--config", tiny_range]) == 2
     assert "a0: a r p^2 must be finite and nonzero" in json.loads(capsys.readouterr().err)["error"]

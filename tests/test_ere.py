@@ -190,6 +190,21 @@ def test_ere_cot_is_quadratic(a, r, p):
     )
 
 
+SPAN = st.floats(1e-30, 1e30)
+SIGNED_SPAN = SPAN | SPAN.map(lambda x: -x)
+
+
+@given(a=SIGNED_SPAN, r=SIGNED_SPAN | st.just(0.0), p=SPAN)
+@settings(max_examples=300, deadline=None)
+def test_3d_pair_is_the_given_units_arithmetic(a, r, p):
+    """The pair is formed from lengths scaled by a power of two, which is
+    exact: where nothing leaves float64, its bits are those of S = -a p,
+    C = 1 - a r p^2/2 and their derivatives formed in the given unit."""
+    want = [(-a * p, 1.0 - 0.5 * a * r * p * p), (-a, -a * r * p), (0.0, -a * r)]
+    got = ere.Channel3D(a, r=r).pair(np.array([p]), 2)
+    assert [tuple(float(np.ravel(x)[0]) for x in pair) for pair in got] == want
+
+
 def _sympy_derivatives_3d(a_val, r_val, p_val):
     a, r, p = sympy.symbols("a r p", real=True)
     denom = 1 - sympy.Rational(1, 2) * a * r * p**2

@@ -751,13 +751,73 @@ def _polyline_cases(rng):
         return np.column_stack([np.arctan(np.log(s)), np.arctan(np.log(5.0 * s))])
 
     yield curve(np.geomspace(5e-3, 1.0, 300)), curve(np.geomspace(5e-3, 1.0, 1000))
+    # A polyline at one constant phi, and one that zig-zags back and forth
+    # in phi: a sweep along phi would find every segment in every slice.
+    poly = np.column_stack([np.full(60, 0.7), _random_walk(rng, 60)[:, 1]])
+    yield rng.uniform(-3.0, 4.0, size=(200, 2)), poly
+    zigzag = np.column_stack([np.arange(80) % 2, np.linspace(0.0, 0.8, 80)])
+    yield rng.uniform(-0.5, 1.5, size=(200, 2)), zigzag
+    # A scribble across the unit square and one segment long in both
+    # coordinates: most slices hold most segments, in more than one chunk.
+    yield rng.uniform(-0.5, 1.5, size=(300, 2)), rng.uniform(0.0, 1.0, size=(60, 2))
+    poly = _random_walk(rng, 200, step=1e-2)
+    poly = np.vstack([poly, poly[-1] + [1e2, 1e2]])
+    yield rng.uniform(-1.0, 1.0, size=(300, 2)), poly
+    # Runs of equal lower ends: a staircase, and a fan of segments from the
+    # origin.  Points at (-d, 0) are d from the origin, so x + d is exactly
+    # the fan's lower end, the edge of the slice before its margin.
+    stairs = np.repeat(np.arange(12.0), 2)
+    poly = np.column_stack([stairs[1:], stairs[:-1]])
+    yield np.vstack([poly + 0.5, poly - [0.5, 0.0], rng.uniform(-1, 12, (50, 2))]), poly
+    tips = np.column_stack([np.ones(8), np.arange(8.0)])
+    fan = np.insert(tips, np.arange(1, 8), 0.0, axis=0)
+    fan = np.vstack([[0.0, 0.0], fan])
+    edge = np.column_stack([-np.arange(1.0, 6.0), np.zeros(5)])
+    yield np.vstack([edge, -edge, [[-3.0, 4.0], [-0.5, 0.0]]]), fan
+    # Signed zeros in both arguments.
+    signed = np.array([[0.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    yield np.vstack([signed, -signed, [[-1.0, -0.0], [0.5, -0.0]]]), signed
+    # Points near 1e300, whose squared distances overflow to inf, among
+    # ordinary ones and ones near 1e150.
+    poly = _random_walk(rng, 50)
+    far = rng.normal(size=(20, 2)) * np.repeat([1e300, 1e150, 1.0], [8, 6, 6])[:, None]
+    yield far, poly
+    # A polyline that leaves for 1e200: its far segment's projection is
+    # inf / inf, NaN for every point, far outside the slices of the points
+    # near the origin.
+    poly = np.vstack([poly, [[1e200, -1e200], [2e200, -3e200]]])
+    yield rng.uniform(-2.0, 2.0, size=(20, 2)), poly
+    # Non-finite points among finite ones: each gets every segment.
+    poly = _random_walk(rng, 30)
+    odd = np.array([[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
+    yield np.vstack([odd, rng.uniform(-3.0, 3.0, size=(4, 2))])[[0, 4, 1, 5, 2, 6, 3, 7]], poly
 
 
 def test_point_to_polyline_distance_matches_all_pairs_bitwise(rng):
     for points, poly in _polyline_cases(rng):
-        got = geometry.point_to_polyline_distance(points, poly)
-        want = polyline_distance_all_pairs(points, poly)
+        # Only the cases with coordinates beyond 1e150, or not finite,
+        # overflow or give NaN, in both evaluations.
+        huge = "warn" if max(np.abs(points).max(), np.abs(poly).max()) <= 1e150 else "ignore"
+        with np.errstate(over=huge, invalid=huge):
+            got = geometry.point_to_polyline_distance(points, poly)
+            want = polyline_distance_all_pairs(points, poly)
         assert got.tobytes() == want.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 80),
+    n=st.integers(1, 80),
+    step=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_point_to_polyline_distance_random_walks_bitwise(seed, m, n, step):
+    rng = np.random.default_rng(seed)
+    poly = _random_walk(rng, m, step)
+    lo, hi = poly.min(axis=0) - step, poly.max(axis=0) + step
+    points = np.vstack([rng.uniform(lo, hi, size=(n, 2)), poly[rng.integers(0, m, n)]])
+    got = geometry.point_to_polyline_distance(points, poly)
+    assert got.tobytes() == polyline_distance_all_pairs(points, poly).tobytes()
 
 
 def test_point_to_polyline_distance_edge_cases():

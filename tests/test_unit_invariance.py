@@ -114,6 +114,51 @@ def test_a_lapse_outside_float64_is_refused_by_name(tmp_path, capsys, s):
     assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
 
 
+#: Units at which lambda |a0 a1| and a r of unit lengths leave float64.
+RANGE_SCALES = (2.0**-560, 2.0**560)
+RANGE_IDS = ("2^-560", "2^560")
+
+
+@pytest.mark.parametrize("s", RANGE_SCALES, ids=RANGE_IDS)
+@pytest.mark.parametrize("row", range(1, 7))
+def test_t2_phases_do_not_depend_on_the_unit_of_length(tmp_path, row, s):
+    """The T2 ranges 2 lambda |a0 a1| / a and the pair's a r p^2 are formed
+    from lengths of order one, so ep writes the unit run's phases and power
+    bit for bit where those products leave float64."""
+    model = {"dimension": 3, "a0": 1.3, "a1": -4.0,
+             "family": {"table": "T2", "row": row, "lambda": 0.3}}
+    code, unit = _run(tmp_path, model, "ep")
+    code_s, scaled = _run(tmp_path, model, "ep", s=s)
+    assert code == code_s == 0
+    columns = [line.split(",")[1:] for line in unit.splitlines()]
+    assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
+
+
+@pytest.mark.parametrize("s", EXTREME_SCALES, ids=EXTREME_IDS)
+@pytest.mark.parametrize("name", ["T3-6-quarter", "2D"])
+def test_phase_derivatives_outside_float64_are_refused_by_name(tmp_path, capsys, name, s):
+    """At these units a pair's C'' (a length squared: -a r in 3D, 2/(pi p^2)
+    in 2D) overflows or underflows to 0: traj and verify exit 2 naming the
+    phase derivatives, with nothing on stdout, where the lapse alone would
+    not see it; ep, which reads only the phases, writes the unit run's."""
+    model = MODELS[name][0]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(dict(
+        model, a0=model["a0"] * s, a1=model["a1"] * s,
+        p_grid={"min": 0.01 / s, "max": 10.0 / s, "count": 400, "spacing": "linear"},
+    )))
+    for argv in (["traj"], ["verify", "--suite", "eom"], ["verify", "--suite", "all"]):
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("phase derivatives: ")
+    code, unit = _run(tmp_path, model, "ep")
+    code_s, scaled = _run(tmp_path, model, "ep", s=s)
+    assert code == code_s == 0
+    columns = [line.split(",")[1:] for line in unit.splitlines()]
+    assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
+
+
 def _verdict(code, text):
     report = json.loads(text)
     checks = [(c["name"], c["pass"]) for c in report["checks"]]
