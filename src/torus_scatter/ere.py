@@ -39,7 +39,6 @@ dimensionless products a*p, r*p and lambda enter any formula or tolerance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,25 +62,29 @@ __all__ = [
 
 
 def _scaled_lengths(x: float, y: float) -> tuple:
-    """(k, x / 2^k, y / 2^k) for the power of two that brings the larger of
-    |x|, |y| into [1, 2).  The scaling is exact, so products and ratios of
-    the scaled lengths, and of momenta times 2^k, are the given unit's bits
-    wherever those neither over- nor underflow, and do not depend on the unit."""
-    k = math.frexp(max(abs(x), abs(y)))[1] - 1
+    """(k, x / 2^k, y / 2^k) for the power of two 2^k at the geometric mean
+    of the nonzero ones of |x|, |y|, raised where the larger would otherwise
+    overflow.  The scaling is exact and x y / 2^2k is of order one, so products
+    of the scaled lengths and of momenta times 2^k are the given unit's
+    bits wherever the given unit's products are normal floats, and the same
+    bits at every unit wherever they are normal in this one."""
+    ex, ey = math.frexp(x or y)[1], math.frexp(y or x)[1]
+    k = max((ex + ey) // 2, max(ex, ey) - 1024)
     return k, math.ldexp(x, -k), math.ldexp(y, -k)
 
 
-def _check_derivatives(p, at) -> None:
-    """Raise ValueError naming the grid where a pair's C' or C'' (a length and
-    its square) is not finite and nonzero at this unit of length.  Both are
-    monotone in p, so ``at(end)``, their floats at the grid's nonzero ends by
-    the same operations, bound every value."""
-    ends = float(p.min()), float(p.max())
-    if not all(math.isfinite(d) and d for end in ends if end for d in at(end)):
-        raise ValueError(
-            f"phase derivatives: C' or C'' is not finite and nonzero on p in "
-            f"[{ends[0]!r}, {ends[1]!r}] at this unit of length"
-        )
+def _check_derivatives(p, pairs: list) -> None:
+    """Raise ValueError naming the grid where a derivative in ``pairs``, C'
+    or C'' (a length and its square; an array over p, or one number), is not
+    finite, or is 0 at a p > 0.  C' = -a r p is 0 where p is, and nowhere
+    else unless it underflows, so it must have no fewer nonzeros than p."""
+    positive = np.count_nonzero(p)
+    for _, dc in pairs[1:]:
+        if not (np.isfinite(dc).all() and np.count_nonzero(dc) >= min(positive, np.size(dc))):
+            raise ValueError(
+                f"phase derivatives: C' or C'' is not finite and nonzero on p in "
+                f"[{float(p.min())!r}, {float(p.max())!r}] at this unit of length"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,24 +111,23 @@ class Channel3D:
 
     def scaled(self, p) -> tuple:
         """(unit, a, r, p) in the ``_scaled_lengths`` unit of a and r, where
-        p is at most max(|a|, |r|) p."""
+        p is of order sqrt(|a r|) p."""
         unit, a_u, r_u = self._unit
         return unit, a_u, r_u, p * unit
 
     def pair(self, p: np.ndarray, order: int) -> list:
         """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``,
         from the ``scaled`` lengths and momenta: S and C are pure numbers, and
-        C' and C'' are scaled back by the unit.  Where a r is a normal float
-        in that unit, C' and C'' must be finite and nonzero
-        (``_check_derivatives``); a smaller one (one length below 2^-1021 of
-        the other) is not checked, and may be subnormal or 0."""
+        C' and C'' are scaled back by the unit.  Unless a r = 0, where both
+        are 0, they must be finite and nonzero (``_check_derivatives``)."""
         unit, a_u, r_u, p_u = self.scaled(p)
         pairs = [(-a_u * p_u, 1.0 - 0.5 * a_u * r_u * p_u * p_u)]
         if order:
             ar = -a_u * r_u
-            if abs(ar) >= sys.float_info.min:
-                _check_derivatives(p, lambda end: (ar * (end * unit) * unit, ar * unit * unit))
-            pairs += [(-self.a, ar * p_u * unit), (0.0, ar * unit * unit)][:order]
+            with np.errstate(over="ignore"):
+                pairs += [(-self.a, ar * p_u * unit), (0.0, ar * unit * unit)][:order]
+            if ar:
+                _check_derivatives(p, pairs)
         return pairs
 
 
@@ -165,11 +167,12 @@ class Channel2D:
         if order:
             if np.any(p == 0):
                 raise ValueError("2D phase derivatives require p > 0")
-            _check_derivatives(p, lambda end: ((-2.0 / np.pi) / end, 2.0 / np.pi / end / end))
-            dc = (-2.0 / np.pi) / p
-            pairs.append((0.0, dc))
-            if order > 1:
-                pairs.append((0.0, -dc / p))
+            with np.errstate(over="ignore"):
+                dc = (-2.0 / np.pi) / p
+                pairs.append((0.0, dc))
+                if order > 1:
+                    pairs.append((0.0, -dc / p))
+            _check_derivatives(p, pairs)
         return pairs
 
 

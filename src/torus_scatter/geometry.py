@@ -18,7 +18,7 @@ continuous-branch phases at its ends (``affine_parameter_span``).
 ``odeint``, whose step loop and output interpolation run in compiled code;
 its right-hand side evaluates ``gradient``'s formula once per call on Python
 floats.  ``point_to_polyline_distance`` measures an integrated curve against
-the closed form.  One sorted sweep along a coordinate bounds each point's
+the closed form.  One sorted sweep along phi bounds each point's
 nearest segment to a contiguous slice of the segments ordered by their lower
 end, and the distance over that slice equals the all-pairs one bit for bit.
 
@@ -143,9 +143,11 @@ def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
         raise ValueError("potential requires finite scattering lengths")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    # |a0 a1| / (|a0| + |a1|)^2 in the ``ere._scaled_lengths`` unit, where it
-    # neither overflows nor underflows: the same bits at every unit.
-    _, b0, b1 = ere._scaled_lengths(abs(a0), abs(a1))
+    # |a0 a1| / (|a0| + |a1|)^2 from both lengths scaled by one power of two,
+    # exactly, so the ratio neither overflows nor underflows at any unit of
+    # length and is the same bits at every power-of-two unit.
+    exponent = math.frexp(max(abs(a0), abs(a1)))[1]
+    b0, b1 = math.ldexp(abs(a0), -exponent), math.ldexp(abs(a1), -exponent)
     amp = b0 * b1 / (b0 + b1) ** 2 / c1 / c1
     return GeometricPotential(
         amplitude=amp, epsilon=epsilon_for(a0, a1), scale=0.5, chi=0.0, c1=c1
@@ -542,13 +544,13 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     (n,) distances to the nearest segment, bit for bit those of evaluating
     every (point, segment) pair.
 
-    One sorted sweep, along the coordinate c in which the widest segment, of
-    extent w, is the smaller share of the curve's extent.  A point's distance
-    to the three segments at its place in the order of their lower ends in c
-    bounds its distance by d_u, inflated by 1e-12 of (d_u + |point| + w), far
-    more than any rounding.  The segment of least computed distance then
-    meets [x_c - d_u, x_c + d_u], so its lower end lies in [x_c - d_u - w,
-    x_c + d_u]: one contiguous slice of that order.  Each pair in the slice
+    One sorted sweep along phi.  A point's distance to the three segments at
+    its place in the order of their lower ends in phi bounds its distance by
+    d_u, inflated by 1e-12 of (d_u + |point| + w), w the widest phi extent of
+    a segment, and by 1e-150, far more than any rounding or underflow of a
+    square.  The segment of least computed distance then meets
+    [phi - d_u, phi + d_u], so its lower end lies in [phi - d_u - w,
+    phi + d_u]: one contiguous slice of that order.  Each pair in the slice
     is evaluated with the all-pairs arithmetic (clipped projection, then the
     sum of squares), so the slice's minimum is the all-pairs one.  A point
     for which a pair could overflow (its largest |coordinate| plus 3 times
@@ -574,18 +576,16 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     # inf or NaN; the other points take every segment.
     swept = size + 3.0 * np.abs(ys).max() < 1e150
     if swept.any():
-        width, extent = np.abs(v).max(axis=1), np.ptp(ys, axis=1)
-        share = np.divide(width, extent, out=np.ones(2), where=extent > 0)
-        c = int(share[1] < share[0])
-        lower = np.minimum(ys[c, :-1], ys[c, 1:])
+        width = np.abs(v[0]).max()
+        lower = np.minimum(ys[0, :-1], ys[0, 1:])
         order = np.argsort(lower, kind="stable")
         lower, seg = lower[order], np.take(seg, order, axis=1)
-        near = np.clip(np.searchsorted(lower, xs[c]) + np.arange(-1, 2)[:, None], 0, n_seg - 1)
+        near = np.clip(np.searchsorted(lower, xs[0]) + np.arange(-1, 2)[:, None], 0, n_seg - 1)
         with np.errstate(over="ignore", invalid="ignore"):  # only where not swept
             d_u = np.sqrt(_pair_d2(xs[0], xs[1], np.take(seg, near, axis=1)).min(axis=0))
-            reach = d_u + 1e-12 * (d_u + size + width[c])
-            start = np.where(swept, np.searchsorted(lower, xs[c] - reach - width[c]), 0)
-            stop = np.where(swept, np.searchsorted(lower, xs[c] + reach, side="right"), n_seg)
+            reach = d_u + 1e-12 * (d_u + size + width) + 1e-150
+            start = np.where(swept, np.searchsorted(lower, xs[0] - reach - width), 0)
+            stop = np.where(swept, np.searchsorted(lower, xs[0] + reach, side="right"), n_seg)
     counts = stop - start
     ends = np.cumsum(counts)
     begin = ends - counts

@@ -190,16 +190,27 @@ def test_ere_cot_is_quadratic(a, r, p):
     )
 
 
-SPAN = st.floats(1e-30, 1e30)
-SIGNED_SPAN = SPAN | SPAN.map(lambda x: -x)
+@st.composite
+def _pair_arguments(draw):
+    """(a, r, p) with binary exponents within +-1000 and those of a p, r p,
+    a r and a r p^2 too, so every product of the pair is a normal float; the
+    lengths may be up to 2^2000 apart."""
+    ea = draw(st.integers(-1000, 1000))
+    er = draw(st.integers(max(-1000, -1000 - ea), min(1000, 1000 - ea)))
+    ep = draw(st.integers(max(-1000 - ea, -1000 - er, -((1000 + ea + er) // 2)),
+                          min(1000 - ea, 1000 - er, (1000 - ea - er) // 2)))
+    a, r, p = (math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), e) for e in (ea, er, ep))
+    return draw(st.sampled_from([a, -a])), draw(st.sampled_from([r, -r, 0.0])), p
 
 
-@given(a=SIGNED_SPAN, r=SIGNED_SPAN | st.just(0.0), p=SPAN)
+@given(args=_pair_arguments())
 @settings(max_examples=300, deadline=None)
-def test_3d_pair_is_the_given_units_arithmetic(a, r, p):
+def test_3d_pair_is_the_given_units_arithmetic(args):
     """The pair is formed from lengths scaled by a power of two, which is
-    exact: where nothing leaves float64, its bits are those of S = -a p,
-    C = 1 - a r p^2/2 and their derivatives formed in the given unit."""
+    exact: where every product is a normal float, its bits are those of
+    S = -a p, C = 1 - a r p^2/2 and their derivatives formed in the given
+    unit, however far apart the lengths."""
+    a, r, p = args
     want = [(-a * p, 1.0 - 0.5 * a * r * p * p), (-a, -a * r * p), (0.0, -a * r)]
     got = ere.Channel3D(a, r=r).pair(np.array([p]), 2)
     assert [tuple(float(np.ravel(x)[0]) for x in pair) for pair in got] == want

@@ -787,6 +787,13 @@ def _polyline_cases(rng):
     # near the origin.
     poly = np.vstack([poly, [[1e200, -1e200], [2e200, -3e200]]])
     yield rng.uniform(-2.0, 2.0, size=(20, 2)), poly
+    # Coordinates near 1e-170, whose squared distances underflow to 0 or to
+    # subnormals: a point 4e-170 beyond a segment's end, and tiny points
+    # around and on a tiny walk, between two ordinary points.
+    yield np.array([[5e-170, 0.0]]), np.array([[0.0, 0.0], [1e-170, 0.0]])
+    poly = _random_walk(rng, 40, step=1e-170)
+    tiny = np.vstack([rng.uniform(-5e-169, 5e-169, size=(60, 2)), poly])
+    yield np.vstack([[0.5, 0.5], tiny, [-0.5, 1e-170]]), poly
     # Non-finite points among finite ones: each gets every segment.
     poly = _random_walk(rng, 30)
     odd = np.array([[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
@@ -808,7 +815,7 @@ def test_point_to_polyline_distance_matches_all_pairs_bitwise(rng):
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 80),
     n=st.integers(1, 80),
-    step=st.sampled_from([1e-3, 1.0, 1e3]),
+    step=st.sampled_from([1e-170, 1e-3, 1.0, 1e3]),
 )
 @settings(max_examples=300, deadline=None)
 def test_point_to_polyline_distance_random_walks_bitwise(seed, m, n, step):

@@ -6,9 +6,10 @@ across the lambda = 1/4 collision and against wrong closed forms."""
 import json
 import math
 
+import numpy as np
 import pytest
 
-from torus_scatter import causality, cli, geometry
+from torus_scatter import causality, cli, ere, geometry
 
 #: Powers of two, so every a*p and r*p of a rescaled run is bit-identical to
 #: the unit run.
@@ -132,6 +133,26 @@ def test_t2_phases_do_not_depend_on_the_unit_of_length(tmp_path, row, s):
     assert code == code_s == 0
     columns = [line.split(",")[1:] for line in unit.splitlines()]
     assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
+
+
+@pytest.mark.parametrize("a0,a1", [(1e160, 1e-160), (1e170, 1e-170)])
+@pytest.mark.parametrize("row", range(1, 5))
+def test_t2_phases_of_lengths_far_apart_are_the_given_units(tmp_path, row, a0, a1):
+    """a0 a1 = 1 and, in rows 1-4, a r = -/+ 2 lambda: every product fits in
+    float64 although the lengths are 2^1000 or more apart, so ep writes the
+    phases of the ranges 2 lambda |a0 a1| / a and of S = -a p,
+    C = 1 - a r p^2/2 formed in the given unit, bit for bit."""
+    lam = 0.3
+    model = {"dimension": 3, "a0": a0, "a1": a1,
+             "family": {"table": "T2", "row": row, "lambda": lam}}
+    code, text = _run(tmp_path, model, "ep", grid=(1e-100, 1e100, 201, "log"))
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
+    p, eta = rows[:, 0], lam * abs(a0 * a1)
+    for column, a, (sign, den) in zip((1, 2), (a0, a1), ere._T2_RANGE[row]):
+        r = sign * 2.0 * eta / (a0, a1)[den]
+        want = 2.0 * np.arctan2(-a * p, 1.0 - 0.5 * a * r * p * p)
+        assert rows[:, column].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("s", EXTREME_SCALES, ids=EXTREME_IDS)
