@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,12 +39,6 @@ __all__ = [
     "verify_lower_half",
     "flatten_poles",
 ]
-
-#: A root pair is "on the imaginary axis" when |Re| < this fraction of |p|.
-AXIS_TOL = 1e-10
-#: Two roots closer than this relative separation count as one double pole.
-COINCIDENCE_TOL = 1e-8
-
 
 def wigner_derivative_bound(p: float, delta: float, R: float):
     """Lower bound on d(delta)/dp for an interaction of range R.
@@ -192,8 +186,9 @@ class PoleSet:
 def poles_closed_form(a: float, lam: float) -> PoleSet:
     """Pole positions of the causal range-correlated channel (r = 2 a lambda, a < 0).
 
-    Three regimes: lambda > 1/4 gives a mirrored resonance pair
-    +/- p_R - i p_I with p_R = sqrt(4 lambda - 1)/(2|a|lambda), p_I =
+    The roots of ``poles_numeric`` at r = 2 a lambda, where 2r/a - 1 is
+    4 lambda - 1.  Three regimes: lambda > 1/4 gives a mirrored resonance
+    pair +/- p_R - i p_I with p_R = sqrt(4 lambda - 1)/(2|a|lambda), p_I =
     1/(2|a|lambda); lambda = 1/4 a double virtual-state pole at -i/(2|a|lambda);
     lambda < 1/4 two virtual states -i p_+/- with
     p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda), p_- computed free of
@@ -204,33 +199,21 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
         raise ValueError("lambda must be positive")
     if a >= 0.0:
         raise ValueError("closed-form poles apply to the causal row (a<0)")
-    mag = abs(a)
-    p_i = 1.0 / (2.0 * mag * lam)
-    if lam > 0.25:
-        p_r = math.sqrt(4.0 * lam - 1.0) / (2.0 * mag * lam)
-        poles = ((complex(p_r, -p_i), 1), (complex(-p_r, -p_i), 1))
-        case = "resonance_pair"
-    elif lam == 0.25:
-        poles = ((complex(0.0, -p_i), 2),)
-        case = "double_virtual"
-    else:
-        root = math.sqrt(1.0 - 4.0 * lam)
-        p_plus = (1.0 + root) / (2.0 * mag * lam)
-        p_minus = 2.0 / (mag * (1.0 + root))
-        poles = ((complex(0.0, -p_plus), 1), (complex(0.0, -p_minus), 1))
-        case = "two_virtual"
-    return _finite_pole_set(poles, case, a, "lambda", lam)
+    q = 4.0 * lam - 1.0
+    return _pole_set(a, 2.0 * a * lam, q, math.sqrt(abs(q)), "lambda", lam)
 
 
 def poles_numeric(a: float, r: float) -> PoleSet:
     """Denominator roots of S = (1 - i a(p) p)/(1 + i a(p) p) for one channel.
 
     Clearing the momentum-dependent scattering length gives the monic
-    quadratic p^2 - (2i/r) p - 2/(a r) = 0 with roots
-    p = (1/r)(i +/- sqrt(2r/a - 1)), the smaller of two on the imaginary
-    axis as the product -2/(a r) over the larger.  The degenerate r = 0
-    channel has the single pole p = i/a, flagged as outside the causal-model
-    discussion.  Non-finite inputs or poles raise a ValueError.
+    quadratic p^2 - (2i/r) p - 2/(a r) = 0 with roots (i +/- sqrt(q))/r,
+    q = 2r/a - 1 (``_pole_set``), resonance poles in order of real part and
+    virtual ones of imaginary part.  Where 2r/a overflows, the 1 is below
+    its rounding, and sqrt(|q|) is formed as sqrt(2) sqrt(|r|)/sqrt(|a|).
+    The degenerate r = 0 channel has the single pole p = i/a, flagged as
+    outside the causal-model discussion.  Non-finite inputs or poles raise
+    a ValueError.
     """
     if a == 0.0:
         raise ValueError("a = 0 has no pole (free channel)")
@@ -239,39 +222,44 @@ def poles_numeric(a: float, r: float) -> PoleSet:
         return _finite_pole_set(
             ((pole, 1),), "single_pole", a, "r", r, scope="outside causal-model scope"
         )
-    disc = 2.0 / (a * r) - 1.0 / (r * r)
-    s = cmath.sqrt(complex(disc, 0.0))
-    p1 = 1j / r + s
-    p2 = 1j / r - s
-    if disc < 0.0:
-        p1 = max(p1, p2, key=abs)
-        p2 = (-2.0 / (a * r)) / p1
-    scale = max(abs(p1), abs(p2))
-    if abs(p1 - p2) < COINCIDENCE_TOL * scale:
-        pole = 0.5 * (p1 + p2)
-        if abs(pole.real) < AXIS_TOL * abs(pole):
-            pole = complex(0.0, pole.imag)
-        poles = ((pole, 2),)
-        case = "double_virtual"
+    q = 2.0 * (r / a) - 1.0
+    if math.isfinite(q):
+        root = math.sqrt(abs(q))
     else:
-        on_axis = [abs(p.real) < AXIS_TOL * abs(p) for p in (p1, p2)]
-        if all(on_axis):
-            poles = tuple(
-                (complex(0.0, p.imag), 1)
-                for p in sorted((p1, p2), key=lambda z: z.imag)
-            )
-            case = "two_virtual"
-        else:
-            poles = tuple(
-                (p, 1) for p in sorted((p1, p2), key=lambda z: z.real)
-            )
-            case = "resonance_pair"
-    return _finite_pole_set(poles, case, a, "r", r)
+        root = math.sqrt(2.0) * (math.sqrt(abs(r)) / math.sqrt(abs(a)))
+    ps = _pole_set(a, r, q, root, "r", r)
+    return replace(ps, poles=tuple(sorted(ps.poles, key=lambda pm: (pm[0].real, pm[0].imag))))
+
+
+def _pole_set(a, r, q, root, name, value) -> PoleSet:
+    """The roots (i +/- sqrt(q))/r of p^2 - (2i/r) p - 2/(a r), with the pure
+    number q = 2r/a - 1 and root = sqrt(|q|); the unit of length enters only
+    in the final divisions by r or a.
+
+    q > 0: a resonance pair +/- root/|r| + i/r; q = 0 exactly: the double
+    pole i/r; q < 0: the virtual poles i(1 + root)/r and, free of
+    cancellation, 2i/(a(1 + root)).  x - 1 is exact for x in [1/2, 2], so a
+    q that is not 0 is at least 2^-53 in size, and q < 0 puts both roots on
+    the imaginary axis exactly.  A pole that is not finite, 1/r where r
+    underflowed to 0 among them, raises a ValueError naming a and ``name``.
+    """
+    if r == 0.0:
+        poles, case = (), None
+    elif q > 0.0:
+        p_r, p_i = root / abs(r), 1.0 / r
+        poles, case = ((complex(p_r, p_i), 1), (complex(-p_r, p_i), 1)), "resonance_pair"
+    elif q == 0.0:
+        poles, case = ((complex(0.0, 1.0 / r), 2),), "double_virtual"
+    else:
+        poles = ((complex(0.0, (1.0 + root) / r), 1), (complex(0.0, 2.0 / (a * (1.0 + root))), 1))
+        case = "two_virtual"
+    return _finite_pole_set(poles, case, a, name, value)
 
 
 def _finite_pole_set(poles, case, a, name, value, scope=None) -> PoleSet:
-    """The PoleSet of one channel, unless an input or a pole is not finite."""
-    if not all(map(cmath.isfinite, (a, value, *(p for p, _m in poles)))):
+    """The PoleSet of one channel, unless it has no pole, or an input or a
+    pole is not finite."""
+    if not (poles and all(map(cmath.isfinite, (a, value, *(p for p, _m in poles))))):
         raise ValueError(f"no finite poles for a = {a!r}, {name} = {value!r}")
     return PoleSet(poles, case, {"a": a, "lambda_or_r": value}, scope)
 

@@ -64,27 +64,30 @@ __all__ = [
 def _scaled_lengths(x: float, y: float) -> tuple:
     """(k, x / 2^k, y / 2^k) for the power of two 2^k at the geometric mean
     of the nonzero ones of |x|, |y|, raised where the larger would otherwise
-    overflow.  The scaling is exact and x y / 2^2k is of order one, so products
-    of the scaled lengths and of momenta times 2^k are the given unit's
-    bits wherever the given unit's products are normal floats, and the same
-    bits at every unit wherever they are normal in this one."""
+    overflow and capped at 2^1023, the largest that is finite.  The scaling
+    is exact and x y / 2^2k is of order one, so products of the scaled
+    lengths and of momenta times 2^k are the given unit's bits wherever the
+    given unit's products are normal floats, and the same bits at every
+    unit wherever they are normal in this one."""
     ex, ey = math.frexp(x or y)[1], math.frexp(y or x)[1]
-    k = max((ex + ey) // 2, max(ex, ey) - 1024)
+    k = min(max((ex + ey) // 2, max(ex, ey) - 1024), 1023)
     return k, math.ldexp(x, -k), math.ldexp(y, -k)
 
 
 def _check_derivatives(p, pairs: list) -> None:
     """Raise ValueError naming the grid where a derivative in ``pairs``, C'
     or C'' (a length and its square; an array over p, or one number), is not
-    finite, or is 0 at a p > 0.  C' = -a r p is 0 where p is, and nowhere
-    else unless it underflows, so it must have no fewer nonzeros than p."""
+    finite, or where C'' is 0 at a p > 0.  C' may underflow to 0: 3D
+    -a r p does so only where its term in the tangent, a r p^2 of the
+    leading one, is below 2^-51, and 2D -2/(pi p) never does."""
     positive = np.count_nonzero(p)
-    for _, dc in pairs[1:]:
-        if not (np.isfinite(dc).all() and np.count_nonzero(dc) >= min(positive, np.size(dc))):
-            raise ValueError(
-                f"phase derivatives: C' or C'' is not finite and nonzero on p in "
-                f"[{float(p.min())!r}, {float(p.max())!r}] at this unit of length"
-            )
+    if not all(np.isfinite(dc).all() for _, dc in pairs[1:]) or any(
+        np.count_nonzero(dc) < min(positive, np.size(dc)) for _, dc in pairs[2:]
+    ):
+        raise ValueError(
+            f"phase derivatives: C' or C'' is not finite and nonzero on p in "
+            f"[{float(p.min())!r}, {float(p.max())!r}] at this unit of length"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ class Channel3D:
         """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``,
         from the ``scaled`` lengths and momenta: S and C are pure numbers, and
         C' and C'' are scaled back by the unit.  Unless a r = 0, where both
-        are 0, they must be finite and nonzero (``_check_derivatives``)."""
+        are 0, they must be finite and C'' nonzero (``_check_derivatives``)."""
         unit, a_u, r_u, p_u = self.scaled(p)
         pairs = [(-a_u * p_u, 1.0 - 0.5 * a_u * r_u * p_u * p_u)]
         if order:

@@ -304,7 +304,9 @@ def eom_residual(
     ``lapse`` N, so it stays regular where N vanishes.  For each component
     the residual |N x'' - N' x' + N^3 dV/dx| is divided by |N x''| + |N' x'|
     + |N^3 dV/dx| (0 where that sum is 0; a NaN term raises ValueError).
-    All derivatives are analytic.
+    All derivatives are analytic.  The terms are lengths cubed: where one
+    overflows, or where their sum is 0 or subnormal at a kept point with
+    N != 0, as at lengths beyond about 1e+-103, this raises a ValueError.
     Each term carries one power of c1 (the amplitude 1/c1^2), so the
     residual does not depend on it; it is evaluated in that c1-free form,
     with the lapse at c1 = 1 and the amplitude times c1^2, which neither
@@ -321,20 +323,27 @@ def eom_residual(
             f"eom_residual: all {keep.size} grid points excluded (potential singularity)"
         )
     n_val, dn_val = (x[keep] for x in lapse(traj))
-    n3 = n_val * n_val * n_val
     unit = replace(
         potential, amplitude=potential.amplitude * potential.c1 * potential.c1, c1=1.0
     )
+    grads = unit.gradient(phi[keep], theta[keep])
+    live = n_val != 0
     res = []
-    for dx, d2x, grad in zip(
-        (traj.dphi, traj.dtheta),
-        (traj.d2phi, traj.d2theta),
-        unit.gradient(phi[keep], theta[keep]),
-    ):
-        terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
-        total = np.abs(terms[0] + terms[1] + terms[2])
-        scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-        res.append(np.divide(total, scale, out=np.zeros_like(total), where=scale != 0))
+    try:
+        with np.errstate(over="raise"):
+            n3 = n_val * n_val * n_val
+            for dx, d2x, grad in zip((traj.dphi, traj.dtheta), (traj.d2phi, traj.d2theta), grads):
+                terms = (n_val * d2x[keep], -dn_val * dx[keep], n3 * grad)
+                total = np.abs(terms[0] + terms[1] + terms[2])
+                scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+                if np.any((scale < np.finfo(float).tiny) & live):
+                    raise FloatingPointError("underflow encountered in a term sum")
+                res.append(np.divide(total, scale, out=np.zeros_like(total), where=scale != 0))
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"eom_residual: {exc} on p_grid [{float(p[0])!r}, {float(p[-1])!r}]; its terms, "
+            "lengths cubed, are not normal floats at this unit of length"
+        ) from None
     max_norm = float(np.maximum(res[0].max(), res[1].max()))
     if math.isnan(max_norm):
         raise ValueError("eom_residual: a residual is NaN (a phase derivative overflowed)")

@@ -297,6 +297,76 @@ def test_poles_closed_matches_numeric(lam, mag):
     assert causality.verify_lower_half(numeric)
 
 
+QUARTER = (math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0))
+
+
+@pytest.mark.parametrize("lam", (1e-12, 0.1, *QUARTER, 0.5, 3.0, 1e12))
+@pytest.mark.parametrize("a", (-1e-150, -0.3, -1.0, -7.5, -1e150))
+def test_poles_closed_form_is_its_docstring_bit_for_bit(a, lam):
+    """p_R = sqrt(4 lambda - 1)/(2|a|lambda) and p_I = 1/(2|a|lambda) above
+    1/4; -i/(2|a|lambda) twice at 1/4; -i (1 + sqrt(1 - 4 lambda))/(2|a|lambda)
+    and -2i/(|a|(1 + sqrt(1 - 4 lambda))) below, one ulp from 1/4 included."""
+    den = 2.0 * abs(a) * lam
+    if lam > 0.25:
+        p_r, p_i = math.sqrt(4.0 * lam - 1.0) / den, 1.0 / den
+        want = ((complex(p_r, -p_i), 1), (complex(-p_r, -p_i), 1)), "resonance_pair"
+    elif lam == 0.25:
+        want = ((complex(0.0, -1.0 / den), 2),), "double_virtual"
+    else:
+        root = math.sqrt(1.0 - 4.0 * lam)
+        p_plus, p_minus = (1.0 + root) / den, 2.0 / (abs(a) * (1.0 + root))
+        want = ((complex(0.0, -p_plus), 1), (complex(0.0, -p_minus), 1)), "two_virtual"
+    got = causality.poles_closed_form(a, lam)
+    # repr tells -0.0 from 0.0, which == does not
+    assert [(repr(p), m) for p, m in got.poles] == [(repr(p), m) for p, m in want[0]]
+    assert got.classification == want[1]
+
+
+def _exact_roots(a, r):
+    """The two roots of p^2 - (2i/r) p - 2/(a r) at the float a and r, to 50
+    digits: the larger (i/r +/- sqrt(2/(a r) - 1/r^2)) and the product over it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, r = mpmath.mpf(a), mpmath.mpf(r)
+        half_sum, prod = 1j / r, -2 / (a * r)
+        s = mpmath.sqrt(half_sum**2 - prod)
+        big = max(half_sum + s, half_sum - s, key=abs)
+        q = 2 * r / a - 1
+        case = "resonance_pair" if q > 0 else "two_virtual"
+        return case, [complex(big), complex(prod / big)]
+
+
+def _numeric_inputs(n=400):
+    """(a, r) with binary exponents within +-600 and |2r/a - 1| >= 1e-4,
+    each sign, then the inputs that once overflowed or divided by zero."""
+    rng = np.random.default_rng(23)
+    out = []
+    while len(out) < n:
+        a, r = (
+            float(s * np.ldexp(m, e))
+            for s, m, e in zip(rng.choice((-1, 1), 2), rng.uniform(0.5, 1, 2),
+                               rng.integers(-600, 601, 2))
+        )
+        if abs(2 * (r / a) - 1) >= 1e-4:
+            out.append((a, r))
+    return out + [(-1e-170, -2e-170), (-1.0, 6e-171), (1e-300, 1e-300), (1e-320, 1.0),
+                  (-1e170, -2e170), (2.0**-600, 2.0**600), (2.0**-600, -(2.0**600))]
+
+
+def test_poles_numeric_matches_50_digit_roots():
+    """Case, order (resonance poles by real part, virtual ones by imaginary
+    part) and each pole to 1e-13 of its size, over 12 decades of lengths."""
+    for a, r in _numeric_inputs():
+        case, exact = _exact_roots(a, r)
+        ps = causality.poles_numeric(a, r)
+        assert ps.classification == case, (a, r)
+        assert [m for _p, m in ps.poles] == [1, 1]
+        if case == "two_virtual":
+            assert all(p.real == 0.0 for p, _m in ps.poles)
+        for (p, _m), want in zip(ps.poles, sorted(exact, key=lambda z: (z.real, z.imag))):
+            assert abs(p - want) <= 1e-13 * abs(want), (a, r, p, want)
+
+
 def test_pole_collision_is_continuous_at_quarter():
     """Either side of lambda = 1/4 the pole pair sits within 1e-2 of the
     double pole for a 1e-6 offset."""
@@ -318,8 +388,8 @@ def test_poles_numeric_direct_root_check():
 
 
 def test_poles_numeric_classifies_axis_pairs():
-    # lambda < 1/4 equivalent: a=-1, r=-0.25 -> 2r/a - 1 = -0.5: wait, use
-    # the direct quantity: disc = 2/(a r) - 1/r^2 decides the split
+    # a = -1, r = -0.25 (lambda = 1/8): q = 2r/a - 1 = -0.5 < 0, both on the
+    # axis; r = -0.5 (lambda = 1/4): q = 0 exactly, a double pole
     ps = causality.poles_numeric(-1.0, 2.0 * (-1.0) * 0.125)
     assert ps.classification == "two_virtual"
     assert all(p.real == 0.0 for p, _ in ps.poles)

@@ -707,7 +707,7 @@ def test_poles_cli_json(tmp_path, capsys):
         (["--a", "nan", "--lam", "0.3"], "lambda"),
         (["--a", "-1", "--lam", "inf"], "lambda"),
         (["--a", "-1", "--r", "nan"], "r"),
-        (["--a", "1e-320", "--r", "1"], "r"),
+        (["--a", "1", "--r", "1e-320"], "r"),
         (["--a", "-1", "--lam", "1e-320"], "lambda"),
     ],
 )
@@ -824,12 +824,47 @@ def test_every_check_passes_iff_its_deviation_is_below_its_tolerance(tmp_path, c
     assert {name for name, verdict in verdicts if not verdict} == names - {"pole_lower_half"}
 
 
-def test_arithmetic_error_exits_2_with_json(capsys):
-    # 2/(a r) divides by a r = 1e-600, which is 0.0: a ZeroDivisionError.
+def test_arithmetic_error_exits_2_with_json(capsys, monkeypatch):
+    def divide(a, r):
+        return a / 0.0
+
+    monkeypatch.setattr(causality, "poles_numeric", divide)
     assert cli.main(["poles", "--a", "1e-300", "--r", "1e-300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip()) == {"error": "float division by zero"}
+
+
+@pytest.mark.parametrize(
+    "a, r, case",
+    [
+        (1e-300, 1e-300, "resonance_pair"),  # a r = 1e-600 once divided by zero
+        (-1e-170, -2e-170, "resonance_pair"),
+        (-1.0, 6e-171, "two_virtual"),
+        (1e-320, 1.0, "resonance_pair"),  # 2/(a r) once overflowed: +/-1.4e160 + i
+        (-1e170, -2e170, "resonance_pair"),  # 1/r^2 once underflowed: a double pole
+    ],
+)
+def test_poles_whose_intermediates_leave_float64_are_reported(capsys, a, r, case):
+    assert cli.main(["poles", f"--a={a!r}", f"--r={r!r}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == case
+    assert [p["mult"] for p in report["poles"]] == [1, 1]
+
+
+@pytest.mark.parametrize("lam", [0.125, 0.25, 1.0])
+@pytest.mark.parametrize("a", [-1e-170, -1.0, -1e170])
+def test_poles_r_is_poles_lam_at_r_2_a_lambda(capsys, a, lam):
+    """Both flags state the roots (i +/- sqrt(q))/r once: q = 2r/a - 1 is
+    4 lambda - 1 exactly at r = 2 a lambda, so the pole sets are the same."""
+    reports = []
+    for flag, value in (("--lam", lam), ("--r", 2.0 * a * lam)):
+        assert cli.main(["poles", f"--a={a!r}", f"{flag}={value!r}"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    by_lam, by_r = reports
+    assert by_r["case"] == by_lam["case"]
+    key = lambda p: (p["re"], p["im"])  # noqa: E731
+    assert sorted(by_r["poles"], key=key) == sorted(by_lam["poles"], key=key)
 
 
 def test_potential_at_huge_lengths_is_the_unit_one(tmp_path, capsys):

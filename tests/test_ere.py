@@ -216,6 +216,17 @@ def test_3d_pair_is_the_given_units_arithmetic(args):
     assert [tuple(float(np.ravel(x)[0]) for x in pair) for pair in got] == want
 
 
+@pytest.mark.parametrize("a, p", [(1.0, 0.5), (0.5, 1.0)])
+def test_an_underflowing_c_prime_is_below_rounding(a, p):
+    """At r = 5e-324, C' = -a r p underflows to 0, and its term in the
+    tangent, a r p^2 of the leading one, is far below rounding: the tangent
+    is the zero-range one, not a refusal."""
+    def tangent(r):
+        return ere.tangents(ere.TwoChannelModel(3, ere.Channel3D(a, r=r), ere.Channel3D(1.0)), p)
+
+    assert tangent(5e-324) == tangent(0.0)
+
+
 def _sympy_derivatives_3d(a_val, r_val, p_val):
     a, r, p = sympy.symbols("a r p", real=True)
     denom = 1 - sympy.Rational(1, 2) * a * r * p**2

@@ -115,6 +115,61 @@ def test_a_lapse_outside_float64_is_refused_by_name(tmp_path, capsys, s):
     assert [line.split(",")[1:] for line in scaled.splitlines()] == columns
 
 
+@pytest.mark.parametrize(
+    "a0, p_min", [(1e110, 1e-111), (1e-110, 1e109)], ids=["1e110", "1e-110"]
+)
+def test_an_eom_term_outside_float64_is_refused_by_name(tmp_path, capsys, a0, p_min):
+    """The residual's terms are lengths cubed: at a of 1e110 N^3 overflows,
+    and at 1e-110 every term underflows to 0, where the check would pass
+    without measuring anything.  The lapse itself is a normal float at both."""
+    path = tmp_path / "eom.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "a0": a0, "a1": 5 * a0,
+        "p_grid": {"min": p_min, "max": 100 * p_min, "count": 201, "spacing": "log"},
+    }))
+    for suite in ("eom", "all"):
+        assert cli.main(["verify", "--suite", suite, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["error"]
+        assert message.startswith("eom_residual: ") and "unit of length" in message
+
+
+@pytest.mark.parametrize("s", (2.0**-330, 2.0**330), ids=("2^-330", "2^330"))
+def test_eom_report_at_lengths_near_1e100_is_the_unit_report(tmp_path, s):
+    """Each term scales by s^3 exactly, so the relative residual is the same bits."""
+    model = MODELS["T1-4"][0]
+    assert _run(tmp_path, model, "verify", "--suite", "eom", s=s) == _run(
+        tmp_path, model, "verify", "--suite", "eom"
+    )
+
+
+def test_a_channel_at_the_largest_unit_is_the_unit_channel():
+    """Lengths of 1.5 * 2^1023 scale by 2^1023, the largest finite power of
+    two, so S and C are those of (1.5, -1.25) at p * 2^1023, bit for bit
+    (p >= 2, so p / 2^1023 is a normal float)."""
+    p = np.array([2.0, 7.3, 30.1])
+    big = ere.Channel3D(math.ldexp(1.5, 1023), math.ldexp(-1.25, 1023))
+    (s_big, c_big), = big.pair(np.ldexp(p, -1023), 0)
+    (s_unit, c_unit), = ere.Channel3D(1.5, -1.25).pair(p, 0)
+    assert s_big.tobytes() == s_unit.tobytes() and c_big.tobytes() == c_unit.tobytes()
+
+
+def test_t2_ranges_near_the_largest_float_are_refused_by_name(tmp_path, capsys):
+    """T2 row 5 at a = (1e308, 1): the range of channel 0 is -1e308, and
+    channel 1's a r p^2 underflows on this grid; ep names a1."""
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "a0": 1e308, "a1": 1.0,
+        "family": {"table": "T2", "row": 5, "lambda": 0.5},
+        "p_grid": {"min": 1e-310, "max": 1e-309, "count": 5, "spacing": "log"},
+    }))
+    assert cli.main(["ep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("a1: ")
+
+
 #: Units at which lambda |a0 a1| and a r of unit lengths leave float64.
 RANGE_SCALES = (2.0**-560, 2.0**560)
 RANGE_IDS = ("2^-560", "2^560")
