@@ -193,14 +193,20 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
     lambda < 1/4 two virtual states -i p_+/- with
     p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda), p_- computed free of
     cancellation as 2/(|a|(1 + sqrt(1-4 lambda))).  Lambda = 1/4 means 0.25
-    exactly.  Non-finite inputs or poles raise a ValueError.
+    exactly.  Where 4 lambda overflows, the 1 is below its rounding, and
+    sqrt(4 lambda - 1) is formed as 2 sqrt(lambda).  Non-finite inputs or
+    poles, or an r = 2 a lambda that overflows, raise a ValueError.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if a >= 0.0:
         raise ValueError("closed-form poles apply to the causal row (a<0)")
+    r = 2.0 * a * lam
+    if math.isinf(r) and math.isfinite(a) and math.isfinite(lam):
+        raise ValueError(f"r = 2 a lambda overflows for a = {a!r}, lambda = {lam!r}")
     q = 4.0 * lam - 1.0
-    return _pole_set(a, 2.0 * a * lam, q, math.sqrt(abs(q)), "lambda", lam)
+    root = math.sqrt(abs(q)) if math.isfinite(q) else 2.0 * math.sqrt(lam)
+    return _pole_set(a, r, q, root, "lambda", lam)
 
 
 def poles_numeric(a: float, r: float) -> PoleSet:

@@ -1,13 +1,15 @@
-"""Shared fixtures, reference oracles and the acceptance-summary terminal hook."""
+"""Shared fixtures, the family models, the refusal helper and the
+acceptance-summary terminal hook; the reference oracles are in ``oracles``."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from torus_scatter import ere
+from torus_scatter import cli, ere
 
 #: Per-criterion result lines recorded by tests/test_acceptance.py.
 ACCEPTANCE_LINES: list[str] = []
@@ -29,102 +31,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def polyline_distance_all_pairs(points, polyline):
-    """Reference oracle for ``geometry.point_to_polyline_distance``: every
-    point against every segment, 256 points at a time."""
-    points = np.asarray(points, dtype=float)
-    polyline = np.asarray(polyline, dtype=float)
-    seg_a = polyline[:-1]
-    seg_v = polyline[1:] - seg_a
-    seg_len2 = np.maximum(np.einsum("ij,ij->i", seg_v, seg_v), 1e-300)
-    out = np.empty(points.shape[0])
-    chunk = 256
-    for start in range(0, points.shape[0], chunk):
-        pts = points[start : start + chunk]
-        diff = pts[:, None, :] - seg_a[None, :, :]
-        t = np.clip(np.einsum("kij,ij->ki", diff, seg_v) / seg_len2, 0.0, 1.0)
-        proj = seg_a[None, :, :] + t[:, :, None] * seg_v[None, :, :]
-        d2 = np.sum((pts[:, None, :] - proj) ** 2, axis=2)
-        out[start : start + chunk] = np.sqrt(np.min(d2, axis=1))
-    return out
+def refused(capsys, argv) -> str:
+    """Run the CLI on ``argv`` and return the message of its refusal, which
+    must be exit 2, nothing on stdout and one stderr line holding a JSON
+    object whose only key is "error" (``refusal``)."""
+    return refusal(cli.main(argv), *capsys.readouterr())
 
 
-def quadrant_oracle(phi, theta):
-    """Reference for the quadrant labeller: the ``Quadrant`` of one sample
-    from the signs of the sines of its wrapped phases, a sine below
-    ``torus.BOUNDARY_TOL`` in magnitude being an edge."""
-    from torus_scatter import torus
-
-    sp, st = (math.sin(torus.wrap_angle(x)) for x in (phi, theta))
-    if abs(sp) < torus.BOUNDARY_TOL or abs(st) < torus.BOUNDARY_TOL:
-        return torus.Quadrant.BOUNDARY
-    if sp > 0:
-        return torus.Quadrant.I if st > 0 else torus.Quadrant.IV
-    return torus.Quadrant.II if st > 0 else torus.Quadrant.III
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def traj_rows_oracle(grid, phi, theta, dphi, dtheta, kappa, v_val, regular, positions) -> str:
-    """Reference for the rows of ``cli.cmd_traj``: one ``_fmt`` call per field,
-    ``kappa`` and ``V`` empty where ``regular`` is false."""
-    lines = []
-    for k in range(len(grid)):
-        if regular[k]:
-            kappa_str, v_str = _fmt(kappa[k]), _fmt(v_val[k])
-        else:
-            kappa_str = v_str = ""
-        fields = (grid[k], phi[k], theta[k], dphi[k], dtheta[k])
-        lines.append(",".join([*map(_fmt, fields), kappa_str, v_str, positions[k]]) + "\n")
-    return "".join(lines)
-
-
-def traj_csv_oracle(cfg) -> str:
-    """Reference for the text ``cli.cmd_traj`` writes for ``cfg``: the arrays
-    computed as the command computes them, then the per-field loop."""
-    from torus_scatter import cli, ere, geometry, torus
-
-    model = cfg.build_model()
-    grid = cfg.build_grid()
-    traj = torus.sample_trajectory(model, grid)
-    dphi, dtheta = (np.atleast_1d(np.asarray(x, dtype=float)) for x in ere.tangents(model, grid))
-    regular = np.zeros(grid.size, dtype=bool)
-    kappa = v_val = None
-    potential = geometry.closed_form_potential(model, cfg.c1)
-    if potential is not None:
-        n_val, dn_val = geometry.construction_lapse(model, potential, grid)
-        v_val = potential.value(traj.phi, traj.theta)
-        regular = ~(
-            potential.singular_mask(traj.phi, traj.theta)
-            | (np.abs(grid * n_val / cfg.c1) < geometry.LAPSE_SINGULAR_TOL)
-        )
-        kappa = np.full(grid.size, np.nan)
-        kappa[regular] = dn_val[regular] / n_val[regular]
-    positions = [quadrant_oracle(f, t).position for f, t in zip(traj.phi, traj.theta)]
-    return cli.TRAJ_HEADER + "\n" + traj_rows_oracle(
-        grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, regular, positions
-    )
-
-
-def ep_rows_oracle(grid, phi, theta, power) -> str:
-    """Reference for the rows of ``cli.cmd_ep``: one ``_fmt`` call per field."""
-    return "".join(
-        ",".join(map(_fmt, (grid[k], phi[k], theta[k], power[k]))) + "\n"
-        for k in range(len(grid))
-    )
-
-
-def ep_csv_oracle(cfg) -> str:
-    """Reference for the text ``cli.cmd_ep`` writes for ``cfg``."""
-    from torus_scatter import ere, spin
-
-    grid = cfg.build_grid()
-    phi, theta = ere.phases(cfg.build_model(), grid)
-    return "p,phi,theta,ep\n" + ep_rows_oracle(
-        grid, phi, theta, spin.entanglement_power_closed(phi, theta)
-    )
+def refusal(code, out, err) -> str:
+    """The message of a refusal by exit ``code`` with ``out`` and ``err``
+    written, asserting the contract ``refused`` states."""
+    assert code == 2, (code, err)
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    error = json.loads(err)
+    assert isinstance(error, dict) and error.keys() == {"error"}, error
+    return error["error"]
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ import pytest
 
 from torus_scatter import causality, cli, ere, geometry, spin, torus, uvir
 
-from conftest import polyline_distance_all_pairs, record_acceptance
+from conftest import record_acceptance
+from oracles import polyline_distance_all_pairs
 
 RNG_SEED = 20260819
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from torus_scatter import causality, config, ere, torus
 
 from conftest import family_models
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +187,13 @@ def test_exit_crossings_match_a_sign_change_oracle():
 
 def test_tangent_margins_match_mpmath():
     """Every violation margin of the acausal T2 row 6 against 50-digit p x' - sin x."""
-    mpmath = pytest.importorskip("mpmath")
     model = ere.make_symmetric_model("T2", 6, 1.0, 5.0, lam=0.1)
     report = causality.tangent_vector_audit(_traj(model, 1e-3, 1e3, 2001))
     assert len(report.detail["violations"]) > 3000
     channels = dict(zip(("phi", "theta"), model.channels))
-    with mpmath.workdps(50):
-        for p, channel, margin in report.detail["violations"]:
-            a, r, p_mp = (mpmath.mpf(v) for v in (channels[channel].a, channels[channel].r, p))
-            denom = 1 - a * r * p_mp**2 / 2
-            x = -2 * mpmath.atan2(a * p_mp, denom)
-            dx = -2 * a * (2 - denom) / (denom**2 + (a * p_mp) ** 2)
-            exact = p_mp * dx - mpmath.sin(x)
-            assert abs(margin - exact) <= 1e-12 * abs(exact), (p, channel)
+    for p, channel, margin in report.detail["violations"]:
+        exact = oracles.tangent_margin(channels[channel], p)
+        assert abs(margin - exact) <= 1e-12 * abs(exact), (p, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +317,6 @@ def test_poles_closed_form_is_its_docstring_bit_for_bit(a, lam):
     assert got.classification == want[1]
 
 
-def _exact_roots(a, r):
-    """The two roots of p^2 - (2i/r) p - 2/(a r) at the float a and r, to 50
-    digits: the larger (i/r +/- sqrt(2/(a r) - 1/r^2)) and the product over it."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        a, r = mpmath.mpf(a), mpmath.mpf(r)
-        half_sum, prod = 1j / r, -2 / (a * r)
-        s = mpmath.sqrt(half_sum**2 - prod)
-        big = max(half_sum + s, half_sum - s, key=abs)
-        q = 2 * r / a - 1
-        case = "resonance_pair" if q > 0 else "two_virtual"
-        return case, [complex(big), complex(prod / big)]
-
-
 def _numeric_inputs(n=400):
     """(a, r) with binary exponents within +-600 and |2r/a - 1| >= 1e-4,
     each sign, then the inputs that once overflowed or divided by zero."""
@@ -357,7 +338,8 @@ def test_poles_numeric_matches_50_digit_roots():
     """Case, order (resonance poles by real part, virtual ones by imaginary
     part) and each pole to 1e-13 of its size, over 12 decades of lengths."""
     for a, r in _numeric_inputs():
-        case, exact = _exact_roots(a, r)
+        exact = oracles.pole_roots(a, r)
+        case = "resonance_pair" if exact[0].real else "two_virtual"
         ps = causality.poles_numeric(a, r)
         assert ps.classification == case, (a, r)
         assert [m for _p, m in ps.poles] == [1, 1]
@@ -400,20 +382,14 @@ def test_poles_numeric_classifies_axis_pairs():
 
 @pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
 def test_small_virtual_pole_is_free_of_cancellation(lam):
-    """The smaller virtual pole against 50-digit roots of the channel's denominator."""
-    mpmath = pytest.importorskip("mpmath")
+    """The smaller virtual pole against 50-digit roots of the channel's
+    denominator: at r = 2 a lambda exactly for the closed form, and at the
+    float r for the numeric path."""
     a = -1.3
     r = 2.0 * a * lam
-    with mpmath.workdps(50):
-        exact_closed = 2 / (abs(mpmath.mpf(a)) * (1 + mpmath.sqrt(1 - 4 * mpmath.mpf(lam))))
-        # roots of p^2 - (2i/r) p - 2/(a r) for the float r the numeric path sees
-        half_sum, prod = 1j / mpmath.mpf(r), -2 / (mpmath.mpf(a) * mpmath.mpf(r))
-        roots = [half_sum + sg * mpmath.sqrt(half_sum**2 - prod) for sg in (1, -1)]
-        exact_numeric = float(min(abs(z) for z in roots))
-        exact_closed = float(exact_closed)
-    for poleset, exact in (
-        (causality.poles_closed_form(a, lam), exact_closed),
-        (causality.poles_numeric(a, r), exact_numeric),
+    for poleset, roots in (
+        (causality.poles_closed_form(a, lam), oracles.pole_roots(a, lam=lam)),
+        (causality.poles_numeric(a, r), oracles.pole_roots(a, r)),
     ):
         small = min(abs(p) for p, _m in poleset.poles)
-        assert abs(small - exact) <= 1e-14 * exact
+        assert abs(small - abs(roots[1])) <= 1e-14 * abs(roots[1])

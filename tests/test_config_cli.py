@@ -13,7 +13,8 @@ import pytest
 from torus_scatter import causality, cli, ere, geometry, spin, torus
 from torus_scatter.config import DEFAULT_TOLERANCES, MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
-from conftest import ROW_SIGNS, family_models
+from conftest import ROW_SIGNS, family_models, refused
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +214,7 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     assert [s["suite"] for s in report["skipped"]] == ["eom", "wigner", "poles"]
     assert _suites_run(report) == {"symmetry", "ep"}
     # Named on its own, the suite that does not apply is a usage error.
-    assert cli.main(["verify", "--config", str(path), "--suite", "eom"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == NO_POTENTIAL
+    assert refused(capsys, ["verify", "--config", str(path), "--suite", "eom"]) == NO_POTENTIAL
     out = tmp_path / "geodesic.csv"
     assert cli.main(["traj", "--config", str(path), "--out", str(out)]) == 0
     rows = _traj_rows(out)
@@ -339,16 +339,15 @@ def test_a_suite_alone_is_refused_iff_all_skips_it(tmp_path, capsys, data):
     assert rc_all == (0 if whole["pass"] else 1)
     skipped = {s["suite"]: s["reason"] for s in whole["skipped"]}
     for suite in cli.SUITES[:-1]:
-        rc = cli.main(["verify", "--config", cfg, "--suite", suite])
-        out = capsys.readouterr()
+        argv = ["verify", "--config", cfg, "--suite", suite]
         if suite in skipped:
-            assert (rc, out.out) == (2, "")
-            assert json.loads(out.err) == {"error": skipped[suite]}
-        else:
-            report = json.loads(out.out)
-            assert rc == (0 if report["pass"] else 1)
-            assert report["checks"] == [c for c in whole["checks"] if SUITE_OF[c["name"]] == suite]
-            assert report["checks"]
+            assert refused(capsys, argv) == skipped[suite]
+            continue
+        rc = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert rc == (0 if report["pass"] else 1)
+        assert report["checks"] == [c for c in whole["checks"] if SUITE_OF[c["name"]] == suite]
+        assert report["checks"]
 
 
 _BASE = ("phase_map", "density_map")
@@ -415,8 +414,7 @@ def test_zero_scattering_length_has_no_potential(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert _suites_run(report) == {"wigner"}
     assert {s["suite"]: s["reason"] for s in report["skipped"]}["eom"] == NO_POTENTIAL
-    assert cli.main(["verify", "--config", cfg, "--suite", "eom"]) == 2
-    assert json.loads(capsys.readouterr().err) == {"error": NO_POTENTIAL}
+    assert refused(capsys, ["verify", "--config", cfg, "--suite", "eom"]) == NO_POTENTIAL
 
 
 #: T3 row 6 at lambda = 1/4 with a = -1e150 on p in [1e-9, 1e-8]: every
@@ -430,15 +428,10 @@ def test_traj_refuses_a_slope_that_is_not_finite(tmp_path, capsys):
     """traj and verify exit 2 with one JSON line and no warning; ep, whose
     phases and power are finite, writes them."""
     cfg = _write_config(tmp_path, **NAN_SLOPE)
-    assert cli.main(["traj", "--config", cfg]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert json.loads(out.err) == {
-        "error": "dphi_dp is not finite at p = 1e-09 (got nan); no output is written"
-    }
-    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert refused(capsys, ["traj", "--config", cfg]) == (
+        "dphi_dp is not finite at p = 1e-09 (got nan); no output is written"
+    )
+    refused(capsys, ["verify", "--config", cfg, "--suite", "all"])
     assert cli.main(["ep", "--config", cfg]) == 0
     out = capsys.readouterr()
     assert out.err == "" and len(out.out.splitlines()) == 4
@@ -463,12 +456,9 @@ def test_a_column_that_is_not_finite_is_refused(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(geometry, "lapse_inaffinity", spoiled_inaffinity)
     cfg = _write_config(tmp_path, p_grid={"min": 1.0, "max": 4.0, "count": 3})
     for command, column in (("ep", "ep"), ("traj", "kappa")):
-        assert cli.main([command, "--config", cfg]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert json.loads(out.err) == {
-            "error": f"{column} is not finite at p = 2.0 (got inf); no output is written"
-        }
+        assert refused(capsys, [command, "--config", cfg]) == (
+            f"{column} is not finite at p = 2.0 (got inf); no output is written"
+        )
 
 
 def test_exit_code_matrix(tmp_path, capsys):
@@ -493,14 +483,11 @@ def test_exit_code_matrix(tmp_path, capsys):
 
     # 2: config errors -> JSON diagnostic on stderr
     missing = tmp_path / "missing.json"
-    assert cli.main(["verify", "--config", str(missing), "--suite", "symmetry"]) == 2
-    err = capsys.readouterr().err
-    assert json.loads(err.strip())["error"]
+    assert refused(capsys, ["verify", "--config", str(missing), "--suite", "symmetry"])
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    assert cli.main(["traj", "--config", str(bad_json)]) == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"]
+    assert refused(capsys, ["traj", "--config", str(bad_json)])
 
     # An untagged zero-range model has the zero-range potential: eom applies.
     cfg_nofam = _write_config(tmp_path, name="nofam.json", family=None)
@@ -508,19 +495,14 @@ def test_exit_code_matrix(tmp_path, capsys):
     assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == ["eom_residual"]
 
     # 2: a suite named on its own that does not apply (no closed-form potential)
-    assert cli.main(["verify", "--config", cfg_fail, "--suite", "eom"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert json.loads(out.err)["error"] == NO_POTENTIAL
+    assert refused(capsys, ["verify", "--config", cfg_fail, "--suite", "eom"]) == NO_POTENTIAL
 
     # 2: poles with invalid lambda
-    assert cli.main(["poles", "--a", "-1", "--lam", "-1"]) == 2
-    capsys.readouterr()
+    refused(capsys, ["poles", "--a", "-1", "--lam", "-1"])
 
     # 2: unknown tolerance key in config
     cfg_badtol = _write_config(tmp_path, name="badtol.json", tolerances={"zzz": 1e-9})
-    assert cli.main(["verify", "--config", cfg_badtol, "--suite", "symmetry"]) == 2
-    capsys.readouterr()
+    refused(capsys, ["verify", "--config", cfg_badtol, "--suite", "symmetry"])
 
 
 @pytest.mark.parametrize(
@@ -545,10 +527,7 @@ def test_exit_code_matrix(tmp_path, capsys):
 def test_invalid_config_values_exit_2_naming_the_key(tmp_path, capsys, overrides, key):
     cfg = _write_config(tmp_path, **overrides)
     for command in ("traj", "ep", "verify"):
-        assert cli.main([command, "--config", cfg]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert key in json.loads(out.err)["error"]
+        assert key in refused(capsys, [command, "--config", cfg])
 
 
 #: Configs whose dimensionless magnitudes leave float64 on the grid: 2D
@@ -567,11 +546,7 @@ def test_unrepresentable_magnitudes_exit_2_before_any_output(tmp_path, capsys, n
     instead of printing NaN or limit phases."""
     cfg = _write_config(tmp_path, **UNREPRESENTABLE[name])
     for command in ("traj", "ep", "verify"):
-        assert cli.main([command, "--config", cfg]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        [line] = out.err.splitlines()
-        message = json.loads(line)["error"]
+        message = refused(capsys, [command, "--config", cfg])
         assert message.startswith("a0: a") and "must be finite and nonzero over p_grid" in message
 
 
@@ -588,11 +563,7 @@ def test_inversion_overflow_exits_2_from_verify_only(tmp_path, capsys):
         assert cli.main([command, "--config", cfg]) == 0
         assert capsys.readouterr().err == ""
     for suite in ("symmetry", "ep", "all"):
-        assert cli.main(["verify", "--config", cfg, "--suite", suite]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        [line] = out.err.splitlines()
-        assert json.loads(line)["error"] == (
+        assert refused(capsys, ["verify", "--config", cfg, "--suite", suite]) == (
             "momentum inversion: lambda |a0 a1| p = inf at p = 1000000000.0; "
             "its image 1/(lambda |a0 a1| p) must be finite and nonzero"
         )
@@ -607,9 +578,7 @@ def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsy
         p_grid={"min": 1e-150, "max": 1.0, "count": 3},
     )
     capsys.readouterr()
-    assert cli.main(["ep", "--config", tiny]) == 2
-    message = json.loads(capsys.readouterr().err)["error"]
-    assert message == (
+    assert refused(capsys, ["ep", "--config", tiny]) == (
         "a1: a p must be finite and nonzero over p_grid [1e-150, 1.0]; got 0.0 at p = 1e-150"
     )
     # a r p^2 = 5e-341 underflows to 0 although a p and r p are nonzero:
@@ -619,8 +588,8 @@ def test_magnitude_check_keeps_zero_ranges_and_rejects_underflow(tmp_path, capsy
         family={"table": "T3", "row": 6, "lambda": 0.25},
         p_grid={"min": 1e-170, "max": 1e-169, "count": 3},
     )
-    assert cli.main(["ep", "--config", tiny_range]) == 2
-    assert "a0: a r p^2 must be finite and nonzero" in json.loads(capsys.readouterr().err)["error"]
+    message = refused(capsys, ["ep", "--config", tiny_range])
+    assert "a0: a r p^2 must be finite and nonzero" in message
 
 
 def _count_evaluations(monkeypatch, size: int) -> Counter:
@@ -709,13 +678,11 @@ def test_poles_cli_json(tmp_path, capsys):
         (["--a", "-1", "--r", "nan"], "r"),
         (["--a", "1", "--r", "1e-320"], "r"),
         (["--a", "-1", "--lam", "1e-320"], "lambda"),
+        (["--a", "-1", "--lam", "1e308"], "lambda"),  # r = 2 a lambda overflows
     ],
 )
 def test_poles_cli_rejects_non_finite_inputs_and_poles(capsys, argv, second):
-    assert cli.main(["poles", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    message = json.loads(captured.err)["error"]
+    message = refused(capsys, ["poles", *argv])
     assert f"a = {float(argv[1])!r}" in message and f"{second} = {float(argv[3])!r}" in message
 
 
@@ -786,20 +753,9 @@ def test_config_tolerances_can_force_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [(c["tolerance"], c["pass"]) for c in report["checks"]] == [(1e-20, False)] * 2
     # The config is the only source of a tolerance: there is no --tol option.
-    assert cli.main(["verify", "--config", cfg, "--tol", "1e-20"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "torus-scatter: unrecognized arguments: --tol 1e-20"}
-
-
-def _family_config(model) -> dict:
-    if model.dimension == 2:
-        return {"dimension": 2, "a0": model.singlet.a2, "a1": model.triplet.a2, "family": None}
-    family = model.family
-    return {
-        "dimension": 3, "a0": model.singlet.a, "a1": model.triplet.a,
-        "family": {"table": family.table, "row": family.row, "lambda": family.lam},
-    }
+    assert refused(capsys, ["verify", "--config", cfg, "--tol", "1e-20"]) == (
+        "torus-scatter: unrecognized arguments: --tol 1e-20"
+    )
 
 
 def test_every_check_passes_iff_its_deviation_is_below_its_tolerance(tmp_path, capsys):
@@ -829,10 +785,7 @@ def test_arithmetic_error_exits_2_with_json(capsys, monkeypatch):
         return a / 0.0
 
     monkeypatch.setattr(causality, "poles_numeric", divide)
-    assert cli.main(["poles", "--a", "1e-300", "--r", "1e-300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err.strip()) == {"error": "float division by zero"}
+    assert refused(capsys, ["poles", "--a", "1e-300", "--r", "1e-300"]) == "float division by zero"
 
 
 @pytest.mark.parametrize(
@@ -865,6 +818,23 @@ def test_poles_r_is_poles_lam_at_r_2_a_lambda(capsys, a, lam):
     assert by_r["case"] == by_lam["case"]
     key = lambda p: (p["re"], p["im"])  # noqa: E731
     assert sorted(by_r["poles"], key=key) == sorted(by_lam["poles"], key=key)
+
+
+@pytest.mark.parametrize("a, lam", [(-1e-300, 1e308), (-1e-300, 1.7976931348623157e308),
+                                    (-1e-10, 4.5e307)])
+def test_poles_where_4_lambda_overflows_are_reported(capsys, a, lam):
+    """4 lambda - 1 overflows, but the poles +/- 2 sqrt(lambda)/|r| + i/r are
+    finite: ``poles --lam`` and ``poles --r 2 a lambda`` both give the 50-digit
+    roots, at r = 2 a lambda exactly and at the float r, to 1e-15."""
+    r = 2.0 * a * lam
+    for flag, value, roots in (("--lam", lam, oracles.pole_roots(a, lam=lam)),
+                               ("--r", r, oracles.pole_roots(a, r))):
+        assert cli.main(["poles", f"--a={a!r}", f"{flag}={value!r}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["case"] == "resonance_pair" and report["lower_half"] is True
+        got = sorted((complex(p["re"], p["im"]) for p in report["poles"]), key=lambda z: z.real)
+        for pole, want in zip(got, sorted(roots, key=lambda z: z.real), strict=True):
+            assert abs(pole - want) <= 1e-15 * abs(want), (flag, pole, want)
 
 
 def test_potential_at_huge_lengths_is_the_unit_one(tmp_path, capsys):
@@ -903,11 +873,7 @@ def test_cli_import_does_not_load_scipy():
     ],
 )
 def test_usage_errors_exit_2_with_one_json_line(argv, message, capsys):
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
-    assert json.loads(captured.err) == {"error": message}
+    assert refused(capsys, argv) == message
 
 
 def test_help_prints_help_and_exits_0(capsys):
@@ -967,10 +933,7 @@ def test_verify_with_no_grid_point_left_exits_2(tmp_path, capsys):
     # overdetermination check excludes both; no NaN may reach the report.
     grid = {"min": 0.10933059980159891, "max": 3.0488567147553383, "count": 2}
     cfg = _write_config(tmp_path, dimension=2, a0=1.0, a1=3.0, family=None, p_grid=grid)
-    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    message = json.loads(captured.err)["error"]
+    message = refused(capsys, ["verify", "--config", cfg, "--suite", "all"])
     assert message.startswith("overdetermination_2d: all 2 grid points excluded")
 
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from torus_scatter import cli
 
+from conftest import refusal
+
 #: Values of the wrong kind for any key.  Numbers stay within [-200, 200], so
 #: a junk ``count`` that happens to be integral still builds a small grid.
 JUNK = st.one_of(
@@ -114,7 +116,4 @@ def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
             fields = set(out.getvalue().replace("\n", ",").split(","))
             assert not fields & {"nan", "inf", "-inf"}, (command, data)
         if rc == 2:
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1, err.getvalue()
-            assert set(json.loads(lines[0])) == {"error"}
+            refusal(rc, out.getvalue(), err.getvalue())

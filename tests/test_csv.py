@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import ep_csv_oracle, ep_rows_oracle, traj_csv_oracle, traj_rows_oracle
 
 from torus_scatter import cli, torus
 from torus_scatter.config import PGrid, RunConfig
+
+from oracles import ep_csv_oracle, ep_rows_oracle, traj_csv_oracle, traj_rows_oracle
 
 B = cli.CSV_BLOCK_ROWS
 

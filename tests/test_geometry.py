@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,8 @@ from hypothesis import strategies as st
 
 from torus_scatter import ere, geometry, torus
 
-from conftest import polyline_distance_all_pairs
+import oracles
+from oracles import polyline_distance_all_pairs
 
 LENGTHS = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
 
@@ -509,27 +509,6 @@ def test_affine_rhs_is_the_gradient():
         assert got[:, 3].tobytes() == (-g_theta).tobytes()
 
 
-def _lapse_mp(model, c1):
-    """The construction lapse at 30 digits, from the phases' closed forms:
-    (c1/p)(sin phi - eps sin theta) for 3D zero range, sqrt(2) c1 (phi' - eps
-    theta') on the lambda = 1/4 branch and c1 (phi' - theta') in 2D, with the
-    derivatives taken by ``mpmath.diff``."""
-    if model.dimension == 2:
-        phases = [
-            (lambda p, a=mp.mpf(ch.a2): mp.pi + 2 * mp.atan((2 / mp.pi) * mp.log(a * p)))
-            for ch in model.channels
-        ]
-        return lambda p: c1 * (mp.diff(phases[0], p) - mp.diff(phases[1], p))
-    phases = [
-        (lambda p, a=mp.mpf(ch.a), r=mp.mpf(ch.r): -2 * mp.atan2(a * p, 1 - a * r * p * p / 2))
-        for ch in model.channels
-    ]
-    eps = -1 if model.singlet.a * model.triplet.a > 0 else 1
-    if model.singlet.r == 0.0:
-        return lambda p: c1 / p * (mp.sin(phases[0](p)) - eps * mp.sin(phases[1](p)))
-    return lambda p: mp.sqrt(2) * c1 * (mp.diff(phases[0], p) - eps * mp.diff(phases[1], p))
-
-
 @pytest.mark.parametrize(
     "model,c1,interval",
     [
@@ -548,10 +527,8 @@ def _lapse_mp(model, c1):
 def test_affine_span_matches_mpmath_quadrature(model, c1, interval):
     pot = geometry.closed_form_potential(model, c1=c1)
     p0, p1 = interval
-    mp.mp.dps = 30
     poles = sorted(filter(None, map(ere.channel_pole_momentum, model.channels)))
-    nodes = [p0, *(p for p in poles if p0 < p < p1), p1]
-    want = mp.quad(_lapse_mp(model, c1), [mp.mpf(p) for p in nodes])
+    want = oracles.lapse_span(model, c1, [p0, *(p for p in poles if p0 < p < p1), p1])
     got = geometry.affine_parameter_span(model, pot, p0, p1)
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
     assert geometry.affine_parameter_span(model, pot, p1, p0) == -got

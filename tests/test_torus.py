@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torus_scatter import ere, torus
 
-from conftest import quadrant_oracle
+from oracles import quadrant_oracle
 
 ANGLES = st.floats(-50.0, 50.0, allow_nan=False)
 

@@ -1,15 +1,19 @@
 """Momentum-inversion symmetry maps: phases, density matrices, EP."""
 
 import dataclasses
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_scatter import config, ere, spin, torus, uvir
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,52 @@ def test_expected_map_2d_swaps_and_negates():
     phi, theta = mp.apply(0.4, 2.2)
     assert phi == pytest.approx(-2.2)
     assert theta == pytest.approx(-0.4)
+
+
+def _row_sign_pairs():
+    """(table, row, (sign a0, sign a1)) for every sign pair each row accepts,
+    read from ``ere``'s row tables: T2 rows accept any pair."""
+    for row, signs in ere._T1_SIGNS.items():
+        yield "T1", row, signs
+    for row in ere.T2_ROWS:
+        for signs in itertools.product((1, -1), repeat=2):
+            yield "T2", row, signs
+    for row, entries in ere._T3_RANGE.items():
+        signs = {src: 1 if positive else -1 for _sg, src, positive in entries}
+        yield "T3", row, (signs[0], signs[1])
+    yield "2D", 1, (1, 1)
+
+
+@pytest.mark.parametrize("table,row,signs", list(_row_sign_pairs()), ids=str)
+def test_each_map_is_a_rational_identity_of_the_ere_pairs(table, row, signs):
+    """Certificate of the row's phase map x'(p') = s x(p) + shift mod 2 pi at
+    p' = 1/(eta p): (C + iS)'(p') / ((C + i s S)(p) e^{i shift/2}) is real and
+    nonzero as a function of the magnitudes |a0|, |a1|, lambda and p, with the
+    ranges that ``ere``'s row tables give those signs."""
+    mags = A0, A1, lam, p = sympy.symbols("A0 A1 lambda p", positive=True)
+    a = [signs[0] * A0, signs[1] * A1]
+    eta = (lam if table in ("T2", "T3") else 1) * A0 * A1
+    if table == "T2":
+        ranges = [sg * 2 * eta / a[d] for sg, d in ere._T2_RANGE[row]]
+    elif table == "T3":
+        ranges = [sg * 2 * a[src] * lam for sg, src, _positive in ere._T3_RANGE[row]]
+    else:
+        ranges = [0, 0]
+    dim = 2 if table == "2D" else 3
+    sym = uvir.expected_map(table, row)
+    images = ((sym.phi_source, sym.phi_sign, sym.phi_shift),
+              (sym.theta_source, sym.theta_sign, sym.theta_shift))
+    for k, (source, sign, shift) in enumerate(images):
+        j = ("phi", "theta").index(source)
+        s_img, c_img = oracles.symbolic_pair(dim, a[k], ranges[k], 1 / (eta * p))
+        s_src, c_src = oracles.symbolic_pair(dim, a[j], ranges[j], p)
+        half_turn = sympy.exp(sympy.I * sympy.pi * round(shift / math.pi) / 2)
+        ratio = sympy.cancel(sympy.expand_log(
+            (c_img + sympy.I * s_img) / ((c_src + sympy.I * sign * s_src) * half_turn), force=True
+        ))
+        assert ratio != 0 and ratio.free_symbols <= set(mags) and not ratio.has(sympy.I), ratio
+        if (table, row, signs, k) == ("T2", 6, (1, 1), 0):
+            assert ratio == -1 / (A1**2 * lam * p**2)
 
 
 # ---------------------------------------------------------------------------
