@@ -362,6 +362,29 @@ def test_phases_tangents_curvatures_match_50_digit_oracle(ch):
     assert np.all(err[2] <= 4e-15 * scale), np.max(err[2] / scale)
 
 
+@pytest.mark.parametrize("a,r,p", [(1.0, 0.0, 0.7)])
+def test_tangent_and_curvature_match_symbolic_derivative(a, r, p):
+    """The 50-digit tangent and curvature at one 3D momentum, to 1e-12 and 1e-10."""
+    ch = ere.Channel3D(a, r=r)
+    m = ere.TwoChannelModel(3, ch, ere.Channel3D(1.0))
+    assert ere.tangents(m, p)[0] == pytest.approx(oracles.derivative(ch, p, 1), rel=1e-12)
+    assert torus.sample_trajectory(m, [p]).d2phi[0] == pytest.approx(
+        oracles.derivative(ch, p, 2), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("a2,p", [(1.0, 0.5), (3.0, 2.0)])
+def test_tangent_2d_matches_symbolic(a2, p):
+    """The 50-digit tangent and curvature at one 2D momentum of a ``make_2d_model``
+    channel, to 1e-12 and 1e-10."""
+    m = ere.make_2d_model(a2, 2 * a2)
+    ch = m.channels[0]
+    assert ere.tangents(m, p)[0] == pytest.approx(oracles.derivative(ch, p, 1), rel=1e-12)
+    assert torus.sample_trajectory(m, [p]).d2phi[0] == pytest.approx(
+        oracles.derivative(ch, p, 2), rel=1e-10
+    )
+
+
 # ---------------------------------------------------------------------------
 # quarter-lambda branch classification
 # ---------------------------------------------------------------------------
