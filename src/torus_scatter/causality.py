@@ -110,13 +110,15 @@ def tangent_vector_audit(
         )
     p = traj.p
     violations = []
+    worst = 0.0
     for channel, ch, x in zip(("phi", "theta"), traj.model.channels, (traj.phi, traj.theta)):
         margins = -2.0 * ch.r * p * np.sin(0.5 * x) ** 2
         bad = margins < -tol
-        violations += zip(p[bad].tolist(), [channel] * int(bad.sum()), margins[bad].tolist())
-    worst = min((m for _p, _c, m in violations), default=0.0)
+        below = margins[bad]
+        worst = min(worst, float(below.min(initial=0.0)))
+        violations += zip(p[bad].tolist(), [channel] * below.size, below.tolist())
     return Check(
-        "tangent_audit", abs(min(worst, 0.0)), tol, {"violations": len(violations)},
+        "tangent_audit", abs(worst), tol, {"violations": len(violations)},
         {"checked": 2 * p.size, "violations": violations},
     )
 

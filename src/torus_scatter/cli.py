@@ -26,15 +26,22 @@ bit-identical across runs for a fixed config and seed.
 
 ``traj`` and ``ep`` compute every column, refuse a value that is not finite,
 then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
-``%``-template, so the text of a large grid never sits in memory at once.
+``%``-template, so each process holds a few blocks of text, never the whole
+grid's.  The blocks are split into one contiguous stripe per available CPU
+(``_write_csv``): forked children format every stripe after the first into
+temporary files, which the parent copies out in order after its own, so the
+bytes are those of one process writing every block in turn.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -60,8 +67,8 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
 
 
 #: Rows formatted per CSV block: enough that the per-block cost is
-#: negligible, few enough that the text held at once stays near 0.4 MB of
-#: traj rows whatever the grid size.
+#: negligible, few enough that the text each process holds at once stays a
+#: few blocks of 0.4 MB of traj rows whatever the grid size.
 CSV_BLOCK_ROWS = 2048
 
 #: One CSV field: 17 significant digits, so a float64 round-trips exactly.
@@ -86,6 +93,107 @@ def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
             yield "".join([template % row for row in rows])
         else:
             yield "".join([templates[i] % row for i, row in zip(pick[block].tolist(), rows)])
+
+
+#: Python 3.12+ warns on fork in a process that has threads (OpenBLAS starts
+#: some); see ``_fork_stripe`` for why the child is safe.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _fork_stripe(fd: int, blocks: Iterator[str]) -> int:
+    """Fork a child that writes the text of ``blocks`` to ``fd`` and exits:
+    status 0 once every block is written, 1 on any exception.  Returns its pid.
+
+    The child only formats floats from arrays it inherited, then makes
+    ``os.write`` calls, so no lock another thread held at the fork is taken
+    in it.  It points its stdout and stderr at the null device first, so it
+    cannot write to an inherited descriptor, and leaves by ``os._exit``
+    from a ``finally``, so it never returns into the caller and flushes no
+    inherited buffer.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        for text in blocks:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _kill_and_reap(pids: list) -> None:
+    """SIGKILL and reap every child in ``pids``."""
+    import signal
+
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    pids.clear()
+
+
+def _write_csv(header: str, templates, columns, out_path: str | None, pick=None) -> None:
+    """Write ``_csv_blocks(header, templates, columns, pick)`` to ``out_path``
+    or stdout, one contiguous stripe of whole blocks per available CPU.
+
+    With a single stripe (fewer than two blocks, one CPU, or no
+    ``os.sched_getaffinity``) this is that writer called directly.  Otherwise
+    the output is opened first, one child per stripe after the first writes
+    that stripe to an unnamed temporary file (``_fork_stripe``), the parent
+    writes the header and the first stripe, then reaps each child in order
+    and copies its file.  A child that fails raises an OSError; on any
+    exception every child still running is killed and reaped.
+    """
+    rows = len(columns[0])
+    blocks = -(-rows // CSV_BLOCK_ROWS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    stripes = min(cpus, blocks)
+    if stripes < 2:
+        _emit(_csv_blocks(header, templates, columns, pick), out_path)
+        return
+    # Imported here, not at the top: with random, importing shutil and
+    # tempfile takes about 3 ms, which a process that writes no striped CSV
+    # need not spend.
+    import shutil
+    import tempfile
+
+    cuts = [min(rows, CSV_BLOCK_ROWS * (blocks * k // stripes)) for k in range(stripes + 1)]
+    parts = [
+        _csv_blocks(header, templates, [c[a:b] for c in columns], None if pick is None else pick[a:b])
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    with contextlib.ExitStack() as stack:
+        if out_path is None:
+            fh = sys.stdout
+        else:
+            fh = stack.enter_context(open(out_path, "w", encoding="utf-8", newline=""))
+        pending: list = []
+        stack.callback(_kill_and_reap, pending)
+        files = [
+            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            for _ in parts[1:]
+        ]
+        for tmp, part in zip(files, parts[1:]):
+            next(part)  # the header, which only the first stripe writes
+            pending.append(_fork_stripe(tmp.fileno(), part))
+        fh.writelines(parts[0])
+        for tmp in files:
+            status = os.waitpid(pending[0], 0)[1]
+            del pending[0]
+            if status:
+                raise OSError(
+                    f"CSV stripe writer exited with status {os.waitstatus_to_exitcode(status)}"
+                )
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
 
 
 def _require_finite(p, columns: dict, rows=True) -> None:
@@ -141,7 +249,7 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     columns = (
         traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.positions()
     )
-    _emit(_csv_blocks(TRAJ_HEADER, _TRAJ_ROWS, columns, pick=regular), out_path)
+    _write_csv(TRAJ_HEADER, _TRAJ_ROWS, columns, out_path, pick=regular)
     return 0
 
 
@@ -149,24 +257,26 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
 # verify
 #
 # Each suite is a runner returning ``config.Check`` records from the model's
-# sampled trajectory and closed-form potential (None when it has none), each
-# at the config's tolerance for its check.  A suite applies unless one of its
-# checks raises ``config.NotApplicable``.
+# sampled trajectory, its closed-form potential (None when it has none) and
+# its ``uvir.InversionImage`` (one per op, evaluated by the first check that
+# reads it), each at the config's tolerance for its check.  A suite applies
+# unless one of its checks raises ``config.NotApplicable``.
 # ---------------------------------------------------------------------------
 
 
-def _suite_symmetry(cfg, traj, potential) -> list:
+def _suite_symmetry(cfg, traj, potential, image) -> list:
     return [
-        uvir.verify_phase_map(traj, tol=cfg.tolerance("phase_map")),
+        uvir.verify_phase_map(traj, tol=cfg.tolerance("phase_map"), image=image),
         uvir.verify_density_map(
             traj,
             in_states=uvir._default_in_states(10, seed=cfg.seed),
             tol=cfg.tolerance("density_map"),
+            image=image,
         ),
     ]
 
 
-def _suite_eom(cfg, traj, potential) -> list:
+def _suite_eom(cfg, traj, potential, image) -> list:
     if potential is None:
         raise NotApplicable(
             "eom suite needs a closed-form potential (geometry.closed_form_potential); "
@@ -180,19 +290,19 @@ def _suite_eom(cfg, traj, potential) -> list:
     return checks
 
 
-def _suite_wigner(cfg, traj, potential) -> list:
+def _suite_wigner(cfg, traj, potential, image) -> list:
     return [
         causality.tangent_vector_audit(traj, tol=cfg.tolerance("tangent_audit")),
         causality.quadrant_exit_audit(traj),
     ]
 
 
-def _suite_poles(cfg, traj, potential) -> list:
+def _suite_poles(cfg, traj, potential, image) -> list:
     return causality.verify_poles(traj, tol=cfg.tolerance("pole_match"))
 
 
-def _suite_ep(cfg, traj, potential) -> list:
-    return [uvir.verify_ep_invariance(traj, tol=cfg.tolerance("ep_invariance"))]
+def _suite_ep(cfg, traj, potential, image) -> list:
+    return [uvir.verify_ep_invariance(traj, tol=cfg.tolerance("ep_invariance"), image=image)]
 
 
 #: name -> runner, in report order.
@@ -210,11 +320,12 @@ def cmd_verify(cfg: RunConfig, suite: str, out_path: str | None) -> int:
     model = cfg.build_model()
     traj = torus.sample_trajectory(model, cfg.build_grid())
     potential = geometry.closed_form_potential(model, cfg.c1)
+    image = uvir.InversionImage(traj)
     checks: list = []
     skipped: list = []
     for name in _SUITES if suite == "all" else (suite,):
         try:
-            checks.extend(c.to_json() for c in _SUITES[name](cfg, traj, potential))
+            checks.extend(c.to_json() for c in _SUITES[name](cfg, traj, potential, image))
         except NotApplicable as exc:
             if suite != "all":
                 raise
@@ -253,7 +364,7 @@ def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
     phi, theta = ere.phases(model, grid)
     power = spin.entanglement_power_closed(phi, theta)
     _require_finite(grid, {"phi": phi, "theta": theta, "ep": power})
-    _emit(_csv_blocks(EP_HEADER, (_EP_ROW,), (grid, phi, theta, power)), out_path)
+    _write_csv(EP_HEADER, (_EP_ROW,), (grid, phi, theta, power), out_path)
     return 0
 
 

@@ -14,14 +14,16 @@ momentum equals the in-state evolved by ``exp(i s_s phi) P_s + exp(i s_t theta) 
   "minus" names the singlet (SWAP = -1) sector, "plus" the triplet.
 
 The verifiers read the phases at each ``p`` from a sampled ``Trajectory``,
-evaluate them once at its image ``p'`` (``_image_phases``), and bound the
-deviation of the mapped relation.  All comparisons of angles are mod 2pi.
+take them at its image ``p'`` from an ``InversionImage``, which evaluates
+them once however many checks read it, and bound the deviation of the
+mapped relation.  All comparisons of angles are mod 2pi.
 An untagged model is ``config.NotApplicable`` to every verifier.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +34,7 @@ from .config import DEFAULT_TOLERANCES, Check, NotApplicable
 from .torus import Trajectory, wrap_angle
 
 __all__ = [
+    "InversionImage",
     "RhoClass",
     "SymmetryMap",
     "expected_map",
@@ -201,11 +204,22 @@ def make_paired_grid(a0: float, a1: float, lam: float = 1.0, count: int = 101) -
     return np.concatenate(parts)
 
 
-def _image_phases(traj: Trajectory) -> tuple:
-    """(map, phi', theta'): the family row's map of the trajectory's model and
-    the phases at the inversion image p' of each grid momentum."""
-    sym = _row_map(traj.model)
-    return (sym, *ere.phases(traj.model, model_inverted_momentum(traj.model, traj.p)))
+class InversionImage:
+    """A trajectory's phases at the inversion image of its grid, evaluated on
+    first use, so that the inversion checks of one op share one evaluation.
+
+    ``phases`` is (map, phi', theta'): the family row's map of the
+    trajectory's model and the phases at the image p' of each grid momentum.
+    """
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+
+    @functools.cached_property
+    def phases(self) -> tuple:
+        model = self.traj.model
+        sym = _row_map(model)
+        return (sym, *ere.phases(model, model_inverted_momentum(model, self.traj.p)))
 
 
 def _family_check(traj: Trajectory, name: str, dev: float, tol: float, **details) -> Check:
@@ -220,9 +234,16 @@ def _angle_deviation(actual, expected) -> np.ndarray:
     return np.abs(wrap_angle(np.asarray(actual) - np.asarray(expected)))
 
 
-def verify_phase_map(traj: Trajectory, tol: float = DEFAULT_TOLERANCES["phase_map"]) -> Check:
-    """Check that phases at inverted momenta follow the family row's map."""
-    sym, phi_inv, theta_inv = _image_phases(traj)
+def verify_phase_map(
+    traj: Trajectory,
+    tol: float = DEFAULT_TOLERANCES["phase_map"],
+    image: InversionImage | None = None,
+) -> Check:
+    """Check that phases at inverted momenta follow the family row's map.
+
+    ``image`` is the ``InversionImage`` of ``traj`` (a new one when None), as
+    for every inversion check."""
+    sym, phi_inv, theta_inv = (image or InversionImage(traj)).phases
     want_phi, want_theta = sym.apply(traj.phi, traj.theta)
     dev = max(
         float(np.max(_angle_deviation(phi_inv, want_phi))),
@@ -240,6 +261,7 @@ def verify_density_map(
     traj: Trajectory,
     in_states: np.ndarray | None = None,
     tol: float = DEFAULT_TOLERANCES["density_map"],
+    image: InversionImage | None = None,
 ) -> Check:
     """Check the density-matrix transformation class of the family row.
 
@@ -259,7 +281,7 @@ def verify_density_map(
     1-D state of length 4 also works); anything else raises ValueError, as
     does a non-finite phase.
     """
-    sym, phi_inv, theta_inv = _image_phases(traj)
+    sym, phi_inv, theta_inv = (image or InversionImage(traj)).phases
     if in_states is None:
         in_states = _default_in_states(10)
     shape = np.shape(in_states)
@@ -312,7 +334,9 @@ def _finite_range(values: np.ndarray) -> dict | None:
 
 
 def verify_ep_invariance(
-    traj: Trajectory, tol: float = DEFAULT_TOLERANCES["ep_invariance"]
+    traj: Trajectory,
+    tol: float = DEFAULT_TOLERANCES["ep_invariance"],
+    image: InversionImage | None = None,
 ) -> Check:
     """Check that the entanglement power is invariant under the row's inversion;
     a row that mixes the sectors is NotApplicable before any inversion."""
@@ -322,7 +346,7 @@ def verify_ep_invariance(
             "ep suite applies to families mapping onto rho or rho-bar as a whole; "
             f"this row mixes sectors ({rho_class.value})"
         )
-    _sym, phi_inv, theta_inv = _image_phases(traj)
+    _sym, phi_inv, theta_inv = (image or InversionImage(traj)).phases
     ep_here = spin.entanglement_power_closed(traj.phi, traj.theta)
     ep_image = spin.entanglement_power_closed(phi_inv, theta_inv)
     dev = float(np.max(np.abs(ep_here - ep_image)))

@@ -635,8 +635,8 @@ def test_traj_evaluates_each_channel_once(tmp_path, monkeypatch, overrides):
 
 def test_verify_evaluates_the_grid_once_and_each_image_once(tmp_path, monkeypatch):
     """T3 row 6 at lambda = 1/4 runs every suite: the grid is evaluated once
-    per channel, the inversion image once per channel in each of the three
-    inversion checks, and the closed-form potential is resolved once."""
+    per channel, the inversion image once per channel for all three
+    inversion checks together, and the closed-form potential is resolved once."""
     grid = {"min": 0.01, "max": 100.0, "count": 601, "spacing": "log"}
     cfg = _write_config(
         tmp_path, a0=-1.0, a1=-5.0, family={"table": "T3", "row": 6, "lambda": 0.25}, p_grid=grid
@@ -646,7 +646,7 @@ def test_verify_evaluates_the_grid_once_and_each_image_once(tmp_path, monkeypatc
     assert cli.main(["verify", "--suite", "all", "--config", cfg, "--out", str(report)]) == 0
     assert json.loads(report.read_text())["skipped"] == []
     channels = RunConfig.load(cfg).build_model().channels
-    assert calls == Counter({channels[0]: 4, channels[1]: 4, "closed_form_potential": 1})
+    assert calls == Counter({channels[0]: 2, channels[1]: 2, "closed_form_potential": 1})
 
 
 def test_poles_cli_json(tmp_path, capsys):

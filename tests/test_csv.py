@@ -1,7 +1,12 @@
 """The block CSV writer behind ``traj`` and ``ep`` against the per-field oracle."""
 
+import json
 import math
+import os
+import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,15 +30,35 @@ MODELS = {
 }
 
 
+def _assert_no_child_left() -> None:
+    """No child process of this one, running or a zombie, is left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _run(command, cfg, tmp_path, capsys) -> bytes:
-    """The ``--out`` bytes of ``command``, checked equal to its stdout bytes."""
+    """The ``--out`` bytes of ``command``, checked equal to its stdout bytes;
+    neither call leaves a child process."""
     path = tmp_path / "cfg.json"
     cfg.dump(str(path))
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    _assert_no_child_left()
     assert cli.main([command, "--config", str(path)]) == 0
-    assert capsys.readouterr().out.encode() == out.read_bytes()
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == out.read_bytes()
     return out.read_bytes()
+
+
+def _set_cpus(monkeypatch, cpus) -> None:
+    """Make ``os.sched_getaffinity`` report ``cpus`` CPUs, or remove it (None),
+    as on platforms that lack it."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 @pytest.mark.parametrize("count", [2, B - 1, B, B + 1, 2 * B + 3])
@@ -48,6 +73,150 @@ def test_traj_and_ep_bytes_match_oracle(model, count, tmp_path, capsys):
         assert empty == [(count - 1) // 2]
     elif model == "no-closed-form":
         assert len(empty) == count
+
+
+@pytest.mark.parametrize("count", [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 4 * B + 3])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_striped_writer_bytes_match_oracle_on_any_cpu_count(model, count, tmp_path, capsys,
+                                                            monkeypatch):
+    """Written in one stripe of whole blocks per CPU, by forked children after
+    the first, the CSV is the oracle's bytes on this machine's CPUs, on one,
+    two and four CPUs, and where ``os.sched_getaffinity`` is missing.  On
+    2B + 1 rows the 2D model's singular row is row B, the first of the
+    second stripe."""
+    cfg = RunConfig(**MODELS[model], p_grid=PGrid(0.25, 0.75, count, "linear"))
+    want = {"traj": traj_csv_oracle(cfg).encode(), "ep": ep_csv_oracle(cfg).encode()}
+    if model == "2d" and count == 2 * B + 1:
+        rows = want["traj"].decode().splitlines()[1:]
+        assert [k for k, row in enumerate(rows) if row.split(",")[5] == ""] == [B]
+    for cpus in ("machine", 1, 2, 4, None):
+        if cpus != "machine":
+            _set_cpus(monkeypatch, cpus)
+        for command, text in want.items():
+            assert _run(command, cfg, tmp_path, capsys) == text, (command, cpus)
+
+
+@pytest.mark.parametrize("cpus, count, children", [
+    (4, 4 * B, 3), (4, 3 * B + 1, 3), (4, 2 * B, 1), (2, 4 * B + 3, 1), (3, B, 0), (1, 4 * B, 0),
+])
+def test_one_stripe_per_cpu_of_whole_blocks(cpus, count, children, tmp_path, monkeypatch):
+    """One child per stripe after the first: one stripe per CPU, at most one
+    per block."""
+    _set_cpus(monkeypatch, cpus)
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    path = tmp_path / "cfg.json"
+    RunConfig(**MODELS["lam14"], p_grid=PGrid(0.25, 0.75, count, "linear")).dump(str(path))
+    assert cli.main(["ep", "--config", str(path), "--out", str(tmp_path / "ep.csv")]) == 0
+    _assert_no_child_left()
+    assert len(forks) == children
+
+
+def _assert_one_json_error(capsys, match: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and match in json.loads(lines[0])["error"], lines
+
+
+def _striped_config(tmp_path) -> str:
+    path = tmp_path / "cfg.json"
+    RunConfig(**MODELS["zero-range"], p_grid=PGrid(0.25, 0.75, 3 * B + 1, "linear")).dump(str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["traj", "ep"])
+def test_unwritable_out_exits_2_before_forking(command, tmp_path, capsys, monkeypatch):
+    _set_cpus(monkeypatch, 4)
+
+    def no_fork():
+        raise AssertionError("a child was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main([command, "--config", _striped_config(tmp_path), "--out", str(out)]) == 2
+    _assert_one_json_error(capsys, "i/o error: [Errno 2]")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["traj", "ep"])
+def test_failing_child_exits_2_and_leaves_no_child(command, tmp_path, capsys, monkeypatch):
+    """Only the children call ``os.write``; one that raises makes its child
+    exit 1, which the parent reports as an i/o error after reaping every child."""
+    _set_cpus(monkeypatch, 4)
+
+    def failing_write(fd, data):
+        raise OSError("no space left")
+
+    tempfile.gettempdir()  # its first call probes the directory with os.write
+    monkeypatch.setattr(os, "write", failing_write)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", _striped_config(tmp_path), "--out", str(out)]) == 2
+    _assert_no_child_left()
+    _assert_one_json_error(capsys, "i/o error: CSV stripe writer exited with status 1")
+
+
+def test_children_write_nothing_to_stdout_or_stderr(tmp_path, capfd, monkeypatch):
+    """A child points descriptors 1 and 2 at the null device before it
+    formats, so even a write of its own to them reaches neither."""
+    _set_cpus(monkeypatch, 4)
+    real_write = os.write
+
+    def noisy_write(fd, data):
+        real_write(1, b"out")
+        real_write(2, b"err")
+        return real_write(fd, data)
+
+    tempfile.gettempdir()  # its first call probes the directory with os.write
+    monkeypatch.setattr(os, "write", noisy_write)
+    config = _striped_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert cli.main(["traj", "--config", config, "--out", str(out)]) == 0
+    _assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+    assert out.read_bytes() == traj_csv_oracle(RunConfig.load(config)).encode()
+
+
+def test_fork_warning_of_a_threaded_process_is_ignored(tmp_path, monkeypatch):
+    """Python 3.12+ warns when a process with threads forks, which pytest and
+    ``python -W error`` turn into an error; the writer ignores that warning
+    around its fork.  Simulated here, for interpreters that do not warn."""
+    _set_cpus(monkeypatch, 4)
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+        )
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    config = _striped_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert cli.main(["traj", "--config", config, "--out", str(out)]) == 0
+    _assert_no_child_left()
+    assert out.read_bytes() == traj_csv_oracle(RunConfig.load(config)).encode()
+
+
+def test_failing_parent_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch):
+    """A parent whose own write fails kills and reaps every child it started."""
+    _set_cpus(monkeypatch, 4)
+
+    class Closed:
+        def writelines(self, lines):
+            raise OSError("stdout is closed")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["traj", "--config", _striped_config(tmp_path)]) == 2
+    _assert_no_child_left()
+    monkeypatch.undo()
+    _assert_one_json_error(capsys, "i/o error: stdout is closed")
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,

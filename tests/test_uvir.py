@@ -483,8 +483,33 @@ def test_ep_invariance_refuses_a_mixed_row_before_inverting(monkeypatch, row):
         raise AssertionError("the inversion was computed")
 
     monkeypatch.setattr(uvir, "model_inverted_momentum", no_inversion)
-    with pytest.raises(config.NotApplicable, match="mixes sectors"):
-        uvir.verify_ep_invariance(traj)
+    for image in (None, uvir.InversionImage(traj)):
+        with pytest.raises(config.NotApplicable, match="mixes sectors"):
+            uvir.verify_ep_invariance(traj, image=image)
+
+
+@pytest.mark.parametrize("table, row, a0, a1, lam", [("T1", 4, 1.0, 5.0, 1.0),
+                                                     ("T2", 2, 1.3, -4.2, 0.3)])
+def test_inversion_checks_share_one_image_evaluation(monkeypatch, table, row, a0, a1, lam):
+    """One ``InversionImage`` evaluates the image phases once for every check
+    that reads it, and each check reports what it reports on its own."""
+    m = ere.make_symmetric_model(table, row, a0, a1, lam=lam)
+    traj = torus.sample_trajectory(m, np.geomspace(0.1, 10, 11))
+    verifiers = [uvir.verify_phase_map, uvir.verify_density_map]
+    if row != 2:
+        verifiers.append(uvir.verify_ep_invariance)
+    alone = [verify(traj).to_json() for verify in verifiers]
+    calls = []
+    real_phases = ere.phases
+
+    def counted_phases(model, p):
+        calls.append(p)
+        return real_phases(model, p)
+
+    monkeypatch.setattr(ere, "phases", counted_phases)
+    image = uvir.InversionImage(traj)
+    assert [verify(traj, image=image).to_json() for verify in verifiers] == alone
+    assert len(calls) == 1
 
 
 def test_verify_phase_map_fails_for_wrong_claim():
