@@ -14,7 +14,7 @@ Modules
 ``ere``        effective-range phase shifts (3D and 2D), channels, families
 ``torus``      sampled trajectories, quadrants, angle wrapping
 ``uvir``       momentum-inversion symmetry maps and their verification
-``geometry``   potentials, lapse, trajectory equations, affine integration
+``geometry``   potentials, lapse, trajectory equations, exact affine motion
 ``causality``  Wigner bounds, tangent/exit audits, S-matrix poles
 ``config``     JSON-serializable run configuration, default check tolerances
 ``cli``        the ``torus-scatter`` command-line tool (not imported by the

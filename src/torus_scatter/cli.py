@@ -30,7 +30,8 @@ then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
 grid's.  The blocks are split into one contiguous stripe per available CPU
 (``_write_csv``): forked children format every stripe after the first into
 temporary files, which the parent copies out in order after its own, so the
-bytes are those of one process writing every block in turn.
+bytes are those of one process writing every block in turn.  A command that
+fails leaves its ``--out`` file as it was, or absent (``_output``).
 """
 
 from __future__ import annotations
@@ -56,14 +57,41 @@ def _fail(message: str) -> None:
     sys.stderr.write(json.dumps({"error": message}) + "\n")
 
 
-def _emit(text: str | Iterable[str], out_path: str | None) -> None:
-    """Write ``text``, one string or an iterable of strings, to ``out_path`` or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
+@contextlib.contextmanager
+def _output(out_path: str | None) -> Iterator:
+    """The text file ``--out`` is written through, stdout when None.
+
+    A new or regular file is written to a new file beside it, which replaces
+    it, with its permissions, when the block exits cleanly and is removed
+    otherwise, so a failed command leaves ``out_path`` as it was.  A symlink's
+    target is replaced; another path (``/dev/null``, a pipe) is written in place.
+    """
     if out_path is None:
-        sys.stdout.writelines(chunks)
-    else:
+        yield sys.stdout
+        return
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            yield fh
+        return
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL takes over no existing file; 0o666 less the umask is open()'s mode.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.exists(target):
+                os.fchmod(fd, os.stat(target).st_mode & 0o7777)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, one string or an iterable of strings, through ``_output``."""
+    with _output(out_path) as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 #: Rows formatted per CSV block: enough that the per-block cost is
@@ -146,8 +174,8 @@ def _write_csv(header: str, templates, columns, out_path: str | None, pick=None)
 
     With a single stripe (fewer than two blocks, one CPU, or no
     ``os.sched_getaffinity``) this is that writer called directly.  Otherwise
-    the output is opened first, one child per stripe after the first writes
-    that stripe to an unnamed temporary file (``_fork_stripe``), the parent
+    ``_output`` opens the output first, one child per stripe after the first
+    writes it to an unnamed temporary file (``_fork_stripe``), the parent
     writes the header and the first stripe, then reaps each child in order
     and copies its file.  A child that fails raises an OSError; on any
     exception every child still running is killed and reaped.
@@ -171,10 +199,7 @@ def _write_csv(header: str, templates, columns, out_path: str | None, pick=None)
         for a, b in zip(cuts, cuts[1:])
     ]
     with contextlib.ExitStack() as stack:
-        if out_path is None:
-            fh = sys.stdout
-        else:
-            fh = stack.enter_context(open(out_path, "w", encoding="utf-8", newline=""))
+        fh = stack.enter_context(_output(out_path))
         pending: list = []
         stack.callback(_kill_and_reap, pending)
         files = [

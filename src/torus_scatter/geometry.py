@@ -14,13 +14,11 @@ model's class, along a sampled ``torus.Trajectory``, which the
 trajectory-equation checks also read.  The three closed-form lapses are
 k c1 (phi' - eps theta'), so the affine span is exact from the
 continuous-branch phases at its ends (``affine_parameter_span``).
-``integrate_affine`` integrates the N = 1 motion with LSODA through scipy's
-``odeint``, whose step loop and output interpolation run in compiled code;
-its right-hand side evaluates ``gradient``'s formula once per call on Python
-floats.  ``point_to_polyline_distance`` measures an integrated curve against
-the closed form.  One sorted sweep along phi bounds each point's
-nearest segment to a contiguous slice of the segments ordered by their lower
-end, and the distance over that slice equals the all-pairs one bit for bit.
+In every potential the N = 1 motion is a harmonic orbit, which
+``integrate_affine`` gives in closed form.  ``point_to_polyline_distance``
+measures it against the ERE curve: one sorted sweep along phi bounds each
+point's nearest segment to a contiguous slice of the segments ordered by
+their lower end, over which the distance is the all-pairs one bit for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,10 +61,6 @@ __all__ = [
 COS_SINGULAR_TOL = 1e-6
 #: |p N / c1| below which the lapse counts as vanishing (no inaffinity).
 LAPSE_SINGULAR_TOL = 1e-10
-#: Relative and absolute error targets of ``integrate_affine``'s LSODA steps.
-#: At 1e-11 and 1e-12 LSODA's 2D first-integral drift reached 1.3e-10 to
-#: 4.8e-10 on the affine benchmark's intervals; here it stays below 5e-12.
-AFFINE_RTOL, AFFINE_ATOL = 1e-13, 1e-14
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,8 @@ class GeometricPotential:
         """dV/dphi = 2 A s tan(u) sec^2(u), given tan(u) and cos(u) of the argument.
 
         The one statement of the derivative: ``gradient`` passes arrays,
-        ``integrate_affine``'s right-hand side Python floats.  cos^2 is a
-        product, as NumPy squares arrays, so both give the same bits.
+        the LSODA right-hand side of the tests' oracle Python floats.  cos^2
+        is a product, as NumPy squares arrays, so both give the same bits.
         """
         return 2.0 * self.amplitude * self.scale * tan_u * (1.0 / (cos_u * cos_u))
 
@@ -415,7 +408,7 @@ def overdetermination_2d(
 
 @dataclass(frozen=True)
 class AffineCurve:
-    """A curve integrated in the affine parameterization (N = 1, kappa = 0)."""
+    """A curve in the affine parameterization (N = 1, kappa = 0)."""
 
     tau: np.ndarray
     phi: np.ndarray
@@ -442,20 +435,17 @@ def integrate_affine(
     tau_span: float,
     n_samples: int = 1000,
 ) -> AffineCurve:
-    """Integrate x''_a = -dV/dx_a from (phi, theta, phi', theta') over tau.
+    """The motion x''_a = -dV/dx_a from (phi, theta, phi', theta'), in closed form.
 
-    The inverse-metric factor is folded into the potential term exactly as in
-    ``eom_residual`` with N = 1, so an integrated curve initialized on a
-    closed-form trajectory stays on it.  One ``odeint`` call (LSODA, Petzold
-    1983) takes every step and interpolates every output sample in compiled
-    code, so the only Python per step is the right-hand side.
-    ``tau_span`` must be finite and nonzero (it may be negative) and
-    ``n_samples`` at least 1; the samples are ``np.linspace(0, tau_span,
-    n_samples)``.  If the integrator fails (typically by running into a
-    potential singularity) the curve is cut before the first sample it did
-    not reach, and the diagnostic names the tau it reached, the potential
-    argument u at its last right-hand-side evaluation, the latest state it
-    tried, and the cause; no warning is raised.
+    The inverse-metric factor is folded in as in ``eom_residual`` with N = 1.
+    With V = A tan^2(u), u = s (phi + eps theta) + chi, v = phi - eps theta
+    moves freely and w = sin u obeys w'' = -Omega^2 w, Omega^2 = u'^2 + 4 A s^2
+    / cos^2(u) = 2K + 4 A s^2 (K conserved).  u stays between the walls cos u
+    = 0 around u0, so u - u0 = sign(cos u0) (arcsin w - arcsin w0) and u' =
+    w' / cos u.  ``tau_span`` must be finite and nonzero and ``n_samples`` at
+    least 1; the samples are ``np.linspace(0, tau_span, n_samples)``.  For
+    A < 0 the curve is cut before the tau at which |w| reaches 1
+    (``_wall_time``), which the diagnostic names; for A > 0 |w| stays below 1.
     """
     if not (math.isfinite(tau_span) and tau_span != 0.0):
         raise ValueError(f"tau_span must be finite and nonzero, got {tau_span!r}")
@@ -464,67 +454,51 @@ def integrate_affine(
     phi0, theta0, dphi0, dtheta0 = (float(v) for v in init)
     if bool(np.asarray(potential.singular_mask(phi0, theta0))):
         raise ValueError("initial point sits on a potential singularity")
-    from scipy.integrate import ODEintWarning, odeint
-
+    amp, eps, s = potential.amplitude, potential.epsilon, potential.scale
+    u0 = potential.argument(phi0, theta0)
+    du0, cos0 = s * (dphi0 + eps * dtheta0), math.cos(u0)
+    w0, dw0, side = math.sin(u0), cos0 * du0, math.copysign(1.0, cos0)
+    omega2 = du0 * du0 + 4.0 * amp * s * s / (cos0 * cos0)
     tau = np.linspace(0.0, tau_span, n_samples)
-    last_u = [math.nan]
-    with warnings.catch_warnings():
-        # A failure is read from ``tcur`` and the message, not the warning.
-        warnings.simplefilter("ignore", ODEintWarning)
-        y, info = odeint(
-            _affine_rhs(potential, last_u),
-            [phi0, theta0, dphi0, dtheta0],
-            tau,
-            rtol=AFFINE_RTOL,
-            atol=AFFINE_ATOL,
-            full_output=True,
-            tfirst=True,
-        )
-    # ``tcur`` of a failed interval is the tau reached; the rows of y from it
-    # on, and tcur after it, hold uninitialised memory: keep the samples
-    # before the first output time not reached.
-    short = ~(np.sign(tau_span) * info["tcur"] >= np.sign(tau_span) * tau[1:])
-    truncated = bool(short.any())
     diagnostic = ""
-    if truncated:
-        failed = int(np.argmax(short))
-        tau, y = tau[: failed + 1], y[: failed + 1]
-        # scipy appends a guess at a Jacobian fault; none is passed here.
-        cause = info["message"].partition(" (perhaps")[0]
-        diagnostic = (
-            f"integrator stopped at tau = {float(info['tcur'][failed])!r} of {tau_span!r}, "
-            f"where the potential argument was last u = {last_u[0]!r}: {cause}"
-        )
-    phi, theta, dphi, dtheta = y.T
+    if amp < 0.0:
+        sign = math.copysign(1.0, tau_span)
+        wall = sign * _wall_time(w0, sign * dw0, omega2)
+        if sign * tau_span >= sign * wall:
+            tau = tau[sign * tau < sign * wall]
+            diagnostic = f"the motion meets the wall |sin u| = 1 at tau = {wall!r} of {tau_span!r}"
+    # w = w0 C + w0' S and w' = w0' C - Omega^2 w0 S, where S' = C and C' = -Omega^2 S.
+    q = math.sqrt(abs(omega2))
+    if omega2 < 0.0:
+        c, sn = np.cosh(q * tau), np.sinh(q * tau) / q
+    else:  # S = tau at Omega^2 = 0
+        c, sn = np.cos(q * tau), np.sin(q * tau) / q if q else tau
+    w = np.clip(w0 * c + dw0 * sn, -1.0, 1.0)  # rounding only: |w| < 1 inside the walls
+    du = side * (np.arcsin(w) - math.asin(w0)) / s
+    u_rate = (dw0 * c - omega2 * w0 * sn) / (side * np.sqrt((1.0 - w) * (1.0 + w)))
+    ddu, dv = (u_rate - u_rate[0]) / (2.0 * s), (dphi0 - eps * dtheta0) * tau
     return AffineCurve(
-        tau=tau,
-        phi=phi,
-        theta=theta,
-        dphi=dphi,
-        dtheta=dtheta,
-        truncated=truncated,
-        diagnostic=diagnostic,
+        tau, phi0 + 0.5 * (du + dv), theta0 + eps * 0.5 * (du - dv),
+        dphi0 + ddu, dtheta0 + eps * ddu, bool(diagnostic), diagnostic,
     )
 
 
-def _affine_rhs(potential: GeometricPotential, last_u: list):
-    """``integrate_affine``'s right-hand side (phi', theta', -dV/dphi, -dV/dtheta).
-
-    The potential depends on phi and theta only through its argument u, and
-    dV/dtheta = epsilon dV/dphi, so one ``_slope`` on Python floats gives
-    both forces, bit for bit those of ``gradient``.  tan and cos stay NumPy's:
-    ``math.tan`` differs from them in the last bit on some arguments.  Each
-    call leaves its u in ``last_u[0]``, for the diagnostic of a failure.
+def _wall_time(w0: float, dw0: float, omega2: float) -> float:
+    """The first t > 0 at which |w| = 1, for w'' = -omega2 w from |w0| < 1 and
+    w' = dw0, or inf.  w reaches first the wall sigma = +/-1 it moves towards
+    (for omega2 < 0, that of its growing exponential), where a quadratic in
+    h = tan(q t/2)/q, q = sqrt|omega2| (tanh for omega2 < 0, t/2 for 0), has
+    its least positive root h below; q h >= 1 means no wall (omega2 < 0).
     """
-    eps = potential.epsilon
-
-    def rhs(_tau, y):
-        phi, theta, dphi, dtheta = y.tolist()
-        u = last_u[0] = potential.argument(phi, theta)
-        g_phi = potential._slope(float(np.tan(u)), float(np.cos(u)))
-        return [dphi, dtheta, -g_phi, -eps * g_phi]
-
-    return rhs
+    q = math.sqrt(abs(omega2))
+    sigma = math.copysign(1.0, dw0 + (q * w0 if omega2 < 0.0 else 0.0))
+    a, c = sigma * w0, sigma * dw0
+    h = (1.0 - a) / (c + math.sqrt(c * c - omega2 * (1.0 - a * a)))
+    if omega2 > 0.0:
+        return 2.0 * math.atan(q * h) / q
+    if omega2 == 0.0:
+        return 2.0 * h
+    return 2.0 * math.atanh(q * h) / q if q * h < 1.0 else math.inf
 
 
 def affine_parameter_span(

@@ -5,13 +5,16 @@ The phases, their momentum derivatives, the lapse, the tangent margins and
 the amplitude poles come at 50 digits from the effective-range expansion
 itself, not from the library's (S, C) pairs, and every such function returns
 Python floats or complex numbers.  The symbolic pair behind the
-inversion-map certificates and the float references of the quadrant
-labeller, the polyline distance and the CSV writers are here too.
+inversion-map certificates, the certificate of the harmonic affine orbit and
+its 50-digit wall time, the LSODA integration of the affine motion, and the
+float references of the quadrant labeller, the polyline distance and the CSV
+writers are here too.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +106,142 @@ def symbolic_pair(dimension: int, a, r, p) -> tuple:
     if dimension == 2:
         return sympy.Integer(1), -2 / sympy.pi * sympy.log(a * p)
     return -a * p, 1 - a * r * p**2 / 2
+
+
+#: Relative and absolute error targets of ``affine_lsoda``'s steps.  At 1e-11
+#: and 1e-12 LSODA's 2D first-integral drift reached 1.3e-10 to 4.8e-10 on the
+#: affine benchmark's intervals; here it stays below 5e-12.
+AFFINE_RTOL, AFFINE_ATOL = 1e-13, 1e-14
+
+
+def affine_lsoda(potential, init, tau):
+    """Reference for ``geometry.integrate_affine``: x''_a = -dV/dx_a from
+    (phi, theta, phi', theta') integrated numerically at the samples ``tau``
+    (from 0, monotonic) by one scipy ``odeint`` call (LSODA, Petzold 1983).
+
+    Returns a ``geometry.AffineCurve``.  If the integrator fails (typically by
+    running into a potential singularity) the curve is cut before the first
+    sample it did not reach, and the diagnostic names the tau it reached, the
+    potential argument u at its last right-hand-side evaluation and the
+    cause; no warning is raised.
+    """
+    from scipy.integrate import ODEintWarning, odeint
+
+    from torus_scatter import geometry
+
+    tau = np.asarray(tau, dtype=float)
+    last_u = [math.nan]
+    with warnings.catch_warnings():
+        # A failure is read from ``tcur`` and the message, not the warning.
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(
+            affine_rhs(potential, last_u),
+            [float(v) for v in init],
+            tau,
+            rtol=AFFINE_RTOL,
+            atol=AFFINE_ATOL,
+            full_output=True,
+            tfirst=True,
+        )
+    # ``tcur`` of a failed interval is the tau reached; the rows of y from it
+    # on, and tcur after it, hold uninitialised memory, which may read as a
+    # NaN: keep the samples before the first output time not reached.
+    span = float(tau[-1])
+    with np.errstate(invalid="ignore"):
+        short = ~(np.sign(span) * info["tcur"] >= np.sign(span) * tau[1:])
+    truncated = bool(short.any())
+    diagnostic = ""
+    if truncated:
+        failed = int(np.argmax(short))
+        tau, y = tau[: failed + 1], y[: failed + 1]
+        # scipy appends a guess at a Jacobian fault; none is passed here.
+        cause = info["message"].partition(" (perhaps")[0]
+        diagnostic = (
+            f"integrator stopped at tau = {float(info['tcur'][failed])!r} of {span!r}, "
+            f"where the potential argument was last u = {last_u[0]!r}: {cause}"
+        )
+    phi, theta, dphi, dtheta = y.T
+    return geometry.AffineCurve(tau, phi, theta, dphi, dtheta, truncated, diagnostic)
+
+
+def affine_rhs(potential, last_u: list):
+    """``affine_lsoda``'s right-hand side (phi', theta', -dV/dphi, -dV/dtheta).
+
+    The potential depends on phi and theta only through its argument u, and
+    dV/dtheta = epsilon dV/dphi, so one ``_slope`` on Python floats gives
+    both forces, bit for bit those of ``gradient``.  tan and cos stay NumPy's:
+    ``math.tan`` differs from them in the last bit on some arguments.  Each
+    call leaves its u in ``last_u[0]``, for the diagnostic of a failure.
+    """
+    eps = potential.epsilon
+
+    def rhs(_tau, y):
+        phi, theta, dphi, dtheta = y.tolist()
+        u = last_u[0] = potential.argument(phi, theta)
+        g_phi = potential._slope(float(np.tan(u)), float(np.cos(u)))
+        return [dphi, dtheta, -g_phi, -eps * g_phi]
+
+    return rhs
+
+
+def harmonic_orbit_residuals(scale, epsilon, chi) -> list:
+    """Certificate of the closed-form affine motion: three expressions that
+    ``sympy`` simplifies to 0 for V = A tan^2(u), u = scale (phi + epsilon
+    theta) + chi, with A a nonzero real symbol.
+
+    d/dtau along x'' = -grad V is the derivation phi' d/dphi + theta' d/dtheta
+    - V_phi d/dphi' - V_theta d/dtheta', so an identity in (phi, theta, phi',
+    theta') holds on every solution.  The expressions are v'' with v = phi -
+    epsilon theta, K' with K = u'^2/2 + 2 A scale^2 tan^2(u), and (sin u)'' +
+    (2K + 4 A scale^2) sin u.
+    """
+    phi, theta, dphi, dtheta = sympy.symbols("phi theta phi_dot theta_dot", real=True)
+    amp = sympy.Symbol("A", real=True, nonzero=True)
+    u = scale * (phi + epsilon * theta) + chi
+    potential = amp * sympy.tan(u) ** 2
+    force = (-sympy.diff(potential, phi), -sympy.diff(potential, theta))
+
+    def rate(f):
+        return (
+            sympy.diff(f, phi) * dphi + sympy.diff(f, theta) * dtheta
+            + sympy.diff(f, dphi) * force[0] + sympy.diff(f, dtheta) * force[1]
+        )
+
+    k = (scale * (dphi + epsilon * dtheta)) ** 2 / 2 + 2 * amp * scale**2 * sympy.tan(u) ** 2
+    w = sympy.sin(u)
+    return [
+        sympy.simplify(e)
+        for e in (
+            rate(rate(phi - epsilon * theta)),
+            rate(k),
+            rate(rate(w)) + (2 * k + 4 * amp * scale**2) * w,
+        )
+    ]
+
+
+def affine_wall_time(potential, init, tau_span) -> float | None:
+    """The first tau between 0 and ``tau_span`` at which |sin u| = 1 on the
+    affine motion from ``init``, or None: a root at the working precision of
+    sin u(tau) = w0 cos(Omega tau) + (w0'/Omega) sin(Omega tau), the harmonic
+    orbit that ``harmonic_orbit_residuals`` certifies, with Omega^2 = 2K + 4 A
+    s^2 from the start.  The first sample of a scan of 4000 at which |sin u|
+    reaches 1 brackets the root for bisection."""
+    with mp.workdps(DPS):
+        phi0, theta0, dphi0, dtheta0 = (mp.mpf(x) for x in init)
+        s, amp = mp.mpf(potential.scale), mp.mpf(potential.amplitude)
+        u0 = s * (phi0 + potential.epsilon * theta0) + mp.mpf(potential.chi)
+        du0 = s * (dphi0 + potential.epsilon * dtheta0)
+        omega = mp.sqrt(mp.mpc(du0**2 + 4 * amp * s**2 / mp.cos(u0) ** 2))
+        w0, dw0 = mp.sin(u0), mp.cos(u0) * du0
+
+        def gap(tau):
+            return 1 - abs(mp.re(w0 * mp.cos(omega * tau) + dw0 * mp.sin(omega * tau) / omega))
+
+        scan = [mp.mpf(tau_span) * k / 4000 for k in range(4001)]
+        for lo, hi in zip(scan, scan[1:]):
+            if gap(hi) <= 0:
+                return float(mp.findroot(gap, (lo, hi), solver="bisect"))
+    return None
 
 
 def polyline_distance_all_pairs(points, polyline):

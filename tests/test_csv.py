@@ -144,21 +144,78 @@ def test_unwritable_out_exits_2_before_forking(command, tmp_path, capsys, monkey
     assert not out.parent.exists()
 
 
+def _assert_out_as_it_was(tmp_path, out, old: bytes | None) -> None:
+    """``out`` holds ``old``, or is absent when None, and no other file than
+    it and the config is left in its directory."""
+    if old is None:
+        assert os.listdir(tmp_path) == ["cfg.json"]
+    else:
+        assert out.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", out.name]
+
+
 @pytest.mark.parametrize("command", ["traj", "ep"])
 def test_failing_child_exits_2_and_leaves_no_child(command, tmp_path, capsys, monkeypatch):
     """Only the children call ``os.write``; one that raises makes its child
-    exit 1, which the parent reports as an i/o error after reaping every child."""
+    exit 1, which the parent reports as an i/o error after reaping every child.
+    A new ``--out`` is not created, and an existing one keeps its bytes."""
     _set_cpus(monkeypatch, 4)
 
     def failing_write(fd, data):
         raise OSError("no space left")
 
     tempfile.gettempdir()  # its first call probes the directory with os.write
-    monkeypatch.setattr(os, "write", failing_write)
+    config = _striped_config(tmp_path)
     out = tmp_path / "out.csv"
-    assert cli.main([command, "--config", _striped_config(tmp_path), "--out", str(out)]) == 2
-    _assert_no_child_left()
-    _assert_one_json_error(capsys, "i/o error: CSV stripe writer exited with status 1")
+    for old in (None, b"an earlier result\n"):
+        if old is not None:
+            out.write_bytes(old)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", failing_write)
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        _assert_no_child_left()
+        _assert_one_json_error(capsys, "i/o error: CSV stripe writer exited with status 1")
+        _assert_out_as_it_was(tmp_path, out, old)
+
+
+@pytest.mark.parametrize("old", [None, b"an earlier result\n"], ids=["new", "existing"])
+def test_failing_single_writer_leaves_out_as_it_was(old, tmp_path, capsys, monkeypatch):
+    """With one stripe, a failure after the header is written leaves a new
+    ``--out`` absent and an existing one as it was."""
+    _set_cpus(monkeypatch, 1)
+
+    def failing_blocks(header, *args, **kwargs):
+        yield header + "\n"
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "_csv_blocks", failing_blocks)
+    out = tmp_path / "out.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert cli.main(["traj", "--config", _striped_config(tmp_path), "--out", str(out)]) == 2
+    _assert_one_json_error(capsys, "i/o error: no space left")
+    _assert_out_as_it_was(tmp_path, out, old)
+
+
+def test_out_keeps_its_permissions_and_symlinks(tmp_path):
+    """A replaced ``--out`` keeps its permission bits; a symlink stays a link
+    and its target gets the output; a new file gets open()'s mode."""
+    config = _striped_config(tmp_path)
+    want = traj_csv_oracle(RunConfig.load(config)).encode()
+    new = tmp_path / "new.csv"
+    assert cli.main(["traj", "--config", config, "--out", str(new)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert new.read_bytes() == want and new.stat().st_mode & 0o777 == 0o666 & ~umask
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main(["traj", "--config", config, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == want
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.csv", "new.csv", "target.csv"]
 
 
 def test_children_write_nothing_to_stdout_or_stderr(tmp_path, capfd, monkeypatch):
