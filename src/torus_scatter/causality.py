@@ -196,18 +196,27 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
     p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda), p_- computed free of
     cancellation as 2/(|a|(1 + sqrt(1-4 lambda))).  Lambda = 1/4 means 0.25
     exactly.  Where 4 lambda overflows, the 1 is below its rounding, and
-    sqrt(4 lambda - 1) is formed as 2 sqrt(lambda).  Non-finite inputs or
-    poles, or an r = 2 a lambda that overflows, raise a ValueError.
+    sqrt(4 lambda - 1) is formed as 2 sqrt(lambda).  Where r = 2 a lambda
+    overflows (so lambda > 1/4), the pair is formed with lambda divided in
+    last: p_R = (sqrt(4 lambda - 1)/(2|a|))/lambda, p_I = (1/(2|a|))/lambda.
+    A p_I that underflows to 0 there, which would put the pair on the real
+    axis, raises a ValueError by name, as do non-finite inputs or poles.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if a >= 0.0:
         raise ValueError("closed-form poles apply to the causal row (a<0)")
     r = 2.0 * a * lam
-    if math.isinf(r) and math.isfinite(a) and math.isfinite(lam):
-        raise ValueError(f"r = 2 a lambda overflows for a = {a!r}, lambda = {lam!r}")
     q = 4.0 * lam - 1.0
     root = math.sqrt(abs(q)) if math.isfinite(q) else 2.0 * math.sqrt(lam)
+    if math.isinf(r) and math.isfinite(a) and math.isfinite(lam):
+        p_r, p_i = (0.5 * root / -a) / lam, (0.5 / a) / lam
+        if p_i == 0.0:
+            raise ValueError(
+                f"the poles' imaginary part underflows to 0 for a = {a!r}, lambda = {lam!r}"
+            )
+        poles = ((complex(p_r, p_i), 1), (complex(-p_r, p_i), 1))
+        return _finite_pole_set(poles, "resonance_pair", a, "lambda", lam)
     return _pole_set(a, r, q, root, "lambda", lam)
 
 

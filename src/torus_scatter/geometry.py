@@ -16,9 +16,12 @@ k c1 (phi' - eps theta'), so the affine span is exact from the
 continuous-branch phases at its ends (``affine_parameter_span``).
 In every potential the N = 1 motion is a harmonic orbit, which
 ``integrate_affine`` gives in closed form.  ``point_to_polyline_distance``
-measures it against the ERE curve: one sorted sweep along phi bounds each
-point's nearest segment to a contiguous slice of the segments ordered by
-their lower end, over which the distance is the all-pairs one bit for bit.
+measures it against the ERE curve in one windowed pass along phi: with the
+segments ordered by their lower end, a running maximum of their upper ends
+bounds each point's nearest segment to a contiguous slice.  Three segments
+at the point's place in that order give the distance where the slice lies
+among them; the other points evaluate their slice.  Either way the
+distance is the all-pairs one bit for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
@@ -527,18 +530,25 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     (n,) distances to the nearest segment, bit for bit those of evaluating
     every (point, segment) pair.
 
-    One sorted sweep along phi.  A point's distance to the three segments at
-    its place in the order of their lower ends in phi bounds its distance by
-    d_u, inflated by 1e-12 of (d_u + |point| + w), w the widest phi extent of
-    a segment, and by 1e-150, far more than any rounding or underflow of a
-    square.  The segment of least computed distance then meets
-    [phi - d_u, phi + d_u], so its lower end lies in [phi - d_u - w,
-    phi + d_u]: one contiguous slice of that order.  Each pair in the slice
-    is evaluated with the all-pairs arithmetic (clipped projection, then the
-    sum of squares), so the slice's minimum is the all-pairs one.  A point
-    for which a pair could overflow (its largest |coordinate| plus 3 times
-    the polyline's at least 1e150, or not finite) takes every segment.  Pairs
-    are evaluated at most 128 (m - 1) at a time.
+    One windowed pass along phi.  The segments are ordered by their lower
+    end in phi; in that order, a running maximum of their upper ends bounds
+    every segment before a place from above.  Each point's distance to a
+    window of three consecutive segments around its place in that order
+    (the last one whose lower end is below phi, and one on each side) bounds
+    its distance by d_u.  Inflated by 1e-12 of (d_u + |point| + w), w the
+    widest phi extent of a segment, and by 1e-150, far more than any
+    rounding or underflow of a square, that bound is the reach r.  The
+    segment of least computed distance then meets [phi - r, phi + r]: it is
+    in the slice of that order from the first segment whose running maximum
+    reaches phi - r to the last whose lower end is at most phi + r.  This
+    holds whatever the polyline's shape.  Where the slice lies inside the
+    window, the window's minimum is the distance; the other points evaluate
+    their slice.  Every pair is evaluated with the all-pairs arithmetic
+    (clipped projection, then the sum of squares), so either minimum is the
+    all-pairs one.  A point for which a pair could overflow (its largest
+    |coordinate| plus 3 times the polyline's at least 1e150, or not finite)
+    takes every segment.  Slice pairs are evaluated at most 128 (m - 1) at
+    a time.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
@@ -554,6 +564,8 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     # Rows: the segments' starts, steps and squared lengths.
     seg = np.vstack([ys[:, :-1], v, np.maximum(v[0] * v[0] + v[1] * v[1], 1e-300)])
     size = np.maximum(np.abs(xs[0]), np.abs(xs[1]))
+    d2 = np.empty(n_pts)
+    done = np.zeros(n_pts, dtype=bool)
     start, stop = np.zeros(n_pts, dtype=np.intp), np.full(n_pts, n_seg)
     # Below this bound no intermediate of a pair overflows, so no distance is
     # inf or NaN; the other points take every segment.
@@ -563,24 +575,36 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
         lower = np.minimum(ys[0, :-1], ys[0, 1:])
         order = np.argsort(lower, kind="stable")
         lower, seg = lower[order], np.take(seg, order, axis=1)
-        near = np.clip(np.searchsorted(lower, xs[0]) + np.arange(-1, 2)[:, None], 0, n_seg - 1)
+        upper = np.maximum.accumulate(np.maximum(ys[0, :-1], ys[0, 1:])[order])
+        k = min(3, n_seg)
+        w_lo = np.clip(np.searchsorted(lower, xs[0]) - 2, 0, n_seg - k)
+        window = np.take(seg, w_lo + np.arange(k)[:, None], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # only where not swept
-            d_u = np.sqrt(_pair_d2(xs[0], xs[1], np.take(seg, near, axis=1)).min(axis=0))
+            near = _pair_d2(xs[0], xs[1], window).min(axis=0)
+            d_u = np.sqrt(near)
             reach = d_u + 1e-12 * (d_u + size + width) + 1e-150
-            start = np.where(swept, np.searchsorted(lower, xs[0] - reach - width), 0)
-            stop = np.where(swept, np.searchsorted(lower, xs[0] + reach, side="right"), n_seg)
-    counts = stop - start
+            lo, hi = xs[0] - reach, xs[0] + reach
+        # The slice starts at or after the window when every segment before
+        # it ends below lo, and stops within it when the next one starts
+        # above hi.
+        inside = (np.append(-np.inf, upper)[w_lo] < lo) & (np.append(lower, np.inf)[w_lo + k] > hi)
+        done = swept & inside
+        d2[done] = near[done]
+        wide = swept & ~inside
+        start[wide] = np.searchsorted(upper, lo[wide])
+        stop[wide] = np.searchsorted(lower, hi[wide], side="right")
+    rest = np.flatnonzero(~done)
+    counts = stop[rest] - start[rest]
     ends = np.cumsum(counts)
     begin = ends - counts
-    d2 = np.empty(n_pts)
     first = 0
-    while first < n_pts:
+    while first < rest.size:
         last = int(np.searchsorted(ends, begin[first] + 128 * n_seg, side="right"))
-        block = slice(first, last)
-        offsets = begin[block] - begin[first]
+        block = rest[first:last]
+        offsets = begin[first:last] - begin[first]
         s = np.arange(ends[last - 1] - begin[first])
-        s += np.repeat(start[block] - offsets, counts[block])
-        x0, x1 = np.repeat(xs[:, block], counts[block], axis=1)
+        s += np.repeat(start[block] - offsets, counts[first:last])
+        x0, x1 = np.repeat(xs[:, block], counts[first:last], axis=1)
         d2[block] = np.minimum.reduceat(_pair_d2(x0, x1, np.take(seg, s, axis=1)), offsets)
         first = last
     return np.sqrt(d2)

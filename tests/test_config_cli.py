@@ -678,12 +678,27 @@ def test_poles_cli_json(tmp_path, capsys):
         (["--a", "-1", "--r", "nan"], "r"),
         (["--a", "1", "--r", "1e-320"], "r"),
         (["--a", "-1", "--lam", "1e-320"], "lambda"),
-        (["--a", "-1", "--lam", "1e308"], "lambda"),  # r = 2 a lambda overflows
+        # a = -1e20 (as digits, which argparse takes for a number): p_I = 5e-329 underflows to 0
+        (["--a", "-100000000000000000000", "--lam", "1e308"], "lambda"),
     ],
 )
 def test_poles_cli_rejects_non_finite_inputs_and_poles(capsys, argv, second):
     message = refused(capsys, ["poles", *argv])
     assert f"a = {float(argv[1])!r}" in message and f"{second} = {float(argv[3])!r}" in message
+
+
+@pytest.mark.parametrize("a, lam", [(-1.0, 1e308), (-1e10, 1e300)])
+def test_poles_where_r_overflows_are_reported(capsys, a, lam):
+    """r = 2 a lambda overflows, but the pair +/- p_R - i p_I is finite, p_I
+    subnormal: ``poles --lam`` gives the 50-digit roots."""
+    assert cli.main(["poles", f"--a={a!r}", f"--lam={lam!r}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "resonance_pair" and report["lower_half"] is True
+    got = sorted((complex(p["re"], p["im"]) for p in report["poles"]), key=lambda z: z.real)
+    for pole, want in zip(got, sorted(oracles.pole_roots(a, lam=lam), key=lambda z: z.real),
+                          strict=True):
+        assert math.isclose(pole.real, want.real, rel_tol=1e-15), (pole, want)
+        assert math.isclose(pole.imag, want.imag, rel_tol=1e-15, abs_tol=1e-323), (pole, want)
 
 
 def test_ep_command(tmp_path):

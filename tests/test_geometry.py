@@ -856,6 +856,29 @@ def _polyline_cases(rng):
     fan = np.vstack([[0.0, 0.0], fan])
     edge = np.column_stack([-np.arange(1.0, 6.0), np.zeros(5)])
     yield np.vstack([edge, -edge, [[-3.0, 4.0], [-0.5, 0.0]]]), fan
+    # An early segment in the order of lower ends whose upper end lies past
+    # every later lower end, with points beside that far end: only the
+    # running maximum of upper ends keeps it in their slices.
+    walk = np.column_stack([np.linspace(1.0, 5.0, 40), 3.0 + _random_walk(rng, 40, 0.1)[:, 1]])
+    poly = np.vstack([[0.0, 0.0], [10.0, 0.0], walk])
+    beside = np.column_stack([rng.uniform(8.0, 11.0, 30), rng.uniform(-0.5, 0.5, 30)])
+    yield np.vstack([beside, [[10.0, 0.0], [10.0, 1e-9], [6.0, 1.5]]]), poly
+    # A phase curve on a log grid whose segment widths in phi span four
+    # decades, against points 1e-7 off a finer sampling of it: the shape
+    # of the affine reconstruction.
+    def phases(p):
+        return np.column_stack([np.arctan(2.0 * p), np.arctan(0.3 * p)])
+
+    poly = phases(np.geomspace(1e-4, 1.0, 1600))
+    yield phases(np.geomspace(1e-4, 1.0, 1200)) + rng.normal(scale=1e-7, size=(1200, 2)), poly
+    # Points left and right of every segment, and beyond both ends, at two
+    # and three vertices in both directions: windows clipped at both ends.
+    for poly in (np.array([[0.0, 0.0], [1.0, 0.5]]),
+                 np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])):
+        phi = np.concatenate([[-1.0, -1e-9, 0.0], poly[:, 0] + 0.5, poly[-1, 0] + [1e-9, 1.0]])
+        off = np.column_stack([np.repeat(phi, 3), np.tile([-0.3, 0.0, 0.3], phi.size)])
+        yield np.vstack([off, rng.uniform(-1.0, 3.0, size=(20, 2))]), poly
+        yield off, poly[::-1]
     # Signed zeros in both arguments.
     signed = np.array([[0.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
     yield np.vstack([signed, -signed, [[-1.0, -0.0], [0.5, -0.0]]]), signed
@@ -898,11 +921,16 @@ def test_point_to_polyline_distance_matches_all_pairs_bitwise(rng):
     m=st.integers(2, 80),
     n=st.integers(1, 80),
     step=st.sampled_from([1e-170, 1e-3, 1.0, 1e3]),
+    phi_sorted=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_point_to_polyline_distance_random_walks_bitwise(seed, m, n, step):
+def test_point_to_polyline_distance_random_walks_bitwise(seed, m, n, step, phi_sorted):
+    """Random walks, and walks whose vertices are sorted by phi: a curve
+    monotone in phi, where the windows hold most slices."""
     rng = np.random.default_rng(seed)
     poly = _random_walk(rng, m, step)
+    if phi_sorted:
+        poly = poly[np.argsort(poly[:, 0], kind="stable")]
     lo, hi = poly.min(axis=0) - step, poly.max(axis=0) + step
     points = np.vstack([rng.uniform(lo, hi, size=(n, 2)), poly[rng.integers(0, m, n)]])
     got = geometry.point_to_polyline_distance(points, poly)
