@@ -41,6 +41,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -398,10 +399,21 @@ def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: A negative number as an argument, not an option: argparse's own pattern
+#: leaves out exponent notation such as -1e20, -2.5e-1 and -.5E+3.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise a ValueError with argparse's
     message, prefixed by the (sub)command, instead of printing usage and
-    exiting, so that ``main`` reports them as exit 2 with a JSON error."""
+    exiting, so that ``main`` reports them as exit 2 with a JSON error.  It
+    and its subparsers read a negative number in exponent notation after a
+    space (``--a -1e20``) as the option's value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

@@ -16,12 +16,13 @@ k c1 (phi' - eps theta'), so the affine span is exact from the
 continuous-branch phases at its ends (``affine_parameter_span``).
 In every potential the N = 1 motion is a harmonic orbit, which
 ``integrate_affine`` gives in closed form.  ``point_to_polyline_distance``
-measures it against the ERE curve in one windowed pass along phi: with the
-segments ordered by their lower end, a running maximum of their upper ends
-bounds each point's nearest segment to a contiguous slice.  Three segments
-at the point's place in that order give the distance where the slice lies
-among them; the other points evaluate their slice.  Either way the
-distance is the all-pairs one bit for bit.
+measures it against the ERE curve in one pass along phi: with the segments
+ordered by their lower end (as they are, or reversed, when phi runs one way
+along the curve), a running maximum of their upper ends bounds each point's
+nearest segment to a contiguous slice.  The last segment whose lower end is
+below the point's phi gives the distance where the slice is that segment
+alone; the other points evaluate their slice.  Either way the distance is
+the all-pairs one bit for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
 which stay regular where the lapse vanishes (the 2D inversion fixed point).
@@ -530,25 +531,28 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     (n,) distances to the nearest segment, bit for bit those of evaluating
     every (point, segment) pair.
 
-    One windowed pass along phi.  The segments are ordered by their lower
-    end in phi; in that order, a running maximum of their upper ends bounds
-    every segment before a place from above.  Each point's distance to a
-    window of three consecutive segments around its place in that order
-    (the last one whose lower end is below phi, and one on each side) bounds
-    its distance by d_u.  Inflated by 1e-12 of (d_u + |point| + w), w the
-    widest phi extent of a segment, and by 1e-150, far more than any
-    rounding or underflow of a square, that bound is the reach r.  The
-    segment of least computed distance then meets [phi - r, phi + r]: it is
-    in the slice of that order from the first segment whose running maximum
-    reaches phi - r to the last whose lower end is at most phi + r.  This
-    holds whatever the polyline's shape.  Where the slice lies inside the
-    window, the window's minimum is the distance; the other points evaluate
-    their slice.  Every pair is evaluated with the all-pairs arithmetic
-    (clipped projection, then the sum of squares), so either minimum is the
-    all-pairs one.  A point for which a pair could overflow (its largest
-    |coordinate| plus 3 times the polyline's at least 1e150, or not finite)
-    takes every segment.  Slice pairs are evaluated at most 128 (m - 1) at
-    a time.
+    One pass along phi.  The segments are ordered by their lower end in
+    phi, by a stable sort; lower ends already ascending stay as they are and
+    strictly descending ones are reversed, which is what the sort would do.
+    In that order, a running maximum of their upper ends bounds every
+    segment before a place from above.  Each point's distance to one
+    segment, the last whose lower end is below its phi (the first if none
+    is), bounds its distance by d_u.  Inflated by 1e-12 of
+    (d_u + |point| + w), w the widest phi extent of a segment, and by
+    1e-150, far more than any rounding or underflow of a square, that bound
+    is the reach r.  The segment of least computed distance then meets
+    [phi - r, phi + r]: it is in the slice of that order from the first
+    segment whose running maximum reaches phi - r to the last whose lower
+    end is at most phi + r.  This holds whatever the polyline's shape.
+    Where every earlier segment ends below phi - r and the next one starts
+    above phi + r, the slice is that one segment and its distance is the
+    distance; the other points evaluate their slice, and when there are
+    none the pass ends there.  Every pair is evaluated with the all-pairs
+    arithmetic (clipped projection, then the sum of squares), so either
+    minimum is the all-pairs one.  A point for which a pair could overflow
+    (its largest |coordinate| plus 3 times the polyline's at least 1e150,
+    or not finite) takes every segment.  Slice pairs are evaluated at most
+    128 (m - 1) at a time.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
@@ -560,9 +564,11 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
         )
     xs, ys = points.T.copy(), polyline.T.copy()
     n_pts, n_seg = xs.shape[1], ys.shape[1] - 1
-    v = ys[:, 1:] - ys[:, :-1]
     # Rows: the segments' starts, steps and squared lengths.
-    seg = np.vstack([ys[:, :-1], v, np.maximum(v[0] * v[0] + v[1] * v[1], 1e-300)])
+    seg = np.empty((5, n_seg))
+    seg[:2] = ys[:, :-1]
+    v = np.subtract(ys[:, 1:], ys[:, :-1], out=seg[2:4])
+    np.maximum(v[0] * v[0] + v[1] * v[1], 1e-300, out=seg[4])
     size = np.maximum(np.abs(xs[0]), np.abs(xs[1]))
     d2 = np.empty(n_pts)
     done = np.zeros(n_pts, dtype=bool)
@@ -573,22 +579,30 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     if swept.any():
         width = np.abs(v[0]).max()
         lower = np.minimum(ys[0, :-1], ys[0, 1:])
-        order = np.argsort(lower, kind="stable")
-        lower, seg = lower[order], np.take(seg, order, axis=1)
-        upper = np.maximum.accumulate(np.maximum(ys[0, :-1], ys[0, 1:])[order])
-        k = min(3, n_seg)
-        w_lo = np.clip(np.searchsorted(lower, xs[0]) - 2, 0, n_seg - k)
-        window = np.take(seg, w_lo + np.arange(k)[:, None], axis=1)
+        upper = np.maximum(ys[0, :-1], ys[0, 1:])
+        # A stable sort leaves ascending lower ends as they are and reverses
+        # strictly descending ones.
+        if (lower[1:] >= lower[:-1]).all():
+            order = slice(None)
+        elif (lower[1:] < lower[:-1]).all():
+            order = slice(None, None, -1)
+        else:
+            order = np.argsort(lower, kind="stable")
+        lower, seg = lower[order], seg[:, order]
+        upper = np.maximum.accumulate(upper[order])
+        # The last segment whose lower end is below phi, or the first.
+        j = np.maximum(np.searchsorted(lower, xs[0]) - 1, 0)
         with np.errstate(over="ignore", invalid="ignore"):  # only where not swept
-            near = _pair_d2(xs[0], xs[1], window).min(axis=0)
+            near = _pair_d2(xs[0], xs[1], np.take(seg, j, axis=1))
             d_u = np.sqrt(near)
             reach = d_u + 1e-12 * (d_u + size + width) + 1e-150
             lo, hi = xs[0] - reach, xs[0] + reach
-        # The slice starts at or after the window when every segment before
-        # it ends below lo, and stops within it when the next one starts
-        # above hi.
-        inside = (np.append(-np.inf, upper)[w_lo] < lo) & (np.append(lower, np.inf)[w_lo + k] > hi)
+        # The slice is that one segment when every segment before it ends
+        # below lo and the next one starts above hi.
+        inside = (np.append(-np.inf, upper)[j] < lo) & (np.append(lower, np.inf)[j + 1] > hi)
         done = swept & inside
+        if done.all():
+            return d_u
         d2[done] = near[done]
         wide = swept & ~inside
         start[wide] = np.searchsorted(upper, lo[wide])

@@ -13,7 +13,7 @@ import pytest
 from torus_scatter import causality, cli, ere, geometry, spin, torus
 from torus_scatter.config import DEFAULT_TOLERANCES, MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
-from conftest import ROW_SIGNS, family_models, refused
+from conftest import ROW_SIGNS, family_models, refusal, refused
 import oracles
 
 
@@ -685,6 +685,39 @@ def test_poles_cli_json(tmp_path, capsys):
 def test_poles_cli_rejects_non_finite_inputs_and_poles(capsys, argv, second):
     message = refused(capsys, ["poles", *argv])
     assert f"a = {float(argv[1])!r}" in message and f"{second} = {float(argv[3])!r}" in message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--a", "-2.5e-1", "--lam", "0.5"],
+        ["--a", "-0.25", "--r", "-1e-3"],
+        ["--a", "-.5E+3", "--r", "-2E-1"],
+        ["--a", "-1.", "--lam", "-0.5e0"],
+    ],
+)
+def test_poles_read_negative_numbers_in_exponent_notation(capsys, argv):
+    """A negative number after a space is the option's value, whatever its
+    notation: the report is the one of the ``--a=`` form."""
+    spaced = cli.main(["poles", *argv]), capsys.readouterr()
+    joined = cli.main(["poles", f"{argv[0]}={argv[1]}", f"{argv[2]}={argv[3]}"]), capsys.readouterr()
+    assert spaced == joined
+    code, (out, err) = spaced
+    if code == 0:
+        assert err == "" and json.loads(out)["poles"]
+    else:
+        assert refusal(code, out, err) == "lambda must be positive"
+
+
+def test_poles_refuse_a_spaced_exponent_by_its_physics_not_its_usage(capsys):
+    """At a = -1e20, lambda = 1e308 p_I underflows to 0: refused by name, as
+    with ``--a=-1e20``, not as an option without its argument."""
+    message = refused(capsys, ["poles", "--a", "-1e20", "--lam", "1e308"])
+    assert "imaginary part underflows to 0" in message and "a = -1e+20" in message
+    # Something that only starts like a number is still an option.
+    assert refused(capsys, ["poles", "--a", "-e5", "--lam", "1"]) == (
+        "torus-scatter poles: argument --a: expected one argument"
+    )
 
 
 @pytest.mark.parametrize("a, lam", [(-1.0, 1e308), (-1e10, 1e300)])

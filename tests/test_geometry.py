@@ -670,15 +670,12 @@ def test_affine_reconstruction_of_each_closed_form_class(model, interval):
     energy = geometry.first_integral(pot, curve.phi, curve.theta, curve.dphi, curve.dtheta)
     assert np.max(np.abs(energy - e0)) < 1e-8
     ref = np.column_stack([phi, theta])
-    hausdorff = max(
-        geometry.point_to_polyline_distance(curve.points, ref).max(),
-        geometry.point_to_polyline_distance(ref, curve.points).max(),
-    )
-    oracle = max(
-        polyline_distance_all_pairs(curve.points, ref).max(),
-        polyline_distance_all_pairs(ref, curve.points).max(),
-    )
-    assert hausdorff == oracle and hausdorff < 1e-5
+    hausdorff = 0.0
+    for points, polyline in ((curve.points, ref), (ref, curve.points)):
+        dist = geometry.point_to_polyline_distance(points, polyline)
+        assert dist.tobytes() == polyline_distance_all_pairs(points, polyline).tobytes()
+        hausdorff = max(hausdorff, dist.max())
+    assert hausdorff < 1e-5
     assert abs(curve.phi[-1] - phi[-1]) < 1e-8 and abs(curve.theta[-1] - theta[-1]) < 1e-8
 
 
@@ -870,7 +867,17 @@ def _polyline_cases(rng):
         return np.column_stack([np.arctan(2.0 * p), np.arctan(0.3 * p)])
 
     poly = phases(np.geomspace(1e-4, 1.0, 1600))
-    yield phases(np.geomspace(1e-4, 1.0, 1200)) + rng.normal(scale=1e-7, size=(1200, 2)), poly
+    points = phases(np.geomspace(1e-4, 1.0, 1200)) + rng.normal(scale=1e-7, size=(1200, 2))
+    yield points, poly
+    # The same curve traversed backwards: its lower ends strictly descend,
+    # so they are reversed rather than sorted.
+    yield points[::-1], poly[::-1]
+    # Every fourth vertex, and points 1e-8 beside it: 1e-10 below its phi
+    # and off to the side of greater theta, or above it and off to the other
+    # side.  Each is nearer the neighbouring segment than the segment below
+    # its phi, which cannot settle it, so the slices are evaluated.
+    offsets = np.array([[-1e-10, 1e-8], [1e-10, -1e-8], [0.0, 0.0]])
+    yield (poly[::4, None, :] + offsets).reshape(-1, 2), poly
     # Points left and right of every segment, and beyond both ends, at two
     # and three vertices in both directions: windows clipped at both ends.
     for poly in (np.array([[0.0, 0.0], [1.0, 0.5]]),
@@ -879,6 +886,13 @@ def _polyline_cases(rng):
         off = np.column_stack([np.repeat(phi, 3), np.tile([-0.3, 0.0, 0.3], phi.size)])
         yield np.vstack([off, rng.uniform(-1.0, 3.0, size=(20, 2))]), poly
         yield off, poly[::-1]
+    # Lower ends ascending in runs of equal values, with signed zeros among
+    # them: no sort is needed, and points at phi = +-0 search among the zeros.
+    phi = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0])
+    theta = np.array([0.0, 0.0, 1.0, -0.0, 2.0, -1.0, -1.0, 0.5, 3.0, 0.0, -2.0, 0.0])
+    poly = np.column_stack([phi, theta])
+    zeros = np.column_stack([np.tile([0.0, -0.0], 8), np.linspace(-2.5, 3.5, 16)])
+    yield np.vstack([zeros, poly, poly + 1e-9, rng.uniform(-1.5, 2.5, size=(60, 2))]), poly
     # Signed zeros in both arguments.
     signed = np.array([[0.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
     yield np.vstack([signed, -signed, [[-1.0, -0.0], [0.5, -0.0]]]), signed
