@@ -12,7 +12,8 @@ Subcommands
             iff each check's max_deviation is below its tolerance, which the
             config's ``tolerances`` set (``config.Check``).  A suite applies
             unless a check of it raises ``config.NotApplicable``, whose
-            reason ``all`` lists under ``skipped``
+            reason ``all`` lists under ``skipped``.  The ``eom`` suite's one
+            check, in 2D as in 3D, is ``geometry.eom_residual``
 ``poles``   report the S-matrix pole set of one channel as JSON
 ``ep``      tabulate the closed-form entanglement power along the grid
 
@@ -308,12 +309,7 @@ def _suite_eom(cfg, traj, potential, image) -> list:
             "eom suite needs a closed-form potential (geometry.closed_form_potential); "
             "this model has none"
         )
-    checks = [geometry.eom_residual(traj, potential, tol=cfg.tolerance("eom_residual"))]
-    if traj.model.dimension == 2:
-        checks.append(
-            geometry.overdetermination_2d(traj, tol=cfg.tolerance("overdetermination"))
-        )
-    return checks
+    return [geometry.eom_residual(traj, potential, tol=cfg.tolerance("eom_residual"))]
 
 
 def _suite_wigner(cfg, traj, potential, image) -> list:

@@ -144,7 +144,6 @@ DEFAULT_TOLERANCES = {
     "density_map": 1e-10,
     "ep_invariance": 1e-12,
     "eom_residual": 1e-8,
-    "overdetermination": 1e-6,
     "tangent_audit": 1e-9,
     "pole_match": 1e-12,
 }

@@ -18,17 +18,16 @@ In every potential the N = 1 motion is a harmonic orbit, which
 ``integrate_affine`` gives in closed form.  ``point_to_polyline_distance``
 measures it against the ERE curve in one pass along phi: with the segments
 ordered by their lower end (as they are, or reversed, when phi runs one way
-along the curve), a running maximum of their upper ends bounds each point's
-nearest segment to a contiguous slice.  The last segment whose lower end is
-below the point's phi gives the distance where the slice is that segment
-alone; the other points evaluate their slice.  Either way the distance is
-the all-pairs one bit for bit.
+along the curve), the last segment whose lower end is below a point's phi
+gives its distance where a running maximum of upper ends shows that no
+other segment can be nearer; every other point takes every segment.  Either
+way the distance is the all-pairs one bit for bit.
 
 ``eom_residual`` checks the trajectory equations multiplied through by N,
-which stay regular where the lapse vanishes (the 2D inversion fixed point).
+which stay regular where the lapse vanishes (the 2D inversion fixed point);
+it is the one check of them, in 2D as in 3D, and returns a ``config.Check``.
 Momenta where the potential argument hits a tan singularity (|cos| < 1e-6)
-are excluded and reported.  It and ``overdetermination_2d`` return a
-``config.Check``.
+are excluded and reported.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "construction_lapse",
     "lapse_inaffinity",
     "eom_residual",
-    "overdetermination_2d",
     "integrate_affine",
     "affine_parameter_span",
     "first_integral",
@@ -105,19 +103,12 @@ class GeometricPotential:
         return (self.amplitude * t * t)[()]
 
     def gradient(self, phi, theta):
-        """(dV/dphi, dV/dtheta); the theta component is epsilon times the phi one."""
+        """(dV/dphi, dV/dtheta) with dV/dphi = 2 A s tan(u) sec^2(u); the theta
+        component is epsilon times the phi one."""
         u = self.argument(np.asarray(phi), np.asarray(theta))
-        g_phi = self._slope(np.tan(u), np.cos(u))
+        cos_u = np.cos(u)
+        g_phi = 2.0 * self.amplitude * self.scale * np.tan(u) * (1.0 / (cos_u * cos_u))
         return g_phi[()], (self.epsilon * g_phi)[()]
-
-    def _slope(self, tan_u, cos_u):
-        """dV/dphi = 2 A s tan(u) sec^2(u), given tan(u) and cos(u) of the argument.
-
-        The one statement of the derivative: ``gradient`` passes arrays,
-        the LSODA right-hand side of the tests' oracle Python floats.  cos^2
-        is a product, as NumPy squares arrays, so both give the same bits.
-        """
-        return 2.0 * self.amplitude * self.scale * tan_u * (1.0 / (cos_u * cos_u))
 
     def singular_mask(self, phi, theta):
         """True where tan(argument) blows up (|cos| below ``COS_SINGULAR_TOL``)."""
@@ -232,8 +223,7 @@ def _lapse_form(model: ere.TwoChannelModel) -> tuple[float, int, bool]:
 def lapse(traj: torus.Trajectory, c1: float = 1.0):
     """(N, dN/dp) of the model's lapse along its sampled trajectory, analytic in p.
 
-    * 2D: N = c1 (phi' - theta'), for which the pointwise-solved trajectory
-      equations close (``overdetermination_2d``);
+    * 2D: N = c1 (phi' - theta');
     * the lambda = 1/4 branch with r = +2 a lambda: N = sqrt(2) c1 (phi' - eps
       theta'), there equal to (2 sqrt(2) c1 / p)(sin(phi/2) - eps sin(theta/2));
     * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is
@@ -352,61 +342,6 @@ def eom_residual(
             "res_theta": res[1],
             "excluded": [(float(pp), "potential singularity") for pp in p[~keep]],
         },
-    )
-
-
-def overdetermination_2d(
-    traj: torus.Trajectory, tol: float = DEFAULT_TOLERANCES["overdetermination"]
-) -> Check:
-    """Solve the two 2D trajectory equations pointwise and check consistency.
-
-    Unknowns per grid point: the inaffinity kappa and the combination
-    W = N^2 * A (lapse squared times potential amplitude), with the potential
-    shape tan^2((phi+theta)/2 + pi/2) fixed at unit amplitude:
-
-        phi''   = kappa phi'   - W dU/dphi
-        theta'' = kappa theta' - W dU/dtheta,   U = tan^2((phi+theta)/2 + pi/2).
-
-    The overdetermination is consistent iff kappa equals (ln sqrt(W))', i.e.
-    iff W / (phi' - theta')^2 is constant along the curve.  The
-    ``overdetermination_2d`` check's deviation is the largest relative
-    spread of that ratio about its median, its extra the count of kept grid
-    points.  Points where the shape's gradient vanishes or blows up are
-    excluded; a grid with none left raises ValueError.  The detail holds the
-    kept ``p``, ``kappa`` and ``w`` there, and ``excluded``, the (p, reason)
-    of the rest.
-    """
-    model = traj.model
-    if model.dimension != 2:
-        raise ValueError("overdetermination check is for 2D models")
-    if model.singlet.a2 == model.triplet.a2:
-        raise ValueError("equal 2D scattering lengths: geodesic, nothing to solve")
-    p, dphi, dtheta, d2phi, d2theta = traj.p, traj.dphi, traj.dtheta, traj.d2phi, traj.d2theta
-
-    u = 0.5 * (traj.phi + traj.theta) + math.pi / 2
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    keep = (np.abs(cos_u) >= COS_SINGULAR_TOL) & (np.abs(sin_u) >= COS_SINGULAR_TOL)
-    excluded = [(float(pp), "shape gradient singular or zero") for pp in p[~keep]]
-
-    # Unit-amplitude shape gradient: dU/dphi = dU/dtheta = tan(u)/cos^2(u).
-    grad_u = np.tan(u) / (cos_u * cos_u)
-    # 2x2 solve: [phi', -grad; theta', -grad] [kappa, W]^T = [phi'', theta''].
-    det = -dphi * grad_u + dtheta * grad_u
-    kappa = np.where(keep, (-d2phi * grad_u + d2theta * grad_u) / np.where(keep, det, 1.0), np.nan)
-    w = np.where(keep, (dphi * d2theta - d2phi * dtheta) / np.where(keep, det, 1.0), np.nan)
-
-    dw = dphi - dtheta
-    ratio = (w / (dw * dw))[keep]
-    if ratio.size == 0:
-        raise ValueError(
-            f"overdetermination_2d: all {len(excluded)} grid points excluded "
-            "(shape gradient singular or zero)"
-        )
-    center = float(np.median(ratio))
-    dev = float(np.max(np.abs(ratio - center) / abs(center)))
-    return Check(
-        "overdetermination_2d", dev, tol, {"n_points": int(ratio.size)},
-        {"p": p[keep], "kappa": kappa[keep], "w": w[keep], "excluded": excluded},
     )
 
 
@@ -540,19 +475,15 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     is), bounds its distance by d_u.  Inflated by 1e-12 of
     (d_u + |point| + w), w the widest phi extent of a segment, and by
     1e-150, far more than any rounding or underflow of a square, that bound
-    is the reach r.  The segment of least computed distance then meets
-    [phi - r, phi + r]: it is in the slice of that order from the first
-    segment whose running maximum reaches phi - r to the last whose lower
-    end is at most phi + r.  This holds whatever the polyline's shape.
-    Where every earlier segment ends below phi - r and the next one starts
-    above phi + r, the slice is that one segment and its distance is the
-    distance; the other points evaluate their slice, and when there are
-    none the pass ends there.  Every pair is evaluated with the all-pairs
-    arithmetic (clipped projection, then the sum of squares), so either
-    minimum is the all-pairs one.  A point for which a pair could overflow
-    (its largest |coordinate| plus 3 times the polyline's at least 1e150,
-    or not finite) takes every segment.  Slice pairs are evaluated at most
-    128 (m - 1) at a time.
+    is the reach r: the segment of least computed distance meets
+    [phi - r, phi + r].  Where every earlier segment ends below phi - r and
+    the next one starts above phi + r, no other segment does, and d_u is the
+    distance; when that settles every point the pass ends there.  The other
+    points take every segment, as does a point for which a pair could
+    overflow (its largest |coordinate| plus 3 times the polyline's at least
+    1e150, or not finite), 128 points at a time.  Every pair is evaluated
+    with the all-pairs arithmetic (clipped projection, then the sum of
+    squares), so either minimum is the all-pairs one.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
@@ -572,7 +503,6 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
     size = np.maximum(np.abs(xs[0]), np.abs(xs[1]))
     d2 = np.empty(n_pts)
     done = np.zeros(n_pts, dtype=bool)
-    start, stop = np.zeros(n_pts, dtype=np.intp), np.full(n_pts, n_seg)
     # Below this bound no intermediate of a pair overflows, so no distance is
     # inf or NaN; the other points take every segment.
     swept = size + 3.0 * np.abs(ys).max() < 1e150
@@ -597,37 +527,23 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
             d_u = np.sqrt(near)
             reach = d_u + 1e-12 * (d_u + size + width) + 1e-150
             lo, hi = xs[0] - reach, xs[0] + reach
-        # The slice is that one segment when every segment before it ends
-        # below lo and the next one starts above hi.
-        inside = (np.append(-np.inf, upper)[j] < lo) & (np.append(lower, np.inf)[j + 1] > hi)
-        done = swept & inside
+        # No other segment meets [lo, hi] when every segment before this one
+        # ends below lo and the next one starts above hi.
+        done = swept & (np.append(-np.inf, upper)[j] < lo) & (np.append(lower, np.inf)[j + 1] > hi)
         if done.all():
             return d_u
         d2[done] = near[done]
-        wide = swept & ~inside
-        start[wide] = np.searchsorted(upper, lo[wide])
-        stop[wide] = np.searchsorted(lower, hi[wide], side="right")
     rest = np.flatnonzero(~done)
-    counts = stop[rest] - start[rest]
-    ends = np.cumsum(counts)
-    begin = ends - counts
-    first = 0
-    while first < rest.size:
-        last = int(np.searchsorted(ends, begin[first] + 128 * n_seg, side="right"))
-        block = rest[first:last]
-        offsets = begin[first:last] - begin[first]
-        s = np.arange(ends[last - 1] - begin[first])
-        s += np.repeat(start[block] - offsets, counts[first:last])
-        x0, x1 = np.repeat(xs[:, block], counts[first:last], axis=1)
-        d2[block] = np.minimum.reduceat(_pair_d2(x0, x1, np.take(seg, s, axis=1)), offsets)
-        first = last
+    for first in range(0, rest.size, 128):
+        block = rest[first : first + 128]
+        d2[block] = _pair_d2(xs[0, block, None], xs[1, block, None], seg).min(axis=1)
     return np.sqrt(d2)
 
 
 def _pair_d2(x0, x1, seg):
     """Squared distance of each point (x0, x1) to its segment, the columns of
-    ``seg`` (start, step and squared length), with the arithmetic of the
-    all-pairs evaluation, operation for operation."""
+    ``seg`` (start, step and squared length), as broadcast, with the
+    arithmetic of the all-pairs evaluation, operation for operation."""
     a0, a1, v0, v1, len2 = seg
     t = np.clip(((x0 - a0) * v0 + (x1 - a1) * v1) / len2, 0.0, 1.0)
     return (x0 - (a0 + t * v0)) ** 2 + (x1 - (a1 + t * v1)) ** 2

@@ -168,17 +168,20 @@ def affine_rhs(potential, last_u: list):
     """``affine_lsoda``'s right-hand side (phi', theta', -dV/dphi, -dV/dtheta).
 
     The potential depends on phi and theta only through its argument u, and
-    dV/dtheta = epsilon dV/dphi, so one ``_slope`` on Python floats gives
-    both forces, bit for bit those of ``gradient``.  tan and cos stay NumPy's:
-    ``math.tan`` differs from them in the last bit on some arguments.  Each
-    call leaves its u in ``last_u[0]``, for the diagnostic of a failure.
+    dV/dtheta = epsilon dV/dphi, so one slope 2 A s tan(u) sec^2(u), formed on
+    Python floats in the order of ``gradient``'s arithmetic, gives both
+    forces bit for bit.  tan and cos stay NumPy's: ``math.tan`` differs from
+    them in the last bit on some arguments.  Each call leaves its u in
+    ``last_u[0]``, for the diagnostic of a failure.
     """
     eps = potential.epsilon
+    coeff = 2.0 * potential.amplitude * potential.scale
 
     def rhs(_tau, y):
         phi, theta, dphi, dtheta = y.tolist()
         u = last_u[0] = potential.argument(phi, theta)
-        g_phi = potential._slope(float(np.tan(u)), float(np.cos(u)))
+        cos_u = float(np.cos(u))
+        g_phi = coeff * float(np.tan(u)) * (1.0 / (cos_u * cos_u))
         return [dphi, dtheta, -g_phi, -eps * g_phi]
 
     return rhs

@@ -294,7 +294,6 @@ SUITE_OF = {
     "phase_map": "symmetry",
     "density_map": "symmetry",
     "eom_residual": "eom",
-    "overdetermination_2d": "eom",
     "tangent_audit": "wigner",
     "quadrant_exit_audit": "wigner",
     "pole_match_singlet": "poles",
@@ -821,9 +820,8 @@ def test_every_check_passes_iff_its_deviation_is_below_its_tolerance(tmp_path, c
         assert rc == (0 if report["pass"] else 1)
     # Every check is seen to pass and, but for the fixed-tolerance pole
     # check of the causal family, to fail.
-    names = {"phase_map", "density_map", "eom_residual", "overdetermination_2d",
-             "tangent_audit", "quadrant_exit_audit", "ep_invariance",
-             "pole_match_singlet", "pole_match_triplet", "pole_lower_half"}
+    names = {"phase_map", "density_map", "eom_residual", "tangent_audit", "quadrant_exit_audit",
+             "ep_invariance", "pole_match_singlet", "pole_match_triplet", "pole_lower_half"}
     assert {name for name, verdict in verdicts if verdict} == names
     assert {name for name, verdict in verdicts if not verdict} == names - {"pole_lower_half"}
 
@@ -979,13 +977,16 @@ def test_the_parser_is_not_built_at_import():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def test_verify_with_no_grid_point_left_exits_2(tmp_path, capsys):
-    # phi + theta is pi and 3 pi at the two grid points, so the 2D
-    # overdetermination check excludes both; no NaN may reach the report.
+def test_verify_keeps_2d_points_where_the_potential_gradient_vanishes(tmp_path, capsys):
+    # phi + theta is pi and 3 pi at the two grid points, where tan u and so
+    # the potential's gradient vanish; the trajectory equations hold there and
+    # the eom residual keeps both.
     grid = {"min": 0.10933059980159891, "max": 3.0488567147553383, "count": 2}
     cfg = _write_config(tmp_path, dimension=2, a0=1.0, a1=3.0, family=None, p_grid=grid)
-    message = refused(capsys, ["verify", "--config", cfg, "--suite", "all"])
-    assert message.startswith("overdetermination_2d: all 2 grid points excluded")
+    assert cli.main(["verify", "--config", cfg, "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    eom = [c for c in report["checks"] if c["name"] == "eom_residual"]
+    assert [c["n_points"] for c in eom] == [2] and eom[0]["pass"]
 
 
 def test_module_run_keeps_stderr_empty(tmp_path):
