@@ -290,11 +290,25 @@ def test_closed_form_potential_follows_the_class_rule():
 
 
 def test_eom_residual_2d():
-    for a1, grid in ((3.0, np.geomspace(1e-2, 1e2, 500)), (math.e, np.geomspace(1e-3, 1e3, 800))):
-        m = ere.make_2d_model(1.0, a1)
-        pot = geometry.potential_2d(1.0, a1)
-        report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
-        assert report.max_deviation < 1e-8, (a1, report.detail["excluded"])
+    m = ere.make_2d_model(1.0, 3.0)
+    pot = geometry.potential_2d(1.0, 3.0)
+    grid = np.geomspace(1e-2, 1e2, 500)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
+    assert report.max_deviation < 1e-8, report.detail["excluded"]
+
+
+def test_overdetermination_2d_consistency():
+    # in 2D the two trajectory equations share one unknown, the amplitude:
+    # both components must vanish with the same c1^2 * amplitude, over six
+    # decades of p and with no grid point excluded
+    m = ere.make_2d_model(1.0, math.e)
+    pot = geometry.potential_2d(1.0, math.e)
+    grid = np.geomspace(1e-3, 1e3, 800)
+    report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
+    assert report.passed and report.max_deviation < 1e-8, report.detail["excluded"]
+    assert report.detail["excluded"] == []
+    assert np.max(np.abs(report.detail["res_phi"])) < 1e-8
+    assert np.max(np.abs(report.detail["res_theta"])) < 1e-8
 
 
 def test_eom_residual_excludes_2d_turning_point():
