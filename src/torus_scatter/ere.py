@@ -80,10 +80,14 @@ def _check_derivatives(p, pairs: list) -> None:
     finite, or where C'' is 0 at a p > 0.  C' may underflow to 0: 3D
     -a r p does so only where its term in the tangent, a r p^2 of the
     leading one, is below 2^-51, and 2D -2/(pi p) never does."""
-    positive = np.count_nonzero(p)
-    if not all(np.isfinite(dc).all() for _, dc in pairs[1:]) or any(
-        np.count_nonzero(dc) < min(positive, np.size(dc)) for _, dc in pairs[2:]
-    ):
+    # Elementwise ufuncs and one reduce, not ndarray.all, np.size and
+    # np.count_nonzero: their Python layers cost more than the check on the
+    # one to hundreds of momenta it is given.
+    bad = ~np.isfinite(pairs[1][1])
+    if len(pairs) > 2:
+        dc = pairs[2][1]
+        bad = bad | ~np.isfinite(dc) | ((dc == 0.0) & (p > 0.0))
+    if np.logical_or.reduce(bad, axis=None):
         raise ValueError(
             f"phase derivatives: C' or C'' is not finite and nonzero on p in "
             f"[{float(p.min())!r}, {float(p.max())!r}] at this unit of length"
@@ -168,7 +172,7 @@ class Channel2D:
         with np.errstate(divide="ignore"):
             pairs = [(1.0, (-2.0 / np.pi) * np.log(self.a2 * p))]
         if order:
-            if np.any(p == 0):
+            if np.logical_or.reduce(p == 0, axis=None):  # not np.any: see _derivative
                 raise ValueError("2D phase derivatives require p > 0")
             with np.errstate(over="ignore"):
                 dc = (-2.0 / np.pi) / p
@@ -353,7 +357,9 @@ def make_2d_model(
 def _derivative(model: TwoChannelModel, p, order: int) -> tuple:
     """The ``order``-th momentum derivative (0 or 1) of (phi, theta)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
+    # The ufunc reduce np.any makes, without its Python layers, which cost
+    # tens of microseconds a call after the caches are cold.
+    if np.logical_or.reduce(p < 0, axis=None):
         raise ValueError("momentum must be >= 0")
     return tuple(_from_pair(ch.pair(p, order))[order] for ch in model.channels)
 
@@ -372,14 +378,15 @@ def _from_pair(pairs: list) -> list:
     s, c = pairs[0]
     out = [2.0 * np.arctan2(s, c)]
     if len(pairs) > 1:
+        # One errstate block for both derivatives: entering one costs
+        # microseconds, as much as the arithmetic on a few hundred points.
         with np.errstate(over="ignore", invalid="ignore"):
             s1, c1 = pairs[1]
             q = s * s + c * c
             t = (s1 * c - s * c1) / q
             out.append(2.0 * t)
-        if len(pairs) > 2:
-            s2, c2 = pairs[2]
-            with np.errstate(over="ignore", invalid="ignore"):
+            if len(pairs) > 2:
+                s2, c2 = pairs[2]
                 out.append(2.0 * (((s2 * c - s * c2) - 2.0 * t * (s * s1 + c * c1)) / q))
     return [x[()] for x in out]
 

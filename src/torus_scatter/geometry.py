@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ere, torus
-from .config import DEFAULT_TOLERANCES, Check
+from .config import DEFAULT_TOLERANCES, Check, _linspace
 
 __all__ = [
     "GeometricPotential",
@@ -264,9 +264,11 @@ def construction_lapse(
     sampled at ``p`` (a scalar or a strictly increasing 1D grid of p > 0),
     in the shape of ``p``.  Any other potential raises a ValueError."""
     _require_closed_form(model, potential)
-    shape = np.shape(p)
-    n_val, dn_val = lapse(torus.sample_trajectory(model, np.ravel(p)), potential.c1)
-    return n_val.reshape(shape)[()], dn_val.reshape(shape)[()]
+    # Array methods, not np.shape and np.ravel, for their Python layers' cost
+    # on the one momentum this is often given.
+    p = np.asarray(p, dtype=float)
+    n_val, dn_val = lapse(torus.sample_trajectory(model, p.reshape(-1)), potential.c1)
+    return n_val.reshape(p.shape)[()], dn_val.reshape(p.shape)[()]
 
 
 def lapse_inaffinity(traj: torus.Trajectory, c1: float = 1.0):
@@ -359,7 +361,11 @@ class AffineCurve:
 
     @property
     def points(self) -> np.ndarray:
-        return np.column_stack([self.phi, self.theta])
+        """The (n, 2) array of (phi, theta), as ``np.column_stack`` gives it."""
+        # Filled in place: column_stack's Python layer costs more than the copy.
+        points = np.empty((self.phi.size, 2))
+        points[:, 0], points[:, 1] = self.phi, self.theta
+        return points
 
 
 def first_integral(potential: GeometricPotential, phi, theta, dphi, dtheta):
@@ -382,8 +388,8 @@ def integrate_affine(
     / cos^2(u) = 2K + 4 A s^2 (K conserved).  u stays between the walls cos u
     = 0 around u0, so u - u0 = sign(cos u0) (arcsin w - arcsin w0) and u' =
     w' / cos u.  ``tau_span`` must be finite and nonzero and ``n_samples`` at
-    least 1; the samples are ``np.linspace(0, tau_span, n_samples)``.  For
-    A < 0 the curve is cut before the tau at which |w| reaches 1
+    least 1; the samples are ``np.linspace(0, tau_span, n_samples)`` bit for
+    bit.  For A < 0 the curve is cut before the tau at which |w| reaches 1
     (``_wall_time``), which the diagnostic names; for A > 0 |w| stays below 1.
     """
     if not (math.isfinite(tau_span) and tau_span != 0.0):
@@ -398,7 +404,9 @@ def integrate_affine(
     du0, cos0 = s * (dphi0 + eps * dtheta0), math.cos(u0)
     w0, dw0, side = math.sin(u0), cos0 * du0, math.copysign(1.0, cos0)
     omega2 = du0 * du0 + 4.0 * amp * s * s / (cos0 * cos0)
-    tau = np.linspace(0.0, tau_span, n_samples)
+    # linspace's own steps, without its Python layers, a cost of microseconds
+    # per call against the arithmetic on a thousand samples.
+    tau = _linspace(0.0, tau_span, n_samples)
     diagnostic = ""
     if amp < 0.0:
         sign = math.copysign(1.0, tau_span)
@@ -412,7 +420,9 @@ def integrate_affine(
         c, sn = np.cosh(q * tau), np.sinh(q * tau) / q
     else:  # S = tau at Omega^2 = 0
         c, sn = np.cos(q * tau), np.sin(q * tau) / q if q else tau
-    w = np.clip(w0 * c + dw0 * sn, -1.0, 1.0)  # rounding only: |w| < 1 inside the walls
+    # Rounding only: |w| < 1 inside the walls.  np.minimum/np.maximum, not
+    # np.clip, whose Python layer costs more than the pass on small arrays.
+    w = np.minimum(np.maximum(w0 * c + dw0 * sn, -1.0), 1.0)
     du = side * (np.arcsin(w) - math.asin(w0)) / s
     u_rate = (dw0 * c - omega2 * w0 * sn) / (side * np.sqrt((1.0 - w) * (1.0 + w)))
     ddu, dv = (u_rate - u_rate[0]) / (2.0 * s), (dphi0 - eps * dtheta0) * tau
@@ -520,16 +530,20 @@ def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.n
             order = np.argsort(lower, kind="stable")
         lower, seg = lower[order], seg[:, order]
         upper = np.maximum.accumulate(upper[order])
-        # The last segment whose lower end is below phi, or the first.
-        j = np.maximum(np.searchsorted(lower, xs[0]) - 1, 0)
+        # The last segment whose lower end is below phi, or the first.  The
+        # array methods, not np.searchsorted and np.take, whose Python layers
+        # cost tens of microseconds a call after the caches are cold.
+        j = np.maximum(lower.searchsorted(xs[0]) - 1, 0)
         with np.errstate(over="ignore", invalid="ignore"):  # only where not swept
-            near = _pair_d2(xs[0], xs[1], np.take(seg, j, axis=1))
+            near = _pair_d2(xs[0], xs[1], seg.take(j, axis=1))
             d_u = np.sqrt(near)
             reach = d_u + 1e-12 * (d_u + size + width) + 1e-150
             lo, hi = xs[0] - reach, xs[0] + reach
         # No other segment meets [lo, hi] when every segment before this one
         # ends below lo and the next one starts above hi.
-        done = swept & (np.append(-np.inf, upper)[j] < lo) & (np.append(lower, np.inf)[j + 1] > hi)
+        # np.concatenate, not np.append, for the per-call cost of its Python layer.
+        before = np.concatenate(([-np.inf], upper))[j]
+        done = swept & (before < lo) & (np.concatenate((lower, [np.inf]))[j + 1] > hi)
         if done.all():
             return d_u
         d2[done] = near[done]
@@ -545,5 +559,8 @@ def _pair_d2(x0, x1, seg):
     ``seg`` (start, step and squared length), as broadcast, with the
     arithmetic of the all-pairs evaluation, operation for operation."""
     a0, a1, v0, v1, len2 = seg
-    t = np.clip(((x0 - a0) * v0 + (x1 - a1) * v1) / len2, 0.0, 1.0)
+    # np.minimum/np.maximum, not np.clip, for the per-call cost of its Python
+    # layer.  They differ only in the sign of a zero t, and t v is added to a
+    # and the sum subtracted and squared, so no distance does.
+    t = np.minimum(np.maximum(((x0 - a0) * v0 + (x1 - a1) * v1) / len2, 0.0), 1.0)
     return (x0 - (a0 + t * v0)) ** 2 + (x1 - (a1 + t * v1)) ** 2

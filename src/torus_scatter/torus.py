@@ -107,7 +107,9 @@ def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
     p = np.asarray(p_grid, dtype=float)
     if not (p.ndim == 1 and p.size >= 1):
         raise ValueError("momentum grid must be a non-empty 1D array")
-    if not (p[0] > 0 and np.all(np.diff(p) > 0)):
+    # Neighbours compared directly, not by np.diff: its Python layer costs
+    # more than the comparison on a grid of one to hundreds of points.
+    if not (p[0] > 0 and (p[1:] > p[:-1]).all()):
         raise ValueError("momentum grid must be strictly increasing with p > 0")
     (phi, dphi, d2phi), (theta, dtheta, d2theta) = (
         ere._from_pair(ch.pair(p, 2)) for ch in model.channels

@@ -45,6 +45,29 @@ def test_pgrid_validation_and_build():
     assert PGrid(1.0, 2.0, count=3.0).count == 3
 
 
+def _pgrid_cases() -> list:
+    """(min, max, count) of the bitwise pins of ``PGrid.build``: random ends
+    over 1e+-300 at counts 2, 3 and up to 24,000; neighbouring floats, whose
+    log10 ends are equal; and denormal ends, where linspace's step underflows."""
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for _ in range(200):
+        lo, hi = np.sort(10.0 ** rng.uniform(-300, 300, 2)).tolist()
+        cases += [(lo, hi, count) for count in (2, 3, int(rng.integers(4, 24001)))]
+    for _ in range(100):
+        lo = float(10.0 ** rng.uniform(-300, 300))
+        cases += [(lo, math.nextafter(lo, math.inf), count) for count in (2, 3, 1200)]
+    return cases + [(5e-324, 1e-323, 1200), (5e-324, 1.5e-323, 3), (1e-310, 1e308, 600)]
+
+
+@pytest.mark.parametrize("spacing,reference", [("log", np.geomspace), ("linear", np.linspace)])
+def test_pgrid_build_is_the_numpy_grid_bit_for_bit(spacing, reference):
+    for lo, hi, count in _pgrid_cases():
+        grid = PGrid(lo, hi, count, spacing).build()
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == reference(lo, hi, count).tobytes(), (lo, hi, count)
+
+
 def test_runconfig_roundtrip_identity():
     cfg = RunConfig(
         dimension=3,
@@ -502,6 +525,29 @@ def test_exit_code_matrix(tmp_path, capsys):
     # 2: unknown tolerance key in config
     cfg_badtol = _write_config(tmp_path, name="badtol.json", tolerances={"zzz": 1e-9})
     refused(capsys, ["verify", "--config", cfg_badtol, "--suite", "symmetry"])
+
+
+_MINIMAL = json.dumps({"dimension": 3, "a0": 1.0, "a1": 5.0})
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (_MINIMAL.encode("utf-16"), "is not valid UTF-8"),
+        (_MINIMAL.replace("}", ', "family": {"table": "T1", "row": 4}}').encode()
+         .replace(b"T1", b"T\xff1"), "is not valid UTF-8"),
+        (b"\xef\xbb\xbf" + _MINIMAL.encode(), "config file is not valid JSON"),
+    ],
+    ids=["utf-16", "stray-0xff", "utf-8-bom"],
+)
+def test_a_config_file_that_is_not_utf8_json_is_refused(tmp_path, capsys, content, message):
+    cfg = tmp_path / "encoded.json"
+    cfg.write_bytes(content)
+    for command in ("traj", "ep", "verify"):
+        error = refused(capsys, [command, "--config", str(cfg)])
+        assert message in error
+        if "UTF-8" in message:
+            assert error.startswith(f"config file {str(cfg)!r} is not valid UTF-8"), error
 
 
 @pytest.mark.parametrize(

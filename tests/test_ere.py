@@ -227,6 +227,14 @@ def test_an_underflowing_c_prime_is_below_rounding(a, p):
     assert tangent(5e-324) == tangent(0.0)
 
 
+def test_a_c_prime_that_overflows_is_refused():
+    """At a = r = 1e160 and p = 1e-10, C = 1 - a r p^2/2 is finite but
+    C' = -a r p overflows: the tangent is refused, not taken as a limit."""
+    model = ere.TwoChannelModel(3, ere.Channel3D(1e160, r=1e160), ere.Channel3D(1.0))
+    with pytest.raises(ValueError, match="phase derivatives"):
+        ere.tangents(model, 1e-10)
+
+
 def test_pole_momenta():
     m = ere.make_symmetric_model("T2", 6, 1.0, 1.0, lam=0.5)
     for ch in m.channels:

@@ -434,6 +434,48 @@ def test_integrate_affine_rejects_empty_spans_and_sample_counts():
     assert geometry.integrate_affine(pot, init, -0.5, n_samples=np.int64(1)).tau.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("span", [1.0, -1.0, 7.3e3, -2.9e-2, 5e-322, -5e-322])
+@pytest.mark.parametrize("n", [1, 2, 3, 1200])
+def test_integrate_affine_samples_are_linspace_bit_for_bit(span, n):
+    """The samples are ``np.linspace(0, span, n)``: 0.0, not -0.0, at the
+    start of a negative span, and arange / (n - 1) * span where the step
+    underflows (5e-322 over 1199 steps)."""
+    pot = geometry.potential_3d(1.0, -5.0)
+    curve = geometry.integrate_affine(pot, (0.1, 0.2, 0.3, 0.4), span, n_samples=n)
+    assert not curve.truncated
+    assert curve.tau.tobytes() == np.linspace(0.0, span, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "init,span",
+    [
+        ((-1.788555314823298, 2.306698042129761, 791098718.9801114, 230586894.0668687),
+         1.74351779446137e-08),
+        ((0.024086894409579784, 2.6240588623738086, -1323380305.3809876, 852223367.7124512),
+         5.1247992982101384e-08),
+    ],
+    ids=["w-below-minus-1", "w-above-1"],
+)
+def test_integrate_affine_clamps_w_to_the_walls(init, span):
+    """At these speeds the orbit's amplitude rounds to 1, and the middle of
+    three samples is its turning point, where w0 C + w0' S rounds beyond -1
+    (first case) or 1 (second): clamped to the wall, the phases stay finite."""
+    pot = geometry.potential_3d(1.0, -5.0)
+    with np.errstate(divide="ignore"):  # u' = w' / cos u at the wall
+        curve = geometry.integrate_affine(pot, init, span, n_samples=3)
+    assert np.isfinite(curve.phi).all() and np.isfinite(curve.theta).all()
+
+
+def test_affine_curve_points_are_column_stack_bit_for_bit():
+    pot = geometry.potential_2d(1.0, 5.0)
+    curve = geometry.integrate_affine(pot, (0.3, 0.2, 0.5, -0.4), 3.0, n_samples=1200)
+    points = curve.points
+    reference = np.column_stack([curve.phi, curve.theta])
+    assert points.dtype == reference.dtype and points.shape == reference.shape
+    assert points.flags.c_contiguous
+    assert points.tobytes() == reference.tobytes()
+
+
 def test_integrate_affine_rejects_non_finite_spans_without_hanging():
     """A non-finite span is refused before the integrator starts; should
     that guard go, an integrator that never returns is stopped by running
