@@ -5,8 +5,9 @@ Subcommands
 ``traj``    write the torus trajectory of a configured model as CSV
             (columns ``p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant``);
             ``kappa`` and ``V`` are empty on every row of a model with no
-            closed-form potential (``geometry.closed_form_potential`` names
-            the three classes that have one) and at singular points
+            closed-form potential (``geometry.closed_form`` names the three
+            classes that have one from the channels, not the family tag)
+            and at singular points
 ``verify``  run a verification suite (symmetry, eom, wigner, poles, ep, all)
             and emit a JSON report; exit 0 iff every check passes, that is
             iff each check's max_deviation is below its tolerance, which the
@@ -255,8 +256,8 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     ``kappa`` is the inaffinity N'(p)/N(p) of the closed-form construction
     lapse and ``V`` the closed-form potential at the trajectory point.  Both
     fields are empty on every row of a model with no closed-form potential
-    (``geometry.closed_form_potential`` names the three classes that have
-    one), and at singular points (vanishing lapse,
+    (``geometry.closed_form`` names the three classes that have one), and at
+    singular points (vanishing lapse,
     ``geometry.lapse_inaffinity``, or the potential argument within 1e-6 of
     a pole of tan^2).
     """

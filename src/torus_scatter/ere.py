@@ -53,7 +53,6 @@ __all__ = [
     "make_symmetric_model",
     "make_2d_model",
     "channel_pole_momentum",
-    "quarter_lambda_branch",
     "ranges_follow",
     "T1_ROWS",
     "T2_ROWS",
@@ -427,19 +426,3 @@ def ranges_follow(model: TwoChannelModel, sign: int) -> bool:
         _range_matches(ch.r, sign * 2.0 * ch.a * model.family.lam) for ch in model.channels
     )
 
-
-def quarter_lambda_branch(model: TwoChannelModel) -> str | None:
-    """Classify a lambda = 1/4 range-correlated (row 5/6) model.
-
-    Returns "solvable" when both channels satisfy r = +2 a lambda (the branch
-    generated by row 6 with equal signs or row 5 with mixed signs), or
-    "unsolvable" for the complementary branch r = -2 a lambda, where no
-    single-combination geometric potential exists (``ranges_follow``).
-    Returns None when the model is not a lambda = 0.25 row-5/6 member.
-    """
-    tag = model.family
-    if tag is None or tag.table not in ("T2", "T3") or tag.row not in (5, 6) or tag.lam != 0.25:
-        return None
-    if ranges_follow(model, +1):
-        return "solvable"
-    return "unsolvable" if ranges_follow(model, -1) else None

@@ -7,13 +7,14 @@ metric g = diag(1,1)/2, traversed with a momentum-dependent lapse N(p):
     x''_a - kappa x'_a + N^2 dV/dx_a = 0,   kappa = N'/N,
 
 where primes are d/dp and the inverse-metric factor 2 is folded into the
-potential term (g^{ab} = 2 diag(1,1)).  ``closed_form_potential`` names the
-three exactly solvable model classes and gives each its potential; every
-other model has none.  ``lapse`` gives every model its lapse, keyed on the
-model's class, along a sampled ``torus.Trajectory``, which the
-trajectory-equation checks also read.  The three closed-form lapses are
-k c1 (phi' - eps theta'), so the affine span is exact from the
-continuous-branch phases at its ends (``affine_parameter_span``).
+potential term (g^{ab} = 2 diag(1,1)).  ``closed_form`` alone names the three
+exactly solvable model classes, from the channels and not the family tag, and
+gives each its ``ClosedForm`` record: the potential A tan^2(s (phi + eps
+theta) + chi) and the lapse k c1 (phi' - eps theta'); every other model has
+none.  The potentials and ``lapse`` (every model's, along a sampled
+``torus.Trajectory``, which the trajectory-equation checks also read) read
+the record, so the affine span is exact from the continuous-branch phases at
+its ends (``affine_parameter_span``).
 In every potential the N = 1 motion is a harmonic orbit, which
 ``integrate_affine`` gives in closed form.  ``point_to_polyline_distance``
 measures it against the ERE curve in one pass along phi: with the segments
@@ -43,11 +44,13 @@ from .config import DEFAULT_TOLERANCES, Check, _linspace
 
 __all__ = [
     "GeometricPotential",
+    "ClosedForm",
     "AffineCurve",
     "epsilon_for",
     "potential_3d",
     "potential_lam14",
     "potential_2d",
+    "closed_form",
     "closed_form_potential",
     "lapse",
     "construction_lapse",
@@ -69,8 +72,9 @@ LAPSE_SINGULAR_TOL = 1e-10
 class GeometricPotential:
     """V(phi, theta) = amplitude * tan^2(scale*(phi + epsilon*theta) + chi).
 
-    The amplitude must be a finite, nonzero normal float.  It scales as
-    1/c1^2, so a large or small enough c1 is refused here by name.
+    epsilon is +1 or -1, scale positive, chi finite and c1 nonzero.  The
+    amplitude must be a finite, nonzero normal float.  It scales as 1/c1^2,
+    so a large or small enough c1 is refused here by name.
     """
 
     amplitude: float
@@ -82,10 +86,10 @@ class GeometricPotential:
     def __post_init__(self) -> None:
         if self.epsilon not in (+1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if self.scale not in (0.5, 0.25):
-            raise ValueError("scale must be 1/2 or 1/4")
-        if self.chi not in (0.0, math.pi / 2):
-            raise ValueError("chi must be 0 or pi/2")
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale {self.scale!r} is not positive and finite")
+        if not math.isfinite(self.chi):
+            raise ValueError(f"chi {self.chi!r} is not finite")
         if self.c1 == 0.0:
             raise ValueError("c1 must be nonzero")
         if not (math.isfinite(self.amplitude) and abs(self.amplitude) >= sys.float_info.min):
@@ -116,6 +120,25 @@ class GeometricPotential:
         return np.abs(np.cos(u)) < COS_SINGULAR_TOL
 
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed form of an exactly solvable model (``closed_form``): the
+    potential A tan^2(s (phi + eps theta) + chi) at c1 = 1, and the lapse
+    k c1 (phi' - eps theta') that makes the model's curve a trajectory in it."""
+
+    amplitude: float
+    epsilon: int
+    scale: float
+    chi: float
+    k: float
+
+    def potential(self, c1: float = 1.0) -> GeometricPotential:
+        """The potential at c1, of amplitude A/c1/c1."""
+        if c1 == 0.0:
+            raise ValueError("c1 must be nonzero")
+        return GeometricPotential(self.amplitude / c1 / c1, self.epsilon, self.scale, self.chi, c1)
+
+
 def epsilon_for(a0: float, a1: float) -> int:
     """Sign convention of the potential argument: -1 for equal-sign lengths."""
     if a0 == 0.0 or a1 == 0.0:
@@ -123,39 +146,61 @@ def epsilon_for(a0: float, a1: float) -> int:
     return -1 if (a0 > 0.0) == (a1 > 0.0) else +1
 
 
-def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
-    """Exact geometric potential of the 3D zero-range (scattering-length) model."""
+def _zero_range_form(a0: float, a1: float) -> ClosedForm:
+    """A = |a0 a1| / (|a0| + |a1|)^2, s = 1/2, chi = 0 and k = 1."""
     if a0 == 0.0 or a1 == 0.0:
         raise ValueError("zero scattering length: trivial fixed point, no potential")
     if not (math.isfinite(a0) and math.isfinite(a1)):
         raise ValueError("potential requires finite scattering lengths")
-    if c1 == 0.0:
-        raise ValueError("c1 must be nonzero")
-    # |a0 a1| / (|a0| + |a1|)^2 from both lengths scaled by one power of two,
-    # exactly, so the ratio neither overflows nor underflows at any unit of
-    # length and is the same bits at every power-of-two unit.
+    # The ratio from both lengths scaled by one power of two, exactly, so it
+    # neither overflows nor underflows at any unit of length and is the same
+    # bits at every power-of-two unit.
     exponent = math.frexp(max(abs(a0), abs(a1)))[1]
     b0, b1 = math.ldexp(abs(a0), -exponent), math.ldexp(abs(a1), -exponent)
-    amp = b0 * b1 / (b0 + b1) ** 2 / c1 / c1
-    return GeometricPotential(
-        amplitude=amp, epsilon=epsilon_for(a0, a1), scale=0.5, chi=0.0, c1=c1
-    )
+    return ClosedForm(b0 * b1 / (b0 + b1) ** 2, epsilon_for(a0, a1), 0.5, 0.0, 1.0)
+
+
+def _quarter_form(a0: float, a1: float) -> ClosedForm:
+    """The zero-range form with the amplitude halved, the argument rescaled
+    from (phi + eps theta)/2 to (phi + eps theta)/4 and k = sqrt(2)."""
+    base = _zero_range_form(a0, a1)
+    return ClosedForm(0.5 * base.amplitude, base.epsilon, 0.25, base.chi, math.sqrt(2.0))
+
+
+def _planar_form(a0: float, a1: float) -> ClosedForm:
+    """A = -pi^2 / (4 log^2(a0/a1)), eps = +1, s = 1/2, chi = pi/2 and k = 1."""
+    log_ratio = math.log(a0 / a1)
+    return ClosedForm(-math.pi**2 / (4.0 * log_ratio * log_ratio), +1, 0.5, math.pi / 2, 1.0)
+
+
+def closed_form(model: ere.TwoChannelModel) -> ClosedForm | None:
+    """The record of the model's closed-form class, from its channels alone,
+    whatever its family tag, or None.  The classes: 2D with distinct lengths;
+    3D zero range (r = 0 in both channels, nonzero lengths); and the lambda =
+    1/4 class, r = a/2 in both channels (``ere.RANGE_MATCH_TOL``), nonzero
+    lengths.  2D models with equal lengths, whose curve is a geodesic, and
+    every other model have None."""
+    a0, a1 = model.singlet.length, model.triplet.length
+    if model.dimension == 2:
+        return None if a0 == a1 else _planar_form(a0, a1)
+    if 0.0 in (a0, a1):
+        return None
+    if model.singlet.r == 0.0 and model.triplet.r == 0.0:
+        return _zero_range_form(a0, a1)
+    if all(ere._range_matches(ch.r, 0.5 * ch.a) for ch in model.channels):
+        return _quarter_form(a0, a1)
+    return None
+
+
+def potential_3d(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
+    """Exact geometric potential of the 3D zero-range (scattering-length) model."""
+    return _zero_range_form(a0, a1).potential(c1)
 
 
 def potential_lam14(a0: float, a1: float, c1: float = 1.0) -> GeometricPotential:
-    """Geometric potential of the lambda = 1/4 range-correlated family.
-
-    Relative to the zero-range potential the amplitude is halved and the
-    argument rescaled from (phi + eps theta)/2 to (phi + eps theta)/4.
-    """
-    base = potential_3d(a0, a1, c1)
-    return GeometricPotential(
-        amplitude=0.5 * base.amplitude,
-        epsilon=base.epsilon,
-        scale=0.25,
-        chi=0.0,
-        c1=c1,
-    )
+    """Geometric potential of the lambda = 1/4 class (r = a/2 in both
+    channels), the zero-range one halved and rescaled (``_quarter_form``)."""
+    return _quarter_form(a0, a1).potential(c1)
 
 
 def potential_2d(a2_0: float, a2_1: float, c1: float = 1.0) -> GeometricPotential:
@@ -170,80 +215,42 @@ def potential_2d(a2_0: float, a2_1: float, c1: float = 1.0) -> GeometricPotentia
         raise ValueError(
             "equal 2D scattering lengths: trajectory is a geodesic, no potential"
         )
-    if c1 == 0.0:
-        raise ValueError("c1 must be nonzero")
-    log_ratio = math.log(a2_0 / a2_1)
-    amp = -math.pi**2 / (4.0 * log_ratio * log_ratio) / c1 / c1
-    return GeometricPotential(
-        amplitude=amp, epsilon=+1, scale=0.5, chi=math.pi / 2, c1=c1
-    )
+    return _planar_form(a2_0, a2_1).potential(c1)
 
 
 def closed_form_potential(
     model: ere.TwoChannelModel, c1: float = 1.0
 ) -> GeometricPotential | None:
-    """The exact potential whose trajectory is the model's curve, or None.
-
-    Three model classes have one:
-
-    * 3D zero range (both effective ranges zero, finite nonzero lengths):
-      V = A tan^2((phi + eps theta)/2) with A = |a0 a1| / ((|a0|+|a1|)^2 c1^2)
-      (``potential_3d``);
-    * the lambda = 1/4 branch with r = +2 a lambda in both channels:
-      amplitude A/2, argument rescaled to (phi + eps theta)/4
-      (``potential_lam14``);
-    * 2D with distinct lengths:
-      V = -pi^2/(4 log^2(a0/a1) c1^2) tan^2((phi + theta)/2 + pi/2)
-      (``potential_2d``).
-
-    Every other model has None, among them 2D models with equal lengths,
-    whose curve is a geodesic.
-    """
-    a0, a1 = model.singlet.length, model.triplet.length
-    if model.dimension == 2:
-        return None if a0 == a1 else potential_2d(a0, a1, c1=c1)
-    if model.singlet.r == 0.0 and model.triplet.r == 0.0:
-        return None if 0.0 in (a0, a1) else potential_3d(a0, a1, c1=c1)
-    if ere.quarter_lambda_branch(model) == "solvable":
-        return potential_lam14(a0, a1, c1=c1)
-    return None
-
-
-def _lapse_form(model: ere.TwoChannelModel) -> tuple[float, int, bool]:
-    """(k, eps, tangent) of ``lapse``: k c1 (phi' - eps theta') if tangent,
-    else the sine form, where k is 1."""
-    if model.dimension == 2:
-        return 1.0, +1, True
-    eps = epsilon_for(model.singlet.a, model.triplet.a)
-    if ere.quarter_lambda_branch(model) == "solvable":
-        return math.sqrt(2.0), eps, True
-    return 1.0, eps, False
+    """The potential at c1 of the model's ``closed_form``, or None."""
+    form = closed_form(model)
+    return None if form is None else form.potential(c1)
 
 
 def lapse(traj: torus.Trajectory, c1: float = 1.0):
     """(N, dN/dp) of the model's lapse along its sampled trajectory, analytic in p.
 
-    * 2D: N = c1 (phi' - theta');
-    * the lambda = 1/4 branch with r = +2 a lambda: N = sqrt(2) c1 (phi' - eps
-      theta'), there equal to (2 sqrt(2) c1 / p)(sin(phi/2) - eps sin(theta/2));
-    * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is
-      c1 (phi' - eps theta') at zero range (sin(phi)/p = phi').
+    * 2D, and a 3D ``closed_form`` with k != 1 (the lambda = 1/4 class): the
+      record's k c1 (phi' - eps theta'); at equal 2D lengths, with no record,
+      c1 (phi' - theta'), which is 0;
+    * every other 3D model: N = (c1/p)(sin phi - eps sin theta), which is the
+      record's c1 (phi' - eps theta') at zero range (sin(phi)/p = phi').
 
     N is a length and dN/dp a length squared (times c1): where either
     overflows or underflows, as at lengths near 1e+-154 and beyond, this
     raises a ValueError.
     """
-    k, eps, tangent = _lapse_form(traj.model)
-    p = traj.p
+    model, p = traj.model, traj.p
+    form = closed_form(model)
     try:
         with np.errstate(over="raise", under="raise"):
-            if tangent:
-                kc1 = k * c1
-                n_val = kc1 * (traj.dphi - eps * traj.dtheta)
-                return n_val, kc1 * (traj.d2phi - eps * traj.d2theta)
-            s = np.sin(traj.phi) - eps * np.sin(traj.theta)
-            ds = np.cos(traj.phi) * traj.dphi - eps * np.cos(traj.theta) * traj.dtheta
-            return c1 / p * s, c1 * (ds / p - s / (p * p))
+            if model.dimension == 3 and (form is None or form.k == 1.0):
+                eps = epsilon_for(model.singlet.a, model.triplet.a)
+                s = np.sin(traj.phi) - eps * np.sin(traj.theta)
+                ds = np.cos(traj.phi) * traj.dphi - eps * np.cos(traj.theta) * traj.dtheta
+                return c1 / p * s, c1 * (ds / p - s / (p * p))
+            k, eps = (1.0, +1) if form is None else (form.k, form.epsilon)
+            kc1 = k * c1
+            return kc1 * (traj.dphi - eps * traj.dtheta), kc1 * (traj.d2phi - eps * traj.d2theta)
     except FloatingPointError as exc:
         raise ValueError(
             f"lapse: {exc} on p_grid [{float(p[0])!r}, {float(p[-1])!r}]; N or dN/dp is not "
@@ -251,9 +258,12 @@ def lapse(traj: torus.Trajectory, c1: float = 1.0):
         ) from None
 
 
-def _require_closed_form(model: ere.TwoChannelModel, potential: GeometricPotential) -> None:
-    if potential != closed_form_potential(model, potential.c1):
+def _require_closed_form(model: ere.TwoChannelModel, potential: GeometricPotential) -> ClosedForm:
+    """The model's ``closed_form``, if ``potential`` is its potential."""
+    form = closed_form(model)
+    if form is None or potential != form.potential(potential.c1):
         raise ValueError("potential is not the model's closed-form potential")
+    return form
 
 
 def construction_lapse(
@@ -458,15 +468,16 @@ def affine_parameter_span(
 ) -> float:
     """Affine-parameter length tau = integral of N dp between two momenta.
 
-    With N = k c1 (phi' - eps theta') (``_lapse_form``) and the phases on
-    their continuous branch, tau = k c1 [(phi(p1) - phi(p0)) - eps (theta(p1)
-    - theta(p0))] exactly.  That holds only for the model's own closed-form
-    potential; any other potential raises a ValueError.
+    With N = k c1 (phi' - eps theta') (the ``closed_form`` record's) and the
+    phases on their continuous branch, tau = k c1 [(phi(p1) - phi(p0)) - eps
+    (theta(p1) - theta(p0))] exactly.  That holds only for the model's own
+    closed-form potential; any other potential raises a ValueError.
     """
-    _require_closed_form(model, potential)
-    k, eps, _tangent = _lapse_form(model)
+    form = _require_closed_form(model, potential)
     phi, theta = ere.phases(model, np.array([p_start, p_stop], dtype=float))
-    return float(k * potential.c1 * ((phi[1] - phi[0]) - eps * (theta[1] - theta[0])))
+    return float(
+        form.k * potential.c1 * ((phi[1] - phi[0]) - form.epsilon * (theta[1] - theta[0]))
+    )
 
 
 def point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:

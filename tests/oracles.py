@@ -60,7 +60,7 @@ def tangent_margin(ch, p) -> float:
 def lapse(model, c1):
     """The lapse N(p) of a closed-form class at the working precision:
     (c1/p)(sin phi - eps sin theta) at 3D zero range, sqrt(2) c1 (phi' - eps
-    theta') on the lambda = 1/4 branch and c1 (phi' - theta') in 2D, with
+    theta') in the lambda = 1/4 class and c1 (phi' - theta') in 2D, with
     eps = -1 for lengths of equal sign."""
     singlet, triplet = model.channels
     if model.dimension == 2:

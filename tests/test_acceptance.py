@@ -169,7 +169,7 @@ def test_acceptance_5_exact_solutions():
         mag0, mag1 = rng.uniform(0.1, 10.0, size=2)
         a0, a1 = s0 * mag0, s1 * mag1
         model = ere.make_symmetric_model(table, row, a0, a1, lam=0.25)
-        assert ere.quarter_lambda_branch(model) == "solvable"
+        assert geometry.closed_form(model).potential() == geometry.potential_lam14(a0, a1)
         traj = torus.sample_trajectory(model, grid)
         report = geometry.eom_residual(traj, geometry.potential_lam14(a0, a1))
         worst_quarter = max(worst_quarter, report.max_deviation)

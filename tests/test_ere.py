@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, torus
+from torus_scatter import ere, geometry, torus
 
 import oracles
 
@@ -394,7 +394,7 @@ def test_tangent_2d_matches_symbolic(a2, p):
 
 
 # ---------------------------------------------------------------------------
-# quarter-lambda branch classification
+# quarter-lambda class (geometry.closed_form)
 # ---------------------------------------------------------------------------
 
 
@@ -405,17 +405,14 @@ def test_quarter_lambda_branches():
         ere.make_symmetric_model("T2", 5, 1.0, -5.0, lam=0.25),
     ]
     for m in solvable:
-        assert ere.quarter_lambda_branch(m) == "solvable"
+        want = geometry.potential_lam14(m.singlet.a, m.triplet.a)
+        assert geometry.closed_form(m).potential() == want
     unsolvable = [
         ere.make_symmetric_model("T3", 5, 1.0, 5.0, lam=0.25),
         ere.make_symmetric_model("T2", 6, 1.0, -5.0, lam=0.25),
     ]
     for m in unsolvable:
-        assert ere.quarter_lambda_branch(m) == "unsolvable"
-    # wrong lambda or wrong row: not in the quarter-lambda family at all
-    assert ere.quarter_lambda_branch(
-        ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.3)
-    ) is None
-    assert ere.quarter_lambda_branch(
-        ere.make_symmetric_model("T2", 1, 1.0, 5.0, lam=0.25)
-    ) is None
+        assert geometry.closed_form(m) is None
+    # r = a/2 fails in some channel: no closed form, whatever the row
+    assert geometry.closed_form(ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.3)) is None
+    assert geometry.closed_form(ere.make_symmetric_model("T2", 1, 1.0, 5.0, lam=0.25)) is None

@@ -46,6 +46,8 @@ def test_potential_3d_amplitude():
     assert geometry.potential_3d(1.0, 1.0, c1=2.0).amplitude == pytest.approx(1.0 / 16.0)
     with pytest.raises(ValueError):
         geometry.potential_3d(0.0, 1.0)
+    with pytest.raises(ValueError, match="c1 must be nonzero"):
+        geometry.potential_3d(1.0, 1.0, c1=0.0)
 
 
 def test_potential_lam14_amplitude_and_guard():
@@ -64,6 +66,33 @@ def test_potential_2d_amplitude_and_guards():
         geometry.potential_2d(2.0, 2.0)
     with pytest.raises(ValueError):
         geometry.potential_2d(-1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"epsilon": 0}, "epsilon must be +1 or -1"),
+        ({"epsilon": 2}, "epsilon must be +1 or -1"),
+        ({"scale": 0.0}, "scale 0.0 is not positive and finite"),
+        ({"scale": -0.5}, "scale -0.5 is not positive and finite"),
+        ({"scale": math.nan}, "scale nan is not positive and finite"),
+        ({"scale": math.inf}, "scale inf is not positive and finite"),
+        ({"chi": math.nan}, "chi nan is not finite"),
+        ({"chi": -math.inf}, "chi -inf is not finite"),
+        ({"c1": 0.0}, "c1 must be nonzero"),
+        ({"amplitude": 0.0}, "potential amplitude 0.0 at c1 = 1.0 is not a finite"),
+        ({"amplitude": 1e-310}, "potential amplitude 1e-310 at c1 = 1.0 is not a finite"),
+        ({"amplitude": math.inf}, "potential amplitude inf at c1 = 1.0 is not a finite"),
+        ({"amplitude": math.nan}, "potential amplitude nan at c1 = 1.0 is not a finite"),
+    ],
+)
+def test_geometric_potential_refuses_by_name(fields, message):
+    """The constructor checks only the form: any positive scale and finite
+    chi pass (``closed_form`` names the classes); each refusal names its field."""
+    base = {"amplitude": 0.3, "epsilon": -1, "scale": 0.7, "chi": 1.2, "c1": 1.0}
+    assert geometry.GeometricPotential(**base).scale == 0.7
+    with pytest.raises(ValueError, match=re.escape(message)):
+        geometry.GeometricPotential(**{**base, **fields})
 
 
 @given(
@@ -127,6 +156,17 @@ def test_inaffinity_singular_at_vanishing_lapse():
     generic = torus.sample_trajectory(_zero_range(1.0, 1.0), [0.7])
     kappa, vanishing = geometry.lapse_inaffinity(generic)
     assert vanishing.tolist() == [False] and np.isfinite(kappa).all()
+
+
+def test_lapse_does_not_depend_on_the_family_tag():
+    """T2 rows 4 and 6 at a = (1, 1), lambda = 1/4 have the same channels, so
+    the same record and the same lapse, bit for bit."""
+    grid = np.geomspace(0.05, 20.0, 50)
+    row4, row6 = (ere.make_symmetric_model("T2", row, 1.0, 1.0, lam=0.25) for row in (4, 6))
+    assert row4.channels == row6.channels and row4.family != row6.family
+    assert geometry.closed_form(row4) == geometry.closed_form(row6) is not None
+    got, want = (geometry.lapse(torus.sample_trajectory(m, grid), c1=-2.5) for m in (row4, row6))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_construction_lapse_is_the_model_lapse_of_its_own_potential():
@@ -219,8 +259,8 @@ def test_eom_residual_detects_wrong_model():
 )
 def test_eom_residual_quarter_lambda_solvable(table, row, a0, a1):
     m = ere.make_symmetric_model(table, row, a0, a1, lam=0.25)
-    assert ere.quarter_lambda_branch(m) == "solvable"
     pot = geometry.potential_lam14(a0, a1)
+    assert geometry.closed_form(m).potential() == pot
     grid = np.geomspace(1e-2, 1e2, 500)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
     assert report.max_deviation < 1e-8, report.detail["excluded"]
@@ -235,7 +275,7 @@ def test_quarter_lambda_complementary_branch_has_no_single_potential():
     issue.
     """
     m = ere.make_symmetric_model("T3", 5, 1.0, 5.0, lam=0.25)
-    assert ere.quarter_lambda_branch(m) == "unsolvable"
+    assert geometry.closed_form(m) is None
     pot = geometry.potential_lam14(1.0, 5.0)
     grid = np.geomspace(1e-1, 1e1, 300)
     report = geometry.eom_residual(torus.sample_trajectory(m, grid), pot)
@@ -243,8 +283,11 @@ def test_quarter_lambda_complementary_branch_has_no_single_potential():
 
 
 def _family_models():
-    """Every valid 3D T1/T2/T3 row at lambda 0.1 and 0.25, for each sign pattern."""
-    pairs = ((1.0, 5.0), (-1.0, 5.0), (1.0, -5.0), (-1.0, -5.0), (-15.0, -1.0))
+    """Every valid 3D T1/T2/T3 row at lambda 0.1 and 0.25, for each sign pattern,
+    with pairs of equal magnitude, where rows other than 5 and 6 reach the
+    lambda = 1/4 class."""
+    pairs = ((1.0, 5.0), (-1.0, 5.0), (1.0, -5.0), (-1.0, -5.0), (-15.0, -1.0),
+             (2.0, 2.0), (-2.0, -2.0), (2.0, -2.0))
     for table, rows in (("T1", ere.T1_ROWS), ("T2", ere.T2_ROWS), ("T3", ere.T3_ROWS)):
         for row, lam, (a0, a1) in itertools.product(rows, (0.1, 0.25), pairs):
             try:
@@ -254,18 +297,17 @@ def _family_models():
 
 
 def test_closed_form_potential_follows_the_class_rule():
-    """3D zero range, the lambda = 1/4 branch with r = +2 a lambda, and 2D with
-    distinct lengths have a closed-form potential; no other model has one."""
+    """3D zero range, the lambda = 1/4 class with r = a/2 in both channels,
+    whatever the row, and 2D with distinct lengths have a closed-form
+    potential; no other model has one."""
     grid = np.geomspace(1e-2, 1e2, 300)
     c1 = 1.7
     classes = {"zero-range": 0, "lam14": 0, None: 0}
     for m in _family_models():
-        a0, a1, lam = m.singlet.a, m.triplet.a, m.family.lam
+        a0, a1 = m.singlet.a, m.triplet.a
         if m.singlet.r == 0.0 and m.triplet.r == 0.0:
             kind, want = "zero-range", geometry.potential_3d(a0, a1, c1=c1)
-        elif lam == 0.25 and all(
-            math.isclose(ch.r, 2.0 * ch.a * lam, rel_tol=1e-12) for ch in m.channels
-        ):
+        elif all(math.isclose(ch.r, 0.5 * ch.a, rel_tol=1e-12) for ch in m.channels):
             kind, want = "lam14", geometry.potential_lam14(a0, a1, c1=c1)
         else:
             kind, want = None, None
@@ -279,7 +321,7 @@ def test_closed_form_potential_follows_the_class_rule():
                 assert geometry.eom_residual(traj, wrong).max_deviation > 0.1, m
         else:
             assert geometry.eom_residual(traj, pot).max_deviation < 1e-8, m
-    assert classes == {"zero-range": 10, "lam14": 7, None: 69}
+    assert classes == {"zero-range": 16, "lam14": 15, None: 107}
     planar = ere.make_2d_model(1.0, 3.0)
     assert geometry.closed_form_potential(planar, c1=c1) == geometry.potential_2d(1.0, 3.0, c1=c1)
     assert geometry.closed_form_potential(ere.make_2d_model(2.0, 2.0)) is None
@@ -535,6 +577,30 @@ def _closed_form_start(model, c1, p0):
     dphi, dtheta = ere.tangents(model, p0)
     n0, _ = geometry.construction_lapse(model, pot, p0)
     return pot, (phi0, theta0, float(dphi / n0), float(dtheta / n0))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _zero_range(1.0, 5.0),
+        _zero_range(-2.0, -7.0),
+        ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25),
+        ere.make_2d_model(1.0, 5.0),
+    ],
+    ids=["zero-range", "zero-range-negative", "T3-6", "2D"],
+)
+@pytest.mark.parametrize("c1", [1.0, -2.5, 0.3])
+@pytest.mark.parametrize("p0", [1e-2, 0.7, 30.0])
+def test_affine_frequency_is_the_records(model, c1, p0):
+    """At the construction start the harmonic frequency Omega^2 = u'^2 + 4 A
+    s^2 / cos^2(u) of ``integrate_affine`` is s^2 / (k c1)^2 of the model's
+    ``closed_form`` record, to 1e-13 (measured: at most 2.5e-14)."""
+    form = geometry.closed_form(model)
+    pot, (phi0, theta0, dphi0, dtheta0) = _closed_form_start(model, c1, p0)
+    s = form.scale
+    du0 = s * (dphi0 + form.epsilon * dtheta0)
+    omega2 = du0 * du0 + 4.0 * pot.amplitude * s * s / math.cos(pot.argument(phi0, theta0)) ** 2
+    assert omega2 == pytest.approx(s * s / (form.k * c1) ** 2, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -966,6 +1032,21 @@ def test_point_to_polyline_distance_random_walks_bitwise(seed, m, n, step, phi_s
     lo, hi = poly.min(axis=0) - step, poly.max(axis=0) + step
     points = np.vstack([rng.uniform(lo, hi, size=(n, 2)), poly[rng.integers(0, m, n)]])
     got = geometry.point_to_polyline_distance(points, poly)
+    assert got.tobytes() == polyline_distance_all_pairs(points, poly).tobytes()
+
+
+def test_point_to_polyline_distance_settles_a_smooth_curve_in_one_pass(monkeypatch):
+    """Near a curve monotone in phi, every point is settled by its one
+    segment: one evaluation of the pairs, the early return, and the
+    all-pairs distances bit for bit."""
+    model = ere.make_symmetric_model("T1", 4, 1.0, 5.0)
+    poly = np.column_stack(ere.phases(model, np.geomspace(0.1, 10.0, 1600)))
+    points = 0.5 * (poly[1:] + poly[:-1]) + 1e-9
+    calls = []
+    pair_d2 = geometry._pair_d2
+    monkeypatch.setattr(geometry, "_pair_d2", lambda *args: calls.append(1) or pair_d2(*args))
+    got = geometry.point_to_polyline_distance(points, poly)
+    assert len(calls) == 1
     assert got.tobytes() == polyline_distance_all_pairs(points, poly).tobytes()
 
 
