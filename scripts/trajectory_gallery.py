@@ -7,6 +7,7 @@ worst equation-of-motion residual when a closed-form potential applies.
 """
 
 import argparse
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -43,13 +44,7 @@ def main() -> None:
 
     print(f"{'model':24s} {'quadrants':>9s} {'crossings':>9s} {'eom residual':>14s}")
     for name, base in GALLERY:
-        cfg = config.RunConfig(
-            base.dimension,
-            base.a0,
-            base.a1,
-            family=base.family,
-            p_grid=config.PGrid(0.01, 100.0, count=args.count),
-        )
+        cfg = dataclasses.replace(base, p_grid=config.PGrid(0.01, 100.0, count=args.count))
         path = out_dir / f"{name}.csv"
         cfg_path = out_dir / f"{name}.json"
         cfg.dump(cfg_path)
@@ -63,7 +58,7 @@ def main() -> None:
         n_quadrants = len(set(traj.positions().tolist()) - {"boundary"})
 
         residual = "n/a"
-        pot = geometry.closed_form_potential(model)
+        pot = geometry.closed_form_potential(model, cfg.c1)
         if pot is not None:
             residual = f"{geometry.eom_residual(traj, pot).max_deviation:.2e}"
 

@@ -288,7 +288,7 @@ def verify_poles(traj: Trajectory, tol: float = DEFAULT_TOLERANCES["pole_match"]
     largest imaginary part of a pole, against 0.  A model outside the causal
     family (3D, a < 0 and r = 2 a lambda in both channels) is NotApplicable."""
     model = traj.model
-    causal = model.dimension == 3 and model.family is not None and ere.ranges_follow(model, +1)
+    causal = model.dimension == 3 and model.family and ere.ranges_follow(model, model.family.lam)
     if not (causal and all(ch.a < 0 for ch in model.channels)):
         raise NotApplicable(
             "pole checks need the causal family: a 3D model with r = 2 a lambda "

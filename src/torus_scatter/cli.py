@@ -297,7 +297,7 @@ def _suite_symmetry(cfg, traj, potential, image) -> list:
         uvir.verify_phase_map(traj, tol=cfg.tolerance("phase_map"), image=image),
         uvir.verify_density_map(
             traj,
-            in_states=uvir._default_in_states(10, seed=cfg.seed),
+            in_states=uvir._default_in_states(seed=cfg.seed),
             tol=cfg.tolerance("density_map"),
             image=image,
         ),

@@ -11,8 +11,8 @@ the key: integers (``dimension``, ``seed``, ``family.row``, ``p_grid.count``)
 may be integral floats but not booleans or strings; ``a0``, ``a1``, ``c1``,
 ``family.lambda`` and the grid bounds must be finite numbers; ``family``
 and ``tolerances`` must be JSON objects, and each tolerance a positive
-number.  ``build_model`` also names the key of a channel whose
-dimensionless magnitudes are not finite and nonzero on the grid.
+number.  ``build_model`` also names the key of a channel whose dimensionless
+products (its ERE pair's ``magnitudes``) are not finite and nonzero on the grid.
 
 Every verification check reports one :class:`Check`, which passes iff its
 ``max_deviation`` is below its ``tolerance``; the tolerance of each named
@@ -155,18 +155,6 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     return y
 
 
-def _magnitudes(ch: ere.Channel3D | ere.Channel2D, p: float) -> list:
-    """[(name, coefficient, value at p)] of the dimensionless products in a
-    channel's ERE pair, formed as its arithmetic forms them: a p, r p and
-    a r p^2 in 3D (from ``Channel3D.scaled`` lengths), a2 p in 2D.  A
-    coefficient is nonzero iff the lengths in its product are."""
-    if isinstance(ch, ere.Channel2D):
-        return [("a2 p", ch.a2, ch.a2 * p)]
-    _, a_u, r_u, p_u = ch.scaled(p)
-    return [("a p", ch.a, ch.a * p), ("r p", ch.r, ch.r * p),
-            ("a r p^2", ch.a and ch.r, a_u * r_u * p_u * p_u)]
-
-
 #: Default tolerance of each check; the functions behind the checks use it too.
 DEFAULT_TOLERANCES = {
     "phase_map": 1e-10,
@@ -252,7 +240,7 @@ class RunConfig:
     # -- model construction ------------------------------------------------
 
     def build_model(self) -> ere.TwoChannelModel:
-        """The configured model, refused if a magnitude (``_magnitudes``)
+        """The configured model, refused if one of a channel's ``magnitudes``
         overflows, or underflows to 0 from a nonzero coefficient, at a grid
         end, and so somewhere on the monotonic grid: the phases and their
         derivatives would be limits or NaN."""
@@ -260,7 +248,7 @@ class RunConfig:
         ends = (self.p_grid.min, self.p_grid.max)
         for key, ch in zip(("a0", "a1"), model.channels):
             for p in ends:
-                for name, coefficient, value in _magnitudes(ch, p):
+                for name, coefficient, value in ch.magnitudes(p):
                     if not math.isfinite(value) or (value == 0.0 and coefficient != 0.0):
                         raise ConfigError(
                             f"{key}: {name} must be finite and nonzero over p_grid "

@@ -15,10 +15,9 @@ quantity comes from the pair and its momentum derivatives:
 * ``tangents``: 2 t with t = (S'C - SC')/(S^2 + C^2);
 * the second derivative 2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
-``phases`` and ``tangents`` refuse p < 0; the tangent of a 2D phase also
-refuses p = 0, where the log in its pair diverges.  On a grid,
-``torus.sample_trajectory`` gives all three from one evaluation of each pair,
-with the same arithmetic.
+``derivatives`` gives all three from one ``pair`` call per channel, under one
+floating-point policy; ``phases``, ``tangents`` and ``torus.sample_trajectory``
+read it.  It refuses p < 0, and a 2D tangent p = 0, where the log diverges.
 
 Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 
@@ -48,6 +47,7 @@ __all__ = [
     "Channel2D",
     "FamilyTag",
     "TwoChannelModel",
+    "derivatives",
     "phases",
     "tangents",
     "make_symmetric_model",
@@ -115,26 +115,33 @@ class Channel3D:
     def length(self) -> float:
         return self.a
 
-    def scaled(self, p) -> tuple:
-        """(unit, a, r, p) in the ``_scaled_lengths`` unit of a and r, where
-        p is of order sqrt(|a r|) p."""
-        unit, a_u, r_u = self._unit
-        return unit, a_u, r_u, p * unit
-
     def pair(self, p: np.ndarray, order: int) -> list:
         """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``,
-        from the ``scaled`` lengths and momenta: S and C are pure numbers, and
-        C' and C'' are scaled back by the unit.  Unless a r = 0, where both
-        are 0, they must be finite and C'' nonzero (``_check_derivatives``)."""
-        unit, a_u, r_u, p_u = self.scaled(p)
-        pairs = [(-a_u * p_u, 1.0 - 0.5 * a_u * r_u * p_u * p_u)]
+        under the errstate of ``derivatives``.  S and C are pure numbers from
+        the ``_scaled_lengths`` unit (p of order sqrt(|a r|) p) and must not
+        both be non-finite; C' and C'' are scaled back by the unit and, unless
+        a r = 0, must be finite with C'' nonzero (``_check_derivatives``)."""
+        unit, a_u, r_u = self._unit
+        p_u = p * unit
+        s, c = -a_u * p_u, 1.0 - 0.5 * a_u * r_u * p_u * p_u
+        if np.logical_or.reduce(~(np.isfinite(s) | np.isfinite(c)), axis=None):
+            raise ValueError(f"phases: S and C are both not finite on p in [{float(p.min())!r}, "
+                             f"{float(p.max())!r}] at this unit of length")
+        pairs = [(s, c)]
         if order:
             ar = -a_u * r_u
-            with np.errstate(over="ignore"):
-                pairs += [(-self.a, ar * p_u * unit), (0.0, ar * unit * unit)][:order]
+            pairs += [(-self.a, ar * p_u * unit), (0.0, ar * unit * unit)][:order]
             if ar:
                 _check_derivatives(p, pairs)
         return pairs
+
+    def magnitudes(self, p: float) -> list:
+        """[(name, coefficient, value at p)] of the pair's dimensionless
+        products as ``pair`` forms them; a coefficient is nonzero iff its lengths are."""
+        unit, a_u, r_u = self._unit
+        p_u = p * unit
+        return [("a p", self.a, self.a * p), ("r p", self.r, self.r * p),
+                ("a r p^2", self.a and self.r, a_u * r_u * p_u * p_u)]
 
 
 @dataclass(frozen=True)
@@ -165,21 +172,23 @@ class Channel2D:
         return self.a2
 
     def pair(self, p: np.ndarray, order: int) -> list:
-        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``;
-        a derivative at p = 0, or one that is not finite and nonzero
-        (``_check_derivatives``), raises ValueError."""
-        with np.errstate(divide="ignore"):
-            pairs = [(1.0, (-2.0 / np.pi) * np.log(self.a2 * p))]
+        """[(S, C), (S', C'), (S'', C'')] at momenta p, to derivative ``order``,
+        under the errstate of ``derivatives``; a derivative at p = 0, or one not
+        finite and nonzero (``_check_derivatives``), raises ValueError."""
+        pairs = [(1.0, (-2.0 / np.pi) * np.log(self.a2 * p))]
         if order:
-            if np.logical_or.reduce(p == 0, axis=None):  # not np.any: see _derivative
+            if np.logical_or.reduce(p == 0, axis=None):  # not np.any: see derivatives
                 raise ValueError("2D phase derivatives require p > 0")
-            with np.errstate(over="ignore"):
-                dc = (-2.0 / np.pi) / p
-                pairs.append((0.0, dc))
-                if order > 1:
-                    pairs.append((0.0, -dc / p))
+            dc = (-2.0 / np.pi) / p
+            pairs.append((0.0, dc))
+            if order > 1:
+                pairs.append((0.0, -dc / p))
             _check_derivatives(p, pairs)
         return pairs
+
+    def magnitudes(self, p: float) -> list:
+        """The pair's one dimensionless product, as ``Channel3D.magnitudes``."""
+        return [("a2 p", self.a2, self.a2 * p)]
 
 
 @dataclass(frozen=True)
@@ -276,8 +285,8 @@ class TwoChannelModel:
 
 
 def _range_matches(got: float, want: float) -> bool:
-    """True when ``got`` is ``want`` to ``RANGE_MATCH_TOL`` relative to ``want``."""
-    return abs(got - want) <= RANGE_MATCH_TOL * abs(want)
+    """True when ``got`` is a finite ``want`` to ``RANGE_MATCH_TOL`` relative to ``want``."""
+    return math.isfinite(want) and abs(got - want) <= RANGE_MATCH_TOL * abs(want)
 
 
 def _family_ranges(
@@ -353,14 +362,20 @@ def make_2d_model(
 # ---------------------------------------------------------------------------
 
 
-def _derivative(model: TwoChannelModel, p, order: int) -> tuple:
-    """The ``order``-th momentum derivative (0 or 1) of (phi, theta)."""
+def derivatives(model: TwoChannelModel, p, order: int) -> tuple:
+    """Per channel, [phase, its first ``order`` momentum derivatives] at
+    momenta p >= 0 (``order`` <= 2), from one ``pair`` call each, in the one
+    errstate block of the phase arithmetic.  What the events it ignores could
+    let through wrong is refused by name (``Channel3D.pair``,
+    ``Channel2D.pair``) or is a limit or quiet NaN that ``_from_pair`` states."""
     p = np.asarray(p, dtype=float)
     # The ufunc reduce np.any makes, without its Python layers, which cost
     # tens of microseconds a call after the caches are cold.
     if np.logical_or.reduce(p < 0, axis=None):
         raise ValueError("momentum must be >= 0")
-    return tuple(_from_pair(ch.pair(p, order))[order] for ch in model.channels)
+    # One block per call: entering one costs as much as a few hundred points' arithmetic.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return tuple(_from_pair(ch.pair(p, order)) for ch in model.channels)
 
 
 def _from_pair(pairs: list) -> list:
@@ -368,25 +383,22 @@ def _from_pair(pairs: list) -> list:
     order of ``pairs``: 2 t with t = (S'C - SC')/(S^2 + C^2), then
     2 [(S''C - SC'') - 2 t (SS' + CC')]/(S^2 + C^2).
 
-    S^2 + C^2 and its companions may overflow for huge a p; the slope then
-    takes its limit 0, as 1/(a p^2) does, or is a quiet NaN where S'C and SC'
-    both overflow, and the second derivative may be a quiet NaN (0 times an
-    overflowed SS').  ``geometry.eom_residual`` and the ``traj`` command
-    refuse a NaN they would use.
+    S^2 + C^2 and its companions may overflow for huge a p (``derivatives``
+    ignores it); the slope then takes its limit 0, as 1/(a p^2) does, or is a
+    quiet NaN where S'C and SC' both overflow, and the second derivative may
+    be a quiet NaN (0 times an overflowed SS').  ``geometry.eom_residual`` and
+    the ``traj`` command refuse a NaN they would use.
     """
     s, c = pairs[0]
     out = [2.0 * np.arctan2(s, c)]
     if len(pairs) > 1:
-        # One errstate block for both derivatives: entering one costs
-        # microseconds, as much as the arithmetic on a few hundred points.
-        with np.errstate(over="ignore", invalid="ignore"):
-            s1, c1 = pairs[1]
-            q = s * s + c * c
-            t = (s1 * c - s * c1) / q
-            out.append(2.0 * t)
-            if len(pairs) > 2:
-                s2, c2 = pairs[2]
-                out.append(2.0 * (((s2 * c - s * c2) - 2.0 * t * (s * s1 + c * c1)) / q))
+        s1, c1 = pairs[1]
+        q = s * s + c * c
+        t = (s1 * c - s * c1) / q
+        out.append(2.0 * t)
+        if len(pairs) > 2:
+            s2, c2 = pairs[2]
+            out.append(2.0 * (((s2 * c - s * c2) - 2.0 * t * (s * s1 + c * c1)) / q))
     return [x[()] for x in out]
 
 
@@ -397,12 +409,12 @@ def phases(model: TwoChannelModel, p):
     (-2pi, 2pi) (through -/+ pi where C = 0), and a 2D phase increases through
     (0, 2pi).
     """
-    return _derivative(model, p, 0)
+    return tuple(d[0] for d in derivatives(model, p, 0))
 
 
 def tangents(model: TwoChannelModel, p):
     """(dphi/dp, dtheta/dp) = 2 t per channel, t = (S'C - SC')/(S^2 + C^2)."""
-    return _derivative(model, p, 1)
+    return tuple(d[1] for d in derivatives(model, p, 1))
 
 
 def channel_pole_momentum(ch: Channel3D | Channel2D) -> float | None:
@@ -419,10 +431,7 @@ def channel_pole_momentum(ch: Channel3D | Channel2D) -> float | None:
     return None
 
 
-def ranges_follow(model: TwoChannelModel, sign: int) -> bool:
-    """True when r = sign * 2 a lambda (family tag's lambda) in every channel,
-    relative to |2 a lambda|."""
-    return all(
-        _range_matches(ch.r, sign * 2.0 * ch.a * model.family.lam) for ch in model.channels
-    )
-
+def ranges_follow(model: TwoChannelModel, lam: float) -> bool:
+    """True when r = 2 a lambda in both channels of a 3D model, to
+    ``RANGE_MATCH_TOL`` relative to 2 a lambda, which must be finite."""
+    return all(_range_matches(ch.r, 2.0 * (lam * ch.a)) for ch in model.channels)

@@ -177,9 +177,9 @@ def closed_form(model: ere.TwoChannelModel) -> ClosedForm | None:
     """The record of the model's closed-form class, from its channels alone,
     whatever its family tag, or None.  The classes: 2D with distinct lengths;
     3D zero range (r = 0 in both channels, nonzero lengths); and the lambda =
-    1/4 class, r = a/2 in both channels (``ere.RANGE_MATCH_TOL``), nonzero
-    lengths.  2D models with equal lengths, whose curve is a geodesic, and
-    every other model have None."""
+    1/4 class, r = a/2 in both channels (``ere.ranges_follow`` at 1/4),
+    nonzero lengths.  2D models with equal lengths, whose curve is a
+    geodesic, and every other model have None."""
     a0, a1 = model.singlet.length, model.triplet.length
     if model.dimension == 2:
         return None if a0 == a1 else _planar_form(a0, a1)
@@ -187,7 +187,7 @@ def closed_form(model: ere.TwoChannelModel) -> ClosedForm | None:
         return None
     if model.singlet.r == 0.0 and model.triplet.r == 0.0:
         return _zero_range_form(a0, a1)
-    if all(ere._range_matches(ch.r, 0.5 * ch.a) for ch in model.channels):
+    if ere.ranges_follow(model, 0.25):
         return _quarter_form(a0, a1)
     return None
 

@@ -2,8 +2,8 @@
 
 The two doubled phase shifts (phi, theta) live on a flat torus.  A
 ``Trajectory`` is the curve traced on the torus as the momentum runs over a
-grid, with the phases' first two momentum derivatives, from one evaluation of
-each channel's ERE pair; every consumer of the curve reads it.  Quadrants are
+grid, with the phases' first two momentum derivatives, from one
+``ere.derivatives`` call; every consumer of the curve reads it.  Quadrants are
 named by the signs of (sin phi, sin theta) following the usual picture of the
 fundamental square: "bottom-left" means both phases lie in (-pi, 0) mod 2pi.
 """
@@ -98,8 +98,8 @@ class Trajectory:
 
 def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
     """The model's curve over a non-empty, strictly increasing grid of p > 0,
-    from one second-order evaluation of each channel's ERE pair, bit for bit
-    ``ere``'s phases and derivatives.
+    from one second-order ``ere.derivatives``, so bit for bit ``ere``'s
+    phases and tangents.
 
     The phase formulas are analytic and on their continuous branch at every
     momentum, so any grid is accepted, however coarse.
@@ -111,7 +111,5 @@ def sample_trajectory(model: ere.TwoChannelModel, p_grid) -> Trajectory:
     # more than the comparison on a grid of one to hundreds of points.
     if not (p[0] > 0 and (p[1:] > p[:-1]).all()):
         raise ValueError("momentum grid must be strictly increasing with p > 0")
-    (phi, dphi, d2phi), (theta, dtheta, d2theta) = (
-        ere._from_pair(ch.pair(p, 2)) for ch in model.channels
-    )
+    (phi, dphi, d2phi), (theta, dtheta, d2theta) = ere.derivatives(model, p, 2)
     return Trajectory(model, p, phi, theta, dphi, dtheta, d2phi, d2theta)

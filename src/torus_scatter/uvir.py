@@ -252,7 +252,8 @@ def verify_phase_map(
     return _family_check(traj, "phase_map", dev, tol)
 
 
-def _default_in_states(n: int, seed: int = 7) -> np.ndarray:
+def _default_in_states(n: int = 10, seed: int = 0) -> np.ndarray:
+    """n Haar-random product in-states; seed 0 is ``RunConfig``'s default."""
     rng = np.random.default_rng(seed)
     return spin.haar_product_states(n, rng)
 
@@ -279,11 +280,12 @@ def verify_density_map(
 
     ``in_states`` is a (k, 4) array of normalized states with k >= 1 (one
     1-D state of length 4 also works); anything else raises ValueError, as
-    does a non-finite phase.
+    does a non-finite phase.  None draws ``_default_in_states()``, the
+    in-states of ``verify`` on a config without ``seed``.
     """
     sym, phi_inv, theta_inv = (image or InversionImage(traj)).phases
     if in_states is None:
-        in_states = _default_in_states(10)
+        in_states = _default_in_states()
     shape = np.shape(in_states)
     states = np.atleast_2d(np.asarray(in_states, dtype=complex))
     if states.ndim != 2 or states.shape[1] != 4:

@@ -129,6 +129,25 @@ def test_model_rejects_inconsistent_family_ranges():
         )
 
 
+def test_a_range_never_matches_a_target_that_is_not_finite():
+    """T3 row 6 at a = -1e308, lambda = 1 wants r = 2 a lambda = -inf: no
+    finite range matches it, where |r - inf| <= 1e-12 |inf| would."""
+    assert not ere._range_matches(-5.0, -math.inf)
+    channels = (ere.Channel3D(-1e308, r=-5.0), ere.Channel3D(-1e308, r=-7.0))
+    with pytest.raises(ValueError, match="do not match T3 row 6"):
+        ere.TwoChannelModel(3, *channels, ere.FamilyTag("T3", 6, 1.0))
+    assert not ere.ranges_follow(ere.TwoChannelModel(3, *channels), 1.0)
+
+
+def test_ranges_follow_is_r_equal_to_2_a_lambda_at_the_given_lambda():
+    """One predicate for the causal family at its tag's lambda and for the
+    lambda = 1/4 class, r = a/2."""
+    m = ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.3)
+    assert ere.ranges_follow(m, 0.3) and not ere.ranges_follow(m, 0.25)
+    quarter = ere.make_symmetric_model("T2", 4, 1.0, 1.0, lam=0.25)
+    assert ere.ranges_follow(quarter, 0.25) and geometry.closed_form(quarter) is not None
+
+
 # ---------------------------------------------------------------------------
 # 3D phases
 # ---------------------------------------------------------------------------
@@ -233,6 +252,35 @@ def test_a_c_prime_that_overflows_is_refused():
     model = ere.TwoChannelModel(3, ere.Channel3D(1e160, r=1e160), ere.Channel3D(1.0))
     with pytest.raises(ValueError, match="phase derivatives"):
         ere.tangents(model, 1e-10)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.0])
+def test_a_pair_whose_s_and_c_both_overflow_is_refused(r):
+    """At a = 10 and p = 1e308, p in the lengths' unit overflows, so S and C
+    are both infinite (or C is NaN at r = 0): their atan2 is no limit of the
+    phase, and every evaluation refuses it, naming the grid."""
+    model = ere.TwoChannelModel(3, ere.Channel3D(10.0, r=r), ere.Channel3D(1.0))
+    message = r"^phases: S and C are both not finite on p in \[1e\+308, 1e\+308\]"
+    for evaluate in (ere.phases, ere.tangents, torus.sample_trajectory):
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, [1e308] if evaluate is torus.sample_trajectory else 1e308)
+
+
+@pytest.mark.parametrize(
+    "model", [ere.make_symmetric_model("T1", 4, 1.0, 5.0), ere.make_2d_model(1.0, 3.0)],
+    ids=["3D", "2D"],
+)
+def test_each_evaluation_enters_one_errstate(model, monkeypatch):
+    """The phase arithmetic states its floating-point policy once, in
+    ``ere.derivatives``: one errstate per evaluation, whatever its order."""
+    entered = []
+    enter = np.errstate.__enter__
+    monkeypatch.setattr(np.errstate, "__enter__", lambda self: entered.append(self) or enter(self))
+    grid = np.geomspace(0.1, 10.0, 7)
+    for evaluate, p in ((torus.sample_trajectory, grid), (ere.phases, 0.5), (ere.tangents, grid)):
+        entered.clear()
+        evaluate(model, p)
+        assert len(entered) == 1, evaluate
 
 
 def test_pole_momenta():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import config, ere, spin, torus, uvir
+from torus_scatter import cli, config, ere, spin, torus, uvir
 
 import oracles
 
@@ -237,6 +238,24 @@ def test_verify_density_map_full_and_mixed_classes():
         grid = uvir.make_paired_grid(a0, a1, lam=lam, count=21)
         report = uvir.verify_density_map(torus.sample_trajectory(m, grid))
         assert report.passed, report.to_json()
+
+
+def test_default_in_states_are_those_verify_draws_without_a_seed(tmp_path):
+    """``verify_density_map`` without in-states reports what ``verify`` does
+    for a config without ``seed``: the same ten in-states, whose mixed-class
+    report differs from that of the seed-7 states."""
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "a0": 1.0, "a1": 2.0, "family": {"table": "T2", "row": 2, "lambda": 0.7},
+        "p_grid": {"min": 0.1, "max": 10.0, "count": 21},
+    }))
+    assert cli.main(["verify", "--suite", "symmetry", "--config", str(path), "--out", str(out)]) == 0
+    (want,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "density_map"]
+    cfg = config.RunConfig.load(path)
+    traj = torus.sample_trajectory(cfg.build_model(), cfg.build_grid())
+    assert uvir.verify_density_map(traj).to_json() == want
+    seeded = uvir.verify_density_map(traj, in_states=uvir._default_in_states(seed=7))
+    assert seeded.to_json() != want
 
 
 def test_density_map_oracle_by_hand():
