@@ -27,7 +27,7 @@ def main() -> None:
     for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
         lam = float(lam)
         closed = causality.poles_closed_form(args.a, lam)
-        numeric = causality.poles_numeric(args.a, 2.0 * args.a * lam)
+        numeric = causality.poles_numeric(args.a, 2.0 * (lam * args.a))
         c_flat = causality.flatten_poles(closed)
         n_flat = causality.flatten_poles(numeric)
         dev = max(abs(c - n) for c, n in zip(c_flat, n_flat))

@@ -188,9 +188,10 @@ class PoleSet:
 def poles_closed_form(a: float, lam: float) -> PoleSet:
     """Pole positions of the causal range-correlated channel (r = 2 a lambda, a < 0).
 
-    The roots of ``poles_numeric`` at r = 2 a lambda, where 2r/a - 1 is
-    4 lambda - 1.  Three regimes: lambda > 1/4 gives a mirrored resonance
-    pair +/- p_R - i p_I with p_R = sqrt(4 lambda - 1)/(2|a|lambda), p_I =
+    The roots of ``poles_numeric`` at r = 2 a lambda, formed as 2 (lambda a)
+    as ``ere`` forms every range, where 2r/a - 1 is 4 lambda - 1.  Three
+    regimes: lambda > 1/4 gives a mirrored resonance pair +/- p_R - i p_I
+    with p_R = sqrt(4 lambda - 1)/(2|a|lambda), p_I =
     1/(2|a|lambda); lambda = 1/4 a double virtual-state pole at -i/(2|a|lambda);
     lambda < 1/4 two virtual states -i p_+/- with
     p_+/- = (1 +/- sqrt(1-4 lambda))/(2|a|lambda), p_- computed free of
@@ -206,7 +207,7 @@ def poles_closed_form(a: float, lam: float) -> PoleSet:
         raise ValueError("lambda must be positive")
     if a >= 0.0:
         raise ValueError("closed-form poles apply to the causal row (a<0)")
-    r = 2.0 * a * lam
+    r = 2.0 * (lam * a)
     q = 4.0 * lam - 1.0
     root = math.sqrt(abs(q)) if math.isfinite(q) else 2.0 * math.sqrt(lam)
     if math.isinf(r) and math.isfinite(a) and math.isfinite(lam):

@@ -24,11 +24,12 @@ Momentum-inversion-symmetric families are built by ``make_symmetric_model``:
 * table "T1": zero-range models, symmetric under ``p -> 1/(|a0 a1| p)``,
   rows 1-4 distinguished by the signs of (a0, a1);
 * table "T2": range-corrected models, symmetric under
-  ``p -> 1/(lambda |a0 a1| p)``, ranges ``-/+ 2 eta / a`` with
-  ``eta = lambda |a0 a1|``; rows 1-4 cross-correlate (r0 from a1's magnitude),
-  rows 5-6 self-correlate;
-* table "T3": the causal subfamily, ranges written ``-/+ 2 a lambda`` with
-  explicit sign constraints so that both ranges are <= 0;
+  ``p -> 1/(lambda |a0 a1| p)``, ranges ``-/+ 2 lambda |a0 a1| / a``, formed
+  as ``2 (lambda |a|)`` of the other channel's length with the sign of
+  ``-/+ a``; rows 1-4 cross-correlate (r0 from a1's magnitude), rows 5-6
+  self-correlate;
+* table "T3": the causal subfamily, each row the part of its T2 row where
+  both ranges are <= 0, so each length's sign is fixed by the row;
 * table "2D": log-periodic 2D models, symmetric under ``p -> 1/(a0 a1 p)``.
 
 Units: hbar = M = 1; lengths in an arbitrary unit L, momenta in 1/L; only the
@@ -212,16 +213,13 @@ class FamilyTag:
 #: A range matches its family's value to this fraction of it (no absolute floor).
 RANGE_MATCH_TOL = 1e-12
 
-T1_ROWS = (1, 2, 3, 4)
-T2_ROWS = (1, 2, 3, 4, 5, 6)
-T3_ROWS = (1, 2, 3, 4, 5, 6)
-
 # Sign constraints of the zero-range rows: row -> (sign a0, sign a1).
 _T1_SIGNS = {1: (+1, -1), 2: (-1, +1), 3: (-1, -1), 4: (+1, +1)}
 
-# Range-corrected rows: r0, r1 in units of eta = lambda |a0 a1|, written as
-# (sign, denominator channel): r = sign * 2 * eta / a_denom.
-_T2_RANGE = {
+# Range-corrected rows, T2 and T3: (r0, r1), each as (sign, d), r = sign * 2
+# lambda |a0 a1| / a_d.  T3 keeps the part of the row where both ranges are
+# <= 0, that is sgn(a_d) = -sign.
+_RANGE_ROWS = {
     1: ((-1, 0), (-1, 1)),
     2: ((-1, 0), (+1, 1)),
     3: ((+1, 0), (-1, 1)),
@@ -230,16 +228,8 @@ _T2_RANGE = {
     6: ((+1, 1), (+1, 0)),
 }
 
-# Causal rows: r = sign * 2 * a_src * lambda, valid only when a_src has the
-# listed sign (which makes every range <= 0).  Entries: (sign, src, a_src>0?).
-_T3_RANGE = {
-    1: ((-1, 1, True), (-1, 0, True)),
-    2: ((+1, 1, False), (-1, 0, True)),
-    3: ((-1, 1, True), (+1, 0, False)),
-    4: ((+1, 1, False), (+1, 0, False)),
-    5: ((-1, 0, True), (-1, 1, True)),
-    6: ((+1, 0, False), (+1, 1, False)),
-}
+T1_ROWS = tuple(_T1_SIGNS)
+T2_ROWS = T3_ROWS = tuple(_RANGE_ROWS)
 
 
 @dataclass(frozen=True)
@@ -292,33 +282,27 @@ def _range_matches(got: float, want: float) -> bool:
 def _family_ranges(
     table: str, row: int, a0: float, a1: float, lam: float
 ) -> tuple[float, float]:
-    """Effective ranges dictated by a family row (sign constraints checked)."""
+    """Effective ranges dictated by a family row (nonzero lengths and sign
+    constraints checked).  A T2 or T3 range is 2 (lambda |a_src|), a_src the
+    other channel's length, with the sign of sign * a_d: 2 lambda |a0 a1| / a_d
+    rounded once, as ``ranges_follow`` forms 2 a lambda."""
+    if a0 == 0.0 or a1 == 0.0:
+        raise ValueError("scattering lengths must be nonzero")
+    lengths = (a0, a1)
     if table == "T1":
-        s0, s1 = _T1_SIGNS[row]
-        for label, a, s in (("a0", a0, s0), ("a1", a1, s1)):
-            cond = "<0" if s < 0 else ">0"
-            if a * s <= 0:
-                raise ValueError(f"T1 row {row} requires ({label}{cond}); got {label}={a}")
-        return 0.0, 0.0
-    if table == "T2":
-        # 2 eta / a, eta = lambda |a0 a1|, in the ``_scaled_lengths`` unit,
-        # where eta cannot under- or overflow, and scaled back by 2^k exactly.
-        k, *dens = _scaled_lengths(a0, a1)
-        eta = lam * abs(dens[0] * dens[1])
-        return tuple(sg * 2.0 * eta / dens[d] * 2.0**k for sg, d in _T2_RANGE[row])
-    if table == "T3":
-        sources = (a0, a1)
-        out = []
-        for sg, src, positive in _T3_RANGE[row]:
-            a_src = sources[src]
-            label = f"a{src}"
-            if positive and a_src <= 0:
-                raise ValueError(f"T3 row {row} requires ({label}>0); got {label}={a_src}")
-            if not positive and a_src >= 0:
-                raise ValueError(f"T3 row {row} requires ({label}<0); got {label}={a_src}")
-            out.append(sg * 2.0 * a_src * lam)
-        return tuple(out)
-    raise ValueError(f"unknown table {table!r}")
+        signs, ranges = dict(enumerate(_T1_SIGNS[row])), (0.0, 0.0)
+    elif table in ("T2", "T3"):
+        entries = _RANGE_ROWS[row]
+        signs = {d: -sign for sign, d in entries} if table == "T3" else {}
+        ranges = tuple(math.copysign(2.0 * (lam * abs(lengths[1 - d])), sign * lengths[d])
+                       for sign, d in entries)
+    else:
+        raise ValueError(f"unknown table {table!r}")
+    for k in sorted(signs):
+        if lengths[k] * signs[k] <= 0:
+            cond = "<0" if signs[k] < 0 else ">0"
+            raise ValueError(f"{table} row {row} requires (a{k}{cond}); got a{k}={lengths[k]}")
+    return ranges
 
 
 def make_symmetric_model(
@@ -334,8 +318,6 @@ def make_symmetric_model(
     if table == "T1":
         lam = 1.0
     tag = FamilyTag(table=table, row=row, lam=lam)
-    if a0 == 0.0 or a1 == 0.0:
-        raise ValueError("scattering lengths must be nonzero")
     r0, r1 = _family_ranges(table, row, a0, a1, lam)
     return TwoChannelModel(
         dimension=3,

@@ -239,8 +239,12 @@ def lapse(traj: torus.Trajectory, c1: float = 1.0):
     overflows or underflows, as at lengths near 1e+-154 and beyond, this
     raises a ValueError.
     """
+    return _lapse(traj, closed_form(traj.model), c1)
+
+
+def _lapse(traj: torus.Trajectory, form: ClosedForm | None, c1: float):
+    """``lapse`` of a trajectory whose model's ``closed_form`` is ``form``."""
     model, p = traj.model, traj.p
-    form = closed_form(model)
     try:
         with np.errstate(over="raise", under="raise"):
             if model.dimension == 3 and (form is None or form.k == 1.0):
@@ -273,11 +277,11 @@ def construction_lapse(
     closed-form potential: ``lapse`` at the potential's c1, on the trajectory
     sampled at ``p`` (a scalar or a strictly increasing 1D grid of p > 0),
     in the shape of ``p``.  Any other potential raises a ValueError."""
-    _require_closed_form(model, potential)
+    form = _require_closed_form(model, potential)
     # Array methods, not np.shape and np.ravel, for their Python layers' cost
     # on the one momentum this is often given.
     p = np.asarray(p, dtype=float)
-    n_val, dn_val = lapse(torus.sample_trajectory(model, p.reshape(-1)), potential.c1)
+    n_val, dn_val = _lapse(torus.sample_trajectory(model, p.reshape(-1)), form, potential.c1)
     return n_val.reshape(p.shape)[()], dn_val.reshape(p.shape)[()]
 
 

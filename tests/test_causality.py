@@ -216,6 +216,14 @@ def test_poles_closed_form_three_cases():
     assert sorted(-p.imag for p, _ in virt.poles) == pytest.approx(expected)
 
 
+def test_quarter_lambda_is_a_double_pole_where_2a_overflows():
+    """At a = -1e308, 2 a overflows but r = 2 (lambda a) = -5e307 does not, so
+    lambda = 1/4 keeps its double virtual pole -i/(2|a|lambda)."""
+    got = causality.poles_closed_form(-1e308, 0.25)
+    assert got.classification == "double_virtual"
+    assert got.poles == ((complex(0.0, -2e-308), 2),)
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.25, 4.0])
 def test_verify_poles_on_the_causal_family(lam):
     """T3 row 6 (r = 2 a lambda, a < 0): the closed-form poles are the roots

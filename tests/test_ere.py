@@ -1,6 +1,7 @@
 """Effective-range phase shifts, channels, and range-correlated families."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,14 +109,55 @@ def test_t2_opposite_orientation_gives_a_positive_range(row, mag0, mag1, lam):
     assert max(model.singlet.r, model.triplet.r) > 0.0
 
 
-def test_t2_t3_coincide_on_causal_domain():
-    for row in ere.T3_ROWS:
-        signs = CAUSAL_SIGNS[row]
-        a0, a1 = signs[0] * 1.7, signs[1] * 0.4
-        m2 = ere.make_symmetric_model("T2", row, a0, a1, lam=0.3)
-        m3 = ere.make_symmetric_model("T3", row, a0, a1, lam=0.3)
-        assert m2.singlet.r == pytest.approx(m3.singlet.r, rel=1e-14)
-        assert m2.triplet.r == pytest.approx(m3.triplet.r, rel=1e-14)
+#: Magnitudes and lambdas whose ranges 2 lambda |a| are normal floats.
+MAGNITUDES = st.floats(1e-150, 1e150)
+LAMBDAS = st.floats(1e-3, 1e3)
+
+
+@given(row=st.sampled_from(ere.T3_ROWS), mag0=MAGNITUDES, mag1=MAGNITUDES, lam=LAMBDAS)
+@settings(max_examples=300, deadline=None)
+def test_t2_t3_coincide_on_causal_domain(row, mag0, mag1, lam):
+    """On a T3 row's sign domain its ranges are the T2 row's, bit for bit."""
+    s0, s1 = CAUSAL_SIGNS[row]
+    m2, m3 = (ere.make_symmetric_model(t, row, s0 * mag0, s1 * mag1, lam=lam) for t in ("T2", "T3"))
+    assert (m2.singlet.r, m2.triplet.r) == (m3.singlet.r, m3.triplet.r)
+
+
+@given(
+    table=st.sampled_from(("T2", "T3")),
+    row=st.sampled_from(ere.T2_ROWS),
+    signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    mag0=MAGNITUDES,
+    mag1=MAGNITUDES,
+    lam=LAMBDAS,
+)
+@settings(max_examples=300, deadline=None)
+def test_family_ranges_are_the_exact_value_rounded_once(table, row, signs, mag0, mag1, lam):
+    """Each T2 and T3 range is the float nearest its row's exact value,
+    sign 2 lambda |a0 a1| / a_d computed in rationals."""
+    s0, s1 = CAUSAL_SIGNS[row] if table == "T3" else signs
+    a = (s0 * mag0, s1 * mag1)
+    model = ere.make_symmetric_model(table, row, *a, lam=lam)
+    eta = Fraction(lam) * abs(Fraction(a[0]) * Fraction(a[1]))
+    for ch, (sign, d) in zip(model.channels, ere._RANGE_ROWS[row]):
+        assert ch.r == float(sign * 2 * eta / Fraction(a[d]))
+
+
+def test_t3_quarter_row_builds_where_2a_overflows():
+    """r = 2 (lambda a) = -5e307 is finite where 2 a is not: T3 row 6 at
+    a = -1e308, lambda = 1/4 builds and has the lambda = 1/4 closed form."""
+    m = ere.make_symmetric_model("T3", 6, -1e308, -1e308, lam=0.25)
+    assert (m.singlet.r, m.triplet.r) == (-5e307, -5e307)
+    assert geometry.closed_form_potential(m) == geometry.potential_lam14(-1e308, -1e308)
+
+
+@pytest.mark.parametrize("table", ["T1", "T2", "T3"])
+def test_a_zero_length_under_a_family_tag_is_refused_by_name(table):
+    with pytest.raises(ValueError, match="scattering lengths must be nonzero"):
+        ere.TwoChannelModel(3, ere.Channel3D(0.0, r=-1.0), ere.Channel3D(2.0, r=-2.0),
+                            ere.FamilyTag(table, 1, 1.0))
+    with pytest.raises(ValueError, match="scattering lengths must be nonzero"):
+        ere.make_symmetric_model(table, 1, 2.0, 0.0)
 
 
 def test_model_rejects_inconsistent_family_ranges():

@@ -189,6 +189,26 @@ def test_construction_lapse_is_the_model_lapse_of_its_own_potential():
         geometry.construction_lapse(acausal, geometry.potential_3d(1.0, 5.0), 1.0)
 
 
+def test_each_affine_step_classifies_the_model_once(monkeypatch):
+    """construction_lapse and affine_parameter_span each call closed_form once:
+    the lapse takes the record that the potential check returns."""
+    calls = []
+    classify = geometry.closed_form
+    monkeypatch.setattr(geometry, "closed_form", lambda m: calls.append(m) or classify(m))
+    for m in (
+        _zero_range(1.0, -5.0),
+        ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25),
+        ere.make_2d_model(1.0, 3.0),
+    ):
+        pot = classify(m).potential(-2.5)
+        calls.clear()
+        geometry.construction_lapse(m, pot, np.geomspace(0.05, 20.0, 5))
+        assert calls == [m]
+        calls.clear()
+        geometry.affine_parameter_span(m, pot, 0.1, 0.5)
+        assert calls == [m]
+
+
 # ---------------------------------------------------------------------------
 # trajectory equations
 # ---------------------------------------------------------------------------

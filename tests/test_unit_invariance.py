@@ -188,17 +188,18 @@ def test_t2_phases_do_not_depend_on_the_unit_of_length(tmp_path, row, s):
 def test_t2_phases_of_lengths_far_apart_are_the_given_units(tmp_path, row, a0, a1):
     """a0 a1 = 1 and, in rows 1-4, a r = -/+ 2 lambda: every product fits in
     float64 although the lengths are 2^1000 or more apart, so ep writes the
-    phases of the ranges 2 lambda |a0 a1| / a and of S = -a p,
-    C = 1 - a r p^2/2 formed in the given unit, bit for bit."""
+    phases of the ranges 2 lambda |a0 a1| / a, formed as 2 (lambda |a_src|)
+    with a_src the other length, and of S = -a p, C = 1 - a r p^2/2 formed in
+    the given unit, bit for bit."""
     lam = 0.3
     model = {"dimension": 3, "a0": a0, "a1": a1,
              "family": {"table": "T2", "row": row, "lambda": lam}}
     code, text = _run(tmp_path, model, "ep", grid=(1e-100, 1e100, 201, "log"))
     assert code == 0
     rows = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
-    p, eta = rows[:, 0], lam * abs(a0 * a1)
-    for column, a, (sign, den) in zip((1, 2), (a0, a1), ere._T2_RANGE[row]):
-        r = sign * 2.0 * eta / (a0, a1)[den]
+    p, lengths = rows[:, 0], (a0, a1)
+    for column, a, (sign, den) in zip((1, 2), lengths, ere._RANGE_ROWS[row]):
+        r = math.copysign(2.0 * (lam * abs(lengths[1 - den])), sign * lengths[den])
         want = 2.0 * np.arctan2(-a * p, 1.0 - 0.5 * a * r * p * p)
         assert rows[:, column].tobytes() == want.tobytes()
 

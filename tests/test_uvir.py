@@ -124,14 +124,15 @@ def test_expected_map_2d_swaps_and_negates():
 
 def _row_sign_pairs():
     """(table, row, (sign a0, sign a1)) for every sign pair each row accepts,
-    read from ``ere``'s row tables: T2 rows accept any pair."""
+    read from ``ere``'s row tables: T2 rows accept any pair, T3 rows the one
+    with sgn(a_d) = -sign in each entry, where both ranges are <= 0."""
     for row, signs in ere._T1_SIGNS.items():
         yield "T1", row, signs
     for row in ere.T2_ROWS:
         for signs in itertools.product((1, -1), repeat=2):
             yield "T2", row, signs
-    for row, entries in ere._T3_RANGE.items():
-        signs = {src: 1 if positive else -1 for _sg, src, positive in entries}
+    for row, entries in ere._RANGE_ROWS.items():
+        signs = {d: -sg for sg, d in entries}
         yield "T3", row, (signs[0], signs[1])
     yield "2D", 1, (1, 1)
 
@@ -145,10 +146,8 @@ def test_each_map_is_a_rational_identity_of_the_ere_pairs(table, row, signs):
     mags = A0, A1, lam, p = sympy.symbols("A0 A1 lambda p", positive=True)
     a = [signs[0] * A0, signs[1] * A1]
     eta = (lam if table in ("T2", "T3") else 1) * A0 * A1
-    if table == "T2":
-        ranges = [sg * 2 * eta / a[d] for sg, d in ere._T2_RANGE[row]]
-    elif table == "T3":
-        ranges = [sg * 2 * a[src] * lam for sg, src, _positive in ere._T3_RANGE[row]]
+    if table in ("T2", "T3"):
+        ranges = [sg * 2 * eta / a[d] for sg, d in ere._RANGE_ROWS[row]]
     else:
         ranges = [0, 0]
     dim = 2 if table == "2D" else 3
