@@ -21,7 +21,10 @@ The corpus:
   digest of each affine-reconstruct op (``workloads.AffineOp.collect``).
 
 Each config runs ``traj``, ``ep`` and ``verify --suite S`` for every suite
-``S``; a config that recurs runs once.  The script prints the
+``S``; a config that recurs runs once.  ``traj`` and ``ep`` run a second
+time with the side's process pinned to one CPU (``os.sched_setaffinity``),
+so the single-stripe CSV writer's bytes are compared as well as the striped
+writer's (``cli._write_csv``).  The script prints the
 number of identical runs, of runs that differ only in their error text, and
 of runs that differ (exit code or output), with the first run of each kind
 of difference, and exits 1 if any run is not identical.
@@ -53,6 +56,7 @@ _CI_POLES = re.compile(r"^\s*(?:smoke|refused) (poles [^$\n]*)$", re.MULTILINE)
 #: The code of each side's process: it reads one JSON line [name, argv] at a
 #: time, writes NAME.out (the command's --out), NAME.err and NAME.code into
 #: the directory given as its first argument, and answers with the name.
+#: An argv that starts with "one-cpu" runs the rest pinned to one CPU.
 _CHILD = r"""
 import contextlib, io, json, os, sys, warnings
 sys.path.append(sys.argv[2])
@@ -71,6 +75,13 @@ for line in sys.stdin:
                 with open(path + ".out", "w", encoding="utf-8") as fh:
                     fh.write(digest + "\n")
                 code = 0
+            elif argv[0] == "one-cpu":
+                cpus = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {min(cpus)})
+                try:
+                    code = cli.main([*argv[1:], "--out", path + ".out"])
+                finally:
+                    os.sched_setaffinity(0, cpus)
             else:
                 code = cli.main([*argv, "--out", path + ".out"])
     except Exception as exc:  # a traceback is an outcome to compare as well
@@ -193,9 +204,9 @@ def bench_corpus(seeds) -> tuple[dict, list, list]:
 
 
 def jobs(corpus_dir: Path, seeds) -> list:
-    """[name, argv] of every run: each config under every command and suite,
-    the poles commands and the affine ops.  Writes the configs into
-    ``corpus_dir``."""
+    """[name, argv] of every run: each config under every command (and each
+    CSV command again on one CPU) and suite, the poles commands and the affine
+    ops.  Writes the configs into ``corpus_dir``."""
     sys.path.insert(0, str(ROOT / "src"))
     from torus_scatter.cli import SUITES
 
@@ -210,6 +221,8 @@ def jobs(corpus_dir: Path, seeds) -> list:
             continue
         seen.add(key)
         out += [[f"{name}.{cmd}", [cmd, "--config", path]] for cmd in COMMANDS]
+        out += [[f"{name}.{cmd}-one-cpu", ["one-cpu", cmd, "--config", path]]
+                for cmd in COMMANDS]
         out += [[f"{name}.verify-{suite}", ["verify", "--suite", suite, "--config", path]]
                 for suite in SUITES]
     unique_poles = list(dict.fromkeys(map(tuple, ci_poles + bench_poles)))

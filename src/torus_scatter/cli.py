@@ -44,6 +44,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -72,7 +73,11 @@ def _output(out_path: str | None) -> Iterator:
     if out_path is None:
         yield sys.stdout
         return
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
+    try:
+        mode = os.stat(out_path).st_mode
+    except (OSError, ValueError):  # absent, as os.path.exists reads it
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
@@ -82,8 +87,8 @@ def _output(out_path: str | None) -> Iterator:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            if os.path.exists(target):
-                os.fchmod(fd, os.stat(target).st_mode & 0o7777)
+            if mode is not None:
+                os.fchmod(fd, mode & 0o7777)
             yield fh
         os.replace(tmp, target)
     except BaseException:

@@ -313,8 +313,10 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "rb", buffering=0) as fh:
+                text = fh.readall().decode("utf-8")
+            # Newlines as text mode reads them, so an error's position is the same.
+            data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except UnicodeDecodeError as exc:

@@ -18,6 +18,10 @@ take them at its image ``p'`` from an ``InversionImage``, which evaluates
 them once however many checks read it, and bound the deviation of the
 mapped relation.  All comparisons of angles are mod 2pi.
 An untagged model is ``config.NotApplicable`` to every verifier.
+
+What does not depend on momentum is computed once per process: ``verify``'s
+Haar in-states once per (n, seed), and the in-state half of the density-map
+check once per in-state set (``verify_density_map``).
 """
 
 from __future__ import annotations
@@ -252,10 +256,46 @@ def verify_phase_map(
     return _family_check(traj, "phase_map", dev, tol)
 
 
+#: Entries kept by each in-state cache below.  The seed comes from the
+#: config, so an unbounded cache could grow without limit in a long-lived
+#: process; an entry of k in-states holds about 0.5 KB per state.
+_IN_STATE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_IN_STATE_CACHE_SIZE)
 def _default_in_states(n: int = 10, seed: int = 0) -> np.ndarray:
-    """n Haar-random product in-states; seed 0 is ``RunConfig``'s default."""
+    """n Haar-random product in-states; seed 0 is ``RunConfig``'s default.
+
+    Drawn once per (n, seed) per process; the array is read-only."""
     rng = np.random.default_rng(seed)
-    return spin.haar_product_states(n, rng)
+    states = spin.haar_product_states(n, rng)
+    states.flags.writeable = False
+    return states
+
+
+@functools.lru_cache(maxsize=_IN_STATE_CACHE_SIZE)
+def _in_state_half(k: int, data: bytes) -> tuple:
+    """The part of ``verify_density_map`` that depends only on the in-states,
+    given as the bytes of a (k, 4) complex128 array: the read-only (3, 16 k)
+    right factor of the squared deviations, and max |u v^+| over every entry.
+    A ValueError from ``spin.normalized_state`` is not cached, so it is
+    raised on every call.
+    """
+    states = spin.normalized_state(np.frombuffer(data, dtype=complex).reshape(k, 4))
+    # Row j of ``states @ P`` is P psi_j (the projectors are real and symmetric).
+    u = states @ spin.SINGLET_PROJECTOR
+    v = states @ spin.TRIPLET_PROJECTOR
+    cross = u[:, :, None] * v.conj()[:, None, :]  # (k, 4, 4): u v^+ per in-state
+    # Entry by entry, with a from u v^+ and b from v u^+,
+    # |d a + conj(d) b|^2 = |d|^2 (|a|^2 + |b|^2) + 2 Re(d^2 a conj(b)):
+    # one real (n, 3) @ (3, 16 k) product squares every entry at every point.
+    a, b = cross.reshape(-1), cross.conj().swapaxes(-1, -2).reshape(-1)
+    ab = a * b.conj()
+    right = np.stack(
+        [a.real**2 + a.imag**2 + b.real**2 + b.imag**2, 2.0 * ab.real, -2.0 * ab.imag]
+    )
+    right.flags.writeable = False
+    return right, float(np.max(np.abs(cross)))
 
 
 def verify_density_map(
@@ -281,7 +321,10 @@ def verify_density_map(
     ``in_states`` is a (k, 4) array of normalized states with k >= 1 (one
     1-D state of length 4 also works); anything else raises ValueError, as
     does a non-finite phase.  None draws ``_default_in_states()``, the
-    in-states of ``verify`` on a config without ``seed``.
+    in-states of ``verify`` on a config without ``seed``.  The draw happens
+    once per (n, seed), and the in-state half of the check (the projections,
+    cross blocks and their coefficients) once per in-state set, per process;
+    each op computes only the phase factor d and its product with them.
     """
     sym, phi_inv, theta_inv = (image or InversionImage(traj)).phases
     if in_states is None:
@@ -292,29 +335,19 @@ def verify_density_map(
         raise ValueError(f"in_states must have shape (k, 4), got {shape}")
     if states.shape[0] == 0:
         raise ValueError("no in-states")
-    states = spin.normalized_state(states)
+    right, cross_max = _in_state_half(states.shape[0], states.tobytes())
     phi, theta = traj.phi, traj.theta
     if not np.all(np.isfinite([phi, theta, phi_inv, theta_inv])):
         raise ValueError("scattering operator is not unitary")
 
     s_s, s_t = _SECTOR_SIGNS[sym.rho_class]
     d = np.exp(1j * (phi_inv - theta_inv)) - np.exp(1j * (s_s * phi - s_t * theta))
-    # Row j of ``states @ P`` is P psi_j (the projectors are real and symmetric).
-    u = states @ spin.SINGLET_PROJECTOR
-    v = states @ spin.TRIPLET_PROJECTOR
-    cross = u[:, :, None] * v.conj()[:, None, :]  # (k, 4, 4): u v^+ per in-state
-    # Entry by entry, with a from u v^+ and b from v u^+,
-    # |d a + conj(d) b|^2 = |d|^2 (|a|^2 + |b|^2) + 2 Re(d^2 a conj(b)):
-    # one real (n, 3) @ (3, 16 k) product squares every entry at every point.
-    a, b = cross.reshape(-1), cross.conj().swapaxes(-1, -2).reshape(-1)
-    ab, d2 = a * b.conj(), d * d
-    squares = np.stack([d.real**2 + d.imag**2, d2.real, d2.imag], axis=-1) @ np.stack(
-        [a.real**2 + a.imag**2 + b.real**2 + b.imag**2, 2.0 * ab.real, -2.0 * ab.imag]
-    )
+    d2 = d * d
+    squares = np.stack([d.real**2 + d.imag**2, d2.real, d2.imag], axis=-1) @ right
     max_dev = math.sqrt(max(float(np.max(squares)), 0.0))
 
     details: dict = {"rho_class": sym.rho_class.value}
-    if s_s != s_t and np.max(np.abs(cross)) >= 1e-12:
+    if s_s != s_t and cross_max >= 1e-12:
         details["cross_block_phase_vs_plain_rho"] = _finite_range(
             wrap_angle((phi_inv - theta_inv) - (phi - theta))
         )

@@ -550,6 +550,28 @@ def test_a_config_file_that_is_not_utf8_json_is_refused(tmp_path, capsys, conten
             assert error.startswith(f"config file {str(cfg)!r} is not valid UTF-8"), error
 
 
+def test_a_config_path_that_is_a_directory_is_refused_naming_it(tmp_path, capsys):
+    for command in ("traj", "ep", "verify"):
+        error = refused(capsys, [command, "--config", str(tmp_path)])
+        assert error == f"cannot read config file: [Errno 21] Is a directory: {str(tmp_path)!r}"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_a_json_error_has_the_same_position_whatever_the_newlines(tmp_path, capsys, newline):
+    """A config is read with text mode's newlines: a JSON error after CR LF
+    or CR line ends is reported at the line, column and character it has
+    with LF line ends."""
+    lines = [b'{"dimension": 3,', b' "a0": 1.0,', b' "a1": }', b""]
+    errors = []
+    for ending in (b"\n", newline):
+        cfg = tmp_path / "lines.json"
+        cfg.write_bytes(ending.join(lines))
+        errors.append(refused(capsys, ["ep", "--config", str(cfg)]))
+    assert errors[0] == errors[1] == (
+        "config file is not valid JSON: Expecting value: line 3 column 8 (char 36)"
+    )
+
+
 @pytest.mark.parametrize(
     "overrides,key",
     [

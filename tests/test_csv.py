@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import tracemalloc
@@ -216,6 +217,33 @@ def test_out_keeps_its_permissions_and_symlinks(tmp_path):
     assert link.is_symlink() and target.read_bytes() == want
     assert target.stat().st_mode & 0o777 == 0o640
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.csv", "new.csv", "target.csv"]
+
+
+def test_out_through_a_dangling_symlink_writes_its_target(tmp_path):
+    config = _striped_config(tmp_path)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main(["traj", "--config", config, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == traj_csv_oracle(RunConfig.load(config)).encode()
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.csv", "target.csv"]
+
+
+def test_out_to_the_null_device_is_written_in_place(tmp_path, monkeypatch):
+    """``--out /dev/null`` is not a regular file: it is opened and written,
+    never replaced, and no temporary file is left beside it."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        assert os.path.realpath(dst) != os.devnull, (src, dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    config = _striped_config(tmp_path)
+    for argv in (["traj"], ["ep"], ["verify", "--suite", "wigner"]):
+        assert cli.main([*argv, "--config", config, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull)) if name.endswith(".tmp")]
 
 
 def test_children_write_nothing_to_stdout_or_stderr(tmp_path, capfd, monkeypatch):

@@ -108,9 +108,38 @@ def test_compare_outputs_corpus_and_sides(tmp_path):
     names = [name for name, _ in runs]
     assert len(names) == len(set(names))
     assert {"ci-planar.traj", "ci-planar.verify-all", "poles-0"} <= set(names)
+    assert {"ci-blocks.traj-one-cpu", "ci-blocks.ep-one-cpu"} <= set(names)
     assert sum(name.endswith(".affine-op") for name in names) == 3
     picked = [run for run in runs if run[0].startswith(("ci-planar.", "ci-overflow.", "poles-0"))
               or run[0].endswith("T3-6.affine-op")]
     src = compare.ROOT / "src"
     tally = compare.run_sides(src, src, picked, tmp_path)
-    assert tally.ok and tally.count["identical"] == len(picked) == 18
+    assert tally.ok and tally.count["identical"] == len(picked) == 22
+
+
+def test_compare_outputs_runs_one_cpu_commands_pinned(tmp_path):
+    """A side runs an argv that starts with "one-cpu" on one CPU and then
+    gets its CPUs back; here the package is a stand-in whose ``cli.main``
+    writes the number of CPUs it may run on."""
+    compare = _compare_outputs()
+    src = tmp_path / "src"
+    (src / "torus_scatter").mkdir(parents=True)
+    (src / "torus_scatter" / "__init__.py").write_text("")
+    (src / "torus_scatter" / "cli.py").write_text(
+        "import os\n"
+        "def main(argv):\n"
+        "    with open(argv[-1], 'w') as fh:\n"
+        "        fh.write(str(len(os.sched_getaffinity(0))))\n"
+        "    return 0\n"
+    )
+    (tmp_path / "out").mkdir()
+    side = compare.Side(src, tmp_path / "out")
+    try:
+        for name, argv in (("pinned", ["one-cpu", "traj"]), ("free", ["traj"])):
+            side.send(name, argv)
+            side.wait(name)
+    finally:
+        side.close()
+    runs = {name: compare.read_run(tmp_path / "out", name) for name in ("pinned", "free")}
+    assert runs["pinned"] == ("0", b"1", "")
+    assert runs["free"] == ("0", str(len(os.sched_getaffinity(0))).encode(), "")

@@ -454,6 +454,66 @@ def test_density_map_rejects_unnormalized_in_state():
             uvir.verify_density_map(traj, in_states=states)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_default_in_states_are_drawn_once_per_seed(seed):
+    states = uvir._default_in_states(10, seed)
+    assert uvir._default_in_states(10, seed) is states
+    assert not states.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        states[0, 0] = 0.0
+    want = spin.haar_product_states(10, np.random.default_rng(seed))
+    assert states.tobytes() == want.tobytes()
+    assert uvir._default_in_states(10, seed + 1).tobytes() != states.tobytes()
+
+
+def test_a_copy_of_the_in_states_reuses_their_half_of_the_density_map():
+    traj = torus.sample_trajectory(
+        ere.make_symmetric_model("T2", 2, 1.0, 2.0, lam=0.7), np.geomspace(0.1, 10, 21)
+    )
+    states = spin.haar_product_states(4, np.random.default_rng(11))
+    first = uvir.verify_density_map(traj, in_states=states)
+    hits = uvir._in_state_half.cache_info().hits
+    again = uvir.verify_density_map(traj, in_states=states.copy())
+    assert uvir._in_state_half.cache_info().hits == hits + 1
+    assert again == first and json.dumps(again.to_json()) == json.dumps(first.to_json())
+    right, _ = uvir._in_state_half(4, states.tobytes())
+    assert right.shape == (3, 64) and not right.flags.writeable
+
+
+def test_unnormalized_in_states_raise_on_every_call():
+    traj = torus.sample_trajectory(
+        ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7), np.geomspace(0.1, 10, 11)
+    )
+    states = 1.001 * spin.haar_product_states(3, np.random.default_rng(4))
+    size = uvir._in_state_half.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="normalized"):
+            uvir.verify_density_map(traj, in_states=states)
+    assert uvir._in_state_half.cache_info().currsize == size
+
+
+def test_verify_reports_do_not_depend_on_what_the_caches_hold(tmp_path):
+    """``verify --suite all`` at seed 0, 1, then 0 in one process: the two
+    seed-0 reports are the same bytes, and the seed-1 report is the one a
+    process with empty caches writes."""
+    config = {
+        "dimension": 3, "a0": 1.0, "a1": 2.0, "family": {"table": "T2", "row": 2, "lambda": 0.7},
+        "p_grid": {"min": 0.1, "max": 10.0, "count": 21},
+    }
+
+    def report(seed):
+        path, out = tmp_path / f"seed{seed}.json", tmp_path / "report.json"
+        path.write_text(json.dumps({**config, "seed": seed}))
+        code = cli.main(["verify", "--suite", "all", "--config", str(path), "--out", str(out)])
+        return code, out.read_bytes()
+
+    reports = [report(seed) for seed in (0, 1, 0)]
+    assert reports[0] == reports[2] != reports[1]
+    uvir._default_in_states.cache_clear()
+    uvir._in_state_half.cache_clear()
+    assert report(1) == reports[1]
+
+
 def test_verifiers_reject_empty_grid():
     """The verifiers read a sampled trajectory, and an empty grid has none."""
     m = ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7)
