@@ -24,10 +24,16 @@ Each config runs ``traj``, ``ep`` and ``verify --suite S`` for every suite
 ``S``; a config that recurs runs once.  ``traj`` and ``ep`` run a second
 time with the side's process pinned to one CPU (``os.sched_setaffinity``),
 so the single-stripe CSV writer's bytes are compared as well as the striped
-writer's (``cli._write_csv``).  The script prints the
-number of identical runs, of runs that differ only in their error text, and
-of runs that differ (exit code or output), with the first run of each kind
-of difference, and exits 1 if any run is not identical.
+writer's (``cli._write_csv``).
+
+Each side also runs the scripts of ``SCRIPTS`` from its own ``scripts``
+directory, with its own ``src`` on the path, in a directory of its own: a
+script's standard output is a run, and so is each file it writes there.
+
+The script prints the number of identical runs, of runs that differ only in
+their error text, and of runs that differ (exit code or output), with the
+first run of each kind of difference, and exits 1 if any run is not
+identical.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ COMMANDS = ("traj", "ep")
 _CI_CONFIG = re.compile(r"""echo '(\{[^']*\})'\s*(?:\\\s*)?>"\$RUNNER_TEMP/([\w-]+)\.json\"""")
 #: A ``poles`` command that the CI smoke step runs.
 _CI_POLES = re.compile(r"^\s*(?:smoke|refused) (poles [^$\n]*)$", re.MULTILINE)
+
+#: The scripts each side runs, by run name: the script and its arguments.
+#: The gallery writes its files under its working directory.
+SCRIPTS = {
+    "pole_flow": ["pole_flow.py"],
+    "wigner_audit": ["wigner_audit.py", "--count", "200"],
+    "trajectory_gallery": ["trajectory_gallery.py", "--count", "201", "--out-dir", "gallery"],
+}
 
 #: The code of each side's process: it reads one JSON line [name, argv] at a
 #: time, writes NAME.out (the command's --out), NAME.err and NAME.code into
@@ -282,6 +296,36 @@ def run_sides(ref_src: Path, new_src: Path, runs: list, work: Path) -> Tally:
     return tally
 
 
+def script_runs(root: Path, directory: Path) -> dict:
+    """{name: Run} of the scripts of ``SCRIPTS`` run from ``root/scripts``
+    with ``root/src`` on the path and the new directory ``directory`` as the
+    working directory: each script's exit code, standard output and standard
+    error, and each file written under ``directory`` (named by its path
+    there), with exit code 0 and no error text."""
+    directory.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    runs = {}
+    for name, (script, *args) in SCRIPTS.items():
+        proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                              cwd=directory, env=env, capture_output=True, timeout=600)
+        runs[name] = Run(str(proc.returncode), proc.stdout, proc.stderr.decode(errors="replace"))
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            runs[path.relative_to(directory).as_posix()] = Run("0", path.read_bytes(), "")
+    return runs
+
+
+def compare_scripts(ref_root: Path, new_root: Path, work: Path, tally: Tally) -> Tally:
+    """Tally the runs of ``script_runs`` at the two roots, in ``work``; a file
+    that one side did not write is a run with no output there."""
+    ref = script_runs(ref_root, work / "scripts-ref")
+    new = script_runs(new_root, work / "scripts-new")
+    absent = Run("0", None, "")
+    for name in sorted(ref.keys() | new.keys()):
+        tally.add(name, ref.get(name, absent), new.get(name, absent))
+    return tally
+
+
 def _seeds(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -302,6 +346,7 @@ def main(argv=None) -> int:
                         str(tree), args.ref], check=True)
         try:
             tally = run_sides(tree / "src", ROOT / "src", runs, work)
+            compare_scripts(tree, ROOT, work, tally)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=False)

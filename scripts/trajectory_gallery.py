@@ -55,7 +55,7 @@ def main() -> None:
         model = cfg.build_model()
         traj = torus.sample_trajectory(model, cfg.build_grid())
         exits = causality.quadrant_exit_audit(traj)
-        n_quadrants = len(set(traj.positions().tolist()) - {"boundary"})
+        n_quadrants = len(set(traj.quadrants().tolist()) - {"boundary"})
 
         residual = "n/a"
         pot = geometry.closed_form_potential(model, cfg.c1)

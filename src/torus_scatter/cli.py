@@ -47,7 +47,7 @@ import re
 import stat
 import sys
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -96,10 +96,10 @@ def _output(out_path: str | None) -> Iterator:
         raise
 
 
-def _emit(text: str | Iterable[str], out_path: str | None) -> None:
-    """Write ``text``, one string or an iterable of strings, through ``_output``."""
+def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` through ``_output``."""
     with _output(out_path) as fh:
-        fh.writelines((text,) if isinstance(text, str) else text)
+        fh.write(text)
 
 
 #: Rows formatted per CSV block: enough that the per-block cost is
@@ -178,29 +178,26 @@ def _kill_and_reap(pids: list) -> None:
 
 def _write_csv(header: str, templates, columns, out_path: str | None, pick=None) -> None:
     """Write ``_csv_blocks(header, templates, columns, pick)`` to ``out_path``
-    or stdout, one contiguous stripe of whole blocks per available CPU.
+    or stdout, one contiguous stripe of whole blocks per available CPU (one
+    stripe for fewer than two blocks, one CPU, or no ``os.sched_getaffinity``).
 
-    With a single stripe (fewer than two blocks, one CPU, or no
-    ``os.sched_getaffinity``) this is that writer called directly.  Otherwise
     ``_output`` opens the output first, one child per stripe after the first
     writes it to an unnamed temporary file (``_fork_stripe``), the parent
     writes the header and the first stripe, then reaps each child in order
-    and copies its file.  A child that fails raises an OSError; on any
-    exception every child still running is killed and reaped.
+    and copies its file; a single stripe starts no child and opens no
+    temporary file.  A child that fails raises an OSError; on any exception
+    every child still running is killed and reaped.
     """
+    # Imported here, not at the top: with random, importing shutil and
+    # tempfile takes about 3 ms, which a process that writes no CSV need not
+    # spend.
+    import shutil
+    import tempfile
+
     rows = len(columns[0])
     blocks = -(-rows // CSV_BLOCK_ROWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     stripes = min(cpus, blocks)
-    if stripes < 2:
-        _emit(_csv_blocks(header, templates, columns, pick), out_path)
-        return
-    # Imported here, not at the top: with random, importing shutil and
-    # tempfile takes about 3 ms, which a process that writes no striped CSV
-    # need not spend.
-    import shutil
-    import tempfile
-
     cuts = [min(rows, CSV_BLOCK_ROWS * (blocks * k // stripes)) for k in range(stripes + 1)]
     parts = [
         _csv_blocks(header, templates, [c[a:b] for c in columns], None if pick is None else pick[a:b])
@@ -280,7 +277,7 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
                              "dtheta_dp": traj.dtheta})
     _require_finite(traj.p, {"kappa": kappa, "V": v_val}, regular)
     columns = (
-        traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.positions()
+        traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.quadrants()
     )
     _write_csv(TRAJ_HEADER, _TRAJ_ROWS, columns, out_path, pick=regular)
     return 0

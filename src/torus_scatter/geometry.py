@@ -361,9 +361,10 @@ def eom_residual(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineCurve:
-    """A curve in the affine parameterization (N = 1, kappa = 0)."""
+    """A curve in the affine parameterization (N = 1, kappa = 0).  Equal and
+    hashed by identity (``eq=False``), as its array fields cannot be."""
 
     tau: np.ndarray
     phi: np.ndarray

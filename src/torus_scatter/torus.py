@@ -4,20 +4,23 @@ The two doubled phase shifts (phi, theta) live on a flat torus.  A
 ``Trajectory`` is the curve traced on the torus as the momentum runs over a
 grid, with the phases' first two momentum derivatives, from one
 ``ere.derivatives`` call; every consumer of the curve reads it.  Quadrants are
-named by the signs of (sin phi, sin theta) following the usual picture of the
-fundamental square: "bottom-left" means both phases lie in (-pi, 0) mod 2pi.
+named by position in the usual picture of the fundamental square, from the
+signs of (sin phi, sin theta): "top-right" (both sines positive),
+"top-left", "bottom-left" (both phases in (-pi, 0) mod 2pi) and
+"bottom-right", or "boundary" on a quadrant edge, where either phase is a
+multiple of pi.  ``Trajectory.quadrants`` is the one labeller; the ``traj``
+CSV prints its labels.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ere
 
-__all__ = ["Quadrant", "Trajectory", "wrap_angle", "sample_trajectory"]
+__all__ = ["Trajectory", "wrap_angle", "sample_trajectory"]
 
 #: Points closer than this to a quadrant edge (in |sin| of either phase)
 #: are labeled boundary rather than assigned a quadrant.
@@ -26,33 +29,13 @@ BOUNDARY_TOL = 1e-12
 
 def wrap_angle(x):
     """Reduce an angle (or array) to the canonical interval [-pi, pi)."""
-    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi)[()] - np.pi
-
-
-class Quadrant(enum.Enum):
-    """Open quadrants of the fundamental square, named by position.
-
-    I is top-right (both sines positive), II top-left, III bottom-left
-    (both phases in (-pi, 0)), IV bottom-right.  BOUNDARY marks points on a
-    quadrant edge (either phase a multiple of pi).
-    """
-
-    I = "top-right"
-    II = "top-left"
-    III = "bottom-left"
-    IV = "bottom-right"
-    BOUNDARY = "boundary"
-
-    @property
-    def position(self) -> str:
-        return self.value
-
-
-_BY_POSITION = {q.position: q for q in Quadrant}
+    r = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi)
+    # np.mod rounds a remainder just below 2 pi up to 2 pi (x just below -pi).
+    return np.where(r == 2.0 * np.pi, 0.0, r)[()] - np.pi
 
 
 def _positions(phi, theta) -> np.ndarray:
-    """``Quadrant.position`` of each (phi, theta) by the signs of their sines;
+    """The quadrant label of each (phi, theta) by the signs of their sines;
     a sine below ``BOUNDARY_TOL`` in magnitude is an edge."""
     sp, st = np.sin(phi), np.sin(theta)
     return np.select(
@@ -62,16 +45,17 @@ def _positions(phi, theta) -> np.ndarray:
             (sp < 0) & (st > 0),
             (sp < 0) & (st < 0),
         ],
-        [q.position for q in (Quadrant.BOUNDARY, Quadrant.I, Quadrant.II, Quadrant.III)],
-        default=Quadrant.IV.position,
+        ["boundary", "top-right", "top-left", "bottom-left"],
+        default="bottom-right",
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """An S-matrix curve sampled by ``sample_trajectory`` over a grid ``p``:
     the continuous (unwrapped) phases ``phi`` and ``theta``, their momentum
     derivatives ``dphi``/``dtheta`` and second derivatives ``d2phi``/``d2theta``.
+    Equal and hashed by identity (``eq=False``), as its array fields cannot be.
     """
 
     model: ere.TwoChannelModel
@@ -83,12 +67,9 @@ class Trajectory:
     d2phi: np.ndarray
     d2theta: np.ndarray
 
-    def quadrants(self) -> list[Quadrant]:
-        """Quadrant of every sample, as ``Quadrant`` members (see ``positions``)."""
-        return [_BY_POSITION[s] for s in self.positions().tolist()]
-
-    def positions(self) -> np.ndarray:
-        """``Quadrant.position`` of every sample's quadrant, as a string array."""
+    def quadrants(self) -> np.ndarray:
+        """The quadrant label of every sample (see the module docstring), as a
+        string array."""
         return _positions(wrap_angle(self.phi), wrap_angle(self.theta))
 
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:

@@ -267,18 +267,22 @@ def polyline_distance_all_pairs(points, polyline):
     return out
 
 
+#: The labels of the quadrant labeller, ``torus.Trajectory.quadrants``.
+QUADRANT_LABELS = ("top-right", "top-left", "bottom-left", "bottom-right", "boundary")
+
+
 def quadrant_oracle(phi, theta):
-    """Reference for the quadrant labeller: the ``Quadrant`` of one sample
-    from the signs of the sines of its wrapped phases, a sine below
+    """Reference for the quadrant labeller: the label of one sample from the
+    signs of the sines of its wrapped phases, a sine below
     ``torus.BOUNDARY_TOL`` in magnitude being an edge."""
     from torus_scatter import torus
 
     sp, st = (math.sin(torus.wrap_angle(x)) for x in (phi, theta))
     if abs(sp) < torus.BOUNDARY_TOL or abs(st) < torus.BOUNDARY_TOL:
-        return torus.Quadrant.BOUNDARY
+        return "boundary"
     if sp > 0:
-        return torus.Quadrant.I if st > 0 else torus.Quadrant.IV
-    return torus.Quadrant.II if st > 0 else torus.Quadrant.III
+        return "top-right" if st > 0 else "bottom-right"
+    return "top-left" if st > 0 else "bottom-left"
 
 
 def _fmt(x) -> str:
@@ -320,7 +324,7 @@ def traj_csv_oracle(cfg) -> str:
         )
         kappa = np.full(grid.size, np.nan)
         kappa[regular] = dn_val[regular] / n_val[regular]
-    positions = [quadrant_oracle(f, t).position for f, t in zip(traj.phi, traj.theta)]
+    positions = [quadrant_oracle(f, t) for f, t in zip(traj.phi, traj.theta)]
     return cli.TRAJ_HEADER + "\n" + traj_rows_oracle(
         grid, traj.phi, traj.theta, dphi, dtheta, kappa, v_val, regular, positions
     )

@@ -55,3 +55,26 @@ def test_tracer_wraps_every_listed_name_and_restores_it(tmp_path, capsys):
     assert layers["uvir.density_map.self_ms"] > 0.0 and layers["trace.op_ms"] > 0.0
     assert _listed_methods(spans) == originals
     assert not hasattr(cli.main, "__wrapped__")
+
+
+def test_tracer_sees_the_traj_labelling(tmp_path):
+    """A traced ``traj`` op labels its quadrants through
+    ``Trajectory.quadrants``, so the quadrant layer counts every grid point."""
+    spans = _spans_module()
+    cfg = tmp_path / "traj.json"
+    cfg.write_text(json.dumps({
+        "dimension": 3, "a0": 1.0, "a1": 5.0,
+        "p_grid": {"min": 0.01, "max": 100.0, "count": 41, "spacing": "log"},
+    }))
+    out = tmp_path / "traj.csv"
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code, layers = tracer.op(
+            lambda: cli.main(["traj", "--config", str(cfg), "--out", str(out)])
+        )
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 41
+    names = {name for _parent, name, _t0, _t1 in tracer.spans}
+    assert {"cli.main", "torus.sample_trajectory", "torus.Trajectory.quadrants"} <= names
+    assert layers["torus.quadrants.points"] == 41
+    assert layers["torus.quadrants.self_ms"] > 0.0

@@ -12,10 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from torus_scatter import cli, torus
+from torus_scatter import cli
 from torus_scatter.config import PGrid, RunConfig
 
-from oracles import ep_csv_oracle, ep_rows_oracle, traj_csv_oracle, traj_rows_oracle
+from oracles import (
+    QUADRANT_LABELS, ep_csv_oracle, ep_rows_oracle, traj_csv_oracle, traj_rows_oracle,
+)
 
 B = cli.CSV_BLOCK_ROWS
 
@@ -317,7 +319,7 @@ def test_writer_matches_oracle_on_special_values():
         c[where] = SPECIAL * 3
     regular = rng.random(n) < 0.7
     regular[[0, B - 1, B, n - 1]] = [False, True, False, True]
-    positions = rng.choice([q.position for q in torus.Quadrant], n).tolist()
+    positions = rng.choice(QUADRANT_LABELS, n).tolist()
     blocks = list(cli._csv_blocks(cli.TRAJ_HEADER, cli._TRAJ_ROWS, (*columns, positions), regular))
     assert len(blocks) == 1 + math.ceil(n / B)
     assert "".join(blocks) == cli.TRAJ_HEADER + "\n" + traj_rows_oracle(*columns, regular, positions)

@@ -756,9 +756,12 @@ def test_affine_span_rejects_a_potential_the_model_does_not_have():
         (ere.make_2d_model(0.5, 4.0), (1e-3, 0.3)),
     ],
 )
-def test_affine_reconstruction_of_each_closed_form_class(model, interval):
+def test_affine_reconstruction_of_each_closed_form_class(model, interval, monkeypatch):
     """Integrated from the start of an interval of one lapse sign over the
-    exact span, the curve stays on the closed form and ends at its end."""
+    exact span, the curve stays on the closed form and ends at its end.  In
+    either direction, one segment settles every point of the polyline
+    distance: one evaluation of the pairs, and the all-pairs distances bit
+    for bit."""
     pot = geometry.closed_form_potential(model)
     p0, p1 = interval
     grid = np.geomspace(p0, p1, 2000)
@@ -774,9 +777,14 @@ def test_affine_reconstruction_of_each_closed_form_class(model, interval):
     energy = geometry.first_integral(pot, curve.phi, curve.theta, curve.dphi, curve.dtheta)
     assert np.max(np.abs(energy - e0)) < 1e-8
     ref = np.column_stack([phi, theta])
+    calls = []
+    pair_d2 = geometry._pair_d2
+    monkeypatch.setattr(geometry, "_pair_d2", lambda *args: calls.append(1) or pair_d2(*args))
     hausdorff = 0.0
     for points, polyline in ((curve.points, ref), (ref, curve.points)):
+        calls.clear()
         dist = geometry.point_to_polyline_distance(points, polyline)
+        assert len(calls) == 1
         assert dist.tobytes() == polyline_distance_all_pairs(points, polyline).tobytes()
         hausdorff = max(hausdorff, dist.max())
     assert hausdorff < 1e-5

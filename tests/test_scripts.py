@@ -143,3 +143,38 @@ def test_compare_outputs_runs_one_cpu_commands_pinned(tmp_path):
     runs = {name: compare.read_run(tmp_path / "out", name) for name in ("pinned", "free")}
     assert runs["pinned"] == ("0", b"1", "")
     assert runs["free"] == ("0", str(len(os.sched_getaffinity(0))).encode(), "")
+
+
+def test_compare_outputs_runs_the_scripts_at_each_side(tmp_path):
+    """Each script's standard output and each file the gallery writes is a
+    run; two sides on the same tree agree on every one."""
+    compare = _compare_outputs()
+    tally = compare.compare_scripts(compare.ROOT, compare.ROOT, tmp_path, compare.Tally())
+    names = {path.relative_to(tmp_path / "scripts-new").as_posix()
+             for path in (tmp_path / "scripts-new" / "gallery").iterdir()}
+    assert len(names) == 12 and "gallery/acausal_T2r6.csv" in names
+    assert tally.ok and tally.count["identical"] == 3 + 12
+
+
+def test_compare_outputs_tallies_script_differences(tmp_path):
+    """Stand-in script trees: a changed line of standard output, a changed
+    file and a file that only one side writes are each a different run."""
+    compare = _compare_outputs()
+    for label, line, extra in (("ref", "1", False), ("new", "2", True)):
+        scripts = tmp_path / label / "scripts"
+        scripts.mkdir(parents=True)
+        for name in ("pole_flow.py", "wigner_audit.py"):
+            (scripts / name).write_text("print('same')\n")
+        (scripts / "trajectory_gallery.py").write_text(
+            "import pathlib\n"
+            f"print({line})\n"
+            "pathlib.Path('same.csv').write_text('p\\n1\\n')\n"
+            f"pathlib.Path('one.csv').write_text('p\\n{line}\\n')\n"
+            + ("pathlib.Path('extra.csv').write_text('p\\n')\n" if extra else "")
+        )
+    tally = compare.compare_scripts(tmp_path / "ref", tmp_path / "new", tmp_path,
+                                    compare.Tally())
+    assert tally.count == {"identical": 3, "error text only": 0, "different": 3}
+    assert tally.first["different"] == (
+        "extra.csv: output file: absent at REF, present here"
+    )

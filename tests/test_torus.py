@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import ere, torus
+from torus_scatter import ere, geometry, torus
 
-from oracles import quadrant_oracle
+from oracles import QUADRANT_LABELS, quadrant_oracle
 
 ANGLES = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -24,22 +24,47 @@ def test_wrap_angle_idempotent_and_in_window(x):
     assert math.remainder(x - w, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_wrap_angle_stays_below_pi_at_the_edges():
+    """np.mod rounds the remainder of a phase just below -pi up to 2 pi; the
+    wrapped phase is -pi, not pi."""
+    edges = [np.nextafter(-math.pi, -4.0), -math.pi, math.pi, 3.0 * math.pi]
+    for x in edges:
+        w = torus.wrap_angle(x)
+        assert isinstance(w, np.float64) and -math.pi <= w < math.pi, (x, w)
+    assert torus.wrap_angle(np.nextafter(-math.pi, -4.0)) == -math.pi
+    assert torus.wrap_angle(math.pi) == -math.pi
+    wrapped = torus.wrap_angle(np.array(edges))
+    assert wrapped.tolist() == [torus.wrap_angle(x) for x in edges]
+    assert np.isnan(torus.wrap_angle(np.nan))
+
+
 def test_quadrants_by_sign():
     cases = [
-        ((0.5, 0.5), torus.Quadrant.I),
-        ((-0.5, 0.5), torus.Quadrant.II),
-        ((-0.5, -0.5), torus.Quadrant.III),
-        ((0.5, -0.5), torus.Quadrant.IV),
-        ((0.0, 0.5), torus.Quadrant.BOUNDARY),
-        ((math.pi, 0.5), torus.Quadrant.BOUNDARY),
+        ((0.5, 0.5), "top-right"),
+        ((-0.5, 0.5), "top-left"),
+        ((-0.5, -0.5), "bottom-left"),
+        ((0.5, -0.5), "bottom-right"),
+        ((0.0, 0.5), "boundary"),
+        ((math.pi, 0.5), "boundary"),
     ]
     phi, theta = (np.array(x) for x in zip(*(pt for pt, _ in cases)))
-    traj = _at_points(phi, theta)
-    assert traj.positions().tolist() == [q.position for _, q in cases]
-    assert torus.Quadrant.I.position == "top-right"
-    assert torus.Quadrant.III.position == "bottom-left"
+    quads = _at_points(phi, theta).quadrants()
+    assert isinstance(quads, np.ndarray)
+    assert quads.tolist() == [label for _, label in cases]
 
 
+def test_array_records_compare_and_hash_by_identity():
+    """``Trajectory`` and ``AffineCurve`` hold arrays, so they are equal only
+    to themselves and hash by identity; comparing two never raises."""
+    grid = np.geomspace(0.1, 10.0, 5)
+    a, b = (torus.sample_trajectory(_model(), grid) for _ in range(2))
+    pot = geometry.potential_3d(1.0, 5.0)
+    c, d = (geometry.integrate_affine(pot, (0.3, 0.2, 0.5, -0.4), 1.0, n_samples=5)
+            for _ in range(2))
+    for x, y in ((a, b), (c, d)):
+        assert hash(x) == hash(x) and x == x and not x != x
+        assert x != y and not x == y
+        assert len({x, y}) == 2
 def _model():
     return ere.TwoChannelModel(3, ere.Channel3D(1.0), ere.Channel3D(5.0))
 
@@ -111,7 +136,9 @@ def test_trajectory_tangents_are_the_ere_tangents():
 def test_trajectory_quadrants_follow_wrapped_points():
     grid = np.geomspace(1e-2, 1e2, 101)
     traj = torus.sample_trajectory(_model(), grid)
-    assert traj.quadrants() == [quadrant_oracle(f, t) for f, t in zip(traj.phi, traj.theta)]
+    assert traj.quadrants().tolist() == [
+        quadrant_oracle(f, t) for f, t in zip(traj.phi, traj.theta)
+    ]
 
 
 def test_trajectory_quadrants_match_pointwise_labels_at_edges():
@@ -119,6 +146,6 @@ def test_trajectory_quadrants_match_pointwise_labels_at_edges():
     edges = [0.0, math.pi, -math.pi, 2.0 * math.pi, 2.0 * tol, -2.0 * tol, 0.5 * tol,
              -0.5 * tol, math.pi - 2.0 * tol, math.pi - 0.5 * tol, 0.5, -0.5, 2.5, -2.5]
     phi, theta = (np.array(x) for x in zip(*((f, t) for f in edges for t in edges)))
-    quads = _at_points(phi, theta).quadrants()
+    quads = _at_points(phi, theta).quadrants().tolist()
     assert quads == [quadrant_oracle(f, t) for f, t in zip(phi, theta)]
-    assert set(quads) == set(torus.Quadrant)
+    assert set(quads) == set(QUADRANT_LABELS)
