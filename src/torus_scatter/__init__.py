@@ -10,7 +10,7 @@ the trajectory-as-geodesic construction (potential + lapse) all live here.
 
 Modules
 -------
-``spin``       two-qubit S operator, density matrices, entanglement power
+``spin``       singlet/triplet projectors, Haar in-states, entanglement power
 ``ere``        effective-range phase shifts (3D and 2D), channels, families
 ``torus``      sampled trajectories, quadrants, angle wrapping
 ``uvir``       momentum-inversion symmetry maps and their verification

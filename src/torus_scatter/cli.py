@@ -24,7 +24,8 @@ error, with nothing on standard output; ``--help`` prints help and exits 0.
 ``main`` parses with one parser per process, built on its first call
 (``build_parser``) and reused by every later one.
 All floating-point output uses 17 significant digits, so files are
-bit-identical across runs for a fixed config and seed.
+bit-identical across runs for a fixed config and seed, on one machine and
+NumPy build.
 
 ``traj`` and ``ep`` compute every column, refuse a value that is not finite,
 then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one

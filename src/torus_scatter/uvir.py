@@ -43,9 +43,7 @@ __all__ = [
     "SymmetryMap",
     "expected_map",
     "inverted_momentum",
-    "inversion_fixed_point",
     "model_inverted_momentum",
-    "make_paired_grid",
     "verify_phase_map",
     "verify_density_map",
     "verify_ep_invariance",
@@ -137,9 +135,13 @@ def expected_map(table: str, row: int) -> SymmetryMap:
         raise ValueError(f"no symmetry map for table {table!r} row {row!r}") from None
 
 
-def _inversion_strength(lam: float, a0: float, a1: float) -> float:
-    """eta = lambda |a0 a1| of the inversion p -> 1/(eta p); a ValueError
-    where it is not finite and nonzero."""
+def inverted_momentum(p, lam: float, a0: float, a1: float):
+    """Image of p under the momentum inversion ``p -> 1/(lambda |a0 a1| p)``.
+
+    An image that is not finite and nonzero, where lambda |a0 a1| or
+    lambda |a0 a1| p overflows or underflows, raises a ValueError naming
+    the product, as does a lambda |a0 a1| that is not finite and nonzero.
+    """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if a0 == 0.0 or a1 == 0.0:
@@ -149,17 +151,6 @@ def _inversion_strength(lam: float, a0: float, a1: float) -> float:
         raise ValueError(
             f"momentum inversion: lambda |a0 a1| = {eta!r} must be finite and nonzero"
         )
-    return eta
-
-
-def inverted_momentum(p, lam: float, a0: float, a1: float):
-    """Image of p under the momentum inversion ``p -> 1/(lambda |a0 a1| p)``.
-
-    An image that is not finite and nonzero, where lambda |a0 a1| or
-    lambda |a0 a1| p overflows or underflows, raises a ValueError naming
-    the product.
-    """
-    eta = _inversion_strength(lam, a0, a1)
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0):
         raise ValueError("threshold maps to infinity: momentum inversion requires p > 0")
@@ -176,36 +167,10 @@ def inverted_momentum(p, lam: float, a0: float, a1: float):
     return image[()]
 
 
-def inversion_fixed_point(lam: float, a0: float, a1: float) -> float:
-    """The self-inverse momentum p* = 1/sqrt(lambda |a0 a1|)."""
-    return 1.0 / math.sqrt(_inversion_strength(lam, a0, a1))
-
-
 def model_inverted_momentum(model: ere.TwoChannelModel, p):
     """Image of p under the model's own family inversion."""
     _row_map(model)
     return inverted_momentum(p, model.family.lam, model.singlet.length, model.triplet.length)
-
-
-def make_paired_grid(a0: float, a1: float, lam: float = 1.0, count: int = 101) -> np.ndarray:
-    """Log grid closed under the momentum inversion, over three decades on
-    either side of the fixed point p*.
-
-    Points below p* are mirrored to 1/(eta p) above it, so every sample's
-    inversion image is (up to roundoff) also a sample.  With an odd ``count``
-    the fixed point itself is included.
-    """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    pstar = inversion_fixed_point(lam, a0, a1)
-    half = count // 2
-    lower = pstar * np.logspace(-3.0, 0.0, half, endpoint=False)
-    upper = inverted_momentum(lower, lam, a0, a1)
-    parts = [lower]
-    if count % 2:
-        parts.append(np.array([pstar]))
-    parts.append(upper[::-1])
-    return np.concatenate(parts)
 
 
 class InversionImage:
@@ -337,8 +302,10 @@ def verify_density_map(
         raise ValueError("no in-states")
     right, cross_max = _in_state_half(states.shape[0], states.tobytes())
     phi, theta = traj.phi, traj.theta
-    if not np.all(np.isfinite([phi, theta, phi_inv, theta_inv])):
-        raise ValueError("scattering operator is not unitary")
+    finite = np.isfinite([phi, theta, phi_inv, theta_inv]).all(axis=0)
+    if not finite.all():
+        p = float(traj.p[np.argmin(finite)])
+        raise ValueError(f"density map: a phase at p = {p!r} or at its image is not finite")
 
     s_s, s_t = _SECTOR_SIGNS[sym.rho_class]
     d = np.exp(1j * (phi_inv - theta_inv)) - np.exp(1j * (s_s * phi - s_t * theta))

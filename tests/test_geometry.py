@@ -711,6 +711,27 @@ def test_affine_motion_is_a_harmonic_orbit_symbolically(potential, epsilon):
     assert oracles.harmonic_orbit_residuals(scale, epsilon, chi) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("row,a0,a1", [(4, 1.0, 5.0), (1, 2.0, -7.0), (2, -1.3, 4.0),
+                                       (3, -2.0, -3.0)])
+def test_zero_range_curve_lies_on_its_harmonic_orbit(row, a0, a1):
+    """sin(s (phi + eps theta) + chi) = K sin(s (phi - eps theta)) with
+    K = ((a0 - a1)/(a0 + a1))^(-eps): an identity of the ERE pairs, with s,
+    chi and eps read from the record of each T1 sign row, and on the
+    sampled phases to roundoff."""
+    model = ere.make_symmetric_model("T1", row, a0, a1)
+    form = geometry.closed_form(model)
+    scale = sympy.nsimplify(form.scale)
+    chi = sympy.nsimplify(form.chi / math.pi) * sympy.pi
+    assert oracles.zero_range_orbit_residual(ere._T1_SIGNS[row], scale, form.epsilon, chi) == 0
+    traj = torus.sample_trajectory(model, np.geomspace(1e-2, 1e2, 400))
+    eps = form.epsilon
+    k = ((a0 - a1) / (a0 + a1)) ** -eps
+    residual = np.sin(form.scale * (traj.phi + eps * traj.theta) + form.chi) - k * np.sin(
+        form.scale * (traj.phi - eps * traj.theta)
+    )
+    assert np.max(np.abs(residual)) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "model,c1,interval",
     [

@@ -1,10 +1,13 @@
-"""The demo scripts under ``scripts/`` run end to end at small sizes."""
+"""The demo scripts under ``scripts/`` and the README's Quick tour run end to
+end at small sizes."""
 
+import ast
 import csv
 import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -44,6 +47,18 @@ def test_trajectory_gallery(tmp_path):
 def test_script_exits_zero(script, args, tmp_path):
     proc = _run(script, *(arg.format(tmp=tmp_path) for arg in args))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour(capsys):
+    """The README's one Python block prints an eom residual below 1e-12,
+    True for the phase map, and a pole set in the lower half plane."""
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    exec(compile(block, "README.md", "exec"), {})
+    residual, phase_map, poles = capsys.readouterr().out.splitlines()
+    assert float(residual) < 1e-12
+    assert phase_map == "True"
+    assert ast.literal_eval(poles)["lower_half"] is True
 
 
 def _compare_outputs():
