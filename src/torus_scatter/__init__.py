@@ -19,6 +19,8 @@ Modules
 ``config``     JSON-serializable run configuration, default check tolerances
 ``cli``        the ``torus-scatter`` command-line tool (not imported by the
                package, so ``python -m torus_scatter.cli`` runs it cleanly)
+``_g17``       the exact vectorised ``%.17g`` of the CSV that ``cli`` writes
+               (private; ``cli`` imports it when it writes a CSV)
 
 Names are reached through their module (``from torus_scatter import ere``,
 then ``ere.phases``); the package re-exports none of them.

@@ -28,13 +28,18 @@ bit-identical across runs for a fixed config and seed, on one machine and
 NumPy build.
 
 ``traj`` and ``ep`` compute every column, refuse a value that is not finite,
-then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each row from one
-``%``-template, so each process holds a few blocks of text, never the whole
-grid's.  The blocks are split into one contiguous stripe per available CPU
-(``_write_csv``): forked children format every stripe after the first into
-temporary files, which the parent copies out in order after its own, so the
-bytes are those of one process writing every block in turn.  A command that
-fails leaves its ``--out`` file as it was, or absent (``_output``).
+then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, so each process
+holds a few blocks of text, never the whole grid's.  A block's floats are
+written by an exact vectorised ``%.17g`` (the private ``_g17`` module: the
+digits from integer arithmetic, laid out in one byte matrix per block), the
+bytes ``'%.17g' % x`` writes, for zero and magnitudes in [1e-11, 1e17); a
+row with any other value printed is formatted by its ``%``-template
+(``_TRAJ_ROWS``, ``_EP_ROW``) and put in its place.  The blocks are split
+into one contiguous stripe per available CPU (``_write_csv``): forked
+children format every stripe after the first into temporary files, which
+the parent copies out in order after its own, so the bytes are those of one
+process writing every block in turn.  A command that fails leaves its
+``--out`` file as it was, or absent (``_output``).
 """
 
 from __future__ import annotations
@@ -116,20 +121,59 @@ def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
     """The CSV text of ``header`` and one row per entry of ``columns``, in blocks.
 
     Row ``k`` is ``templates[pick[k]] % (columns[0][k], columns[1][k], ...)``
-    (``templates[0]`` when ``pick`` is None); each template ends in a newline.
-    A column is an array or a list.  Every block of ``CSV_BLOCK_ROWS`` rows
-    turns its array slices into Python objects with one ``tolist`` call each
-    and is yielded as one string.
+    (``templates[0]`` when ``pick`` is None); each template ends in a newline
+    and joins one field per column with commas: ``%.17g`` (a float column),
+    ``%.0s`` (the float left empty) or, after every float column, ``%s`` (a
+    column of printable ASCII strings in every template).  A column is an
+    array or a list.
+
+    Each block of ``CSV_BLOCK_ROWS`` rows is split first.  A row with a
+    printed value that ``_g17.covers`` does not cover (a NaN, an infinity,
+    or a magnitude below 1e-11 or from 1e17 up) is formatted by its
+    template, from one ``tolist`` per column over those rows.  The other
+    rows are written by ``_g17.csv_rows``, the bytes ``%.17g`` writes, and
+    the template rows take their places among them.  Each block is yielded
+    as one string.
     """
+    # Imported here, not at the top: where no bytecode is cached, compiling
+    # the formatter adds about 2 ms to every import of cli, which a process
+    # that writes no CSV need not spend.
+    from . import _g17
+
+    _g17.tables()  # in the parent, before ``_write_csv`` forks
     yield header + "\n"
+    specs = np.array([t[:-1].split(",") for t in templates])
+    floats = int(np.count_nonzero(specs[0] != "%s"))
+    # blank[t, j]: template t leaves float column j empty.
+    blank = specs[:, :floats] != _FLOAT
+    texts = [np.asarray(c, dtype=str) for c in columns[floats:]]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        rows = zip(*(c[block].tolist() if isinstance(c, np.ndarray) else c[block] for c in columns))
-        if pick is None:
-            template = templates[0]
-            yield "".join([template % row for row in rows])
-        else:
-            yield "".join([templates[i] % row for i, row in zip(pick[block].tolist(), rows)])
+        rows = len(columns[0][block])
+        chosen = np.zeros(rows, dtype=np.intp) if pick is None else pick[block].astype(np.intp)
+        xs = np.array([c[block] for c in columns[:floats]], dtype=float)
+        xs[blank[chosen].T] = 0.0
+        kept = _g17.covers(xs).all(axis=0)
+        spliced = ~kept
+        data = _g17.csv_rows(
+            xs[:, kept], blank[chosen[kept]], [t[block][kept] for t in texts]
+        ) if kept.any() else ""
+        if spliced.any():
+            k = np.flatnonzero(spliced)
+            values = zip(*(np.asarray(c[block])[k].tolist() for c in columns))
+            if pick is None:
+                template = templates[0]
+                lines = [template % row for row in values]
+            else:
+                lines = [templates[t] % row for t, row in zip(chosen[k].tolist(), values)]
+            if data:  # rows of both kinds: put each in its place
+                merged = np.empty(rows, dtype=object)
+                merged[kept] = data.splitlines(keepends=True)
+                merged[k] = lines
+                lines = merged.tolist()
+            data = "".join(lines)
+        del xs  # before the next block's are made
+        yield data
 
 
 #: Python 3.12+ warns on fork in a process that has threads (OpenBLAS starts

@@ -29,7 +29,23 @@ def _elapsed(t0):
 # ---------------------------------------------------------------------------
 
 
+def _program_out_states(phi, theta, states) -> np.ndarray:
+    """The out-state the program's density map reads, u u^+ + v v^+ +
+    exp(i (phi - theta)) u v^+ + h.c. with u = P_s psi and v = P_t psi, at
+    every (phase pair, in-state): shape (len(phi), len(states), 4, 4)."""
+    u = states @ spin.SINGLET_PROJECTOR.T
+    v = states @ spin.TRIPLET_PROJECTOR.T
+    uu = np.einsum("ki,kj->kij", u, u.conj())
+    vv = np.einsum("ki,kj->kij", v, v.conj())
+    uv = np.einsum("ki,kj->kij", u, v.conj())
+    cross = np.exp(1j * (phi - theta))[:, None, None, None] * uv
+    return uu + vv + cross + cross.conj().swapaxes(-1, -2)
+
+
 def test_acceptance_1_unitarity_and_state_validity():
+    """The oracle S operator is unitary and its out-states are density
+    matrices; so are the program's own out-states on ``ere.phases`` of three
+    model classes."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED)
     angles = rng.uniform(-math.pi, math.pi, size=(1000, 2))
@@ -48,18 +64,40 @@ def test_acceptance_1_unitarity_and_state_validity():
         worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
         worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
         worst_eig = max(worst_eig, float(-np.min(np.linalg.eigvalsh(rho))))
+    grid = np.geomspace(1e-2, 1e2, 101)
+    in_states = spin.haar_product_states(20, rng)
+    own = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "purity": 0.0}
+    for model in (
+        ere.make_symmetric_model("T1", 4, 1.0, 5.0),
+        ere.make_symmetric_model("T3", 6, -1.0, -5.0, lam=0.25),
+        ere.make_2d_model(1.0, 3.0),
+    ):
+        rho = _program_out_states(*ere.phases(model, grid), in_states)
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+        purity = np.einsum("...ij,...ji->...", rho, rho)
+        own["trace"] = max(own["trace"], float(np.max(np.abs(trace - 1.0))))
+        own["herm"] = max(own["herm"], float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))))
+        own["eig"] = max(own["eig"], float(-np.min(np.linalg.eigvalsh(rho))))
+        own["purity"] = max(own["purity"], float(np.max(np.abs(purity - 1.0))))
     runtime = _elapsed(t0)
     ok = (
         worst_unitarity < 1e-12
         and worst_trace < 1e-10
         and worst_herm < 1e-10
         and worst_eig < 1e-10
+        and own["trace"] < 1e-10
+        and own["herm"] < 1e-10
+        and own["eig"] < 1e-12
+        and own["purity"] < 1e-10
         and runtime < 1.0
     )
     detail = (
         f"1000 random triples: ||S S^+ - 1|| max {worst_unitarity:.2e} (<1e-12), "
         f"trace dev {worst_trace:.2e}, hermiticity {worst_herm:.2e}, "
-        f"negativity {worst_eig:.2e} (<1e-10), runtime {runtime:.2f}s (<1s)"
+        f"negativity {worst_eig:.2e} (<1e-10); program out-states on 3 models x "
+        f"101 momenta x 20 in-states: trace dev {own['trace']:.2e}, hermiticity "
+        f"{own['herm']:.2e} (<1e-10), negativity {own['eig']:.2e} (<1e-12), purity dev "
+        f"{own['purity']:.2e} (<1e-10); runtime {runtime:.2f}s (<1s)"
     )
     record_acceptance(1, ok, detail)
     assert ok, detail

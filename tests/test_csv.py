@@ -1,5 +1,7 @@
 """The block CSV writer behind ``traj`` and ``ep`` against the per-field oracle."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,8 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torus_scatter import cli
+from torus_scatter import _g17, cli
 from torus_scatter.config import PGrid, RunConfig
 
 from oracles import (
@@ -269,6 +273,17 @@ def test_children_write_nothing_to_stdout_or_stderr(tmp_path, capfd, monkeypatch
     assert out.read_bytes() == traj_csv_oracle(RunConfig.load(config)).encode()
 
 
+def test_stdout_without_a_binary_buffer_gets_every_stripe(tmp_path, monkeypatch):
+    """The children's bytes reach a text stream that has no ``buffer``."""
+    _set_cpus(monkeypatch, 4)
+    config = _striped_config(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["traj", "--config", config]) == 0
+    _assert_no_child_left()
+    assert out.getvalue() == traj_csv_oracle(RunConfig.load(config))
+
+
 def test_fork_warning_of_a_threaded_process_is_ignored(tmp_path, monkeypatch):
     """Python 3.12+ warns when a process with threads forks, which pytest and
     ``python -W error`` turn into an error; the writer ignores that warning
@@ -327,6 +342,25 @@ def test_writer_matches_oracle_on_special_values():
     assert ep == cli.EP_HEADER + "\n" + ep_rows_oracle(*columns[:4])
 
 
+def test_template_rows_take_their_places_in_a_block():
+    """A block with a few rows the formatter does not cover, a block of only
+    such rows and a block of none, under both traj templates, with the empty
+    kappa and V of an irregular row NaN as ``cmd_traj`` leaves them."""
+    rng = np.random.default_rng(11)
+    n = 3 * B
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-10, 16, n) for _ in range(7)]
+    for c in columns:
+        where = rng.choice(B, 5, replace=False)
+        c[where] = rng.choice(SPECIAL, 5)
+    columns[rng.integers(7)][B:2 * B] = 1e-300
+    regular = rng.random(n) < 0.7
+    columns[5][~regular] = columns[6][~regular] = math.nan
+    positions = rng.choice(QUADRANT_LABELS, n)
+    blocks = cli._csv_blocks(cli.TRAJ_HEADER, cli._TRAJ_ROWS, (*columns, positions), regular)
+    want = traj_rows_oracle(*columns, regular, positions.tolist())
+    assert "".join(blocks) == cli.TRAJ_HEADER + "\n" + want
+
+
 def test_traj_export_peak_memory_is_a_few_blocks(tmp_path):
     """A 24k-row export keeps a few blocks of text, not the whole table, in
     memory (the table-at-once writer peaked at 14 MB)."""
@@ -340,3 +374,137 @@ def test_traj_export_peak_memory_is_a_few_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# The exact vectorised %.17g behind the writer
+# ---------------------------------------------------------------------------
+
+
+def _g17_text(values) -> list:
+    """``_g17.into``'s text of each value, None where it leaves the value
+    to the row's template; a row it leaves is all NUL."""
+    x = np.array(values, dtype=float)
+    out = np.full((x.size, _g17.WIDTH), 0xFF, dtype=np.uint8)
+    other = _g17.into(x.copy(), out)
+    assert not out[other].any()
+    return [None if o else bytes(row).rstrip(b"\0").decode() for row, o in zip(out, other)]
+
+
+def _percent_g(values) -> list:
+    """``'%.17g' % v`` of each value the formatter covers (zero, or a
+    magnitude in [1e-11, 1e17)), None for every other value."""
+    return ["%.17g" % v if v == 0 or 1e-11 <= abs(v) < 1e17 else None for v in values]
+
+
+def _from_bits(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+#: Positive doubles in [1e-11, 1e17), as bit patterns.
+_RANGE_BITS = (int(np.float64(1e-11).view(np.uint64)),
+               int(np.float64(1e17).view(np.uint64)) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_g17_is_percent_g_on_any_double(bits):
+    x = _from_bits(bits)
+    assert _g17_text(x) == _percent_g(x.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(*_RANGE_BITS), st.booleans()), min_size=1, max_size=64))
+def test_g17_is_percent_g_inside_its_range(draws):
+    x = _from_bits([bits | negative << 63 for bits, negative in draws])
+    assert _g17_text(x) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_g17_is_percent_g_on_many_doubles(rng):
+    """Uniform bit patterns of the range, and short decimals of every
+    exponent, whose trailing zeros %g drops."""
+    bits = rng.integers(_RANGE_BITS[0], _RANGE_BITS[1], 100_000, endpoint=True, dtype=np.uint64)
+    signs = rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
+    decimals = np.round(rng.standard_normal(50_000) * 1e4) / 10.0 ** rng.integers(-12, 16, 50_000)
+    x = np.concatenate([_from_bits(bits | signs), decimals])
+    assert _g17_text(x) == _percent_g(x.tolist())
+
+
+#: (value, its %.17g, or None where the template writes it).
+PINNED = [
+    # The lower end of the range: the float 1e-11 is below 10^-11.
+    (1e-11, "9.9999999999999994e-12"),
+    (np.nextafter(1e-11, 0), None),
+    (np.nextafter(1e-11, 1), "1.0000000000000001e-11"),
+    # The upper end; no double below 1e17 rounds up to 10^17 (a carry).
+    (1e17, None),
+    (np.nextafter(1e17, 0), "99999999999999984"),
+    (np.nextafter(1e17, np.inf), None),
+    (1e16, "10000000000000000"),
+    (np.nextafter(1e16, 0), "9999999999999998"),
+    # The switch from exponent to fixed notation at an exponent of -4.
+    (1e-5, "1.0000000000000001e-05"),
+    (np.nextafter(1e-5, 0), "9.9999999999999991e-06"),
+    (1e-4, "0.0001"),
+    (np.nextafter(1e-4, 0), "9.9999999999999991e-05"),
+    (np.nextafter(1e-4, 1), "0.00010000000000000002"),
+    # Exact ties at the 17th digit, rounded to even: x 10 and x 100 end in .5.
+    ((2**52 + 1) / 4, "1125899906842624.2"),
+    ((2**52 + 3) / 4, "1125899906842624.8"),
+    ((2**52 + 1) / 8, "562949953421312.12"),
+    ((2**52 + 3) / 8, "562949953421312.38"),
+    # Shifted left, not right: 2^53 and above.
+    (2.0**53, "9007199254740992"),
+    (2.0**53 + 2, "9007199254740994"),
+    (0.0, "0"),
+    (0.1, "0.10000000000000001"),
+    (0.5, "0.5"),
+    (1.0, "1"),
+    (123456.789, "123456.789"),
+    (2.5e-7, "2.4999999999999999e-07"),
+    (math.pi, "3.1415926535897931"),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("value, text", PINNED)
+def test_g17_pinned_cases(value, text, sign):
+    if text is not None:
+        assert text == "%.17g" % value
+        text = "-" * (sign < 0) + text
+    assert _g17_text([sign * value]) == [text]
+
+
+def test_g17_at_each_power_of_ten_and_the_double_below_it():
+    """Where a 17-digit rounding could carry to the next power of ten."""
+    powers = np.array([float(f"1e{k}") for k in range(-12, 18)])
+    x = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    assert _g17_text(x) == _percent_g(x.tolist())
+
+
+def test_pinned_cases_in_a_block_are_the_oracle_bytes():
+    """Inside the range, and spliced in through the row template outside it."""
+    x = np.array([sign * v for v, _ in PINNED for sign in (1.0, -1.0)] + SPECIAL)
+    columns = (x, x[::-1], -x, np.roll(x, 3))
+    text = "".join(cli._csv_blocks(cli.EP_HEADER, (cli._EP_ROW,), columns))
+    assert text == cli.EP_HEADER + "\n" + ep_rows_oracle(*columns)
+
+
+def test_g17_digits_do_not_depend_on_the_exponent_estimate(rng):
+    """Started one too high or one too low, the digits and exponent are those
+    of the correct start, which are those of ``'%.16e'``."""
+    powers = np.array([float(f"1e{k}") for k in range(-11, 17)])
+    ax = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [abs(v) for v, text in PINNED if text is not None and v != 0],
+        10.0 ** rng.uniform(-11, 17, 20_000),
+    ])
+    ax = ax[(ax >= 1e-11) & (ax < 1e17)]
+    n, d = _g17.digits(ax, np.floor(np.log10(ax)))
+    want = [("%.16e" % v).split("e") for v in ax.tolist()]
+    assert n.tolist() == [int(m.replace(".", "")) for m, _ in want]
+    assert d.tolist() == [int(e) for _, e in want]
+    for shift in (-1, 1):
+        n_shifted, d_shifted = _g17.digits(ax, d + shift)
+        np.testing.assert_array_equal(n_shifted, n)
+        np.testing.assert_array_equal(d_shifted, d)
