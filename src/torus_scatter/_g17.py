@@ -7,9 +7,11 @@ d.dddde-XX, with trailing zeros and a bare point dropped.  N is formed
 exactly in uint64 arithmetic from m 5^q 2^(e + q), q = 16 - d; ``np.log10``
 only estimates d, and a product outside [10^16, 10^17) moves it by one.
 
-``into`` writes the bytes ``'%.17g' % x`` writes, for zero and magnitudes
-in [1e-11, 1e17) (``covers``); ``csv_rows`` lays out CSV rows of such values
-in one byte matrix.  ``cli`` imports this module only when it writes a CSV.
+``into`` writes the bytes ``'%.17g' % x`` writes for every float64 x:
+zero and magnitudes in [1e-11, 1e17) from the integer digits, any other
+value (below 1e-11, from 1e17 up, NaN or infinite) by ``'%.17g' %`` itself.
+``csv_rows`` lays out CSV rows of such values in one byte matrix.  ``cli``
+imports this module only when it writes a CSV.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import functools
 
 import numpy as np
 
-__all__ = ["LOW", "HIGH", "WIDTH", "covers", "into", "digits", "tables", "csv_rows"]
+__all__ = ["WIDTH", "into", "digits", "tables", "csv_rows"]
 
-#: The magnitudes the formatter writes.  Their d runs over [-12, 16] (the float
-#: 1e-11 is below 10^-11), so q = 16 - d is at most 28.  Zero is written
-#: directly; any other value goes through its row's ``%`` template.
-LOW, HIGH = 1e-11, 1e17
+#: The magnitudes written from the integer digits.  Their d runs over [-12, 16]
+#: (the float 1e-11 is below 10^-11), so q = 16 - d is at most 28.  Zero is
+#: written directly; any other value by ``'%.17g' %``.
+_LOW, _HIGH = 1e-11, 1e17
 _D_MIN, _D_MAX = -12, 16
 _MASK32 = 0xFFFFFFFF
 #: 5^q = _FIVE_SMALL[q] * 5^min(q, 27), the second below 2^63 and stored as
@@ -92,8 +94,9 @@ def digits(ax, estimate):
 #: alphabet; every byte a layout does not name is NUL.
 _ALPHABET = b"-.e0123456789\0\0\0"
 _SOURCE = 36
-#: The widest field: -0.000ddddddddddddddddd and -d.dddddddddddddddde-12.
-WIDTH = 23
+#: The widest field: -d.dddddddddddddddde-308 (-2.2250738585072014e-308);
+#: the integer digits write at most 23 bytes, -0.000ddddddddddddddddd.
+WIDTH = 24
 
 
 @functools.cache
@@ -132,21 +135,14 @@ def tables() -> tuple:
     return layouts.reshape(-1, WIDTH), four, trailing
 
 
-def covers(x) -> np.ndarray:
-    """Where a float64 of ``x`` is one ``into`` writes: zero, or of a
-    magnitude in [1e-11, 1e17)."""
-    ax = np.abs(x)
-    return (ax == 0) | ((ax >= LOW) & (ax < HIGH))
-
-
-def into(x, out) -> np.ndarray:
-    """Write ``'%.17g' % v`` of each float64 v of the 1-D array ``x`` that
-    ``covers`` into its row of the uint8 array ``out`` (len(x),
-    ``WIDTH``), left-aligned and NUL-padded; the row of any other value
-    is all NUL.  Returns where those other values are."""
-    other = ~covers(x)
+def into(x, out) -> None:
+    """Write ``'%.17g' % v`` of each float64 v of the 1-D array ``x`` into its
+    row of the uint8 array ``out`` (len(x), ``WIDTH``), left-aligned and
+    NUL-padded."""
     ax = np.abs(x)
     zero = ax == 0
+    # NaN is in neither: it is written with the values outside the range.
+    other = ~(zero | ((ax >= _LOW) & (ax < _HIGH)))
     ax[zero | other] = 1.0
     n, d = digits(ax, np.floor(np.log10(ax)))
     # N = t 10^16 + g, g as four groups of four digits, most significant first.
@@ -174,15 +170,17 @@ def into(x, out) -> np.ndarray:
         (np.signbit(x) * 30 + slot) * 17 + 16 - zeros
     ]
     out[...] = source.view(np.uint8).ravel()[index]
-    out[other] = 0
-    return other
+    if other.any():
+        k = np.flatnonzero(other)
+        text = np.array(["%.17g" % v for v in x[k].tolist()], dtype=f"S{WIDTH}")
+        out[k] = text.view(np.uint8).reshape(k.size, WIDTH)
 
 
 def csv_rows(xs, blank, texts) -> str:
     """CSV rows of the float columns ``xs`` (one row of the 2-D array per
-    column, each value one ``covers``), then of the ASCII string columns
-    ``texts`` (str arrays), with the float fields where ``blank`` (rows x
-    float columns) is set left empty.
+    column), then of the ASCII string columns ``texts`` (str arrays), with
+    the float fields where ``blank`` (rows x float columns, or None for
+    none) is set left empty.
 
     The rows are laid out in one byte matrix, one NUL-padded slot per field,
     the floats written by ``into`` one column at a time, and the matrix
@@ -192,12 +190,13 @@ def csv_rows(xs, blank, texts) -> str:
     # A str array holds each character as one UCS-4 word; an ASCII one's low
     # byte is the character, its padding NUL.
     chars = [text.view(np.uint32).reshape(len(text), text.itemsize // 4) for text in texts]
-    matrix = np.empty((len(blank), len(xs) * stride + sum(c.shape[1] + 1 for c in chars)),
+    matrix = np.empty((xs.shape[1], len(xs) * stride + sum(c.shape[1] + 1 for c in chars)),
                       dtype=np.uint8)
     for j, x in enumerate(xs):
         field = matrix[:, j * stride:(j + 1) * stride]
         into(x, field[:, :WIDTH])
-        field[blank[:, j]] = 0
+        if blank is not None:
+            field[blank[:, j]] = 0
         field[:, WIDTH] = ord(",")
     at = len(xs) * stride
     for c in chars:

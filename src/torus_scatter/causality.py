@@ -256,9 +256,10 @@ def _pole_set(a, r, q, root, name, value) -> PoleSet:
 
     q > 0: a resonance pair +/- root/|r| + i/r; q = 0 exactly: the double
     pole i/r; q < 0: the virtual poles i(1 + root)/r and, free of
-    cancellation, 2i/(a(1 + root)).  x - 1 is exact for x in [1/2, 2], so a
-    q that is not 0 is at least 2^-53 in size, and q < 0 puts both roots on
-    the imaginary axis exactly.  A pole that is not finite, 1/r where r
+    cancellation, 2i/(a(1 + root)), formed as i(2/(1 + root))/a where
+    a(1 + root) overflows.  x - 1 is exact for x in [1/2, 2], so a q that
+    is not 0 is at least 2^-53 in size, and q < 0 puts both roots on the
+    imaginary axis exactly.  A pole that is not finite, 1/r where r
     underflowed to 0 among them, raises a ValueError naming a and ``name``.
     """
     if r == 0.0:
@@ -269,7 +270,9 @@ def _pole_set(a, r, q, root, name, value) -> PoleSet:
     elif q == 0.0:
         poles, case = ((complex(0.0, 1.0 / r), 2),), "double_virtual"
     else:
-        poles = ((complex(0.0, (1.0 + root) / r), 1), (complex(0.0, 2.0 / (a * (1.0 + root))), 1))
+        den = a * (1.0 + root)
+        small = 2.0 / den if math.isfinite(den) else (2.0 / (1.0 + root)) / a
+        poles = ((complex(0.0, (1.0 + root) / r), 1), (complex(0.0, small), 1))
         case = "two_virtual"
     return _finite_pole_set(poles, case, a, name, value)
 

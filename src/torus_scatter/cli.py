@@ -30,16 +30,15 @@ NumPy build.
 ``traj`` and ``ep`` compute every column, refuse a value that is not finite,
 then write the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, so each process
 holds a few blocks of text, never the whole grid's.  A block's floats are
-written by an exact vectorised ``%.17g`` (the private ``_g17`` module: the
-digits from integer arithmetic, laid out in one byte matrix per block), the
-bytes ``'%.17g' % x`` writes, for zero and magnitudes in [1e-11, 1e17); a
-row with any other value printed is formatted by its ``%``-template
-(``_TRAJ_ROWS``, ``_EP_ROW``) and put in its place.  The blocks are split
-into one contiguous stripe per available CPU (``_write_csv``): forked
-children format every stripe after the first into temporary files, which
-the parent copies out in order after its own, so the bytes are those of one
-process writing every block in turn.  A command that fails leaves its
-``--out`` file as it was, or absent (``_output``).
+written by an exact vectorised ``%.17g`` (the private ``_g17`` module, laid
+out in one byte matrix per block), the bytes ``'%.17g' % x`` writes: the
+digits of zero and of magnitudes in [1e-11, 1e17) come from integer
+arithmetic, and any other value is formatted by ``'%.17g' %`` in its own
+field.  The blocks are split into one contiguous stripe per available CPU
+(``_write_csv``): forked children format every stripe after the first into
+temporary files, which the parent copies out in order after its own, so the
+bytes are those of one process writing every block in turn.  A command that
+fails leaves its ``--out`` file as it was, or absent (``_output``).
 """
 
 from __future__ import annotations
@@ -113,27 +112,18 @@ def _emit(text: str, out_path: str | None) -> None:
 #: few blocks of 0.4 MB of traj rows whatever the grid size.
 CSV_BLOCK_ROWS = 2048
 
-#: One CSV field: 17 significant digits, so a float64 round-trips exactly.
-_FLOAT = "%.17g"
 
-
-def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
+def _csv_blocks(header: str, columns, floats: int, blank=None) -> Iterator[str]:
     """The CSV text of ``header`` and one row per entry of ``columns``, in blocks.
 
-    Row ``k`` is ``templates[pick[k]] % (columns[0][k], columns[1][k], ...)``
-    (``templates[0]`` when ``pick`` is None); each template ends in a newline
-    and joins one field per column with commas: ``%.17g`` (a float column),
-    ``%.0s`` (the float left empty) or, after every float column, ``%s`` (a
-    column of printable ASCII strings in every template).  A column is an
-    array or a list.
+    Row ``k`` joins with commas the ``%.17g`` of ``columns[j][k]`` for each
+    of the first ``floats`` columns, left empty where ``blank[k, j]`` is set
+    (``blank``, rows x float columns, None for no empty field), then
+    ``columns[j][k]`` of each later column, of printable ASCII strings, and
+    ends in a newline.  A column is an array or a list.
 
-    Each block of ``CSV_BLOCK_ROWS`` rows is split first.  A row with a
-    printed value that ``_g17.covers`` does not cover (a NaN, an infinity,
-    or a magnitude below 1e-11 or from 1e17 up) is formatted by its
-    template, from one ``tolist`` per column over those rows.  The other
-    rows are written by ``_g17.csv_rows``, the bytes ``%.17g`` writes, and
-    the template rows take their places among them.  Each block is yielded
-    as one string.
+    Each block of ``CSV_BLOCK_ROWS`` rows is written by ``_g17.csv_rows``, the
+    bytes ``'%.17g' % x`` writes for every float, and yielded as one string.
     """
     # Imported here, not at the top: where no bytecode is cached, compiling
     # the formatter adds about 2 ms to every import of cli, which a process
@@ -142,36 +132,14 @@ def _csv_blocks(header: str, templates, columns, pick=None) -> Iterator[str]:
 
     _g17.tables()  # in the parent, before ``_write_csv`` forks
     yield header + "\n"
-    specs = np.array([t[:-1].split(",") for t in templates])
-    floats = int(np.count_nonzero(specs[0] != "%s"))
-    # blank[t, j]: template t leaves float column j empty.
-    blank = specs[:, :floats] != _FLOAT
     texts = [np.asarray(c, dtype=str) for c in columns[floats:]]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        rows = len(columns[0][block])
-        chosen = np.zeros(rows, dtype=np.intp) if pick is None else pick[block].astype(np.intp)
         xs = np.array([c[block] for c in columns[:floats]], dtype=float)
-        xs[blank[chosen].T] = 0.0
-        kept = _g17.covers(xs).all(axis=0)
-        spliced = ~kept
-        data = _g17.csv_rows(
-            xs[:, kept], blank[chosen[kept]], [t[block][kept] for t in texts]
-        ) if kept.any() else ""
-        if spliced.any():
-            k = np.flatnonzero(spliced)
-            values = zip(*(np.asarray(c[block])[k].tolist() for c in columns))
-            if pick is None:
-                template = templates[0]
-                lines = [template % row for row in values]
-            else:
-                lines = [templates[t] % row for t, row in zip(chosen[k].tolist(), values)]
-            if data:  # rows of both kinds: put each in its place
-                merged = np.empty(rows, dtype=object)
-                merged[kept] = data.splitlines(keepends=True)
-                merged[k] = lines
-                lines = merged.tolist()
-            data = "".join(lines)
+        cut = None if blank is None else blank[block]
+        if cut is not None:
+            xs[cut.T] = 0.0  # written as 0, then left out: a NaN there costs no fallback
+        data = _g17.csv_rows(xs, cut, [t[block] for t in texts])
         del xs  # before the next block's are made
         yield data
 
@@ -221,8 +189,8 @@ def _kill_and_reap(pids: list) -> None:
     pids.clear()
 
 
-def _write_csv(header: str, templates, columns, out_path: str | None, pick=None) -> None:
-    """Write ``_csv_blocks(header, templates, columns, pick)`` to ``out_path``
+def _write_csv(header: str, columns, floats: int, out_path: str | None, blank=None) -> None:
+    """Write ``_csv_blocks(header, columns, floats, blank)`` to ``out_path``
     or stdout, one contiguous stripe of whole blocks per available CPU (one
     stripe for fewer than two blocks, one CPU, or no ``os.sched_getaffinity``).
 
@@ -245,7 +213,7 @@ def _write_csv(header: str, templates, columns, out_path: str | None, pick=None)
     stripes = min(cpus, blocks)
     cuts = [min(rows, CSV_BLOCK_ROWS * (blocks * k // stripes)) for k in range(stripes + 1)]
     parts = [
-        _csv_blocks(header, templates, [c[a:b] for c in columns], None if pick is None else pick[a:b])
+        _csv_blocks(header, [c[a:b] for c in columns], floats, None if blank is None else blank[a:b])
         for a, b in zip(cuts, cuts[1:])
     ]
     with contextlib.ExitStack() as stack:
@@ -289,12 +257,6 @@ def _require_finite(p, columns: dict, rows=True) -> None:
 # ---------------------------------------------------------------------------
 
 TRAJ_HEADER = "p,phi,theta,dphi_dp,dtheta_dp,kappa,V,quadrant"
-#: A traj row, and a row whose ``kappa`` and ``V`` are left empty: ``%.0s``
-#: takes its value and prints nothing.
-_TRAJ_ROWS = (
-    ",".join([_FLOAT] * 5 + ["%.0s", "%.0s", "%s\n"]),
-    ",".join([_FLOAT] * 7 + ["%s\n"]),
-)
 
 
 def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
@@ -324,7 +286,9 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     columns = (
         traj.p, traj.phi, traj.theta, traj.dphi, traj.dtheta, kappa, v_val, traj.quadrants()
     )
-    _write_csv(TRAJ_HEADER, _TRAJ_ROWS, columns, out_path, pick=regular)
+    blank = np.zeros((traj.p.size, 7), dtype=bool)
+    blank[:, 5:] = ~regular[:, None]
+    _write_csv(TRAJ_HEADER, columns, 7, out_path, blank)
     return 0
 
 
@@ -424,7 +388,6 @@ def cmd_poles(a: float, lam: float | None, r: float | None, out_path: str | None
 
 
 EP_HEADER = "p,phi,theta,ep"
-_EP_ROW = ",".join([_FLOAT] * 4) + "\n"
 
 
 def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
@@ -434,7 +397,7 @@ def cmd_ep(cfg: RunConfig, out_path: str | None) -> int:
     phi, theta = ere.phases(model, grid)
     power = spin.entanglement_power_closed(phi, theta)
     _require_finite(grid, {"phi": phi, "theta": theta, "ep": power})
-    _write_csv(EP_HEADER, (_EP_ROW,), (grid, phi, theta, power), out_path)
+    _write_csv(EP_HEADER, (grid, phi, theta, power), 4, out_path)
     return 0
 
 

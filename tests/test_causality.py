@@ -327,7 +327,8 @@ def test_poles_closed_form_is_its_docstring_bit_for_bit(a, lam):
 
 def _numeric_inputs(n=400):
     """(a, r) with binary exponents within +-600 and |2r/a - 1| >= 1e-4,
-    each sign, then the inputs that once overflowed or divided by zero."""
+    each sign, then the inputs that once overflowed or divided by zero, the
+    last two where a(1 + sqrt(|q|)) overflows and the smaller pole is subnormal."""
     rng = np.random.default_rng(23)
     out = []
     while len(out) < n:
@@ -339,7 +340,8 @@ def _numeric_inputs(n=400):
         if abs(2 * (r / a) - 1) >= 1e-4:
             out.append((a, r))
     return out + [(-1e-170, -2e-170), (-1.0, 6e-171), (1e-300, 1e-300), (1e-320, 1.0),
-                  (-1e170, -2e170), (2.0**-600, 2.0**600), (2.0**-600, -(2.0**600))]
+                  (-1e170, -2e170), (2.0**-600, 2.0**600), (2.0**-600, -(2.0**600)),
+                  (-1.5e308, -1e300), (1e308, -1e308)]
 
 
 def test_poles_numeric_matches_50_digit_roots():
@@ -401,3 +403,48 @@ def test_small_virtual_pole_is_free_of_cancellation(lam):
     ):
         small = min(abs(p) for p, _m in poleset.poles)
         assert abs(small - abs(roots[1])) <= 1e-14 * abs(roots[1])
+
+
+@pytest.mark.parametrize("a, lam", [(-1.5e308, 0.1), (-1.7e308, 1e-3)])
+def test_small_virtual_pole_where_its_denominator_overflows(a, lam):
+    """Where a(1 + root) overflows, the smaller virtual pole 2i/(a(1 + root))
+    is subnormal, not -0: formed as i(2/(1 + root))/a, both poles are the
+    50-digit roots, in the lower half plane."""
+    poleset, roots = causality.poles_closed_form(a, lam), oracles.pole_roots(a, lam=lam)
+    assert poleset.classification == "two_virtual"
+    assert 0.0 < abs(roots[1]) < 2.2250738585072014e-308
+    for (p, _m), want in zip(poleset.poles, roots, strict=True):
+        assert p.real == 0.0 and abs(p - want) <= 1e-13 * abs(want), (p, want)
+    assert causality.verify_lower_half(poleset)
+
+
+#: Textbook np effective-range parameters in fm, (a, r), and the poles of
+#: ``poles_numeric`` in fm^-1: the triplet's first pole is the deuteron, the
+#: singlet's first its virtual state.
+NP_POLES = {
+    "triplet": ((5.419, 1.753), (0.23151598770083856j, 0.9093853243356703j)),
+    "singlet": ((-23.74, 2.77), (-0.03991626705709407j, 0.7619379277069134j)),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(NP_POLES))
+def test_poles_numeric_on_physical_np_scattering(channel):
+    """Both poles on the imaginary axis, within 1e-12 of the 50-digit roots
+    of p^2 - (2i/r) p - 2/(a r), bit for bit as pinned; the label stays
+    ``two_virtual`` though the triplet's poles are bound, not virtual."""
+    (a, r), pinned = NP_POLES[channel]
+    poleset = causality.poles_numeric(a, r)
+    assert poleset.classification == "two_virtual"
+    got = [p for p, _m in poleset.poles]
+    assert got == list(pinned)
+    for p, want in zip(got, sorted(oracles.pole_roots(a, r), key=lambda z: z.imag)):
+        assert p.real == 0.0 and abs(p - want) <= 1e-12 * abs(want), (p, want)
+
+
+def test_deuteron_binding_energy_from_the_triplet_pole():
+    """(hbar c gamma)^2/m_N at the triplet's bound-state pole gamma is 2.2228
+    MeV (hbar c = 197.327 MeV fm, m_N = 938.92 MeV), against 2.2246 MeV
+    measured: the truncated effective-range expansion's gap."""
+    gamma = causality.poles_numeric(*NP_POLES["triplet"][0]).poles[0][0].imag
+    assert round(gamma, 7) == 0.2315160
+    assert round((197.327 * gamma) ** 2 / 938.92, 4) == 2.2228

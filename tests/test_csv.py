@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_scatter import _g17, cli
@@ -325,6 +325,21 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e
            0.1, -1e16, 123456789012345678.0]
 
 
+def _traj_blank(regular) -> np.ndarray:
+    """The empty fields of traj rows, as ``cmd_traj`` sets them: ``kappa``
+    and ``V`` where a row is not ``regular``."""
+    blank = np.zeros((len(regular), 7), dtype=bool)
+    blank[:, 5:] = ~np.asarray(regular)[:, None]
+    return blank
+
+
+def _outside(x) -> np.ndarray:
+    """Where a float is written by the ``'%.17g' %`` fallback: not zero and
+    not of a magnitude in [1e-11, 1e17)."""
+    ax = np.abs(x)
+    return ~((ax == 0) | ((ax >= 1e-11) & (ax < 1e17)))
+
+
 def test_writer_matches_oracle_on_special_values():
     rng = np.random.default_rng(7)
     n = B + 5
@@ -335,30 +350,45 @@ def test_writer_matches_oracle_on_special_values():
     regular = rng.random(n) < 0.7
     regular[[0, B - 1, B, n - 1]] = [False, True, False, True]
     positions = rng.choice(QUADRANT_LABELS, n).tolist()
-    blocks = list(cli._csv_blocks(cli.TRAJ_HEADER, cli._TRAJ_ROWS, (*columns, positions), regular))
+    blocks = list(cli._csv_blocks(cli.TRAJ_HEADER, (*columns, positions), 7, _traj_blank(regular)))
     assert len(blocks) == 1 + math.ceil(n / B)
     assert "".join(blocks) == cli.TRAJ_HEADER + "\n" + traj_rows_oracle(*columns, regular, positions)
-    ep = "".join(cli._csv_blocks(cli.EP_HEADER, (cli._EP_ROW,), columns[:4]))
+    ep = "".join(cli._csv_blocks(cli.EP_HEADER, columns[:4], 4))
     assert ep == cli.EP_HEADER + "\n" + ep_rows_oracle(*columns[:4])
 
 
-def test_template_rows_take_their_places_in_a_block():
-    """A block with a few rows the formatter does not cover, a block of only
-    such rows and a block of none, under both traj templates, with the empty
-    kappa and V of an irregular row NaN as ``cmd_traj`` leaves them."""
+def test_fields_outside_the_range_take_their_places_in_a_block():
+    """A block with a few fields outside zero and [1e-11, 1e17) (NaN,
+    infinities, subnormals, huge and tiny values), a block of only such
+    fields and a block of none, each written with no empty field and with
+    the empty kappa and V of an irregular row NaN, as ``cmd_traj`` leaves
+    them, against the per-row oracle."""
     rng = np.random.default_rng(11)
     n = 3 * B
-    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-10, 16, n) for _ in range(7)]
-    for c in columns:
-        where = rng.choice(B, 5, replace=False)
-        c[where] = rng.choice(SPECIAL, 5)
-    columns[rng.integers(7)][B:2 * B] = 1e-300
+    signs = [rng.choice((-1.0, 1.0), n) for _ in range(7)]
+    columns = [s * 10.0 ** rng.uniform(-11, 17, n) for s in signs]
+    for c, s in zip(columns, signs):
+        c[rng.choice(B, 20, replace=False)] = 0.0
+        c[rng.choice(B, 5, replace=False)] = rng.choice(SPECIAL, 5)
+        c[B:2 * B] = s[B:2 * B] * 10.0 ** rng.uniform(-323, -11.5, B)
+        c[B:2 * B:3] = s[B:2 * B:3] * 10.0 ** rng.uniform(17, 308, len(c[B:2 * B:3]))
+    columns[0][B:B + 4] = [math.nan, math.inf, -math.inf, -5e-324]
+    outside = _outside(np.array(columns))
+    assert 0 < outside[:, :B].sum() < 7 * B
+    assert outside[:, B:2 * B].all() and not outside[:, 2 * B:].any()
+    positions = rng.choice(QUADRANT_LABELS, n)
+    header = cli.TRAJ_HEADER + "\n"
+    every = np.ones(n, dtype=bool)
+    text = "".join(cli._csv_blocks(cli.TRAJ_HEADER, (*columns, positions), 7))
+    assert text == header + traj_rows_oracle(*columns, every, positions.tolist())
+    text = "".join(cli._csv_blocks(cli.TRAJ_HEADER, (*columns, positions), 7, _traj_blank(every)))
+    assert text == header + traj_rows_oracle(*columns, every, positions.tolist())
     regular = rng.random(n) < 0.7
     columns[5][~regular] = columns[6][~regular] = math.nan
-    positions = rng.choice(QUADRANT_LABELS, n)
-    blocks = cli._csv_blocks(cli.TRAJ_HEADER, cli._TRAJ_ROWS, (*columns, positions), regular)
-    want = traj_rows_oracle(*columns, regular, positions.tolist())
-    assert "".join(blocks) == cli.TRAJ_HEADER + "\n" + want
+    text = "".join(cli._csv_blocks(cli.TRAJ_HEADER, (*columns, positions), 7, _traj_blank(regular)))
+    assert text == header + traj_rows_oracle(*columns, regular, positions.tolist())
+    text = "".join(cli._csv_blocks(cli.EP_HEADER, columns[:4], 4))
+    assert text == cli.EP_HEADER + "\n" + ep_rows_oracle(*columns[:4])
 
 
 def test_traj_export_peak_memory_is_a_few_blocks(tmp_path):
@@ -382,19 +412,20 @@ def test_traj_export_peak_memory_is_a_few_blocks(tmp_path):
 
 
 def _g17_text(values) -> list:
-    """``_g17.into``'s text of each value, None where it leaves the value
-    to the row's template; a row it leaves is all NUL."""
+    """``_g17.into``'s text of each value: its row up to the NUL padding,
+    which holds no other NUL; ``into`` leaves its input as it was."""
     x = np.array(values, dtype=float)
+    given = x.copy()
     out = np.full((x.size, _g17.WIDTH), 0xFF, dtype=np.uint8)
-    other = _g17.into(x.copy(), out)
-    assert not out[other].any()
-    return [None if o else bytes(row).rstrip(b"\0").decode() for row, o in zip(out, other)]
+    _g17.into(given, out)
+    assert given.tobytes() == x.tobytes()
+    texts = [bytes(row).rstrip(b"\0") for row in out]
+    assert not [t for t in texts if b"\0" in t]
+    return [t.decode() for t in texts]
 
 
 def _percent_g(values) -> list:
-    """``'%.17g' % v`` of each value the formatter covers (zero, or a
-    magnitude in [1e-11, 1e17)), None for every other value."""
-    return ["%.17g" % v if v == 0 or 1e-11 <= abs(v) < 1e17 else None for v in values]
+    return ["%.17g" % v for v in values]
 
 
 def _from_bits(bits) -> np.ndarray:
@@ -406,8 +437,17 @@ _RANGE_BITS = (int(np.float64(1e-11).view(np.uint64)),
                int(np.float64(1e17).view(np.uint64)) - 1)
 
 
+#: Bit patterns of the smallest and largest subnormals, the smallest normal,
+#: the largest finite double, the infinities and NaNs, with either sign.
+_EDGE_BITS = [sign | bits for sign in (0, 1 << 63) for bits in (
+    1, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(_EDGE_BITS)
 def test_g17_is_percent_g_on_any_double(bits):
     x = _from_bits(bits)
     assert _g17_text(x) == _percent_g(x.tolist())
@@ -421,18 +461,25 @@ def test_g17_is_percent_g_inside_its_range(draws):
 
 
 def test_g17_is_percent_g_on_many_doubles(rng):
-    """Uniform bit patterns of the range, and short decimals of every
-    exponent, whose trailing zeros %g drops."""
+    """Uniform bit patterns of the range, short decimals of every exponent,
+    whose trailing zeros %g drops, uniform bit patterns of every double and
+    of the subnormals, and the edge patterns, shuffled together."""
     bits = rng.integers(_RANGE_BITS[0], _RANGE_BITS[1], 100_000, endpoint=True, dtype=np.uint64)
     signs = rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
     decimals = np.round(rng.standard_normal(50_000) * 1e4) / 10.0 ** rng.integers(-12, 16, 50_000)
-    x = np.concatenate([_from_bits(bits | signs), decimals])
+    raw = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, 5_000, dtype=np.uint64) | signs[:5_000]
+    x = np.concatenate([_from_bits(bits | signs), decimals, _from_bits(raw),
+                        _from_bits(subnormal), _from_bits(_EDGE_BITS)])
+    x = x[rng.permutation(x.size)]
+    assert _outside(x).sum() > 20_000
     assert _g17_text(x) == _percent_g(x.tolist())
 
 
-#: (value, its %.17g, or None where the template writes it).
+#: (value, its %.17g, or None where the fallback writes it: ``'%.17g' %``
+#: of a value outside zero and [1e-11, 1e17) is its own oracle).
 PINNED = [
-    # The lower end of the range: the float 1e-11 is below 10^-11.
+    # The lower end of the integer digits: the float 1e-11 is below 10^-11.
     (1e-11, "9.9999999999999994e-12"),
     (np.nextafter(1e-11, 0), None),
     (np.nextafter(1e-11, 1), "1.0000000000000001e-11"),
@@ -440,6 +487,12 @@ PINNED = [
     (1e17, None),
     (np.nextafter(1e17, 0), "99999999999999984"),
     (np.nextafter(1e17, np.inf), None),
+    # The widest fields, WIDTH bytes with a minus sign: the smallest normal,
+    # the smallest subnormal and the largest double.
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (math.inf, "inf"),
     (1e16, "10000000000000000"),
     (np.nextafter(1e16, 0), "9999999999999998"),
     # The switch from exponent to fixed notation at an exponent of -4.
@@ -469,10 +522,15 @@ PINNED = [
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("value, text", PINNED)
 def test_g17_pinned_cases(value, text, sign):
-    if text is not None:
+    if text is None:
+        assert _outside(value)
+    else:
         assert text == "%.17g" % value
-        text = "-" * (sign < 0) + text
-    assert _g17_text([sign * value]) == [text]
+    assert _g17_text([sign * value]) == ["-" * (sign < 0) + "%.17g" % value]
+
+
+def test_g17_width_is_the_widest_field():
+    assert max(len("%.17g" % -value) for value, _text in PINNED) == _g17.WIDTH
 
 
 def test_g17_at_each_power_of_ten_and_the_double_below_it():
@@ -483,10 +541,11 @@ def test_g17_at_each_power_of_ten_and_the_double_below_it():
 
 
 def test_pinned_cases_in_a_block_are_the_oracle_bytes():
-    """Inside the range, and spliced in through the row template outside it."""
+    """From the integer digits inside the range, and from the fallback
+    outside it, in the same rows."""
     x = np.array([sign * v for v, _ in PINNED for sign in (1.0, -1.0)] + SPECIAL)
     columns = (x, x[::-1], -x, np.roll(x, 3))
-    text = "".join(cli._csv_blocks(cli.EP_HEADER, (cli._EP_ROW,), columns))
+    text = "".join(cli._csv_blocks(cli.EP_HEADER, columns, 4))
     assert text == cli.EP_HEADER + "\n" + ep_rows_oracle(*columns)
 
 
@@ -496,7 +555,7 @@ def test_g17_digits_do_not_depend_on_the_exponent_estimate(rng):
     powers = np.array([float(f"1e{k}") for k in range(-11, 17)])
     ax = np.concatenate([
         powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
-        [abs(v) for v, text in PINNED if text is not None and v != 0],
+        [abs(v) for v, _text in PINNED if v != 0],
         10.0 ** rng.uniform(-11, 17, 20_000),
     ])
     ax = ax[(ax >= 1e-11) & (ax < 1e17)]
