@@ -12,9 +12,8 @@ bytes and the error texts are compared and the two files deleted.
 
 The corpus:
 
-* every config that the CI smoke step writes (the ``echo '{...}'
-  >"$RUNNER_TEMP/NAME.json"`` lines of ``.github/workflows/tier1.yml``), and
-  the ``poles`` commands it runs;
+* every config of the command-line contract table ``tests/cli_cases.py``,
+  which CI runs, and the ``poles`` commands of its cases;
 * the configs of the three benchmark workloads at each seed, written by
   ``bench/workloads.py``, which is imported and not changed, with
   ``poles --lam`` and ``poles --r`` at each 3D length and its range, and the
@@ -41,8 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -50,14 +47,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 COMMANDS = ("traj", "ep")
-
-#: A config written by the CI smoke step: its JSON text and its file name.
-_CI_CONFIG = re.compile(r"""echo '(\{[^']*\})'\s*(?:\\\s*)?>"\$RUNNER_TEMP/([\w-]+)\.json\"""")
-#: A ``poles`` command that the CI smoke step runs.
-_CI_POLES = re.compile(r"^\s*(?:smoke|refused) (poles [^$\n]*)$", re.MULTILINE)
 
 #: The scripts each side runs, by run name: the script and its arguments.
 #: The gallery writes its files under its working directory.
@@ -183,15 +174,8 @@ def compare_dirs(ref_dir: Path, new_dir: Path, names, tally: Tally | None = None
     return tally
 
 
-def ci_corpus(workflow: str) -> tuple[dict, list]:
-    """({name: JSON text} of the CI smoke step's configs, [argv] of its poles commands)."""
-    configs = {f"ci-{name}": text for text, name in _CI_CONFIG.findall(workflow)}
-    poles = [shlex.split(line) for line in _CI_POLES.findall(workflow)]
-    return configs, poles
-
-
 def bench_corpus(seeds) -> tuple[dict, list, list]:
-    """({name: JSON text} of the benchmark configs, [argv] of poles commands at
+    """({name: JSON bytes} of the benchmark configs, [argv] of poles commands at
     their 3D lengths, [name, Spec fields, samples] of the affine ops), from
     ``bench/workloads.py``."""
     sys.path.append(str(ROOT / "bench"))
@@ -203,7 +187,7 @@ def bench_corpus(seeds) -> tuple[dict, list, list]:
             for seed in seeds:
                 for k, spec in enumerate(workloads.make_specs(workload, seed, Path(tmp))):
                     name = f"{workload}-s{seed}-{k}-{spec.label}"
-                    configs[name] = json.dumps(spec.config(), sort_keys=True)
+                    configs[name] = json.dumps(spec.config(), sort_keys=True).encode()
                     if spec.dimension == 3:
                         for a, r in zip((spec.a0, spec.a1), spec.ranges):
                             if spec.table is not None:
@@ -220,20 +204,22 @@ def bench_corpus(seeds) -> tuple[dict, list, list]:
 def jobs(corpus_dir: Path, seeds) -> list:
     """[name, argv] of every run: each config under every command (and each
     CSV command again on one CPU) and suite, the poles commands and the affine
-    ops.  Writes the configs into ``corpus_dir``."""
-    sys.path.insert(0, str(ROOT / "src"))
+    ops.  Writes the configs into ``corpus_dir``; a config whose bytes recur
+    runs once."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import cli_cases
     from torus_scatter.cli import SUITES
 
-    ci_configs, ci_poles = ci_corpus(WORKFLOW.read_text(encoding="utf-8"))
+    ci_configs = {f"ci-{name}": data for name, data in cli_cases.CONFIGS.items()}
+    ci_poles = [case.argv() for case in cli_cases.CASES if case.command.startswith("poles")]
     bench_configs, bench_poles, affine = bench_corpus(seeds)
     out, seen = [], set()
-    for name, text in {**ci_configs, **bench_configs}.items():
+    for name, data in {**ci_configs, **bench_configs}.items():
         path = str(corpus_dir / f"{name}.json")
-        Path(path).write_text(text, encoding="utf-8")
-        key = json.dumps(json.loads(text), sort_keys=True)
-        if key in seen:
+        Path(path).write_bytes(data)
+        if data in seen:
             continue
-        seen.add(key)
+        seen.add(data)
         out += [[f"{name}.{cmd}", [cmd, "--config", path]] for cmd in COMMANDS]
         out += [[f"{name}.{cmd}-one-cpu", ["one-cpu", cmd, "--config", path]]
                 for cmd in COMMANDS]

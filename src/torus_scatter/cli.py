@@ -263,7 +263,8 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     """Write one CSV row per grid point.
 
     ``kappa`` is the inaffinity N'(p)/N(p) of the closed-form construction
-    lapse and ``V`` the closed-form potential at the trajectory point.  Both
+    lapse, which does not depend on the config's c1, and ``V`` the
+    closed-form potential at c1 at the trajectory point.  Both
     fields are empty on every row of a model with no closed-form potential
     (``geometry.closed_form`` names the three classes that have one), and at
     singular points (vanishing lapse,
@@ -277,7 +278,7 @@ def cmd_traj(cfg: RunConfig, out_path: str | None) -> int:
     kappa = v_val = np.full(traj.p.size, np.nan)
     potential = geometry.closed_form_potential(model, cfg.c1)
     if potential is not None:
-        kappa, vanishing = geometry.lapse_inaffinity(traj, cfg.c1)
+        kappa, vanishing = geometry.lapse_inaffinity(traj)
         v_val = potential.value(traj.phi, traj.theta)
         regular = ~(potential.singular_mask(traj.phi, traj.theta) | vanishing)
     _require_finite(traj.p, {"phi": traj.phi, "theta": traj.theta, "dphi_dp": traj.dphi,

@@ -285,12 +285,15 @@ def construction_lapse(
     return n_val.reshape(p.shape)[()], dn_val.reshape(p.shape)[()]
 
 
-def lapse_inaffinity(traj: torus.Trajectory, c1: float = 1.0):
-    """(kappa = dN/N, vanishing) of ``lapse`` at c1 along a sampled trajectory:
-    it vanishes, and kappa is NaN, where the pure number |p N / c1| (sin phi -
-    eps sin theta for the sine form) is below ``LAPSE_SINGULAR_TOL``."""
-    n_val, dn_val = lapse(traj, c1)
-    vanishing = np.abs(traj.p * n_val / c1) < LAPSE_SINGULAR_TOL
+def lapse_inaffinity(traj: torus.Trajectory):
+    """(kappa = dN/N, vanishing) of ``lapse`` along a sampled trajectory.
+
+    kappa does not depend on the normalisation c1, so N and dN/dp are taken
+    at c1 = 1, and kappa's digits are the same at every c1.  The lapse
+    vanishes, and kappa is NaN, where the pure number |p N| (sin phi - eps
+    sin theta for the sine form) is below ``LAPSE_SINGULAR_TOL``."""
+    n_val, dn_val = lapse(traj)
+    vanishing = np.abs(traj.p * n_val) < LAPSE_SINGULAR_TOL
     return np.divide(dn_val, n_val, out=np.full(n_val.shape, np.nan), where=~vanishing), vanishing
 
 

@@ -315,24 +315,11 @@ def verify_density_map(
 
     details: dict = {"rho_class": sym.rho_class.value}
     if s_s != s_t and cross_max >= 1e-12:
-        details["cross_block_phase_vs_plain_rho"] = _finite_range(
-            wrap_angle((phi_inv - theta_inv) - (phi - theta))
-        )
+        cross = wrap_angle((phi_inv - theta_inv) - (phi - theta))
+        details["cross_block_phase_vs_plain_rho"] = {
+            "min": float(cross.min()), "max": float(cross.max())
+        }
     return _family_check(traj, "density_map", max_dev, tol, **details)
-
-
-def _finite_range(values: np.ndarray) -> dict | None:
-    """Min and max of the non-NaN values in C order; None if there are none.
-
-    Ties go to the first of the equal values, as Python's ``min``/``max``
-    break them, so -0.0 against 0.0 comes out as a point-by-point loop gives.
-    """
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
-        return None
-    low = finite[np.argmax(finite == finite.min())]
-    high = finite[np.argmax(finite == finite.max())]
-    return {"min": float(low), "max": float(high)}
 
 
 def verify_ep_invariance(

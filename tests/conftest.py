@@ -3,13 +3,15 @@ acceptance-summary terminal hook; the reference oracles are in ``oracles``."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from torus_scatter import cli, ere
+
+pytest.register_assert_rewrite("cli_cases")
+from cli_cases import refusal  # noqa: E402
 
 #: Per-criterion result lines recorded by tests/test_acceptance.py.
 ACCEPTANCE_LINES: list[str] = []
@@ -36,17 +38,6 @@ def refused(capsys, argv) -> str:
     must be exit 2, nothing on stdout and one stderr line holding a JSON
     object whose only key is "error" (``refusal``)."""
     return refusal(cli.main(argv), *capsys.readouterr())
-
-
-def refusal(code, out, err) -> str:
-    """The message of a refusal by exit ``code`` with ``out`` and ``err``
-    written, asserting the contract ``refused`` states."""
-    assert code == 2, (code, err)
-    assert out == ""
-    assert err.endswith("\n") and err.count("\n") == 1, err
-    error = json.loads(err)
-    assert isinstance(error, dict) and error.keys() == {"error"}, error
-    return error["error"]
 
 
 @pytest.fixture

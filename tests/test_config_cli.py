@@ -14,6 +14,7 @@ from torus_scatter import causality, cli, ere, geometry, spin, torus
 from torus_scatter.config import DEFAULT_TOLERANCES, MAX_GRID_COUNT, ConfigError, PGrid, RunConfig
 
 from conftest import ROW_SIGNS, family_models, refusal, refused
+import cli_cases
 import oracles
 
 
@@ -245,7 +246,8 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     assert all(r[5] == "" and r[6] == "" and r[1] == r[2] for r in rows)
 
 
-@pytest.mark.parametrize(
+#: One config override per closed-form class.
+_CLOSED_FORM_CLASSES = pytest.mark.parametrize(
     "overrides",
     [
         {},
@@ -254,6 +256,9 @@ def test_2d_equal_lengths_skip_eom_and_export(tmp_path, capsys):
     ],
     ids=["zero-range", "lam14", "2d"],
 )
+
+
+@_CLOSED_FORM_CLASSES
 def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
     """Each closed-form class: ``geometry.lapse_inaffinity`` reproduces the
     printed kappa of every regular row bit for bit, with no vanishing lapse."""
@@ -270,6 +275,21 @@ def test_inaffinity_is_the_traj_kappa_column(tmp_path, overrides):
     want, vanishing = geometry.lapse_inaffinity(traj)
     assert not vanishing.any()
     assert np.array_equal([float(k) for k in kappa if k], want)
+
+
+@_CLOSED_FORM_CLASSES
+def test_traj_kappa_does_not_depend_on_c1(tmp_path, overrides):
+    """kappa = N'/N and the blank rows are the same bytes at every c1; V is c1 = 1's over c1^2."""
+    columns = {}
+    for c1 in (1.0, 2.5, -3.7, 1e-140):
+        grid = {"min": 0.01, "max": 100.0, "count": 401, "spacing": "log"}
+        cfg = _write_config(tmp_path, c1=c1, p_grid=grid, **overrides)
+        assert cli.main(["traj", "--config", cfg, "--out", str(tmp_path / "traj.csv")]) == 0
+        columns[c1] = list(zip(*_traj_rows(tmp_path / "traj.csv")))[5:7]
+    for c1, (kappa, v) in columns.items():
+        assert kappa == columns[1.0][0], c1
+        v, v_1 = (np.array([float(x or "nan") for x in col]) for col in (v, columns[1.0][1]))
+        np.testing.assert_allclose(v, v_1 / c1 / c1, rtol=1e-15, atol=0)
 
 
 def test_verify_all_passes_beside_the_2d_lapse_zero(tmp_path, capsys):
@@ -964,11 +984,12 @@ def test_potential_at_huge_lengths_is_the_unit_one(tmp_path, capsys):
 def test_library_and_cli_run_without_scipy():
     """scipy is a test dependency only: with every import of it blocked, the
     affine reconstruction and traj, ep and verify --suite all run
-    (``tests/without_scipy.py``, which CI also runs)."""
+    (``tests/without_scipy.py``, with warnings as errors, as CI runs it)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     script = os.path.join(os.path.dirname(__file__), "without_scipy.py")
     run = subprocess.run(
-        [sys.executable, script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", script], env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("ran without scipy: "), run.stdout
@@ -1057,13 +1078,14 @@ def test_verify_keeps_2d_points_where_the_potential_gradient_vanishes(tmp_path, 
     assert [c["n_points"] for c in eom] == [2] and eom[0]["pass"]
 
 
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.name)
+def test_cli_case(case, tmp_path):
+    """Each case of the contract table, in process; CI runs it in fresh processes."""
+    assert cli_cases.problem(case, tmp_path, cli_cases.run_in_process) is None
+
+
 def test_module_run_keeps_stderr_empty(tmp_path):
     """``python -m torus_scatter.cli`` prints its report and nothing else."""
-    cfg = _write_config(tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "torus_scatter.cli", "verify", "--config", cfg],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (run.returncode, run.stderr) == (0, "")
-    assert json.loads(run.stdout)["pass"] is True
+    code, out, err = cli_cases.run_fresh(["verify", "--config", _write_config(tmp_path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True

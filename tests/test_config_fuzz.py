@@ -2,8 +2,6 @@
 exit 2 with one JSON error object on stderr, never in a traceback, and a CSV
 that ``traj`` or ``ep`` writes holds no value that is not finite."""
 
-import contextlib
-import io
 import json
 import math
 
@@ -11,9 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torus_scatter import cli
-
-from conftest import refusal
+from cli_cases import refusal, run_in_process
 
 #: Values of the wrong kind for any key.  Numbers stay within [-200, 200], so
 #: a junk ``count`` that happens to be integral still builds a small grid.
@@ -108,12 +104,10 @@ def config_path(tmp_path_factory):
 def test_any_config_ends_in_a_result_or_a_json_error(config_path, data):
     config_path.write_text(json.dumps(data))
     for command, allowed in EXIT_CODES.items():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main([command, "--config", str(config_path)])
-        assert rc in allowed, (command, rc, err.getvalue())
+        rc, out, err = run_in_process([command, "--config", str(config_path)])
+        assert rc in allowed, (command, rc, err)
         if rc == 0 and command in ("traj", "ep"):
-            fields = set(out.getvalue().replace("\n", ",").split(","))
+            fields = set(out.replace("\n", ",").split(","))
             assert not fields & {"nan", "inf", "-inf"}, (command, data)
         if rc == 2:
-            refusal(rc, out.getvalue(), err.getvalue())
+            refusal(rc, out, err)

@@ -4,7 +4,6 @@ end at small sizes."""
 import ast
 import csv
 import importlib.util
-import json
 import os
 import pathlib
 import re
@@ -12,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+
+import cli_cases
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -111,17 +112,17 @@ def test_compare_outputs_tallies_each_kind_of_difference(tmp_path):
 
 
 def test_compare_outputs_corpus_and_sides(tmp_path):
-    """The corpus holds the CI smoke configs and poles commands and the
-    benchmark configs; two sides on the same source tree agree on every run."""
+    """The corpus holds the configs and poles commands of ``cli_cases`` and
+    the benchmark configs; two sides on the same source tree agree on every run."""
     compare = _compare_outputs()
-    configs, poles = compare.ci_corpus(compare.WORKFLOW.read_text(encoding="utf-8"))
-    assert {"ci-family3d", "ci-planar", "ci-twopoint", "ci-overflow"} <= set(configs)
-    assert all(isinstance(json.loads(text), dict) for text in configs.values())
-    assert ["poles", "--a", "-1", "--lam", "0.3"] in poles
     (tmp_path / "corpus").mkdir()
     runs = compare.jobs(tmp_path / "corpus", range(1, 2))
     names = [name for name, _ in runs]
     assert len(names) == len(set(names))
+    assert {f"ci-{name}.verify-all" for name in cli_cases.CONFIGS} <= set(names)
+    assert (tmp_path / "corpus" / "ci-utf16.json").read_bytes() == cli_cases.CONFIGS["utf16"]
+    assert ["poles", "--a", "-1", "--lam", "0.3"] in [argv for _, argv in runs]
+    assert ["poles", "--a=-1e-300", "--lam=1e-300"] in [argv for _, argv in runs]
     assert {"ci-planar.traj", "ci-planar.verify-all", "poles-0"} <= set(names)
     assert {"ci-blocks.traj-one-cpu", "ci-blocks.ep-one-cpu"} <= set(names)
     assert sum(name.endswith(".affine-op") for name in names) == 3

@@ -365,31 +365,6 @@ def test_density_map_rejects_missing_or_misshapen_in_states():
             uvir.verify_density_map(torus.sample_trajectory(m, grid), in_states=bad)
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        [[0.0, 1.0], [-0.0, 2.0]],
-        [[-0.0, 1.0], [0.0, 2.0]],
-        [[-1.0, 0.0], [-2.0, -0.0]],
-        [[-1.0, -0.0], [-2.0, 0.0]],
-        [[np.nan, np.nan], [np.nan, np.nan]],
-        [[np.nan], [0.25], [np.nan]],
-        [[0.5, np.nan, -0.0], [np.nan, 0.0, np.nan], [-3.0, np.nan, 3.0]],
-    ],
-)
-def test_cross_phase_summary_matches_python_min_max(values):
-    values = np.array(values, dtype=float)
-    finite = [v for v in values.ravel().tolist() if not math.isnan(v)]
-    summary = uvir._finite_range(values)
-    if not finite:
-        assert summary is None
-        return
-    want = {"min": min(finite), "max": max(finite)}
-    # repr tells -0.0 from 0.0, which == does not.
-    assert repr(summary) == repr(want)
-    assert all(type(v) is float for v in summary.values())
-
-
 def test_density_map_rejects_unnormalized_in_state():
     traj = torus.sample_trajectory(
         ere.make_symmetric_model("T2", 1, 1.0, 2.0, lam=0.7), np.geomspace(0.1, 10, 11)
